@@ -6,9 +6,9 @@ derivative, and a verification harness reproducing the underlying
 identities at desk scale.
 """
 
-from .specfun import (Params, ZeroTable, bessel_i_norm, bessel_j,
-                      bessel_j_ratio, bessel_zeros, dunkl_kernel,
-                      dunkl_kernel_z, gamma, lommel_h, lommel_r, pochhammer)
+from .specfun import (Params, ZeroTable, bessel_j, bessel_j_ratio,
+                      bessel_zeros, dunkl_kernel, gamma, lommel_h, lommel_r,
+                      pochhammer)
 from .quad import (Measure, QuadRule, accelerate, gauss_jacobi,
                    integrate_bessel_product, integrate_interval)
 from .orthopoly import (GenGegenbauerFamily, JacobiFamily,

@@ -22,8 +22,9 @@ import numpy as np
 
 from .orthopoly import GenGegenbauerFamily, classical_gegenbauer, jacobi_eval
 from .quad import Measure, accelerate, gauss_jacobi, gauss_jacobi01, mcmahon_zero, rule_for_measure
-from .specfun import (Params, ZeroTable, bessel_i_norm_imag, bessel_j_ratio,
-                      bessel_zeros, dunkl_kernel, gamma)
+from .specfun import (Params, ZeroTable, _jratio_array, _jratio_at_zero,
+                      bessel_i_norm_imag, bessel_j_ratio, bessel_zeros,
+                      dunkl_kernel, gamma)
 
 __all__ = [
     "TruncatedSeries",
@@ -77,63 +78,12 @@ class TruncatedSeries:
 # Vectorized Dunkl kernel on a node grid
 # ---------------------------------------------------------------------------
 
-def _series_pair(alpha: float, xs: np.ndarray):
-    """(I_alpha(ix), I_{alpha+1}(ix)) for |x| <= ~9, vectorized series."""
-    w = -0.25 * xs * xs
-    t0 = np.ones_like(xs)
-    t1 = np.ones_like(xs)
-    s0 = t0.copy()
-    s1 = t1.copy()
-    for n in range(1, 400):
-        t0 = t0 * w / (n * (alpha + n))
-        t1 = t1 * w / (n * (alpha + 1.0 + n))
-        s0 += t0
-        s1 += t1
-        if max(np.max(np.abs(t0)), np.max(np.abs(t1))) < 1e-18 * max(np.max(np.abs(s0)), 1.0):
-            break
-    return s0, s1
-
-
-def _jratio_asym_vec(nu: float, xs: np.ndarray) -> np.ndarray:
-    """Vectorized large-argument cosine asymptotic for J_nu(x)/x^nu, x > 50."""
-    mu = 4.0 * nu * nu
-    p = np.ones_like(xs)
-    q = np.zeros_like(xs)
-    term = np.ones_like(xs)
-    for k in range(1, 16):
-        term = term * (mu - (2.0 * k - 1.0) ** 2) / (k * 8.0 * xs)
-        if k % 2 == 0:
-            p += term * (-1.0) ** (k // 2)
-        else:
-            q += term * (-1.0) ** ((k - 1) // 2)
-        if np.max(np.abs(term)) < 1e-17:
-            break
-    chi = xs - (0.5 * nu + 0.25) * math.pi
-    j = np.sqrt(2.0 / (math.pi * xs)) * (p * np.cos(chi) - q * np.sin(chi))
-    return j * np.exp(-nu * np.log(xs))
-
-
 def dunkl_kernel_grid(alpha: float, xs: np.ndarray) -> np.ndarray:
-    """E_alpha(i x) on an array of real arguments, regime-split."""
+    """E_alpha(i x) on an array of real arguments: dunkl_kernel node-wise,
+    through specfun's array path for J_nu(x)/x^nu."""
     xs = np.asarray(xs, dtype=float)
-    ax = np.abs(xs)
-    out = np.empty(xs.shape, dtype=complex)
-    c = 2.0 ** alpha * gamma(alpha + 1.0)
-    small = ax <= 9.0
-    big = ax > 50.0
-    mid = ~small & ~big
-    if np.any(small):
-        s0, s1 = _series_pair(alpha, xs[small])
-        out[small] = s0 + 1j * xs[small] / (2.0 * (alpha + 1.0)) * s1
-    if np.any(big):
-        xb = ax[big]
-        r0 = _jratio_asym_vec(alpha, xb)
-        r1 = _jratio_asym_vec(alpha + 1.0, xb)
-        out[big] = c * (r0 + 1j * xs[big] * r1)
-    if np.any(mid):
-        vals = [dunkl_kernel(alpha, float(x)) for x in xs[mid]]
-        out[mid] = np.asarray(vals)
-    return out
+    return ((_jratio_array(alpha, xs) + 1j * xs * _jratio_array(alpha + 1.0, xs))
+            / _jratio_at_zero(alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +243,6 @@ class BiorthSystem:
     name: str
     index: Literal["Z", "N"]
     P: Callable[[int, float], complex]
-    Q: Callable[[int, float], complex]
     q_measure: Measure
     q_smooth: Callable[[int, float], complex]
     order: int = 120
@@ -358,7 +307,6 @@ def fourier_system():
         name="fourier",
         index="Z",
         P=p,
-        Q=p,
         q_measure=Measure("lebesgue"),
         q_smooth=lambda n, t: complex(np.conjugate(p(n, t))),
     )
@@ -403,14 +351,10 @@ def gegenbauer_system(beta: float):
     def p(n: int, t: float) -> float:
         return classical_gegenbauer(n, beta, t)
 
-    def q(n: int, t: float) -> float:
-        return (1.0 - t * t) ** (beta - 0.5) * p(n, t) / _gegenbauer_h(beta, n)
-
     bio = BiorthSystem(
         name="gegenbauer",
         index="N",
         P=p,
-        Q=q,
         q_measure=Measure.mu_beta_alpha(-0.5, beta - 0.5),
         q_smooth=lambda n, t: _SQ2PI * p(n, t) / _gegenbauer_h(beta, n),
     )
@@ -491,7 +435,6 @@ def dunkl_system(alpha: float, n_max: int = 24):
         name="dunkl-sampling",
         index="Z",
         P=dss.e,
-        Q=dss.e,
         q_measure=Measure.mu_alpha(alpha),
         q_smooth=lambda n, t: complex(np.conjugate(dss.e(n, t))),
     )
@@ -588,9 +531,6 @@ def neumann_system(params: Params):
     def p(n: int, t: float) -> float:
         return fam.eval(n, t)
 
-    def q(n: int, t: float) -> float:
-        return (1.0 - t * t) ** b * fam.eval(n, t) / fam.norm(n)
-
     ks = KernelSystem(
         name="neumann",
         kernel=lambda x, t: dunkl_kernel(a, x * t),
@@ -600,7 +540,6 @@ def neumann_system(params: Params):
         name="fourier-neumann",
         index="N",
         P=p,
-        Q=q,
         q_measure=Measure.mu_beta_alpha(a, b),
         q_smooth=lambda n, t: fam.eval(n, t) / fam.norm(n),
     )

@@ -18,7 +18,7 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .specfun import Params, bessel_j_ratio, gamma, lgamma
+from .specfun import bessel_j_ratio, gamma, lgamma
 
 __all__ = [
     "Measure",
@@ -169,12 +169,6 @@ class Measure:
     def mu_beta_alpha(cls, alpha: float, beta: float) -> "Measure":
         return cls("mu_beta_alpha", alpha, beta)
 
-    @classmethod
-    def for_params(cls, params: Params, weighted: bool) -> "Measure":
-        if weighted:
-            return cls("mu_beta_alpha", params.alpha, params.beta)
-        return cls("mu_alpha", params.alpha, 0.0)
-
     def density(self, t: float) -> float:
         if self.kind == "lebesgue":
             return 1.0
@@ -199,9 +193,6 @@ class QuadRule:
         if not np.all(np.isfinite(np.abs(fx))):
             raise ValueError("integrand produced a non-finite sample")
         return complex(np.dot(w, fx)) if np.iscomplexobj(fx) else float(np.dot(w, fx))
-
-    def apply_vec(self, fvals: np.ndarray):
-        return np.dot(np.asarray(self.weights), fvals)
 
 
 _rule_cache: dict = {}

@@ -1,15 +1,19 @@
-"""Scalar special functions: Gamma family, Bessel J of real order, the
-normalized modified Bessel function, the Dunkl kernel on the imaginary
-axis, Bessel zero tables, and Lommel polynomials.
+"""Special functions: Gamma family, Bessel J of real order, the Dunkl
+kernel on the imaginary axis, Bessel zero tables, and Lommel polynomials.
 
 Everything here is plain float64 arithmetic with explicit regime switches;
-no external special-function libraries are used at runtime.
+no external special-function libraries are used at runtime.  This is the
+one module that computes J_nu(x)/x^nu: scalar calls go through
+bessel_j_ratio, node arrays through _jratio_array, both under one regime
+rule.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 __all__ = [
     "Params",
@@ -19,9 +23,7 @@ __all__ = [
     "pochhammer",
     "bessel_j",
     "bessel_j_ratio",
-    "bessel_i_norm",
     "dunkl_kernel",
-    "dunkl_kernel_z",
     "bessel_zeros",
     "lommel_r",
     "lommel_h",
@@ -93,7 +95,14 @@ def gamma(x: float) -> float:
     z = x - 1.0
     s = _lanczos_sum(z)
     t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * s
+    if x <= 141.0:
+        return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * s
+    # t^(z+1/2) alone overflows past x ~ 142: split it around exp(-t)
+    h = t ** (0.5 * (z + 0.5))
+    g = math.sqrt(2.0 * math.pi) * h * math.exp(-t) * h * s
+    if math.isinf(g):
+        raise OverflowError(f"gamma({x}) exceeds the float64 range")
+    return g
 
 
 def lgamma(x: float) -> float:
@@ -122,13 +131,39 @@ def pochhammer(a: float, n: int) -> float:
 # Bessel J_nu for real order nu > -1
 # ---------------------------------------------------------------------------
 
-def _jratio_series(nu: float, x: float) -> float:
-    """J_nu(x)/x^nu by the ascending series; safe for |x| <= ~12."""
-    x2 = 0.25 * x * x
+# Regime edges of J_nu(x)/x^nu, shared by the scalar and the array path:
+# the ascending series up to SERIES_EDGE (or below the turning point), the
+# cosine asymptotic beyond ASYM_EDGE where it converges, Miller's backward
+# recurrence (Gautschi, SIAM Rev. 9, 1967) in between.
+SERIES_EDGE = 9.0
+ASYM_EDGE = 50.0
+
+
+def _in_series_regime(nu: float, x):
+    """True where the ascending series is used; x >= 0, a float or an array."""
+    return (x <= SERIES_EDGE) | (x * x <= 4.0 * (nu + 1.0))
+
+
+def _jratio_at_zero(nu: float) -> float:
+    """J_nu(x)/x^nu at x = 0, 1/(2^nu Gamma(nu+1)); logarithmic past nu = 150."""
     if nu > 150.0:
-        t = math.exp(-nu * math.log(2.0) - lgamma(nu + 1.0))
-    else:
-        t = 1.0 / (2.0 ** nu * gamma(nu + 1.0))
+        return math.exp(-nu * math.log(2.0) - lgamma(nu + 1.0))
+    return 1.0 / (2.0 ** nu * gamma(nu + 1.0))
+
+
+def _reject_order_or_x(nu: float, x: float):
+    """Raise for the first argument outside finite order > -1, finite x."""
+    if not math.isfinite(nu):
+        raise ValueError(f"order must be finite, got {nu}")
+    if nu <= -1.0:
+        raise ValueError(f"order must exceed -1, got {nu}")
+    raise ValueError(f"x must be finite, got {x}")
+
+
+def _jratio_series(nu: float, x: float) -> float:
+    """J_nu(x)/x^nu by the ascending series, in its regime."""
+    x2 = 0.25 * x * x
+    t = _jratio_at_zero(nu)
     s = t
     for k in range(1, SERIES_CAP):
         t *= -x2 / (k * (nu + k))
@@ -138,78 +173,81 @@ def _jratio_series(nu: float, x: float) -> float:
     raise RuntimeError("bessel series did not converge (internal error)")
 
 
+def _miller_start(nu: float, top: float) -> int:
+    """Start offset m for the downward recurrence from order nu + m: above
+    the turning point of the largest argument `top`, with m - floor(nu) even."""
+    top = max(top, nu)
+    m_max = int(math.ceil(top + 15.0 * top ** (1.0 / 3.0) + 25.0))
+    return m_max + (m_max - int(math.floor(nu))) % 2
+
+
+def _miller_norm(nu: float, fs: list):
+    """Neumann sum sum_k d_k f_{2k}, d_0 = 1, d_k = (nu+2k) (nu+1)_{k-1} / k!,
+    over unnormalized f_m ~ J_{nu+m}; entries are floats or arrays."""
+    norm = fs[0]
+    d = 1.0
+    for k in range(1, (len(fs) - 1) // 2 + 1):
+        if k == 1:
+            d = nu + 2.0
+        else:
+            d *= (nu + 2.0 * k) * (nu + k - 1.0) / ((nu + 2.0 * k - 2.0) * k)
+        norm = norm + d * fs[2 * k]
+    return norm
+
+
 def _jratio_miller(nu: float, x: float) -> float:
     """J_nu(x)/x^nu by backward recurrence with a Neumann-sum normalization.
 
     Start order is above the turning point so that the downward recurrence
     locks onto the minimal solution; the sum over even offsets normalizes it.
     """
-    top = max(x, nu)
-    m_max = int(math.ceil(top + 15.0 * top ** (1.0 / 3.0) + 25.0))
-    if (m_max - int(math.floor(nu))) % 2 == 1:
-        m_max += 1
+    m_max = _miller_start(nu, x)
     fp = 0.0          # f_{m+1}
     fc = 1e-30        # f_m
-    norm = 0.0        # sum_k d_k f_{2k}
-    d = None
-    f0 = 0.0
-    # walk m = m_max .. 0 over orders nu + m
     fs = [0.0] * (m_max + 1)
     fs[m_max] = fc
     for m in range(m_max, 0, -1):
-        fm1 = (2.0 * (nu + m) / x) * fc - fp
-        fp, fc = fc, fm1
+        fp, fc = fc, (2.0 * (nu + m) / x) * fc - fp
         fs[m - 1] = fc
         if abs(fc) > 1e250:
             fc *= 1e-250
             fp *= 1e-250
             for i in range(m - 1, m_max + 1):
                 fs[i] *= 1e-250
-    f0 = fs[0]
-    # normalization sum: d_0 = 1, d_k = (nu+2k) (nu+1)_{k-1} / k!
-    d = 1.0
-    norm = d * f0
-    for k in range(1, m_max // 2 + 1):
-        if k == 1:
-            d = (nu + 2.0)
+    return fs[0] * _jratio_at_zero(nu) / _miller_norm(nu, fs)
+
+
+def _asymptotic_pq(nu: float, x, peak=abs):
+    """P and Q of J_nu(x) ~ sqrt(2/(pi x)) (P cos chi - Q sin chi), and
+    whether the expansion reached ~1e-13 before its terms started growing.
+
+    The terms are a_k/x^k, a_k = prod_{j<=k} (4 nu^2 - (2j-1)^2) / (k! 8^k);
+    P sums the even k, Q the odd.  x is a float, or an array with peak its
+    largest |term|: that sits at the smallest node, so every node stops
+    where the smallest one would.
+    """
+    mu = 4.0 * nu * nu
+    p, q, term, prev = 1.0, 0.0, 1.0, 1.0
+    for k in range(1, 18):
+        term = term * ((mu - (2.0 * k - 1.0) ** 2) / (k * 8.0 * x))
+        if k % 2 == 0:
+            p = p + term * (-1.0) ** (k // 2)
         else:
-            d *= (nu + 2.0 * k) * (nu + k - 1.0) / ((nu + 2.0 * k - 2.0) * k)
-        norm += d * fs[2 * k]
-    if nu > 150.0:
-        scale = math.exp(-nu * math.log(2.0) - lgamma(nu + 1.0))
-    else:
-        scale = 1.0 / (2.0 ** nu * gamma(nu + 1.0))
-    return f0 * scale / norm
+            q = q + term * (-1.0) ** ((k - 1) // 2)
+        mag = peak(term)
+        if mag < 1e-17:
+            return p, q, True
+        if mag > prev:
+            return p, q, mag < 1e-13 or prev <= 1e-13
+        prev = mag
+    return p, q, prev <= 1e-13
 
 
 def _jratio_asymptotic(nu: float, x: float):
-    """Large-argument cosine asymptotic for J_nu(x)/x^nu.
-
-    Returns None when the expansion cannot reach ~1e-13 before its terms
-    start growing (caller falls back to backward recurrence).
-    """
-    mu = 4.0 * nu * nu
-    # a_k = prod_{j<=k} (mu - (2j-1)^2) / (k! 8^k); P sums even k, Q odd k
-    p = 1.0
-    q = 0.0
-    term = 1.0
-    ok = False
-    prev = abs(term)
-    for k in range(1, 18):
-        term *= (mu - (2.0 * k - 1.0) ** 2) / (k * 8.0 * x)
-        mag = abs(term)
-        if k % 2 == 0:
-            p += term * (-1.0) ** (k // 2)
-        else:
-            q += term * (-1.0) ** ((k - 1) // 2)
-        if mag < 1e-17:
-            ok = True
-            break
-        if mag > prev:
-            ok = mag < 1e-13
-            break
-        prev = mag
-    if not ok and prev > 1e-13:
+    """Large-argument cosine asymptotic for J_nu(x)/x^nu, or None where it
+    does not converge (caller falls back to backward recurrence)."""
+    p, q, ok = _asymptotic_pq(nu, x)
+    if not ok:
         return None
     chi = x - (0.5 * nu + 0.25) * math.pi
     j = math.sqrt(2.0 / (math.pi * x)) * (p * math.cos(chi) - q * math.sin(chi))
@@ -224,20 +262,75 @@ def bessel_j_ratio(nu: float, x: float) -> float:
     This is the workhorse form: it is finite at x = 0 and avoids the x^nu
     overflow/underflow of J itself at large order.
     """
-    if nu <= -1.0:
-        raise ValueError(f"order must exceed -1, got nu={nu}")
+    if not (-1.0 < nu < math.inf and -math.inf < x < math.inf):
+        _reject_order_or_x(nu, x)
     x = abs(x)
     if x == 0.0:
-        if nu > 150.0:
-            return math.exp(-nu * math.log(2.0) - lgamma(nu + 1.0))
-        return 1.0 / (2.0 ** nu * gamma(nu + 1.0))
-    if x <= 9.0 or x * x <= 4.0 * (nu + 1.0):
+        return _jratio_at_zero(nu)
+    if _in_series_regime(nu, x):
         return _jratio_series(nu, x)
-    if x > 50.0:
+    if x > ASYM_EDGE:
         r = _jratio_asymptotic(nu, x)
         if r is not None:
             return r
     return _jratio_miller(nu, x)
+
+
+# The array path: the same regimes on every node of an array at once.  It
+# is kept apart from bessel_j_ratio, whose scalar calls it would slow down
+# about thirtyfold.
+
+def _jratio_series_array(nu: float, x: np.ndarray) -> np.ndarray:
+    x2 = 0.25 * x * x
+    t = np.full_like(x, _jratio_at_zero(nu))
+    s = t.copy()
+    for k in range(1, SERIES_CAP):
+        t *= -x2 / (k * (nu + k))
+        s += t
+        if np.all(np.abs(t) < SERIES_TOL * np.abs(s)):
+            return s
+    raise RuntimeError("bessel series did not converge (internal error)")
+
+
+def _jratio_miller_array(nu: float, x: np.ndarray) -> np.ndarray:
+    """Backward recurrence from one start order, set by the largest node;
+    nodes that overflow are rescaled alone."""
+    m_max = _miller_start(nu, float(np.max(x)))
+    fp = np.zeros_like(x)
+    fc = np.full_like(x, 1e-30)
+    fs = [fc] * (m_max + 1)
+    for m in range(m_max, 0, -1):
+        fp, fc = fc, (2.0 * (nu + m) / x) * fc - fp
+        big = np.abs(fc) > 1e250
+        if big.any():
+            scale = np.where(big, 1e-250, 1.0)
+            fc = fc * scale
+            fp = fp * scale
+            fs[m:] = [f * scale for f in fs[m:]]
+        fs[m - 1] = fc
+    return fs[0] * _jratio_at_zero(nu) / _miller_norm(nu, fs)
+
+
+def _jratio_array(nu: float, x: np.ndarray) -> np.ndarray:
+    """J_nu(x)/x^nu on an array of real x, by bessel_j_ratio's regimes; the
+    asymptotic takes all nodes beyond ASYM_EDGE if it converges at the
+    nearest one."""
+    x = np.abs(np.asarray(x, dtype=float))
+    out = np.empty_like(x)
+    series = _in_series_regime(nu, x)
+    out[series] = _jratio_series_array(nu, x[series])
+    miller = ~series
+    far = miller & (x > ASYM_EDGE)
+    xf = x[far]
+    p, q, ok = _asymptotic_pq(nu, xf, lambda t: np.abs(t).max(initial=0.0))
+    if ok:
+        chi = xf - (0.5 * nu + 0.25) * math.pi
+        j = np.sqrt(2.0 / (math.pi * xf)) * (p * np.cos(chi) - q * np.sin(chi))
+        out[far] = j * np.exp(-nu * np.log(xf))
+        miller &= ~far
+    if miller.any():
+        out[miller] = _jratio_miller_array(nu, x[miller])
+    return out
 
 
 def bessel_j(nu: float, x: float, xmax: float = 500.0) -> float:
@@ -246,8 +339,8 @@ def bessel_j(nu: float, x: float, xmax: float = 500.0) -> float:
     Negative x is allowed only for integer nu (parity continuation); use
     bessel_j_ratio for the even ratio form at general order.
     """
-    if nu <= -1.0:
-        raise ValueError(f"order must exceed -1, got nu={nu}")
+    if not (-1.0 < nu < math.inf and -math.inf < x < math.inf):
+        _reject_order_or_x(nu, x)
     if abs(x) > xmax:
         raise ValueError(f"|x|={abs(x)} exceeds xmax={xmax}")
     if x == 0.0:
@@ -263,64 +356,25 @@ def bessel_j(nu: float, x: float, xmax: float = 500.0) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Normalized modified Bessel function and the Dunkl kernel
+# The Dunkl kernel on the imaginary axis
 # ---------------------------------------------------------------------------
 
-def bessel_i_norm(alpha: float, z: complex) -> complex:
-    """Normalized modified Bessel function of order alpha at complex z:
-
-        Gamma(alpha+1) * sum_{n>=0} (z/2)^{2n} / (n! Gamma(n+alpha+1)).
-
-    Equals 1 at z = 0; for purely imaginary z = ix it reduces to
-    2^alpha Gamma(alpha+1) J_alpha(x) / x^alpha (real).
-    """
-    if alpha <= -1.0:
-        raise ValueError(f"order must exceed -1, got alpha={alpha}")
-    z = complex(z)
-    w = 0.25 * z * z
-    t = 1.0 + 0.0j
-    s = t
-    for n in range(1, SERIES_CAP):
-        t *= w / (n * (alpha + n))
-        s += t
-        if abs(t) < SERIES_TOL * abs(s):
-            return s
-    raise RuntimeError("bessel_i_norm series did not converge (internal error)")
-
-
 def bessel_i_norm_imag(alpha: float, x: float) -> float:
-    """The real value of the normalized modified Bessel function at ix.
-
-    Routed through the stable J ratio so that large |x| (far beyond the
-    alternating-series comfort zone) stays accurate.
-    """
+    """The normalized modified Bessel function of order alpha at ix,
+    2^alpha Gamma(alpha+1) J_alpha(x)/x^alpha: real, even, 1 at x = 0."""
     return 2.0 ** alpha * gamma(alpha + 1.0) * bessel_j_ratio(alpha, x)
 
 
-def dunkl_kernel_z(alpha: float, z: complex) -> complex:
-    """Dunkl kernel at complex argument:
-
-        E_alpha(z) = I_alpha(z) + z/(2(alpha+1)) I_{alpha+1}(z),
-
-    with I the normalized modified Bessel function above.  It is the unique
-    solution of the Dunkl eigenvalue problem with value 1 at the origin.
-    """
-    z = complex(z)
-    return bessel_i_norm(alpha, z) + z / (2.0 * (alpha + 1.0)) * bessel_i_norm(alpha + 1.0, z)
-
-
 def dunkl_kernel(alpha: float, x: float) -> complex:
-    """E_alpha(ix) for real x: real part even in x, imaginary part odd."""
-    if alpha <= -1.0:
-        raise ValueError(f"order must exceed -1, got alpha={alpha}")
-    if abs(x) <= 12.0:
-        re = bessel_i_norm(alpha, 1j * x).real
-        im = x / (2.0 * (alpha + 1.0)) * bessel_i_norm(alpha + 1.0, 1j * x).real
-        return complex(re, im)
-    c = 2.0 ** alpha * gamma(alpha + 1.0)
-    re = c * bessel_j_ratio(alpha, x)
-    im = c * x * bessel_j_ratio(alpha + 1.0, x)
-    return complex(re, im)
+    """E_a(ix) = 2^a Gamma(a+1) [J_a(x)/x^a + i x J_{a+1}(x)/x^{a+1}] for real
+    x and a = alpha: real part even in x, imaginary part odd.  Dividing by
+    J_a(x)/x^a at x = 0 instead of multiplying by 2^a Gamma(a+1) makes
+    E_a(0) = 1 exact.
+    """
+    if not (-1.0 < alpha < math.inf and -math.inf < x < math.inf):
+        _reject_order_or_x(alpha, x)
+    c = _jratio_at_zero(alpha)
+    return complex(bessel_j_ratio(alpha, x) / c, x * bessel_j_ratio(alpha + 1.0, x) / c)
 
 
 # ---------------------------------------------------------------------------

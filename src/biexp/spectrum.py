@@ -17,7 +17,7 @@ import numpy as np
 
 from .orthopoly import GenGegenbauerFamily
 from .specfun import (Params, ZeroTable, bessel_j_ratio, bessel_zeros,
-                      dunkl_kernel_z, gamma)
+                      dunkl_kernel, gamma)
 
 __all__ = [
     "SpectralProblem",
@@ -189,7 +189,7 @@ def eigenfunction(problem: SpectralProblem, k: int, sign: int, t: float,
     series = sum(a[n] * fam.eval(n, t) for n in range(1, N + 1))
     jab = bessel_j_ratio(ab, j) * j ** ab
     closed = (-sign * 1j * (0.5 * j) ** (ab + 1.0)
-              * dunkl_kernel_z(al, -sign * 1j * t * j)
+              * dunkl_kernel(al, -sign * t * j)
               / (gamma(ab + 1.0) * (ab + 2.0) * jab))
     return complex(series), complex(closed)
 

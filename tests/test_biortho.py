@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -306,6 +307,28 @@ class TestKernelNorm:
         al = 0.7
         assert bo.kernel_norm_sq(al, 0.0) == pytest.approx(
             1.0 / (2.0 ** (al + 1.0) * gamma(al + 2.0)), rel=1e-13)
+
+
+class TestDunklKernelGrid:
+    @pytest.mark.parametrize("al", [-0.95, -0.5, 0.3, 3.0])
+    def test_against_mpmath(self, al):
+        # nodes straddle the regime edges 9 and 50 and the former 12
+        edges = np.array([0.0, 1e-3, 8.99, 9.0, 9.01, 11.99, 12.0, 12.01,
+                          30.0, 49.99, 50.0, 50.01, 120.0, 700.0])
+        xs = np.concatenate([edges, -edges[1:]])
+        got = bo.dunkl_kernel_grid(al, xs)
+        with mp.workdps(40):
+            a = mp.mpf(al)
+            c = 2 ** a * mp.gamma(a + 1)
+            for x, g in zip(xs, got):
+                if x == 0.0:
+                    ref = 1.0
+                else:
+                    xm = mp.mpf(float(x))
+                    ax = abs(xm)
+                    ref = complex(c * mp.besselj(a, ax) / ax ** a,
+                                  c * xm * mp.besselj(a + 1, ax) / ax ** (a + 1))
+                assert abs(g - ref) <= 1e-12 * abs(ref)
 
 
 class TestPWFunction:

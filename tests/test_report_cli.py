@@ -143,6 +143,19 @@ class TestCLI:
     def test_missing_flag_exit_2(self, capsys):
         assert main(["eval", "bessel", "--nu", "2.0"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["dunkl-kernel", "--alpha", "0.3", "--x", "nan"],
+        ["dunkl-kernel", "--alpha", "inf", "--x", "1.0"],
+        ["bessel", "--nu", "0.5", "--x=-inf"],
+    ])
+    def test_nonfinite_value_exit_2(self, argv):
+        proc = subprocess.run([sys.executable, "-m", "biexp.cli", "eval", *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and "finite" in lines[0]
+        assert "Traceback" not in proc.stderr
+
     def test_bare_invocation_exit_2(self, capsys):
         assert main([]) == 2
 

@@ -6,6 +6,7 @@ import pytest
 from biexp import spectrum as spe
 from biexp.orthopoly import GenGegenbauerFamily, dunkl_apply_poly
 from biexp.specfun import Params, bessel_j_ratio, bessel_zeros, lommel_h
+from biexp.suites import run_suite
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +132,14 @@ class TestEigen:
             for sign in (1, -1):
                 s, c = spe.eigenfunction(problem, k, sign, 0.37, 60)
                 assert abs(s - c) < 1e-8
+
+    def test_closed_form_through_k9(self):
+        # the closed form goes through the J-ratio Dunkl kernel, which
+        # stays accurate at |t j_k| well past 12
+        r = run_suite("spectrum", {"k_max": 9})
+        rows = [c for c in r.checks if c.id.startswith("spectrum/series-vs-closed/")]
+        assert len(rows) == 9
+        assert all(c.passed for c in r.checks)
 
     def test_conjugation_symmetry(self, problem):
         s1, _ = spe.eigenfunction(problem, 1, 1, 0.37, 60)
