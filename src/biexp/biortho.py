@@ -86,11 +86,28 @@ def dunkl_kernel_grid(alpha: float, xs: np.ndarray) -> np.ndarray:
             / _jratio_at_zero(alpha))
 
 
+def _dunkl_e(alpha: float, x):
+    """E_alpha(i x) at one real x (the scalar kernel) or on an array of any
+    shape (one kernel grid over its flattened nodes)."""
+    if np.ndim(x) == 0:
+        return dunkl_kernel(alpha, x)
+    x = np.asarray(x, dtype=float)
+    return dunkl_kernel_grid(alpha, x.ravel()).reshape(x.shape)
+
+
+def _i_norm_grid(alpha: float, xs: np.ndarray) -> np.ndarray:
+    """bessel_i_norm_imag on a node array, through the array path."""
+    return _jratio_array(alpha, xs) / _jratio_at_zero(alpha)
+
+
 # ---------------------------------------------------------------------------
 # Paley-Wiener functions: densities on [-1, 1] transported by the kernel
 # ---------------------------------------------------------------------------
 
 _PW_BUCKETS = (120, 160, 240, 320, 480, 640, 960, 1344)
+# x values per kernel grid in a batched eval: bounds the (x, node) table,
+# 64 x 2688 nodes at the top order
+_PW_BLOCK = 64
 
 
 def _order_for(ax: float, base: int) -> int:
@@ -119,27 +136,53 @@ class PWFunction:
     weight_pow: float = 0.0
     base_order: int = 120
     _cache: dict = field(default_factory=dict, repr=False)
+    _rules: dict = field(default_factory=dict, repr=False)
 
     def _measure(self) -> Measure:
         if self.weight_pow == 0.0:
             return Measure.mu_alpha(self.alpha)
         return Measure.mu_beta_alpha(self.alpha, self.weight_pow)
 
-    def eval(self, x: float) -> complex:
-        key = round(float(x), 14)
-        if key in self._cache:
-            return self._cache[key]
-        order = _order_for(abs(x), self.base_order)
-        rule = rule_for_measure(self._measure(), order)
-        nodes = np.asarray(rule.nodes)
-        weights = np.asarray(rule.weights)
-        uv = np.asarray([self.u(t) for t in nodes])
-        kv = dunkl_kernel_grid(self.alpha, x * nodes)
-        val = complex(np.dot(weights, uv * kv))
-        self._cache[key] = val
-        return val
+    def _rule(self, order: int):
+        """Nodes of the rule of this order and the weighted density w u on
+        them; u is called once per node and order."""
+        if order not in self._rules:
+            rule = rule_for_measure(self._measure(), order)
+            nodes = np.asarray(rule.nodes)
+            wu = np.asarray(rule.weights) * np.asarray([self.u(t) for t in nodes])
+            self._rules[order] = (nodes, wu)
+        return self._rules[order]
 
-    def __call__(self, x: float) -> complex:
+    def _fill(self, xs: list) -> None:
+        """Cache f at every x of xs not cached yet: per rule order, one
+        kernel grid on the (x, node) outer product for each block of
+        _PW_BLOCK values.  The grid gives each node the value it would get
+        alone (whenever the asymptotic takes the nodes beyond 50), so a
+        batched x reads the same as a single one."""
+        todo: dict = {}
+        for v in xs:
+            k = round(v, 14)
+            if k not in self._cache:
+                todo.setdefault(_order_for(abs(v), self.base_order), {}).setdefault(k, v)
+        for order, items in sorted(todo.items()):
+            nodes, wu = self._rule(order)
+            keys, vs = list(items), np.asarray(list(items.values()))
+            for i in range(0, len(keys), _PW_BLOCK):
+                kv = _dunkl_e(self.alpha, np.outer(vs[i:i + _PW_BLOCK], nodes))
+                self._cache.update(zip(keys[i:i + _PW_BLOCK], (kv * wu).sum(axis=1).tolist()))
+
+    def eval(self, x):
+        """f at one real x, or at every entry of an array of x (cached)."""
+        if np.ndim(x) == 0:
+            x = float(x)
+            self._fill([x])
+            return self._cache[round(x, 14)]
+        xs = np.asarray(x, dtype=float)
+        flat = xs.ravel().tolist()
+        self._fill(flat)
+        return np.asarray([self._cache[round(v, 14)] for v in flat]).reshape(xs.shape)
+
+    def __call__(self, x):
         return self.eval(x)
 
 
@@ -147,25 +190,38 @@ class PWFunction:
 # Kernel systems and biorthogonal pairs
 # ---------------------------------------------------------------------------
 
+def _table(fn: Callable, ns, nodes: np.ndarray) -> np.ndarray:
+    """One family on one node array: row i is fn(ns[i], nodes)."""
+    tab = np.empty((len(ns), len(nodes)), dtype=complex)
+    for i, n in enumerate(ns):
+        tab[i] = fn(n, nodes)
+    return tab
+
+
 @dataclass(frozen=True)
 class KernelSystem:
-    """Kernel K(x, t) with its measure and the transform it induces."""
+    """Kernel K(x, t) with its measure and the transform it induces.
+
+    kernel(x, t) takes a real x and a node array t (or one node).
+    """
 
     name: str
-    kernel: Callable[[float, float], complex]
+    kernel: Callable
     measure: Measure
     order: int = 120
 
-    def inverse_on_interval(self, g: Callable[[float], complex], x: float,
+    def inverse_on_interval(self, g: Callable, x: float,
                             measure: Measure | None = None,
-                            order: int | None = None) -> complex:
-        """int_{-1}^{1} g(t) K(x, t) dmu(t): the windowed inverse transform."""
+                            order: int | None = None):
+        """int_{-1}^{1} g(t) K(x, t) dmu(t): the windowed inverse transform.
+
+        g maps the node array to its values, or to a table with one row per
+        function; the result is then one integral per row.
+        """
         mu = measure if measure is not None else self.measure
         rule = rule_for_measure(mu, order if order is not None else self.order)
         nodes = np.asarray(rule.nodes)
-        w = np.asarray(rule.weights)
-        vals = np.asarray([g(t) * self.kernel(x, t) for t in nodes])
-        return complex(np.dot(w, vals))
+        return g(nodes) @ (np.asarray(rule.weights) * self.kernel(x, nodes))
 
     def transform_line(self, f: Callable[[float], complex], t: float,
                        radius: float = 40.0, cell: float | None = None,
@@ -237,23 +293,24 @@ class BiorthSystem:
     q_measure and q_smooth express conj(Q_n) times the base measure as a
     smooth factor against a Gauss-exact weighted measure, so that Gram
     matrices and S_n quadratures keep spectral accuracy even when Q carries
-    an endpoint weight like (1-t^2)^beta.
+    an endpoint weight like (1-t^2)^beta.  P(n, t) and q_smooth(n, t) take
+    a node array t.
     """
 
     name: str
     index: Literal["Z", "N"]
-    P: Callable[[int, float], complex]
+    P: Callable[[int, np.ndarray], np.ndarray]
     q_measure: Measure
-    q_smooth: Callable[[int, float], complex]
+    q_smooth: Callable[[int, np.ndarray], np.ndarray]
     order: int = 120
 
-    def gram(self, n: int, m: int, order: int | None = None) -> complex:
-        """int_I P_n conj(Q_m) dmu_base, by the weight-absorbed rule."""
+    def gram(self, ns, ms, order: int | None = None) -> np.ndarray:
+        """Matrix of int_I P_n conj(Q_m) dmu_base over n in ns, m in ms, by
+        the weight-absorbed rule: (P w) Q^T from one table per family."""
         rule = rule_for_measure(self.q_measure, order if order is not None else self.order)
         nodes = np.asarray(rule.nodes)
-        w = np.asarray(rule.weights)
-        vals = np.asarray([self.P(n, t) * self.q_smooth(m, t) for t in nodes])
-        return complex(np.dot(w, vals))
+        return ((_table(self.P, ns, nodes) * np.asarray(rule.weights))
+                @ _table(self.q_smooth, ms, nodes).T)
 
 
 def _window(index: str, N: int) -> list:
@@ -272,13 +329,12 @@ def expand_kernel(sys: KernelSystem, bio: BiorthSystem, x: float, N: int,
     if N < 1:
         raise ValueError("N must be >= 1")
     ns = _window(bio.index, N)
-    coeffs = [sys.inverse_on_interval(lambda t, nn=n: bio.q_smooth(nn, t), x,
-                                      measure=bio.q_measure, order=order)
-              for n in ns]
+    coeffs = sys.inverse_on_interval(lambda t: _table(bio.q_smooth, ns, t), x,
+                                     measure=bio.q_measure, order=order).tolist()
     tail = max(abs(coeffs[0]), abs(coeffs[-1]))
 
     def partial(t: float) -> complex:
-        return sum(bio.P(n, t) * c for n, c in zip(ns, coeffs))
+        return complex(np.dot(coeffs, _table(bio.P, ns, np.array([t]))[:, 0]))
 
     return TruncatedSeries(coeffs=coeffs, order=N, tail_estimate=tail,
                            n_min=ns[0], partial_sum=partial)
@@ -296,19 +352,19 @@ def fourier_system():
     normalized exponentials, index set Z."""
     ks = KernelSystem(
         name="fourier",
-        kernel=lambda x, t: complex(math.cos(x * t), math.sin(x * t)) / _SQ2PI,
+        kernel=lambda x, t: np.exp(1j * x * t) / _SQ2PI,
         measure=Measure("lebesgue"),
     )
 
-    def p(n: int, t: float) -> complex:
-        return complex(math.cos(math.pi * n * t), math.sin(math.pi * n * t)) / math.sqrt(2.0)
+    def p(n: int, t: np.ndarray) -> np.ndarray:
+        return np.exp(1j * math.pi * n * t) / math.sqrt(2.0)
 
     bio = BiorthSystem(
         name="fourier",
         index="Z",
         P=p,
         q_measure=Measure("lebesgue"),
-        q_smooth=lambda n, t: complex(np.conjugate(p(n, t))),
+        q_smooth=lambda n, t: np.conj(p(n, t)),
     )
     return ks, bio
 
@@ -344,11 +400,11 @@ def gegenbauer_system(beta: float):
         raise ValueError("gegenbauer system needs beta > -1/2")
     ks = KernelSystem(
         name="gegenbauer",
-        kernel=lambda x, t: complex(math.cos(x * t), math.sin(x * t)) / _SQ2PI,
+        kernel=lambda x, t: np.exp(1j * x * t) / _SQ2PI,
         measure=Measure("lebesgue"),
     )
 
-    def p(n: int, t: float) -> float:
+    def p(n: int, t: np.ndarray) -> np.ndarray:
         return classical_gegenbauer(n, beta, t)
 
     bio = BiorthSystem(
@@ -361,6 +417,13 @@ def gegenbauer_system(beta: float):
     return ks, bio
 
 
+def _gegenbauer_coeff_pref(beta: float, n: int) -> complex:
+    """S_n(x) / (J_{beta+n}(x)/x^beta) for the Gegenbauer system."""
+    if beta == 0.0:
+        return (1j ** n) * (1.0 if n == 0 else float(n)) / _SQ2PI
+    return 2.0 ** (beta - 0.5) / math.sqrt(math.pi) * (1j ** n) * gamma(beta) * (beta + n)
+
+
 def gegenbauer_coeff(beta: float, n: int, x: float) -> complex:
     """Closed form S_n(x) for the Gegenbauer system.
 
@@ -368,13 +431,8 @@ def gegenbauer_coeff(beta: float, n: int, x: float) -> complex:
     beta = 0: the Chebyshev-convention family (2/n) T_n pairs with
     S_0 = J_0/sqrt(2 pi) and S_n = n i^n J_n/sqrt(2 pi).
     """
-    ax = abs(x)
-    if beta == 0.0:
-        jn = bessel_j_ratio(float(n), ax) * x ** n
-        return (1j ** n) * (1.0 if n == 0 else float(n)) * jn / _SQ2PI
-    jq = bessel_j_ratio(beta + n, ax) * x ** n          # J_{beta+n}(x) / x^beta
-    return (2.0 ** (beta - 0.5) / math.sqrt(math.pi) * (1j ** n)
-            * gamma(beta) * (beta + n) * jq)
+    # J_{beta+n}(x) / x^beta
+    return _gegenbauer_coeff_pref(beta, n) * (bessel_j_ratio(beta + n, abs(x)) * x ** n)
 
 
 def classical_planewave(beta: float, x: float, t: float, N: int) -> complex:
@@ -416,9 +474,9 @@ class DunklSamplingSystem:
         s = self.table.signed(n)
         return 2.0 ** (0.5 * a) * math.sqrt(gamma(a + 1.0)) / abs(bessel_i_norm_imag(a, s))
 
-    def e(self, n: int, t: float) -> complex:
-        s = self.table.signed(n)
-        return self.d(n) * dunkl_kernel(self.alpha, s * t)
+    def e(self, n: int, t):
+        """d_n E_alpha(i s_n t) at one node or on a node array."""
+        return self.d(n) * _dunkl_e(self.alpha, self.table.signed(n) * t)
 
 
 def dunkl_system(alpha: float, n_max: int = 24):
@@ -428,7 +486,7 @@ def dunkl_system(alpha: float, n_max: int = 24):
     dss = DunklSamplingSystem(alpha=alpha, table=table)
     ks = KernelSystem(
         name="dunkl",
-        kernel=lambda x, t: dunkl_kernel(alpha, x * t),
+        kernel=lambda x, t: _dunkl_e(alpha, x * t),
         measure=Measure.mu_alpha(alpha),
     )
     bio = BiorthSystem(
@@ -436,7 +494,7 @@ def dunkl_system(alpha: float, n_max: int = 24):
         index="Z",
         P=dss.e,
         q_measure=Measure.mu_alpha(alpha),
-        q_smooth=lambda n, t: complex(np.conjugate(dss.e(n, t))),
+        q_smooth=lambda n, t: np.conj(dss.e(n, t)),
     )
     return ks, bio, dss
 
@@ -467,19 +525,16 @@ def dunkl_sampling_sum(alpha: float, f: PWFunction, x: float, N: int,
         raise ValueError("N must be >= 1")
     if table is None or len(table) < N:
         table = bessel_zeros(alpha + 1.0, N)
+    s = np.asarray(table.zeros[:N])
+    sn = np.concatenate([s, -s])
+    fs = f.eval(np.concatenate([[0.0], sn]))
     i1x = bessel_i_norm_imag(alpha + 1.0, x)
-    acc = f.eval(0.0) * i1x
-    for n in range(1, N + 1):
-        s = table.signed(n)
-        i0 = bessel_i_norm_imag(alpha, s)
-        for sgn in (1.0, -1.0):
-            sn = sgn * s
-            fs = f.eval(sn)
-            if abs(x - sn) < 1e-9 * max(1.0, abs(sn)):
-                acc += fs * _x_i_alpha1_deriv(alpha, sn) / (2.0 * (alpha + 1.0) * i0)
-            else:
-                acc += fs * x * i1x / (2.0 * (alpha + 1.0) * i0 * (x - sn))
-    return acc
+    c = 2.0 * (alpha + 1.0) * np.tile(_i_norm_grid(alpha, s), 2)
+    at = np.abs(x - sn) < 1e-9 * np.maximum(1.0, np.abs(sn))
+    terms = fs[1:] * x * i1x / (c * np.where(at, 1.0, x - sn))
+    for k in np.flatnonzero(at):
+        terms[k] = fs[1 + k] * _x_i_alpha1_deriv(alpha, sn[k]) / c[k]
+    return complex(fs[0] * i1x + terms.sum())
 
 
 def sampling_even_sum(alpha: float, f: PWFunction, x: float, N: int,
@@ -488,26 +543,27 @@ def sampling_even_sum(alpha: float, f: PWFunction, x: float, N: int,
 
         f(0) I_{a+1}(ix) + sum f(s_n) I_{a+1}(ix)/((a+1) I_a(i s_n))
                                           * x^2/(x^2 - s_n^2)."""
+    if len(table) < N:
+        raise ValueError(f"table holds {len(table)} zeros, fewer than N={N}")
+    s = np.asarray(table.zeros[:N])
+    fs = f.eval(np.concatenate([[0.0], s]))
     i1x = bessel_i_norm_imag(alpha + 1.0, x)
-    acc = f.eval(0.0) * i1x
-    for n in range(1, N + 1):
-        s = table.signed(n)
-        i0 = bessel_i_norm_imag(alpha, s)
-        acc += f.eval(s) * i1x / ((alpha + 1.0) * i0) * x * x / (x * x - s * s)
-    return acc
+    i0 = _i_norm_grid(alpha, s)
+    return complex(fs[0] * i1x
+                   + np.sum(fs[1:] * i1x / ((alpha + 1.0) * i0) * x * x / (x * x - s * s)))
 
 
 def sampling_odd_sum(alpha: float, f: PWFunction, x: float, N: int,
                      table: ZeroTable) -> complex:
     """Grouped form for odd f; the algebraic factor is x s_n/(x^2 - s_n^2)
     (pairing the two signed nodes of the full series and using oddness)."""
+    if len(table) < N:
+        raise ValueError(f"table holds {len(table)} zeros, fewer than N={N}")
+    s = np.asarray(table.zeros[:N])
+    fs = f.eval(s)
     i1x = bessel_i_norm_imag(alpha + 1.0, x)
-    acc = 0.0 + 0.0j
-    for n in range(1, N + 1):
-        s = table.signed(n)
-        i0 = bessel_i_norm_imag(alpha, s)
-        acc += f.eval(s) * i1x / ((alpha + 1.0) * i0) * x * s / (x * x - s * s)
-    return acc
+    i0 = _i_norm_grid(alpha, s)
+    return complex(np.sum(fs * i1x / ((alpha + 1.0) * i0) * x * s / (x * x - s * s)))
 
 
 # ---------------------------------------------------------------------------
@@ -528,12 +584,12 @@ def neumann_system(params: Params):
     fam = GenGegenbauerFamily(params)
     a, b = params.alpha, params.beta
 
-    def p(n: int, t: float) -> float:
-        return fam.eval(n, t)
+    def p(n: int, t: np.ndarray) -> np.ndarray:
+        return np.asarray([fam.eval(n, ti) for ti in t])
 
     ks = KernelSystem(
         name="neumann",
-        kernel=lambda x, t: dunkl_kernel(a, x * t),
+        kernel=lambda x, t: _dunkl_e(a, x * t),
         measure=Measure.mu_alpha(a),
     )
     bio = BiorthSystem(
@@ -541,7 +597,7 @@ def neumann_system(params: Params):
         index="N",
         P=p,
         q_measure=Measure.mu_beta_alpha(a, b),
-        q_smooth=lambda n, t: fam.eval(n, t) / fam.norm(n),
+        q_smooth=lambda n, t: p(n, t) / fam.norm(n),
     )
     return ks, bio, fam
 
@@ -585,36 +641,25 @@ def fourier_neumann_coeffs(params: Params, f: PWFunction, N: int,
     # shared cell edges from the zeros of the lowest-order factor; the
     # radius caps the cell count but never truncates a cell (a ragged final
     # cell would wreck the 1/k structure the extrapolation relies on)
-    edges = [mcmahon_zero(ab + 1.0, k) for k in range(1, int(radius / math.pi) + 3)]
-    edges = [e for e in edges if e < radius + math.pi]
-
-    fvals: dict = {}
-
-    def fv(x: float) -> complex:
-        key = round(x, 14)
-        if key not in fvals:
-            fvals[key] = f.eval(x)
-        return fvals[key]
+    edges = np.asarray([mcmahon_zero(ab + 1.0, k) for k in range(1, int(radius / math.pi) + 3)])
+    edges = edges[edges < radius + math.pi]
+    lo, hi = edges[:-1], edges[1:]
+    xc = 0.5 * (hi - lo)[:, None] * xg + 0.5 * (lo + hi)[:, None]   # (cell, node)
+    xs = np.concatenate([edges[0] * u0, xc.ravel()])
+    fx = f.eval(np.concatenate([xs, -xs]))
+    # folded smooth part f(x) J(x) + f(-x) J(-x), J = J_{ab+n+1}(x)/x^{ab+1}
+    # odd/even with n, for every n < N from the array path
+    jt = np.asarray([_jratio_array(ab + n + 1.0, xs) * xs ** n for n in range(N)])
+    g = jt * (fx[:len(xs)] + (-1.0) ** np.arange(N)[:, None] * fx[len(xs):])
+    first = edges[0] ** (exp0 + 1.0) * (g[:, :len(u0)] @ w0)
+    cells = 0.5 * (hi - lo) * ((g[:, len(u0):].reshape(N, len(lo), len(xg)) * xc ** exp0) @ wg)
+    partials = np.cumsum(np.concatenate([first[:, None], cells], axis=1), axis=1)
 
     coeffs = []
-    for n in range(N):
-        def g(x: float, nn=n) -> complex:
-            # folded smooth part: f(x) J(x) + f(-x) J(-x), J odd/even with n
-            jj = neumann_fn(ab, nn, x)
-            return fv(x) * jj + fv(-x) * (jj * (-1.0) ** nn)
-
-        xs0 = edges[0] * u0
-        total = edges[0] ** (exp0 + 1.0) * complex(np.dot(w0, np.asarray([g(x) for x in xs0])))
-        partial = [total]
-        for i in range(len(edges) - 1):
-            lo, hi = edges[i], edges[i + 1]
-            xs = 0.5 * (hi - lo) * xg + 0.5 * (lo + hi)
-            vals = np.asarray([g(x) * x ** exp0 for x in xs])
-            total += 0.5 * (hi - lo) * complex(np.dot(wg, vals))
-            partial.append(total)
-        val, err = accelerate(partial)
+    for partial in partials:
+        val, err = accelerate(list(partial))
         if not (err <= 1e-4 * max(1.0, abs(val))):
-            val = total  # extrapolation unreliable; fall back to truncation
+            val = partial[-1]  # extrapolation unreliable; fall back to truncation
         coeffs.append(pref * dnorm * complex(val))
     tail = abs(coeffs[-1]) if coeffs else 0.0
     return TruncatedSeries(coeffs=coeffs, order=N, tail_estimate=tail)
@@ -696,18 +741,14 @@ def st_gram_gegenbauer(beta: float, nmax: int, cells: int = 256,
     tm_pos = (phase * tw) @ pm.T / _SQ2PI           # (Y, m)
     tm_neg = (np.conj(phase) * tw) @ pm.T / _SQ2PI  # T_m(-y)
     for n in range(nmax + 1):
-        sn_pos = np.asarray([gegenbauer_coeff(beta, n, y) for y in ys])
+        # gegenbauer_coeff(beta, n, y) on the whole y-grid
+        sn_pos = _gegenbauer_coeff_pref(beta, n) * (_jratio_array(beta + n, ys) * ys ** n)
         sn_neg = sn_pos * (-1.0) ** n
+        integ = sn_pos[:, None] * np.conj(tm_pos) + sn_neg[:, None] * np.conj(tm_neg)
+        # cell sums and their running totals, one column per m
+        partial = np.cumsum(0.5 * math.pi * (wg @ integ.reshape(cells, 16, nmax + 1)), axis=0)
         for m in range(nmax + 1):
-            integ = sn_pos * np.conj(tm_pos[:, m]) + sn_neg * np.conj(tm_neg[:, m])
-            partial = []
-            total = 0.0 + 0.0j
-            for k in range(cells):
-                seg = integ[16 * k:16 * (k + 1)]
-                total += 0.5 * math.pi * complex(np.dot(wg, seg))
-                partial.append(total)
-            val, _ = _neville_halfpow(partial)
-            gram[n, m] = val
+            gram[n, m], _ = _neville_halfpow(partial[:, m])
     return gram
 
 

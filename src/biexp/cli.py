@@ -155,7 +155,11 @@ def _run_verify(args) -> int:
         print(f"biexp: unknown suite {args.suite!r}; choose from "
               f"{', '.join(SUITE_NAMES)}", file=sys.stderr)
         return 2
-    result = run_suite(args.suite, overrides)
+    try:
+        result = run_suite(args.suite, overrides)
+    except ValueError as exc:
+        print(f"biexp: {exc}", file=sys.stderr)
+        return 2
 
     emit = {"json": emit_json, "csv": emit_csv, "text": emit_text}[fmt]
     if out_path:

@@ -196,6 +196,10 @@ def qbessel3_ratio(nu: float, x: float, Q: float) -> float:
     value decays superexponentially while the largest term grows the same
     way), so those are recomputed at elevated precision and cached.
     """
+    if not (math.isfinite(nu) and math.isfinite(x) and math.isfinite(Q)):
+        for name, v in (("order", nu), ("x", x), ("Q", Q)):
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v}")
     x = abs(x)
     key = (round(nu, 12), round(x, 15), round(Q, 15))
     if key in _qb_cache:

@@ -18,7 +18,7 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .specfun import bessel_j_ratio, gamma, lgamma
+from .specfun import _jratio_array, gamma, lgamma
 
 __all__ = [
     "Measure",
@@ -418,11 +418,7 @@ def integrate_bessel_product(lam: float, mu: float, nu: float, t: float,
         raise ValueError("t = 1 needs lam > 0 for convergence")
 
     def integrand_arr(x: np.ndarray) -> np.ndarray:
-        out = np.empty_like(x)
-        for i, xi in enumerate(x):
-            out[i] = (xi ** (mu + nu - lam) * t ** nu
-                      * bessel_j_ratio(mu, xi) * bessel_j_ratio(nu, xi * t))
-        return out
+        return x ** (mu + nu - lam) * t ** nu * _jratio_array(mu, x) * _jratio_array(nu, x * t)
 
     # cell edges at (approximate) zeros of the faster factor
     if t >= 1.0:
@@ -442,7 +438,7 @@ def integrate_bessel_product(lam: float, mu: float, nu: float, t: float,
         _rule_cache[key] = gauss_jacobi01(24, c, 0.0)
     u0, w0 = _rule_cache[key]
     xs = e1 * u0
-    vals = np.array([t ** nu * bessel_j_ratio(mu, x) * bessel_j_ratio(nu, x * t) for x in xs])
+    vals = t ** nu * _jratio_array(mu, xs) * _jratio_array(nu, xs * t)
     total += e1 ** (c + 1.0) * float(np.dot(w0, vals))
     partial.append(total)
 

@@ -47,6 +47,9 @@ class Params:
 
     def __post_init__(self):
         a, b = self.alpha, self.beta
+        for name, v in (("alpha", a), ("beta", b)):
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v}")
         if not (a > -1.0 and b > -1.0 and a + b > -1.0):
             raise ValueError(
                 f"inadmissible parameters alpha={a}, beta={b}: "
@@ -62,8 +65,9 @@ class Params:
 # Gamma family
 # ---------------------------------------------------------------------------
 
-# Lanczos approximation, g = 7, 9 coefficients (~15 significant digits on
-# the positive axis; reflection handles x < 0.5).
+# Lanczos approximation, g = 7, 9 coefficients; reflection handles x < 0.5.
+# The relative error against math.gamma grows with x: 1.8e-15 at 20,
+# 2.3e-14 at 50, 6.6e-14 at 100 and 1.0e-13 at 171.
 _LANCZOS_G = 7.0
 _LANCZOS = (
     0.99999999999980993,
@@ -195,12 +199,10 @@ def _miller_norm(nu: float, fs: list):
     return norm
 
 
-def _jratio_miller(nu: float, x: float) -> float:
-    """J_nu(x)/x^nu by backward recurrence with a Neumann-sum normalization.
-
-    Start order is above the turning point so that the downward recurrence
-    locks onto the minimal solution; the sum over even offsets normalizes it.
-    """
+def _miller_sweep(nu: float, x: float) -> list:
+    """Unnormalized f_m ~ J_{nu+m}(x), m = 0 .. m_max, by the downward
+    recurrence from a start order above the turning point, so that it
+    locks onto the minimal solution."""
     m_max = _miller_start(nu, x)
     fp = 0.0          # f_{m+1}
     fc = 1e-30        # f_m
@@ -214,6 +216,13 @@ def _jratio_miller(nu: float, x: float) -> float:
             fp *= 1e-250
             for i in range(m - 1, m_max + 1):
                 fs[i] *= 1e-250
+    return fs
+
+
+def _jratio_miller(nu: float, x: float) -> float:
+    """J_nu(x)/x^nu by backward recurrence; the Neumann sum over the even
+    offsets normalizes it."""
+    fs = _miller_sweep(nu, x)
     return fs[0] * _jratio_at_zero(nu) / _miller_norm(nu, fs)
 
 
@@ -293,9 +302,11 @@ def _jratio_series_array(nu: float, x: np.ndarray) -> np.ndarray:
 
 
 def _jratio_miller_array(nu: float, x: np.ndarray) -> np.ndarray:
-    """Backward recurrence from one start order, set by the largest node;
-    nodes that overflow are rescaled alone."""
-    m_max = _miller_start(nu, float(np.max(x)))
+    """Backward recurrence from one start order, above the turning point of
+    ASYM_EDGE and of the largest node; nodes that overflow are rescaled
+    alone.  Nodes up to ASYM_EDGE thus share one start whatever the array
+    holds, and each gets the value it would get alone."""
+    m_max = _miller_start(nu, max(ASYM_EDGE, float(np.max(x))))
     fp = np.zeros_like(x)
     fc = np.full_like(x, 1e-30)
     fs = [fc] * (m_max + 1)
@@ -373,6 +384,14 @@ def dunkl_kernel(alpha: float, x: float) -> complex:
     """
     if not (-1.0 < alpha < math.inf and -math.inf < x < math.inf):
         _reject_order_or_x(alpha, x)
+    ax = abs(x)
+    if SERIES_EDGE < ax <= ASYM_EDGE and not _in_series_regime(alpha + 1.0, ax):
+        # both orders would run Miller: one sweep gives f_0 ~ J_a and
+        # f_1 ~ J_{a+1}, each normalized by its own Neumann sum (even and
+        # odd offsets), never by f_0, which vanishes at the zeros of J_a
+        fs = _miller_sweep(alpha, ax)
+        return complex(fs[0] / _miller_norm(alpha, fs),
+                       x * fs[1] / (2.0 * (alpha + 1.0) * _miller_norm(alpha + 1.0, fs[1:])))
     c = _jratio_at_zero(alpha)
     return complex(bessel_j_ratio(alpha, x) / c, x * bessel_j_ratio(alpha + 1.0, x) / c)
 

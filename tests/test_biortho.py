@@ -6,7 +6,7 @@ import pytest
 
 from biexp import biortho as bo
 from biexp.orthopoly import GenGegenbauerFamily
-from biexp.quad import Measure, integrate_bessel_product, integrate_interval
+from biexp.quad import Measure, integrate_bessel_product, integrate_interval, rule_for_measure
 from biexp.specfun import Params, bessel_j_ratio, bessel_zeros, dunkl_kernel, gamma
 
 
@@ -23,10 +23,8 @@ class TestFourierSystem:
 
     def test_gram_identity(self):
         ks, bio = bo.fourier_system()
-        for n in range(-3, 4):
-            for m in range(-3, 4):
-                g = bio.gram(n, m)
-                assert abs(g - (1.0 if n == m else 0.0)) < 1e-13
+        ns = range(-3, 4)
+        assert np.max(np.abs(bio.gram(ns, ns) - np.eye(len(ns)))) < 1e-13
 
     def test_multiplication_formula(self):
         ks, bio = bo.fourier_system()
@@ -144,9 +142,8 @@ class TestDunklSampling:
 
     def test_node_system_orthonormal(self):
         ks, bio, dss = bo.dunkl_system(self.al, 8)
-        for n in range(-4, 5):
-            for m in range(-4, 5):
-                assert abs(bio.gram(n, m) - (1.0 if n == m else 0.0)) < 1e-8
+        ns = range(-4, 5)
+        assert np.max(np.abs(bio.gram(ns, ns) - np.eye(len(ns)))) < 1e-8
 
     def test_normalization_constant(self):
         ks, bio, dss = bo.dunkl_system(self.al, 4)
@@ -211,6 +208,9 @@ class TestDunklSampling:
         full_o = bo.dunkl_sampling_sum(self.al, fodd, x, 40, self.table)
         assert abs(bo.sampling_even_sum(self.al, feven, x, 40, self.table) - full_e) < 1e-12
         assert abs(bo.sampling_odd_sum(self.al, fodd, x, 40, self.table) - full_o) < 1e-12
+        for grouped, f in ((bo.sampling_even_sum, feven), (bo.sampling_odd_sum, fodd)):
+            with pytest.raises(ValueError, match="fewer than N"):
+                grouped(self.al, f, x, 61, self.table)
 
 
 class TestNeumannSystem:
@@ -219,9 +219,7 @@ class TestNeumannSystem:
 
     def test_gram(self):
         ks, bio, fam = bo.neumann_system(self.P)
-        for n in range(6):
-            for m in range(6):
-                assert abs(bio.gram(n, m) - (1.0 if n == m else 0.0)) < 1e-8
+        assert np.max(np.abs(bio.gram(range(6), range(6)) - np.eye(6))) < 1e-8
 
     def test_coefficients_delta_pattern(self):
         fam = GenGegenbauerFamily(self.P)
@@ -264,6 +262,57 @@ class TestNeumannSystem:
             qk = (1.0 - t * t) ** P.beta * fam.eval(k, t) / fam.norm(k)
             closed = (-1j) ** k / (2.0 ** (ab + 1.0) * gamma(ab + 1.0) * (ab + k + 1.0)) * qk
             assert abs(got - closed) < 1e-6
+
+
+class TestGramMatrix:
+    @pytest.mark.parametrize("name", ["fourier", "gegenbauer", "dunkl", "neumann"])
+    def test_matches_entrywise_definition(self, name):
+        # sum_t w P(n, t) q_smooth(m, t) entry by entry and node by node,
+        # from scalar evaluations of each family
+        if name == "fourier":
+            ks, bio = bo.fourier_system()
+            ns = range(-3, 4)
+
+            def P(n, t):
+                return complex(math.cos(math.pi * n * t), math.sin(math.pi * n * t)) / math.sqrt(2.0)
+
+            def Q(m, t):
+                return P(m, t).conjugate()
+        elif name == "gegenbauer":
+            from biexp.orthopoly import classical_gegenbauer
+            ks, bio = bo.gegenbauer_system(1.0)
+            ns = range(6)
+
+            def P(n, t):
+                return classical_gegenbauer(n, 1.0, t)
+
+            def Q(m, t):
+                # squared norm of C_m^1 against (1-t^2)^{1/2} is pi/2
+                return math.sqrt(2.0 * math.pi) * P(m, t) / (0.5 * math.pi)
+        elif name == "dunkl":
+            ks, bio, dss = bo.dunkl_system(0.5, 8)
+            ns = range(-6, 7)
+
+            def P(n, t):
+                return dss.d(n) * dunkl_kernel(0.5, dss.table.signed(n) * t)
+
+            def Q(m, t):
+                return P(m, t).conjugate()
+        else:
+            ks, bio, fam = bo.neumann_system(Params(0.3, 0.2))
+            ns = range(9)
+
+            def P(n, t):
+                return fam.eval(n, t)
+
+            def Q(m, t):
+                return fam.eval(m, t) / fam.norm(m)
+        rule = rule_for_measure(bio.q_measure, bio.order)
+        pv = [[P(n, t) for t in rule.nodes] for n in ns]
+        qv = [[Q(m, t) for t in rule.nodes] for m in ns]
+        ref = np.array([[sum(w * p * q for w, p, q in zip(rule.weights, pn, qm))
+                         for qm in qv] for pn in pv])
+        assert np.max(np.abs(bio.gram(ns, ns) - ref)) <= 1e-14
 
 
 class TestHankelSide:
@@ -317,10 +366,13 @@ class TestDunklKernelGrid:
                           30.0, 49.99, 50.0, 50.01, 120.0, 700.0])
         xs = np.concatenate([edges, -edges[1:]])
         got = bo.dunkl_kernel_grid(al, xs)
+        # the scalar kernel at the same nodes (one Miller sweep for both
+        # orders where both need it)
+        scalar = [dunkl_kernel(al, float(x)) for x in xs]
         with mp.workdps(40):
             a = mp.mpf(al)
             c = 2 ** a * mp.gamma(a + 1)
-            for x, g in zip(xs, got):
+            for x, g, e in zip(xs, got, scalar):
                 if x == 0.0:
                     ref = 1.0
                 else:
@@ -329,6 +381,7 @@ class TestDunklKernelGrid:
                     ref = complex(c * mp.besselj(a, ax) / ax ** a,
                                   c * xm * mp.besselj(a + 1, ax) / ax ** (a + 1))
                 assert abs(g - ref) <= 1e-12 * abs(ref)
+                assert abs(e - ref) <= 1e-12 * abs(ref)
 
 
 class TestPWFunction:
@@ -344,3 +397,21 @@ class TestPWFunction:
         v1 = f.eval(1.0)
         v2 = f.eval(1.0)
         assert v1 == v2
+
+    def test_batched_matches_single(self):
+        # x = 0 and +-s_n at the first and last zero in every order bucket
+        al = 0.5
+        zeros = np.asarray(bessel_zeros(al + 1.0, 420).zeros)
+        orders = np.array([bo._order_for(s, 120) for s in zeros])
+        xs = [0.0]
+        for b in bo._PW_BUCKETS:
+            hit = zeros[orders == b]
+            assert len(hit) > 0
+            xs += [hit[0], -hit[0], hit[-1], -hit[-1]]
+        for u in (lambda t: (1.0 - t * t) ** 2, lambda t: t * (1.0 - t * t) ** 2):
+            batched = bo.PWFunction(u, al).eval(np.array(xs))
+            single = bo.PWFunction(u, al)
+            assert batched.shape == (len(xs),)
+            for x, v in zip(xs, batched):
+                ref = single.eval(x)
+                assert abs(v - ref) <= 1e-14 * abs(ref)

@@ -96,6 +96,15 @@ class TestQBessel:
             qs.qbessel3(0.5, -1.0, ctx.q2)
         assert qs.qbessel3_ratio(0.5, -1.0, ctx.q2) == qs.qbessel3_ratio(0.5, 1.0, ctx.q2)
 
+    @pytest.mark.parametrize("fn", [qs.qbessel3, qs.qbessel3_ratio])
+    def test_nonfinite_arguments(self, fn, ctx):
+        with pytest.raises(ValueError, match="order must be finite"):
+            fn(math.nan, 1.0, ctx.q2)
+        with pytest.raises(ValueError, match="x must be finite"):
+            fn(0.5, math.inf, ctx.q2)
+        with pytest.raises(ValueError, match="Q must be finite"):
+            fn(0.5, 1.0, math.nan)
+
     def test_neumann_parity(self, ctx):
         for n in range(5):
             for m in (0, 1, 3):

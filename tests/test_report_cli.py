@@ -144,12 +144,15 @@ class TestCLI:
         assert main(["eval", "bessel", "--nu", "2.0"]) == 2
 
     @pytest.mark.parametrize("argv", [
-        ["dunkl-kernel", "--alpha", "0.3", "--x", "nan"],
-        ["dunkl-kernel", "--alpha", "inf", "--x", "1.0"],
-        ["bessel", "--nu", "0.5", "--x=-inf"],
+        ["eval", "dunkl-kernel", "--alpha", "0.3", "--x", "nan"],
+        ["eval", "dunkl-kernel", "--alpha", "inf", "--x", "1.0"],
+        ["eval", "bessel", "--nu", "0.5", "--x=-inf"],
+        ["eval", "gengeg", "--alpha", "inf", "--beta", "0", "--n", "2", "--t", "0.3"],
+        ["eval", "qbessel3", "--nu", "nan", "--x", "1", "--q", "0.5"],
+        ["verify", "spectrum", "--alpha", "inf"],
     ])
     def test_nonfinite_value_exit_2(self, argv):
-        proc = subprocess.run([sys.executable, "-m", "biexp.cli", "eval", *argv],
+        proc = subprocess.run([sys.executable, "-m", "biexp.cli", *argv],
                               capture_output=True, text=True)
         assert proc.returncode == 2
         lines = proc.stderr.strip().splitlines()

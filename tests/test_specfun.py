@@ -234,3 +234,9 @@ class TestParams:
             Params(-1.2, 0.5)
         with pytest.raises(ValueError):
             Params(-0.6, -0.6)
+
+    def test_nonfinite(self):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            Params(math.inf, 0.0)
+        with pytest.raises(ValueError, match="beta must be finite"):
+            Params(0.3, math.nan)
