@@ -21,7 +21,8 @@ from typing import Callable, Literal
 import numpy as np
 
 from .orthopoly import GenGegenbauerFamily, classical_gegenbauer, jacobi_eval
-from .quad import Measure, accelerate, gauss_jacobi, gauss_jacobi01, mcmahon_zero, rule_for_measure
+from .quad import (Measure, _first_cell_rule, _legendre16, accelerate, gauss_jacobi,
+                   mcmahon_zero, rule_for_measure)
 from .specfun import (Params, ZeroTable, _jratio_array, _jratio_at_zero,
                       bessel_i_norm_imag, bessel_j_ratio, bessel_zeros,
                       dunkl_kernel, gamma)
@@ -202,7 +203,7 @@ def _table(fn: Callable, ns, nodes: np.ndarray) -> np.ndarray:
 class KernelSystem:
     """Kernel K(x, t) with its measure and the transform it induces.
 
-    kernel(x, t) takes a real x and a node array t (or one node).
+    kernel(x, t) takes real x and t, either one of them a node array.
     """
 
     name: str
@@ -230,38 +231,36 @@ class KernelSystem:
         with the tail extrapolated from the oscillatory cell sums."""
         if self.measure.kind == "mu_beta_alpha":
             raise ValueError("line transform needs a measure supported on the line")
-        dens = self.measure.density
         if cell is None:
             cell = math.pi / max(1.0, abs(t))
-        xg, wg = gauss_jacobi(16, 0.0, 0.0)
-
-        def fold(x: float) -> complex:
-            return (f(x) * complex(np.conjugate(self.kernel(x, t)))
-                    + f(-x) * complex(np.conjugate(self.kernel(-x, t))))
-
+        xg, wg = _legendre16()
         # first cell on each side handles the |x|^{2a+1} factor exactly
         if self.measure.kind == "lebesgue":
             exp0, norm0 = 0.0, 1.0
         else:
             exp0 = 2.0 * self.measure.a + 1.0
             norm0 = 1.0 / (2.0 ** (self.measure.a + 1.0) * gamma(self.measure.a + 1.0))
-        u0, w0 = gauss_jacobi01(24, exp0, 0.0)
-        xs0 = cell * u0
-        smooth = np.asarray([fold(x) for x in xs0])
-        total = cell ** (exp0 + 1.0) * complex(np.dot(w0, smooth)) * norm0
-        partial = [total]
-        edge = cell
-        while edge < radius:
-            a, b = edge, edge + cell
-            xs = 0.5 * (b - a) * xg + 0.5 * (a + b)
-            vals = np.asarray([fold(x) * dens(x) for x in xs])
-            total += 0.5 * (b - a) * complex(np.dot(wg, vals))
-            partial.append(total)
-            edge = b
+        u0, w0 = _first_cell_rule(exp0)
+        edges = [cell]
+        while edges[-1] < radius:
+            edges.append(edges[-1] + cell)
+        a, b = np.asarray(edges[:-1]), np.asarray(edges[1:])
+        xs = np.concatenate([cell * u0, (0.5 * (b - a)[:, None] * xg
+                                         + 0.5 * (a + b)[:, None]).ravel()])
+        # one kernel evaluation on every node of every cell, both signs
+        kern = np.conj(self.kernel(np.concatenate([xs, -xs]), t)).reshape(2, -1)
+        fx = np.asarray([f(x) for x in xs])
+        fmx = np.asarray([f(-x) for x in xs])
+        fold = fx * kern[0] + fmx * kern[1]
+        n0 = len(u0)
+        cells = (0.5 * (b - a) * ((fold[n0:] * self.measure.density(xs[n0:]))
+                                  .reshape(-1, len(xg)) @ wg))
+        first = cell ** (exp0 + 1.0) * complex(np.dot(w0, fold[:n0])) * norm0
+        partial = np.cumsum(np.concatenate([[first], cells])).tolist()
         if accelerated and len(partial) >= 8:
             val, _ = accelerate(partial)
             return complex(val)
-        return total
+        return complex(partial[-1])
 
     def multiplication_residual(self, f: Callable, g: Callable,
                                 radius: float = 12.0) -> float:
@@ -635,9 +634,9 @@ def fourier_neumann_coeffs(params: Params, f: PWFunction, N: int,
     ab = params.ab
     pref = 2.0 ** (ab + 1.0) * gamma(ab + 1.0)
     dnorm = 1.0 / (2.0 ** (ab + 1.0) * gamma(ab + 1.0))
-    xg, wg = gauss_jacobi(16, 0.0, 0.0)
+    xg, wg = _legendre16()
     exp0 = 2.0 * ab + 1.0
-    u0, w0 = gauss_jacobi01(24, exp0, 0.0)
+    u0, w0 = _first_cell_rule(exp0)
     # shared cell edges from the zeros of the lowest-order factor; the
     # radius caps the cell count but never truncates a cell (a ragged final
     # cell would wreck the 1/k structure the extrapolation relies on)

@@ -54,66 +54,64 @@ def _jacobi_rec(n: int, a: float, b: float, x: np.ndarray):
     return p1, p0
 
 
-def _jacobi_roots_scan(n: int, a: float, b: float) -> np.ndarray:
-    """Roots of P_n^{(a,b)} by sign-change scan on a dense Chebyshev grid.
+def _jacobi_newton(n: int, a: float, b: float, x: np.ndarray, iters: int):
+    """Newton on all n roots of P_n^{(a,b)} at once from x; the derivative
+    comes from the standard first-order relation.
 
-    Slow-but-sure fallback for parameter ranges where the cosine initial
-    guesses do not land in Newton's basin.  P_n has n simple roots in
-    (-1, 1), so a fine enough grid brackets them all.
+    Returns (x ascending, ok).  ok means the steps fell below 1e-15 at n
+    distinct roots: none held at the clip by +-1, where the 1/(1-x^2) of
+    the derivative fakes a tiny step, and P_{n-1} alternating in sign over
+    them, as it does over the true roots, which it interlaces.
     """
-    m = 32 * n
-    grid = np.cos(np.linspace(math.pi, 0.0, m))
-    vals, _ = _jacobi_rec(n, a, b, grid)
-    roots = []
-    for i in range(m - 1):
-        f0, f1 = vals[i], vals[i + 1]
-        if f0 == 0.0:
-            roots.append(grid[i])
-            continue
-        if (f0 > 0) != (f1 > 0):
-            lo, hi, flo = grid[i], grid[i + 1], f0
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                fm, _ = _jacobi_rec(n, a, b, np.asarray([mid]))
-                if (fm[0] > 0) == (flo > 0):
-                    lo, flo = mid, fm[0]
-                else:
-                    hi = mid
-            roots.append(0.5 * (lo + hi))
-    if len(roots) != n:
-        raise RuntimeError("Gauss-Jacobi root scan failed (internal error)")
-    return np.asarray(roots)
+    c = 2.0 * n + a + b
+    for _ in range(iters):
+        pn, pn1 = _jacobi_rec(n, a, b, x)
+        dp = (n * (a - b - c * x) * pn + 2.0 * (n + a) * (n + b) * pn1) / (c * (1.0 - x * x))
+        dx = pn / dp
+        x = np.clip(x - dx, -1.0 + 1e-14, 1.0 - 1e-14)
+        if np.max(np.abs(dx)) < 1e-15:
+            order = np.argsort(x)
+            sign = np.sign(pn1[order])
+            return x[order], bool(np.all(np.abs(x) < 1.0 - 1e-14)
+                                  and np.all(sign[1:] * sign[:-1] < 0))
+    return np.sort(x), False
+
+
+def _jacobi_matrix_roots(n: int, a: float, b: float) -> np.ndarray:
+    """Roots of P_n^{(a,b)}, ascending, as the eigenvalues of the symmetric
+    tridiagonal Jacobi matrix of the recurrence (Golub and Welsch, Math.
+    Comp. 23, 1969).  The first diagonal and off-diagonal entries are
+    written in the forms that stay finite at a + b = 0 and a + b = -1."""
+    s = 2.0 * np.arange(n, dtype=float) + a + b        # 2k + a + b
+    diag = np.empty(n)
+    diag[0] = (b - a) / (a + b + 2.0)
+    diag[1:] = (b * b - a * a) / (s[1:] * (s[1:] + 2.0))
+    k, s = np.arange(2.0, n), s[2:]
+    off2 = np.empty(n - 1)                              # squared, k = 1 .. n-1
+    off2[:1] = 4.0 * (1.0 + a) * (1.0 + b) / ((2.0 + a + b) ** 2 * (3.0 + a + b))
+    off2[1:] = 4.0 * k * (k + a) * (k + b) * (k + a + b) / (s * s * (s + 1.0) * (s - 1.0))
+    off = np.sqrt(off2)
+    return np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
 
 
 def gauss_jacobi(n: int, a: float, b: float):
     """Nodes/weights on [-1, 1] for the weight (1-x)^a (1+x)^b.
 
-    All n roots are polished simultaneously with Newton from cosine initial
-    guesses (dense-grid bisection as fallback); the derivative comes from
-    the standard first-order relation.  Returns (nodes ascending, weights).
+    All n roots are polished at once by Newton from cosine initial guesses.
+    Where that does not converge to n distinct roots, they start from the
+    eigenvalues of the Jacobi matrix instead and get the same polish.
+    Returns (nodes ascending, weights).
     """
     if n < 1:
         raise ValueError("rule order must be >= 1")
     i = np.arange(1, n + 1, dtype=float)
     theta = math.pi * (i + 0.5 * a - 0.25) / (n + 0.5 * (a + b + 1.0))
-    x = np.cos(theta)
-    for _ in range(100):
-        pn, pn1 = _jacobi_rec(n, a, b, x)
-        c = 2.0 * n + a + b
-        dp = (n * (a - b - c * x) * pn + 2.0 * (n + a) * (n + b) * pn1) / (c * (1.0 - x * x))
-        dx = pn / dp
-        x = np.clip(x - dx, -1.0 + 1e-14, 1.0 - 1e-14)
-        if np.max(np.abs(dx)) < 1e-15:
-            break
-    x = np.sort(x)
-    if np.any(np.diff(x) <= 0):
-        x = _jacobi_roots_scan(n, a, b)
-        # one Newton polish from the bisected roots
-        for _ in range(4):
-            pn, pn1 = _jacobi_rec(n, a, b, x)
-            c = 2.0 * n + a + b
-            dp = (n * (a - b - c * x) * pn + 2.0 * (n + a) * (n + b) * pn1) / (c * (1.0 - x * x))
-            x = x - pn / dp
+    x, ok = _jacobi_newton(n, a, b, np.cos(theta), 100)
+    if not ok:
+        x, ok = _jacobi_newton(n, a, b, _jacobi_matrix_roots(n, a, b), 10)
+    if not ok:
+        raise RuntimeError(f"Gauss-Jacobi roots for ({n}, {a}, {b}) did not converge "
+                           "(internal error)")
     pn, pn1 = _jacobi_rec(n, a, b, x)
     c = 2.0 * n + a + b
     dp = (n * (a - b - c * x) * pn + 2.0 * (n + a) * (n + b) * pn1) / (c * (1.0 - x * x))
@@ -169,7 +167,8 @@ class Measure:
     def mu_beta_alpha(cls, alpha: float, beta: float) -> "Measure":
         return cls("mu_beta_alpha", alpha, beta)
 
-    def density(self, t: float) -> float:
+    def density(self, t):
+        """The density at t, a float or an array of nodes."""
         if self.kind == "lebesgue":
             return 1.0
         d = abs(t) ** (2.0 * self.a + 1.0) / (2.0 ** (self.a + 1.0) * gamma(self.a + 1.0))
@@ -397,6 +396,15 @@ def _legendre16():
     return _leg16
 
 
+def _first_cell_rule(c: float):
+    """24-point rule on (0, 1) for the weight u^c (cached): the first cell
+    of an integral whose integrand carries the factor x^c."""
+    key = ("cell0", round(c, 14))
+    if key not in _rule_cache:
+        _rule_cache[key] = gauss_jacobi01(24, c, 0.0)
+    return _rule_cache[key]
+
+
 def integrate_bessel_product(lam: float, mu: float, nu: float, t: float,
                              max_cells: int = 400, rtol: float = 1e-7,
                              atol: float = 1e-9,
@@ -433,10 +441,7 @@ def integrate_bessel_product(lam: float, mu: float, nu: float, t: float,
     # first cell [0, e1]: pull out the algebraic factor x^(mu+nu-lam)
     e1 = edges(1)
     c = mu + nu - lam
-    key = ("cell0", round(c, 14))
-    if key not in _rule_cache:
-        _rule_cache[key] = gauss_jacobi01(24, c, 0.0)
-    u0, w0 = _rule_cache[key]
+    u0, w0 = _first_cell_rule(c)
     xs = e1 * u0
     vals = t ** nu * _jratio_array(mu, xs) * _jratio_array(nu, xs * t)
     total += e1 ** (c + 1.0) * float(np.dot(w0, vals))

@@ -38,6 +38,15 @@ class TestFourierSystem:
         g = lambda x: (1.0 + x) * math.exp(-x * x / 2.0)
         assert ks.multiplication_residual(f, g, radius=10.0) < 1e-8
 
+    @pytest.mark.parametrize("system", ["fourier", "dunkl"])
+    def test_transform_line_gaussian(self, system):
+        # exp(-x^2/2) is its own Fourier transform, and its own Dunkl
+        # transform against dmu_alpha
+        ks = bo.fourier_system()[0] if system == "fourier" else bo.dunkl_system(0.5, 4)[0]
+        f = lambda x: math.exp(-x * x / 2.0)
+        for t in (0.0, 0.7, -2.2, 3.0):
+            assert abs(ks.transform_line(f, t) - math.exp(-t * t / 2.0)) < 1e-13
+
     def test_series_tail_invariant(self):
         ks, bio = bo.fourier_system()
         ser = bo.expand_kernel(ks, bio, 2.7, 5)

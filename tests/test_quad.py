@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import special as sp
 
-from biexp.quad import (Measure, accelerate, gauss_jacobi, gauss_jacobi01,
+from biexp.quad import (Measure, _jacobi_matrix_roots, accelerate, gauss_jacobi, gauss_jacobi01,
                         integrate_bessel_product, integrate_interval,
                         mcmahon_zero, rule_for_measure)
 from biexp.specfun import gamma
@@ -34,6 +34,25 @@ class TestRules:
         x, w = gauss_jacobi(16, a, b)
         assert np.all(w > 0)
         assert np.all(np.diff(x) > 0)
+
+    @pytest.mark.parametrize("b", [-0.5, 0.0, 0.5, 5.8, 5.800000000000001, 6.0, 6.9,
+                                   9.5, 10.65])
+    def test_against_scipy_roots_jacobi(self, b):
+        # at n = 24, a = 0 the b values from 5.8 on defeat Newton from the
+        # cosine guesses; the rule then comes from the Jacobi matrix
+        for n in (3, 8, 16, 24, 40):
+            for a in (-0.5, 0.0, 0.5, 1.7):
+                x, w = gauss_jacobi(n, a, b)
+                rx, rw = sp.roots_jacobi(n, a, b)
+                assert np.max(np.abs(x - rx)) < 1e-14
+                assert np.max(np.abs(w / rw - 1.0)) < 1e-11
+
+    @pytest.mark.parametrize("a,b", [(0.3, -0.3), (-0.5, -0.5), (0.3, -0.7), (2.0, 7.5)])
+    def test_jacobi_matrix_roots(self, a, b):
+        # a + b = 0 and a + b = -1 hit the special first entries
+        for n in (1, 2, 24):
+            assert np.max(np.abs(_jacobi_matrix_roots(n, a, b)
+                                 - sp.roots_jacobi(n, a, b)[0])) < 1e-14
 
     def test_order_floor(self):
         with pytest.raises(ValueError):

@@ -159,6 +159,25 @@ class TestCLI:
         assert len(lines) == 1 and "finite" in lines[0]
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "bessel", "--nu", "155", "--x", "1"],
+        ["eval", "bessel", "--nu", "150.5", "--x", "120"],
+        ["eval", "zeros", "--nu", "1e9", "--k", "1"],
+        ["eval", "eigenvalue", "--alpha", "80", "--beta", "79", "--k", "2"],
+    ])
+    def test_large_order_no_traceback(self, argv):
+        proc = subprocess.run([sys.executable, "-m", "biexp.cli", *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode in (0, 2)
+        assert "Traceback" not in proc.stderr
+        if proc.returncode == 2:
+            assert len(proc.stderr.strip().splitlines()) == 1
+
+    def test_eval_zeros_large_order(self, capsys):
+        # oracle: mpmath besseljzero(160, 1) = 170.264863568030...
+        assert main(["eval", "zeros", "--nu", "160", "--k", "1"]) == 0
+        assert float(capsys.readouterr().out) == pytest.approx(170.26486356803005, rel=1e-14)
+
     def test_bare_invocation_exit_2(self, capsys):
         assert main([]) == 2
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import special as sp
 
+from biexp import specfun
 from biexp.specfun import (Params, _jratio_array, bessel_j, bessel_j_ratio,
                            bessel_zeros, dunkl_kernel, gamma, lommel_h,
                            lommel_r, pochhammer)
@@ -102,6 +103,22 @@ class TestBessel:
         with pytest.raises(ValueError, match="x must be finite"):
             fn(0.5, bad)
 
+    def test_large_order_values(self):
+        # the ascending series and the factor (x/2)^nu / Gamma(nu+1) stay in
+        # range where J_nu(x)/x^nu itself leaves it
+        with mp.workdps(40):
+            for nu, x in ((150.5, 120.0), (160.0, 100.0), (149.0, 20.0), (155.0, 160.0)):
+                ref = float(mp.besselj(mp.mpf(nu), mp.mpf(x)))
+                assert bessel_j(nu, x) == pytest.approx(ref, rel=1e-12)
+            ref = float(mp.besselj(149, 20) / mp.mpf(20) ** 149)
+            assert bessel_j_ratio(149.0, 20.0) == pytest.approx(ref, rel=1e-12)
+            assert _jratio_array(149.0, np.array([20.0]))[0] == pytest.approx(ref, rel=1e-12)
+            ref = float(mp.besselj(155, 1))
+        # J_155(1) ~ 4.6e-321 is subnormal: accurate to its spacing
+        assert abs(bessel_j(155.0, 1.0) - ref) < 1e-322
+        # J_160(100)/100^160 ~ 1e-340 is below the float range
+        assert 0.0 <= bessel_j_ratio(160.0, 100.0) < 1e-300
+
     def test_large_order_below_turning_point(self):
         # series regime; 2^nu Gamma(nu+1) needs the split power in gamma
         with mp.workdps(40):
@@ -187,6 +204,48 @@ class TestZeros:
             bessel_zeros(0.5, 0)
         with pytest.raises(ValueError):
             bessel_zeros(-1.2, 3)
+
+    @pytest.mark.parametrize("nu", [0.05, 1.5, 3.9, 20.0, 140.0])
+    def test_against_mpmath(self, nu):
+        # oracle: mpmath besseljzero at 30 digits; k <= 12 covers the
+        # eigenvalue seeds (k <= 10) and the extrapolated ones after them
+        with mp.workdps(30):
+            for k_max in (3, 12):
+                t = bessel_zeros(nu, k_max)
+                for k, z in enumerate(t.zeros, start=1):
+                    ref = float(mp.besseljzero(mp.mpf(nu), k))
+                    assert z == pytest.approx(ref, rel=1e-14)
+            t = bessel_zeros(nu, 400)
+            for k in (13, 50, 101, 250, 400):
+                ref = float(mp.besseljzero(mp.mpf(nu), k))
+                assert t.zeros[k - 1] == pytest.approx(ref, rel=1e-14)
+
+    def test_negative_half_order(self):
+        # J_{-1/2}(x) = sqrt(2/(pi x)) cos x
+        t = bessel_zeros(-0.5, 400)
+        for k, z in enumerate(t.zeros, start=1):
+            assert z == pytest.approx((k - 0.5) * math.pi, rel=1e-14)
+
+    def test_long_half_order_table(self):
+        z = np.asarray(bessel_zeros(0.5, 20000).zeros)
+        k = np.arange(1, 20001)
+        assert np.max(np.abs(z / (k * math.pi) - 1.0)) < 1e-14
+
+    def test_skipped_zero_raises(self, monkeypatch):
+        # a start past the first zero of J_0 converges to the second one,
+        # where J_1 has the wrong sign for a first zero
+        monkeypatch.setattr(specfun, "_zero_seeds",
+                            lambda nu, k: np.array([5.5, 8.6, 11.8])[:k])
+        with pytest.raises(RuntimeError, match="skipped"):
+            bessel_zeros(0.0, 3)
+
+    def test_order_domain(self):
+        with pytest.raises(ValueError, match="order must be finite"):
+            bessel_zeros(math.nan, 2)
+        with pytest.raises(ValueError, match="order must be finite"):
+            bessel_zeros(math.inf, 2)
+        with pytest.raises(ValueError, match="order in"):
+            bessel_zeros(2e4, 2)
 
 
 class TestLommel:
