@@ -11,8 +11,8 @@ from .specfun import (Params, ZeroTable, bessel_j, bessel_j_ratio,
                       pochhammer)
 from .quad import (Measure, QuadRule, accelerate, gauss_jacobi,
                    integrate_bessel_product, integrate_interval)
-from .orthopoly import (GenGegenbauerFamily, JacobiFamily,
-                        classical_gegenbauer, dunkl_apply_poly, jacobi_eval)
+from .orthopoly import (GenGegenbauerFamily, classical_gegenbauer,
+                        dunkl_apply_poly, jacobi_eval)
 from .biortho import (BiorthSystem, KernelSystem, PWFunction, TruncatedSeries,
                       classical_planewave, dunkl_sampling_sum, dunkl_system,
                       expand_kernel, fourier_neumann_coeffs, fourier_system,

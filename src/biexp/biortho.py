@@ -21,8 +21,8 @@ from typing import Callable, Literal
 import numpy as np
 
 from .orthopoly import GenGegenbauerFamily, classical_gegenbauer, jacobi_eval
-from .quad import (Measure, _first_cell_rule, _legendre16, accelerate, gauss_jacobi,
-                   mcmahon_zero, rule_for_measure)
+from .quad import (Measure, _first_cell_rule, _legendre16, _neville, accelerate,
+                   gauss_jacobi, mcmahon_zero, rule_for_measure)
 from .specfun import (Params, ZeroTable, _jratio_array, _jratio_at_zero,
                       bessel_i_norm_imag, bessel_j_ratio, bessel_zeros,
                       dunkl_kernel, gamma)
@@ -702,17 +702,7 @@ def _neville_halfpow(partial: list, levels: int = 7):
     idx = sorted({max(1, int(round(n / 1.4 ** j))) for j in range(levels)})
     if len(idx) < 3:
         return partial[-1], float("inf")
-    xs = 1.0 / np.sqrt(np.asarray(idx, dtype=float))
-    tbl = [complex(partial[i - 1]) for i in idx]
-    m = len(tbl)
-    prev = tbl
-    for lvl in range(1, m):
-        new = []
-        for i in range(m - lvl):
-            x0, x1 = xs[i], xs[i + lvl]
-            new.append((x1 * tbl[i] - x0 * tbl[i + 1]) / (x1 - x0))
-        prev, tbl = tbl, new
-    return tbl[0], abs(tbl[0] - prev[0]) + abs(tbl[0] - prev[-1])
+    return _neville(partial, idx, 1.0 / np.sqrt(np.asarray(idx, dtype=float)))
 
 
 def st_gram_gegenbauer(beta: float, nmax: int, cells: int = 256,

@@ -12,6 +12,7 @@ Exit codes: 0 all checks passed, 1 some check failed, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import qspec as qsp
@@ -145,11 +146,25 @@ def _run_verify(args) -> int:
     overrides = {}
     for name, cast in (("alpha", float), ("beta", float), ("q", float),
                        ("terms", int), ("tol", float), ("k_max", int)):
-        val = pick(name, cast)
+        try:
+            val = pick(name, cast)
+        except ValueError:
+            print(f"biexp: config value {name}={cfg[name]!r} is not a valid "
+                  f"{cast.__name__}", file=sys.stderr)
+            return 2
         if val is not None:
             overrides[name] = val
+    if "tol" in overrides and not (0.0 < overrides["tol"] < math.inf):
+        print(f"biexp: tol must be finite and positive, got {overrides['tol']}",
+              file=sys.stderr)
+        return 2
     fmt = args.format or cfg.get("format") or "text"
     out_path = args.out or cfg.get("out")
+    emit = {"json": emit_json, "csv": emit_csv, "text": emit_text}.get(fmt)
+    if emit is None:
+        print(f"biexp: unknown format {fmt!r}; choose from json, csv, text",
+              file=sys.stderr)
+        return 2
 
     if args.suite not in SUITE_NAMES:
         print(f"biexp: unknown suite {args.suite!r}; choose from "
@@ -161,7 +176,6 @@ def _run_verify(args) -> int:
         print(f"biexp: {exc}", file=sys.stderr)
         return 2
 
-    emit = {"json": emit_json, "csv": emit_csv, "text": emit_text}[fmt]
     if out_path:
         try:
             with open(out_path, "w") as fh:

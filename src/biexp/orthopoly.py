@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from .specfun import Params, gamma, pochhammer
 
 __all__ = [
-    "JacobiFamily",
     "GenGegenbauerFamily",
     "ConnectionCoeffs",
     "jacobi_eval",
@@ -22,7 +21,6 @@ __all__ = [
     "classical_gegenbauer",
     "chebyshev_t",
     "dunkl_apply_poly",
-    "poly_eval",
 ]
 
 # Terminating-sum path up to here, recurrence beyond.  The sum's alternating
@@ -49,20 +47,19 @@ def _jacobi_hyp(n: int, a: float, b: float, y: float) -> float:
     return pref * s
 
 
-def _jacobi_recur(n: int, a: float, b: float, y: float) -> float:
-    """P_n^{(a,b)}(y) by the three-term recurrence (stable at larger n)."""
-    p0 = 1.0
-    if n == 0:
-        return p0
-    p1 = 0.5 * (a - b) + 0.5 * (a + b + 2.0) * y
+def _jacobi_rec(n: int, a: float, b: float, x):
+    """P_n^{(a,b)} and P_{n-1}^{(a,b)} at x, a float or an array, n >= 1,
+    by the three-term recurrence (stable at larger n)."""
+    p0 = x ** 0                       # 1 in the type and shape of x
+    p1 = 0.5 * (a - b) + 0.5 * (a + b + 2.0) * x
     for k in range(2, n + 1):
         c = 2.0 * k + a + b
         a1 = 2.0 * k * (k + a + b) * (c - 2.0)
         a2 = (c - 1.0) * (a * a - b * b)
         a3 = (c - 1.0) * c * (c - 2.0)
         a4 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * c
-        p0, p1 = p1, ((a2 + a3 * y) * p1 - a4 * p0) / a1
-    return p1
+        p0, p1 = p1, ((a2 + a3 * x) * p1 - a4 * p0) / a1
+    return p1, p0
 
 
 def jacobi_eval(n: int, a: float, b: float, y: float) -> float:
@@ -73,7 +70,7 @@ def jacobi_eval(n: int, a: float, b: float, y: float) -> float:
         return 1.0
     if n <= _HYP_MAX_N:
         return _jacobi_hyp(n, a, b, y)
-    return _jacobi_recur(n, a, b, y)
+    return _jacobi_rec(n, a, b, y)[0]
 
 
 def jacobi_u_coeffs(n: int, a: float, b: float) -> list:
@@ -86,21 +83,6 @@ def jacobi_u_coeffs(n: int, a: float, b: float) -> list:
         term *= (-(n - k)) * (n + a + b + 1.0 + k) / ((a + 1.0 + k) * (k + 1.0))
         coeffs.append(term)
     return coeffs
-
-
-@dataclass(frozen=True)
-class JacobiFamily:
-    """Fixed-parameter Jacobi family P_n^{(a,b)}, a, b > -1."""
-
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if not (self.a > -1.0 and self.b > -1.0):
-            raise ValueError("Jacobi parameters must exceed -1")
-
-    def eval(self, n: int, y: float) -> float:
-        return jacobi_eval(n, self.a, self.b, y)
 
 
 @dataclass(frozen=True)
@@ -192,15 +174,6 @@ class GenGegenbauerFamily:
             B=k * (a + k + 1.0) / (a + b + 2.0 * k + 1.0),
         )
 
-    def inverse_connection_value(self, n: int, t: float) -> float:
-        """Right side of C_n = ((a+b+1)/(a+b+n+1)) (C~_n - C~_{n-2})."""
-        if n < 1:
-            raise ValueError("needs n >= 1")
-        a, b = self.params.alpha, self.params.beta
-        up = self.raised()
-        lower = up.eval(n, t) - (up.eval(n - 2, t) if n >= 2 else 0.0)
-        return (a + b + 1.0) / (a + b + n + 1.0) * lower
-
 
 def chebyshev_t(n: int, t: float) -> float:
     """Chebyshev polynomial T_n(t)."""
@@ -228,14 +201,6 @@ def classical_gegenbauer(n: int, lam: float, t: float) -> float:
     for k in range(2, n + 1):
         p0, p1 = p1, (2.0 * t * (k + lam - 1.0) * p1 - (k + 2.0 * lam - 2.0) * p0) / k
     return p1
-
-
-def poly_eval(coeffs: list, t: float) -> float:
-    """Evaluate a dense monomial-coefficient polynomial (Horner)."""
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * t + c
-    return acc
 
 
 def dunkl_apply_poly(alpha: float, coeffs: list) -> list:

@@ -156,6 +156,31 @@ def _qbessel_ratio_float(nu: float, x: float, Q: float):
     return pref * s, mx
 
 
+def _qpoch_inf_mp(a, Qm, digits: int):
+    """(a; Qm)_inf in the working mpmath precision, truncated once the
+    factor a Qm^k falls below 10^(-digits-5)."""
+    p = mp.mpf(1)
+    f = a
+    while abs(f) > mp.mpf(10) ** (-digits - 5):
+        p *= 1 - f
+        f *= Qm
+    return p
+
+
+def _little_p_sum_mp(n: int, x, am, bm, Qm):
+    """The terminating 2phi1 sum of p_n(x; Qm^am, Qm^bm; Qm) in the working
+    mpmath precision; x, am, bm and Qm are mpf, so every q-power is exact
+    in the one binary exponent."""
+    t = mp.mpf(1)
+    s = mp.mpf(1)
+    for k in range(n):
+        t *= ((1 - Qm ** (k - n)) * (1 - Qm ** (n + k + 1 + am + bm))
+              / ((1 - Qm ** (k + 1 + am)) * (1 - Qm ** (k + 1))))
+        t *= Qm * x
+        s += t
+    return s
+
+
 def _qbessel_ratio_mp(nu: float, x: float, Q: float, digits: int) -> float:
     # The alternating series cancels over ~2 log10(max term) digits; that
     # cancellation only happens if every q-power is an exact function of
@@ -163,17 +188,8 @@ def _qbessel_ratio_mp(nu: float, x: float, Q: float, digits: int) -> float:
     # (a per-term float rounding of nu+1+k wrecks the sum entirely).
     with mp.workdps(digits):
         Qm = mp.mpf(Q)
-        num = mp.mpf(1)
-        fac = Qm ** (mp.mpf(nu) + 1)
-        while abs(fac) > mp.mpf(10) ** (-digits - 5):
-            num *= 1 - fac
-            fac *= Qm
-        den = mp.mpf(1)
-        fac = Qm
-        while abs(fac) > mp.mpf(10) ** (-digits - 5):
-            den *= 1 - fac
-            fac *= Qm
-        pref = num / den
+        pref = (_qpoch_inf_mp(Qm ** (mp.mpf(nu) + 1), Qm, digits)
+                / _qpoch_inf_mp(Qm, Qm, digits))
         t = mp.mpf(1)
         s = mp.mpf(1)
         x2 = mp.mpf(x) ** 2
@@ -223,6 +239,44 @@ def qbessel3(nu: float, x: float, Q: float) -> float:
 # Jackson integrals
 # ---------------------------------------------------------------------------
 
+def _bilateral_sum(ctx: QContext, term: Callable[[int], complex]):
+    """sum_{k in Z} term(k) over the grid exponents: k = 0 .. k_max, then
+    k = -1 down to k_min, each half stopping after three terms in a row
+    below tol relative to the running sum.  The sum keeps the type of the
+    terms (float or complex).
+
+    Raises DecayError when the k < 0 half runs out at k_min with its last
+    term still above 1e3 tol relative to the sum.
+    """
+    acc = 0.0
+    small = 0
+    for k in range(0, ctx.k_max + 1):
+        t = term(k)
+        acc += t
+        if abs(t) < ctx.tol * max(abs(acc), 1e-300):
+            small += 1
+            if small >= 3:
+                break
+        else:
+            small = 0
+    small = 0
+    last = 0.0
+    for k in range(-1, ctx.k_min - 1, -1):
+        t = term(k)
+        acc += t
+        last = abs(t)
+        if last < ctx.tol * max(abs(acc), 1e-300):
+            small += 1
+            if small >= 3:
+                break
+        else:
+            small = 0
+    else:
+        if last > 1e3 * ctx.tol * max(abs(acc), 1e-300):
+            raise DecayError("Jackson sum did not decay at the large-x end")
+    return acc
+
+
 def jackson_integral(ctx: QContext, f: Callable[[float], complex],
                      domain="unit") -> complex:
     """q-integral of f.
@@ -251,39 +305,11 @@ def jackson_integral(ctx: QContext, f: Callable[[float], complex],
             raise DecayError("Jackson sum on (0, a) did not decay")
         return (1.0 - q) * a * acc
 
-    def bilateral(sign: float) -> complex:
-        acc = 0.0 + 0.0j
-        small = 0
-        for n in range(0, ctx.k_max + 1):
-            term = f(sign * q ** n) * q ** n
-            acc += term
-            if abs(term) < ctx.tol * max(abs(acc), 1e-300):
-                small += 1
-                if small >= 3:
-                    break
-            else:
-                small = 0
-        small = 0
-        last = 0.0
-        for n in range(-1, ctx.k_min - 1, -1):
-            term = f(sign * q ** n) * q ** n
-            acc += term
-            last = abs(term)
-            if last < ctx.tol * max(abs(acc), 1e-300):
-                small += 1
-                if small >= 3:
-                    break
-            else:
-                small = 0
-        else:
-            if last > 1e3 * ctx.tol * max(abs(acc), 1e-300):
-                raise DecayError("Jackson sum did not decay at the large-x end")
-        return acc
-
     if domain == "halfline":
-        return (1.0 - q) * bilateral(1.0)
+        return (1.0 - q) * complex(_bilateral_sum(ctx, lambda n: f(q ** n) * q ** n))
     if domain == "line":
-        return (1.0 - q) * (bilateral(1.0) + bilateral(-1.0))
+        return (1.0 - q) * complex(_bilateral_sum(ctx, lambda n: f(q ** n) * q ** n)
+                                   + _bilateral_sum(ctx, lambda n: f(-q ** n) * q ** n))
     raise ValueError(f"unknown Jackson domain {domain!r}")
 
 
@@ -326,18 +352,8 @@ class QJacobiFamily:
         if mx > 1e3 * max(abs(s), 1e-270):
             digits = 40 + int(2.2 * math.log10(mx))
             with mp.workdps(digits):
-                Qm = mp.mpf(q2)
-                am = mp.mpf(a)
-                bm = mp.mpf(b)
-                xm = mp.mpf(x)
-                tm = mp.mpf(1)
-                sm = mp.mpf(1)
-                for k in range(n):
-                    tm *= ((1 - Qm ** (k - n)) * (1 - Qm ** (n + k + 1 + am + bm))
-                           / ((1 - Qm ** (k + 1 + am)) * (1 - Qm ** (k + 1))))
-                    tm *= Qm * xm
-                    sm += tm
-                s = float(sm)
+                s = float(_little_p_sum_mp(n, mp.mpf(x), mp.mpf(a), mp.mpf(b),
+                                           mp.mpf(q2)))
         _qb_cache[key] = s
         return s
 
@@ -422,13 +438,7 @@ class QJacobiFamily:
             bm = mp.mpf(b)
 
             def lp(k: int, x):
-                t = mp.mpf(1)
-                s = mp.mpf(1)
-                for j in range(k):
-                    t *= ((1 - Qm ** (j - k)) * (1 - Qm ** (k + j + 1 + am + bm))
-                          / ((1 - Qm ** (j + 1 + am)) * (1 - Qm ** (j + 1))))
-                    t *= Qm * x
-                    s += t
+                s = _little_p_sum_mp(k, x, am, bm, Qm)
                 num = mp.mpf(1)
                 den = mp.mpf(1)
                 for j in range(k):
@@ -436,20 +446,13 @@ class QJacobiFamily:
                     den *= 1 - Qm ** (j + 1)
                 return qm ** (-k * (am + 1)) * num / den * s
 
-            def poch_inf(aval):
-                p = mp.mpf(1)
-                f = aval
-                while abs(f) > mp.mpf(10) ** (-digits - 5):
-                    p *= 1 - f
-                    f *= Qm
-                return p
-
             # per-node polynomial values, weight, and measure factor
             cols = []
             for j in range(jmax):
                 x = qm ** j
                 x2 = x * x
-                w = poch_inf(Qm * x2) / poch_inf(Qm ** (bm + 1) * x2)
+                w = (_qpoch_inf_mp(Qm * x2, Qm, digits)
+                     / _qpoch_inf_mp(Qm ** (bm + 1) * x2, Qm, digits))
                 base = w * x ** (2 * am + 1) * qm ** j
                 cols.append((base, [lp(k, x2) for k in range(nmax + 1)]))
                 if base < mp.mpf(10) ** (-digits - 10):
@@ -526,33 +529,7 @@ def q_transform(ctx: QContext, alpha: float, f: Callable[[float], complex],
         return w * (f(xk) * q_dunkl_kernel(ctx, alpha, -y * xk)
                     + f(-xk) * q_dunkl_kernel(ctx, alpha, y * xk))
 
-    acc = 0.0 + 0.0j
-    small = 0
-    for k in range(0, ctx.k_max + 1):
-        term = summand(k)
-        acc += term
-        if abs(term) < ctx.tol * max(abs(acc), 1e-300):
-            small += 1
-            if small >= 3:
-                break
-        else:
-            small = 0
-    small = 0
-    last = 0.0
-    for k in range(-1, ctx.k_min - 1, -1):
-        term = summand(k)
-        acc += term
-        last = abs(term)
-        if last < ctx.tol * max(abs(acc), 1e-300):
-            small += 1
-            if small >= 3:
-                break
-        else:
-            small = 0
-    else:
-        if last > 1e3 * ctx.tol * max(abs(acc), 1e-300):
-            raise DecayError("q-transform sum did not decay at the large-x end")
-    return 0.5 * cq * acc
+    return 0.5 * cq * _bilateral_sum(ctx, summand)
 
 
 def q_hankel(ctx: QContext, alpha: float, f: Callable[[float], float],
@@ -563,33 +540,8 @@ def q_hankel(ctx: QContext, alpha: float, f: Callable[[float], float],
 
     self-inverse on decaying grid functions."""
     q = ctx.q
-    acc = 0.0
-    small = 0
-    for k in range(0, ctx.k_max + 1):
-        term = qbessel3_ratio(alpha, x * q ** k, ctx.q2) * f(q ** k) * q ** (k * (2.0 * alpha + 2.0))
-        acc += term
-        if abs(term) < ctx.tol * max(abs(acc), 1e-300):
-            small += 1
-            if small >= 3:
-                break
-        else:
-            small = 0
-    small = 0
-    last = 0.0
-    for k in range(-1, ctx.k_min - 1, -1):
-        term = qbessel3_ratio(alpha, x * q ** k, ctx.q2) * f(q ** k) * q ** (k * (2.0 * alpha + 2.0))
-        acc += term
-        last = abs(term)
-        if last < ctx.tol * max(abs(acc), 1e-300):
-            small += 1
-            if small >= 3:
-                break
-        else:
-            small = 0
-    else:
-        if last > 1e3 * ctx.tol * max(abs(acc), 1e-300):
-            raise DecayError("q-Hankel sum did not decay at the large-x end")
-    return acc
+    return _bilateral_sum(ctx, lambda k: qbessel3_ratio(alpha, x * q ** k, ctx.q2)
+                          * f(q ** k) * q ** (k * (2.0 * alpha + 2.0)))
 
 
 # ---------------------------------------------------------------------------

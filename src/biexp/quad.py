@@ -18,6 +18,7 @@ from typing import Callable, Literal
 
 import numpy as np
 
+from .orthopoly import _jacobi_rec
 from .specfun import _jratio_array, gamma, lgamma
 
 __all__ = [
@@ -37,22 +38,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Gauss-Jacobi rules
 # ---------------------------------------------------------------------------
-
-def _jacobi_rec(n: int, a: float, b: float, x: np.ndarray):
-    """P_n^{(a,b)} and P_{n-1}^{(a,b)} at x by the three-term recurrence."""
-    p0 = np.ones_like(x)
-    if n == 0:
-        return p0, np.zeros_like(x)
-    p1 = 0.5 * (a - b) + 0.5 * (a + b + 2.0) * x
-    for k in range(2, n + 1):
-        c = 2.0 * k + a + b
-        a1 = 2.0 * k * (k + a + b) * (c - 2.0)
-        a2 = (c - 1.0) * (a * a - b * b)
-        a3 = (c - 1.0) * c * (c - 2.0)
-        a4 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * c
-        p0, p1 = p1, ((a2 + a3 * x) * p1 - a4 * p0) / a1
-    return p1, p0
-
 
 def _jacobi_newton(n: int, a: float, b: float, x: np.ndarray, iters: int):
     """Newton on all n roots of P_n^{(a,b)} at once from x; the derivative
@@ -321,6 +306,24 @@ def _wynn_eps(seq: list):
     return best, err
 
 
+def _neville(seq, idx: list, xs):
+    """Neville's table extrapolating seq to the abscissa 0: the samples
+    seq[i - 1] for i in idx (1-based, ascending) sit at the abscissas xs.
+
+    Returns (value, error estimate); the estimate is the distance of the
+    value from both ends of the last column but one."""
+    tbl = [complex(seq[i - 1]) for i in idx]
+    m = len(tbl)
+    prev = tbl
+    for lvl in range(1, m):
+        new = []
+        for i in range(m - lvl):
+            x0, x1 = xs[i], xs[i + lvl]
+            new.append((x1 * tbl[i] - x0 * tbl[i + 1]) / (x1 - x0))
+        prev, tbl = tbl, new
+    return tbl[0], abs(tbl[0] - prev[0]) + abs(tbl[0] - prev[-1])
+
+
 def accelerate(partial: list):
     """Extrapolate a sequence of partial sums to its limit.
 
@@ -351,17 +354,7 @@ def accelerate(partial: list):
         idx = sorted(set(idx))
         if len(idx) < 3:
             return s[-1], abs(s[-1] - s[-2])
-        xs = 1.0 / np.asarray(idx, dtype=float)
-        tbl = [complex(s[i - 1]) for i in idx]
-        m = len(tbl)
-        prev_tbl = tbl
-        for lvl in range(1, m):
-            new = []
-            for i in range(m - lvl):
-                x0, x1 = xs[i], xs[i + lvl]
-                new.append((x1 * tbl[i] - x0 * tbl[i + 1]) / (x1 - x0))
-            prev_tbl, tbl = tbl, new
-        return tbl[0], abs(tbl[0] - prev_tbl[0]) + abs(tbl[0] - prev_tbl[-1])
+        return _neville(s, idx, 1.0 / np.asarray(idx, dtype=float))
 
     def geometric(min_idx: int) -> list:
         idx = []

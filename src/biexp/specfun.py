@@ -180,11 +180,26 @@ def _series_norm(nu: float, x: float) -> float:
     raise RuntimeError("bessel series did not converge (internal error)")
 
 
+# Miller's sweep costs time and memory linear in its length m, the start
+# offset (about 1 us and one list slot per step); a longer sweep raises
+# ValueError.  The library's own largest is ~1.1e4, for the zeros at the
+# order cap 1e4.  Miller runs only where x^2 > 4(nu+1), so bessel_j's
+# |x| <= 500 keeps nu < 62500 and m < 6.4e4, inside the cap.
+_MILLER_START_MAX = 1e5
+
+
 def _miller_start(nu: float, top: float) -> int:
     """Start offset m for the downward recurrence from order nu + m: above
-    the turning point of the largest argument `top`, with m - floor(nu) even."""
+    the turning point of the largest argument `top`, with m - floor(nu) even.
+
+    Raises ValueError when m passes _MILLER_START_MAX = 1e5, which is where
+    max(top, nu) passes about 9.9e4.
+    """
     top = max(top, nu)
     m_max = int(math.ceil(top + 15.0 * top ** (1.0 / 3.0) + 25.0))
+    if m_max > _MILLER_START_MAX:
+        raise ValueError(f"Bessel recurrence would run {m_max} steps, past the limit "
+                         f"{_MILLER_START_MAX:g} (order {nu:g}, x {top:g})")
     return m_max + (m_max - int(math.floor(nu))) % 2
 
 
@@ -277,7 +292,9 @@ def bessel_j_ratio(nu: float, x: float) -> float:
     """J_nu(x)/x^nu, an even entire function of x; stable for all regimes.
 
     This is the workhorse form: it is finite at x = 0 and avoids the x^nu
-    overflow/underflow of J itself at large order.
+    overflow/underflow of J itself at large order.  Where Miller's sweep is
+    the regime and would run past 1e5 steps (max(x, nu) beyond about
+    9.9e4), it raises ValueError instead.
     """
     if not (-1.0 < nu < math.inf and -math.inf < x < math.inf):
         _reject_order_or_x(nu, x)
@@ -360,17 +377,23 @@ def _power_over_gamma(nu: float, x: float) -> float:
     return math.exp(nu * math.log(0.5 * x) - lgamma(nu + 1.0))
 
 
-def bessel_j(nu: float, x: float, xmax: float = 500.0) -> float:
-    """Bessel function J_nu(x) for real nu > -1, x >= 0, |x| <= xmax.
+_BESSEL_J_XMAX = 500.0
+
+
+def bessel_j(nu: float, x: float) -> float:
+    """Bessel function J_nu(x) for real nu > -1, x >= 0, |x| <= 500.
 
     Negative x is allowed only for integer nu (parity continuation); use
-    bessel_j_ratio for the even ratio form at general order.
+    bessel_j_ratio for the even ratio form at general order.  J_nu(0) is
+    infinite for -1 < nu < 0, so x = 0 raises ValueError there.
     """
     if not (-1.0 < nu < math.inf and -math.inf < x < math.inf):
         _reject_order_or_x(nu, x)
-    if abs(x) > xmax:
-        raise ValueError(f"|x|={abs(x)} exceeds xmax={xmax}")
+    if abs(x) > _BESSEL_J_XMAX:
+        raise ValueError(f"|x|={abs(x)} exceeds xmax={_BESSEL_J_XMAX}")
     if x == 0.0:
+        if nu < 0.0:
+            raise ValueError(f"J_nu(0) is infinite for order nu < 0, got nu={nu}")
         return 1.0 if nu == 0.0 else 0.0
     ax = abs(x)
     v, normalized = _jnorm(nu, ax)

@@ -19,7 +19,7 @@ from . import qspec as qs
 from . import spectrum as spe
 from .orthopoly import GenGegenbauerFamily, dunkl_apply_poly, jacobi_eval
 from .quad import Measure, integrate_bessel_product, integrate_interval
-from .report import CheckReport, SuiteResult, make_check
+from .report import SuiteResult, make_check
 from .specfun import (Params, bessel_j_ratio, bessel_zeros, dunkl_kernel,
                       gamma, lommel_h)
 
@@ -40,6 +40,13 @@ def _timed(checks: list, cid: str, fn: Callable[[], tuple], tol: float) -> None:
     checks.append(make_check(cid, lhs, rhs, tol, runtime_ms=ms))
 
 
+def _worst(errs) -> float:
+    """The largest of the errors, or NaN if any is NaN (max() keeps
+    whichever of a NaN and a number comes first, so it can hide one)."""
+    errs = list(errs)
+    return math.nan if any(math.isnan(e) for e in errs) else max(errs)
+
+
 def _flag(checks: list, cid: str, ok: bool, detail: float = 0.0) -> None:
     # boolean-style check encoded in the numeric schema: lhs = 1 iff ok
     checks.append(make_check(cid, 1.0 if ok else detail, 1.0, 0.0))
@@ -55,43 +62,29 @@ def suite_planewave(ov: dict) -> list:
     tol_classical = ov.get("tol", 1e-10)
     for beta in (0.5, 1.0, 2.3):
         def worst(beta=beta):
-            w = 0.0
-            for x in _X_GRID:
-                for t in _T_GRID:
-                    got = bo.classical_planewave(beta, x, t, N)
-                    w = max(w, abs(got - complex(math.cos(x * t), math.sin(x * t))))
-            return w, 0.0
+            return _worst(abs(bo.classical_planewave(beta, x, t, N)
+                              - complex(math.cos(x * t), math.sin(x * t)))
+                          for x in _X_GRID for t in _T_GRID), 0.0
         _timed(checks, f"planewave/classical/beta={beta}", worst, tol_classical)
     tol_dunkl = ov.get("tol", 1e-9)
     for al in (-0.5, 0.0, 0.7):
         for be in (-0.2, 0.3):
             def worst(al=al, be=be):
                 P = Params(al, be)
-                w = 0.0
-                for x in _X_GRID:
-                    for t in _T_GRID:
-                        got = bo.planewave_partial_sum(P, x, t, N)
-                        w = max(w, abs(got - dunkl_kernel(al, x * t)))
-                return w, 0.0
+                return _worst(abs(bo.planewave_partial_sum(P, x, t, N) - dunkl_kernel(al, x * t))
+                              for x in _X_GRID for t in _T_GRID), 0.0
             _timed(checks, f"planewave/dunkl/alpha={al}/beta={be}", worst, tol_dunkl)
     for be in (-0.2, 0.3):
         def chain(be=be):
             P = Params(-0.5, be)
-            w = 0.0
-            for x in _X_GRID:
-                for t in _T_GRID:
-                    w = max(w, abs(bo.planewave_partial_sum(P, x, t, N)
-                                   - bo.classical_planewave(be + 0.5, x, t, N)))
-            return w, 0.0
+            return _worst(abs(bo.planewave_partial_sum(P, x, t, N)
+                              - bo.classical_planewave(be + 0.5, x, t, N))
+                          for x in _X_GRID for t in _T_GRID), 0.0
         _timed(checks, f"planewave/chain-halfint/beta={be}", chain, 1e-12)
 
     def parity():
-        w = 0.0
-        for n in range(6):
-            for x in (0.7, 2.3, 4.9):
-                w = max(w, abs(bo.neumann_fn(0.5, n, -x)
-                               - (-1.0) ** n * bo.neumann_fn(0.5, n, x)))
-        return w, 0.0
+        return _worst(abs(bo.neumann_fn(0.5, n, -x) - (-1.0) ** n * bo.neumann_fn(0.5, n, x))
+                      for n in range(6) for x in (0.7, 2.3, 4.9)), 0.0
     _timed(checks, "planewave/bessel-quotient-parity", parity, 1e-14)
 
     def at_zero():
@@ -116,58 +109,57 @@ def suite_dunkl_sampling(ov: dict) -> list:
     def interp():
         s3 = table.signed(3)
         return bo.dunkl_sampling_sum(al, f, s3, 50, table), f.eval(s3)
-    _timed(checks, "sampling/interpolation-at-node", interp, 1e-12)
+    _timed(checks, "dunkl-sampling/interpolation-at-node", interp, 1e-12)
 
     errs = {}
     for Ns in (50, 100, 200, 400):
         t0 = time.perf_counter()
-        errs[Ns] = max(abs(bo.dunkl_sampling_sum(al, f, x, Ns, table) - fx[x]) for x in xs)
+        errs[Ns] = _worst(abs(bo.dunkl_sampling_sum(al, f, x, Ns, table) - fx[x]) for x in xs)
         ms = (time.perf_counter() - t0) * 1000.0
-        checks.append(make_check(f"sampling/sup-error/N={Ns}", errs[Ns], 0.0, 1e-9,
+        checks.append(make_check(f"dunkl-sampling/sup-error/N={Ns}", errs[Ns], 0.0, 1e-9,
                                  runtime_ms=ms))
-    _flag(checks, "sampling/error-strictly-decreasing",
+    _flag(checks, "dunkl-sampling/error-strictly-decreasing",
           errs[50] > errs[100] > errs[200] > errs[400])
-    _flag(checks, "sampling/N400-quarter-of-N100", errs[400] < 0.25 * errs[100])
-    checks.append(make_check("sampling/N400-threshold", errs[400], 0.0,
+    _flag(checks, "dunkl-sampling/N400-quarter-of-N100", errs[400] < 0.25 * errs[100])
+    checks.append(make_check("dunkl-sampling/N400-threshold", errs[400], 0.0,
                              SAMPLING_N400_THRESHOLD))
 
     def gram():
         ks, bio, dss = bo.dunkl_system(al, 8)
         ns = range(-6, 7)
         return float(np.max(np.abs(bio.gram(ns, ns) - np.eye(len(ns))))), 0.0
-    _timed(checks, "sampling/node-kernel-orthonormality", gram, 1e-8)
+    _timed(checks, "dunkl-sampling/node-kernel-orthonormality", gram, 1e-8)
 
     def e0_norm():
         ks, bio, dss = bo.dunkl_system(al, 4)
         val = integrate_interval(lambda t: abs(dss.e(0, t)) ** 2,
                                  Measure.mu_alpha(al), 80)
         return val, 1.0
-    _timed(checks, "sampling/e0-normalization", e0_norm, 1e-10)
+    _timed(checks, "dunkl-sampling/e0-normalization", e0_norm, 1e-10)
 
     def coeff_closed():
         ks, bio, dss = bo.dunkl_system(0.5, 8)
         ser = bo.expand_kernel(ks, bio, 1.3, 4)
         return ser.coeff(2), bo.dunkl_sampling_coeff(dss, 2, 1.3)
-    _timed(checks, "sampling/coefficient-closed-form", coeff_closed, 1e-8)
+    _timed(checks, "dunkl-sampling/coefficient-closed-form", coeff_closed, 1e-8)
 
     def fourier_nodes():
         return bo.fourier_sampling_coeff(3, 3.0 * math.pi), 1.0 / math.sqrt(math.pi)
-    _timed(checks, "sampling/classical-coefficient-at-node", fourier_nodes, 1e-12)
+    _timed(checks, "dunkl-sampling/classical-coefficient-at-node", fourier_nodes, 1e-12)
 
     def fourier_quad():
         ks, bio = bo.fourier_system()
         ser = bo.expand_kernel(ks, bio, 2.7, 3)
-        w = max(abs(ser.coeff(n) - bo.fourier_sampling_coeff(n, 2.7))
-                for n in range(-3, 4))
-        return w, 0.0
-    _timed(checks, "sampling/classical-coefficient-quadrature", fourier_quad, 1e-10)
+        return _worst(abs(ser.coeff(n) - bo.fourier_sampling_coeff(n, 2.7))
+                      for n in range(-3, 4)), 0.0
+    _timed(checks, "dunkl-sampling/classical-coefficient-quadrature", fourier_quad, 1e-10)
 
     def norm_closed():
         x = 2.2
         quad_val = integrate_interval(lambda r: abs(dunkl_kernel(al, x * r)) ** 2,
                                       Measure.mu_alpha(al), 80)
         return bo.kernel_norm_sq(al, x), quad_val
-    _timed(checks, "sampling/kernel-norm-closed-form", norm_closed, 1e-9)
+    _timed(checks, "dunkl-sampling/kernel-norm-closed-form", norm_closed, 1e-9)
     return checks
 
 
@@ -183,7 +175,7 @@ def suite_fourier_neumann(ov: dict) -> list:
     def gram():
         ks, bio, fam = bo.neumann_system(P)
         return float(np.max(np.abs(bio.gram(range(9), range(9)) - np.eye(9)))), 0.0
-    _timed(checks, "neumann/biorthogonality-gram", gram, 1e-8)
+    _timed(checks, "fourier-neumann/biorthogonality-gram", gram, 1e-8)
 
     fam = GenGegenbauerFamily(P)
 
@@ -199,7 +191,7 @@ def suite_fourier_neumann(ov: dict) -> list:
         return got, closed
 
     for k in (2, 3):
-        _timed(checks, f"neumann/forward-transform/k={k}",
+        _timed(checks, f"fourier-neumann/forward-transform/k={k}",
                lambda k=k: forward(k, 0.5), 1e-6)
 
     def jfn_orth_diag():
@@ -207,35 +199,34 @@ def suite_fourier_neumann(ov: dict) -> list:
         r = integrate_bessel_product(1.0, al + 2.0, al + 2.0, 1.0)
         got = 2.0 * r.value / (2.0 ** (al + 1.0) * gamma(al + 1.0))
         return got, 1.0 / (2.0 ** (al + 1.0) * gamma(al + 1.0) * (al + 2.0))
-    _timed(checks, "neumann/quotient-orthogonality-diagonal", jfn_orth_diag, 1e-6)
+    _timed(checks, "fourier-neumann/quotient-orthogonality-diagonal", jfn_orth_diag, 1e-6)
 
     def jfn_orth_off():
         r = integrate_bessel_product(1.0, 0.4 + 3.0, 0.4 + 1.0, 1.0)
         return r.value, 0.0
-    _timed(checks, "neumann/quotient-orthogonality-offdiag", jfn_orth_off, 1e-8)
+    _timed(checks, "fourier-neumann/quotient-orthogonality-offdiag", jfn_orth_off, 1e-8)
 
     def delta():
         fq0 = bo.PWFunction(lambda t: fam.eval(0, t) / fam.norm(0), P.alpha,
                             weight_pow=P.beta)
         ser = bo.fourier_neumann_coeffs(P, fq0, 5)
-        off = max(abs(c) for c in ser.coeffs[1:])
-        return off, 0.0
-    _timed(checks, "neumann/coefficient-delta-pattern", delta, 1e-6)
+        return _worst(abs(c) for c in ser.coeffs[1:]), 0.0
+    _timed(checks, "fourier-neumann/coefficient-delta-pattern", delta, 1e-6)
 
     def recon():
         f2 = bo.PWFunction(lambda t: (1.0 - t * t) * (0.3 + t), P.alpha)
         sups = []
         for Ns in (6, 12):
             ser = bo.fourier_neumann_coeffs(P, f2, Ns)
-            sups.append(max(abs(bo.neumann_partial_sum(P, ser, x) - f2.eval(x))
-                            for x in np.linspace(-5.0, 5.0, 11)))
+            sups.append(_worst(abs(bo.neumann_partial_sum(P, ser, x) - f2.eval(x))
+                               for x in np.linspace(-5.0, 5.0, 11)))
         return (1.0 if sups[1] < sups[0] else 0.0), 1.0
-    _timed(checks, "neumann/reconstruction-error-decreasing", recon, 0.0)
+    _timed(checks, "fourier-neumann/reconstruction-error-decreasing", recon, 0.0)
 
     def st_gram():
         g = bo.st_gram_gegenbauer(1.0, 4)
         return np.max(np.abs(g - np.eye(5))), 0.0
-    _timed(checks, "neumann/st-pair-biorthogonality", st_gram, 1e-6)
+    _timed(checks, "fourier-neumann/st-pair-biorthogonality", st_gram, 1e-6)
     return checks
 
 
@@ -321,11 +312,8 @@ def suite_spectrum(ov: dict) -> list:
                    1e-6)
     for k in range(1, k_max + 1):
         def series_closed(k=k):
-            w = 0.0
-            for t in (-0.8, -0.3, 0.1, 0.5, 0.9):
-                s, c = spe.eigenfunction(prob, k, 1, t, 60)
-                w = max(w, abs(s - c))
-            return w, 0.0
+            pairs = (spe.eigenfunction(prob, k, 1, t, 60) for t in (-0.8, -0.3, 0.1, 0.5, 0.9))
+            return _worst(abs(s - c) for s, c in pairs), 0.0
         _timed(checks, f"spectrum/series-vs-closed/k={k}", series_closed, 1e-8)
 
     for k in range(1, k_max + 1):
@@ -366,9 +354,8 @@ def suite_spectrum(ov: dict) -> list:
     _timed(checks, "spectrum/eigenvalues-imaginary-decreasing", eigvals, 0.0)
 
     def lam_zero():
-        w = max(abs(lommel_h(5, ab + 2.0, 0.0) - 0.0),
-                abs(lommel_h(6, ab + 2.0, 0.0) - (-1.0) ** 3))
-        return w, 0.0
+        return _worst((abs(lommel_h(5, ab + 2.0, 0.0) - 0.0),
+                       abs(lommel_h(6, ab + 2.0, 0.0) - (-1.0) ** 3))), 0.0
     _timed(checks, "spectrum/lambda-zero-excluded", lam_zero, 1e-15)
 
     def half_order():
@@ -384,7 +371,7 @@ def suite_spectrum(ov: dict) -> list:
         # residual normalized by the largest target coefficient (the raw
         # coefficients reach ~1e3 by degree 10, beyond what float64 can pin
         # to 1e-12 absolutely)
-        w = 0.0
+        errs = []
         fam = GenGegenbauerFamily(P)
         up = fam.raised()
         for n in range(1, 11):
@@ -392,8 +379,8 @@ def suite_spectrum(ov: dict) -> list:
             rhs = [2.0 * (ab + 1.0) * c for c in up.coeffs(n - 1)]
             rhs += [0.0] * (len(lhs) - len(rhs))
             scale = max(max(abs(y) for y in rhs), 1.0)
-            w = max(w, max(abs(x - y) for x, y in zip(lhs, rhs)) / scale)
-        return w, 0.0
+            errs.append(_worst(abs(x - y) for x, y in zip(lhs, rhs)) / scale)
+        return _worst(errs), 0.0
     _timed(checks, "spectrum/derivative-lowers-index", lcn, 1e-12)
 
     def lam_T_identity():
@@ -409,9 +396,8 @@ def suite_spectrum(ov: dict) -> list:
                     coeffs[i] += (out[n] * v).real
         applied = dunkl_apply_poly(P.alpha, list(coeffs))
         target = up.coeffs(2)
-        w = max(abs(applied[i] - (target[i] if i < len(target) else 0.0))
-                for i in range(len(applied)))
-        return w, 0.0
+        return _worst(abs(applied[i] - (target[i] if i < len(target) else 0.0))
+                      for i in range(len(applied))), 0.0
     _timed(checks, "spectrum/derivative-inverts-T", lam_T_identity, 1e-12)
 
     def t_on_basis():
@@ -444,11 +430,8 @@ def suite_spectrum(ov: dict) -> list:
     def relationab():
         lam = 0.15j
         a = spe.recurrence_coeffs(prob, lam, 1.0, 12)
-        w = 0.0
-        for n in range(1, 13):
-            rel = (1j) ** (n - 1) * (ab + n + 1.0) / (ab + 2.0) * lommel_h(n - 1, ab + 2.0, 1j * lam)
-            w = max(w, abs(a[n] - rel))
-        return w, 0.0
+        return _worst(abs(a[n] - (1j) ** (n - 1) * (ab + n + 1.0) / (ab + 2.0)
+                          * lommel_h(n - 1, ab + 2.0, 1j * lam)) for n in range(1, 13)), 0.0
     _timed(checks, "spectrum/recurrence-vs-lommel-relation", relationab, 1e-10)
 
     def orthocomplement():
@@ -458,11 +441,8 @@ def suite_spectrum(ov: dict) -> list:
         P2 = Params(0.4, 0.5)
         fam2 = GenGegenbauerFamily(P2)
         mu = Measure.mu_beta_alpha(P2.alpha, P2.beta)
-        w = 0.0
-        for n in range(1, 7):
-            v = integrate_interval(lambda t, n=n: fam2.eval(n, t), mu, 60)
-            w = max(w, abs(v))
-        return w, 0.0
+        return _worst(abs(integrate_interval(lambda t, n=n: fam2.eval(n, t), mu, 60))
+                      for n in range(1, 7)), 0.0
     _timed(checks, "spectrum/weight-inverse-orthocomplement", orthocomplement, 1e-8)
 
     def summability():
@@ -491,16 +471,16 @@ def suite_spectrum(ov: dict) -> list:
     def hratio():
         fam = GenGegenbauerFamily(P)
         up = fam.raised()
-        w = 0.0
+        errs = []
         for k in range(0, 20):
             r1 = fam.norm(2 * k + 1) / up.norm(2 * k)
             e1 = (ab + 1.0) ** 2 / ((P.beta + k + 1.0) * (P.alpha + k + 1.0))
-            w = max(w, abs(r1 - e1) / e1)
+            errs.append(abs(r1 - e1) / e1)
             if k >= 1:
                 r2 = fam.norm(2 * k) / up.norm(2 * k - 1)
                 e2 = (ab + 1.0) ** 2 / (k * (ab + k + 1.0))
-                w = max(w, abs(r2 - e2) / e2)
-        return w, 0.0
+                errs.append(abs(r2 - e2) / e2)
+        return _worst(errs), 0.0
     _timed(checks, "spectrum/norm-ratio-closed-forms", hratio, 1e-12)
     return checks
 
@@ -591,7 +571,7 @@ def suite_q_core(ov: dict) -> list:
             fam = qs.QJacobiFamily(c, P)
             q2 = c.q2
             gram = fam.gram_matrix_mp(5)
-            w = 0.0
+            errs = []
             for n in range(6):
                 for m in range(n, 6):
                     if n == m:
@@ -602,8 +582,8 @@ def suite_q_core(ov: dict) -> list:
                                     * qs.qpochhammer(q2 ** (P.beta + 1.0 + n), q2)))
                     else:
                         exact = 0.0
-                    w = max(w, abs(gram[n][m] - exact))
-            return w, 0.0
+                    errs.append(abs(gram[n][m] - exact))
+            return _worst(errs), 0.0
         _timed(checks, f"q-core/jacobi-orthogonality/q={qq}", ortho, 1e-12)
 
     def jackson_const():
@@ -643,11 +623,8 @@ def suite_q_core(ov: dict) -> list:
             if k not in cache:
                 cache[k] = qs.q_hankel(ctx, al, fgrid, y)
             return cache[k]
-        w = 0.0
-        for n in range(-2, 5):
-            x = q ** n
-            w = max(w, abs(qs.q_hankel(ctx, al, hf, x) - fgrid(x)))
-        return w, 0.0
+        return _worst(abs(qs.q_hankel(ctx, al, hf, q ** n) - fgrid(q ** n))
+                      for n in range(-2, 5)), 0.0
     _timed(checks, "q-core/hankel-double-transform", hankel_inv, 1e-11)
 
     def mult_formula():
@@ -689,10 +666,8 @@ def suite_q_core(ov: dict) -> list:
 
     def qnorms():
         fam = qs.QJacobiFamily(ctx, P)
-        w = 0.0
-        for n in range(6):
-            w = max(w, abs(fam.norm(n) - fam.norm_quadrature(n)) / fam.norm_quadrature(n))
-        return w, 0.0
+        return _worst(abs(fam.norm(n) - fam.norm_quadrature(n)) / fam.norm_quadrature(n)
+                      for n in range(6)), 0.0
     _timed(checks, "q-core/gegenbauer-norms-vs-quadrature", qnorms, 1e-12)
 
     def tol_stability():
@@ -713,13 +688,13 @@ def suite_q_planewave(ov: dict) -> list:
     N = int(ov.get("terms", 30))
 
     def lemma_route():
-        w = 0.0
+        errs = []
         for mx in range(4):
             for mt in range(1, 5):
                 x, t = q ** mx, q ** mt
                 got = qs.q_planewave_partial_sum(ctx, P, x, t, N, route="lemma")
-                w = max(w, abs(got - qs.q_dunkl_kernel(ctx, P.alpha, x * t)))
-        return w, 0.0
+                errs.append(abs(got - qs.q_dunkl_kernel(ctx, P.alpha, x * t)))
+        return _worst(errs), 0.0
     _timed(checks, "q-planewave/expansion-with-ratio-factor", lemma_route, 1e-10)
 
     def route_report():
@@ -763,12 +738,12 @@ def suite_q_planewave(ov: dict) -> list:
         # q-exponential remark: alpha = -1/2 with beta shifted by -1/2
         be = 0.7
         P2 = Params(-0.5, be - 0.5)
-        w = 0.0
+        errs = []
         for (mx, mt) in ((0, 1), (1, 1), (2, 2)):
             x, t = q ** mx, q ** mt
             got = qs.q_planewave_partial_sum(ctx, P2, x, t, N, route="lemma")
-            w = max(w, abs(got - qs.q_dunkl_kernel(ctx, -0.5, x * t)))
-        return w, 0.0
+            errs.append(abs(got - qs.q_dunkl_kernel(ctx, -0.5, x * t)))
+        return _worst(errs), 0.0
     _timed(checks, "q-planewave/ultraspherical-specialization", ultraspherical, 1e-10)
 
     def q1_limit():
@@ -857,13 +832,8 @@ def run_suite(name: str, overrides: dict | None = None) -> SuiteResult:
     if name == "all":
         t0 = time.perf_counter()
         checks: list = []
-        for sub in _REGISTRY:
-            sub_checks = _REGISTRY[sub](ov)
-            checks.extend(CheckReport(id=f"{sub}::{c.id}" if not c.id.startswith(sub) else c.id,
-                                      lhs=c.lhs, rhs=c.rhs, abs_err=c.abs_err,
-                                      rel_err=c.rel_err, tol=c.tol, passed=c.passed,
-                                      runtime_ms=c.runtime_ms)
-                          for c in sub_checks)
+        for sub in _REGISTRY.values():
+            checks.extend(sub(ov))
         return SuiteResult(suite="all", params=_echo_params(ov), checks=checks,
                            runtime_ms=(time.perf_counter() - t0) * 1000.0)
     if name not in _REGISTRY:

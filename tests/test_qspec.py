@@ -132,6 +132,23 @@ class TestJackson:
         with pytest.raises(qs.DecayError):
             qs.jackson_integral(ctx, lambda x: 1.0, "halfline")
 
+    def test_bilateral_callers_share_decay_check(self, ctx):
+        # the line form, the q-transform and the q-Hankel transform sum
+        # through the same two-sided loop and fail the same way
+        with pytest.raises(qs.DecayError, match="large-x end"):
+            qs.jackson_integral(ctx, lambda x: 1.0, "line")
+        short = qs.QContext(ctx.q, k_min=-1)
+        with pytest.raises(qs.DecayError, match="large-x end"):
+            qs.q_hankel(short, 0.3, lambda x: 1.0, 1.0)
+        with pytest.raises(qs.DecayError, match="large-x end"):
+            qs.q_transform(short, 0.3, lambda x: 1.0, 1.0)
+
+    def test_bilateral_return_types(self, ctx):
+        f = lambda x: math.exp(-math.log(abs(x)) ** 2)
+        assert type(qs.jackson_integral(ctx, f, "halfline")) is complex
+        assert type(qs.q_hankel(ctx, 0.3, f, 1.0)) is float
+        assert type(qs.q_transform(ctx, 0.3, f, ctx.q)) is complex
+
     def test_domain_validation(self, ctx):
         with pytest.raises(ValueError):
             qs.jackson_integral(ctx, lambda x: x, "nope")

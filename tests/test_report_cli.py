@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import subprocess
 import sys
 
@@ -8,7 +9,8 @@ import pytest
 from biexp.cli import main
 from biexp.report import (CSV_HEADER, SuiteResult, emit_csv, emit_json,
                           emit_text, make_check, parse_json)
-from biexp.suites import SUITE_NAMES, run_suite
+from biexp import biortho
+from biexp.suites import SUITE_NAMES, _worst, run_suite
 
 
 class TestCheckReport:
@@ -100,6 +102,29 @@ class TestSuiteRegistry:
             assert a.lhs == b.lhs
             assert a.rhs == b.rhs
 
+    @pytest.mark.parametrize("name", [n for n in SUITE_NAMES if n != "all"])
+    def test_ids_under_registry_name(self, name):
+        ids = [c.id for c in run_suite(name).checks]
+        assert ids and all(i.startswith(name + "/") for i in ids)
+
+    def test_worst_keeps_nan(self):
+        assert _worst([0.1, 0.3, 0.2]) == 0.3
+        assert math.isnan(_worst([0.1, math.nan, 0.2]))
+        assert math.isnan(_worst([math.nan, 0.1]))
+
+    def test_nan_at_one_grid_point_fails_its_check(self, monkeypatch):
+        real = biortho.classical_planewave
+
+        def nan_at_one_point(beta, x, t, N):
+            if (x, t) == (2.0, 0.3):
+                return complex(math.nan, 0.0)
+            return real(beta, x, t, N)
+        monkeypatch.setattr(biortho, "classical_planewave", nan_at_one_point)
+        rows = {c.id: c for c in run_suite("planewave").checks}
+        for beta in (0.5, 1.0, 2.3):
+            assert not rows[f"planewave/classical/beta={beta}"].passed
+        assert rows["planewave/bessel-quotient-parity"].passed
+
     def test_spectrum_override(self):
         r = run_suite("spectrum", {"k_max": 2})
         ids = [c.id for c in r.checks]
@@ -172,6 +197,34 @@ class TestCLI:
         assert "Traceback" not in proc.stderr
         if proc.returncode == 2:
             assert len(proc.stderr.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("argv, reason", [
+        # past the Miller sweep's length cap: refused before any sweep
+        (["eval", "dunkl-kernel", "--alpha", "1e5", "--x", "3e5"], "Bessel recurrence"),
+        (["eval", "bessel", "--nu", "-0.5", "--x", "0"], "infinite"),
+    ])
+    def test_domain_error_exit_2(self, argv, reason):
+        proc = subprocess.run([sys.executable, "-m", "biexp.cli", *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and reason in lines[0]
+
+    @pytest.mark.parametrize("cfg_text, flags", [
+        ("format=xml\n", []),
+        ("alpha=abc\n", []),
+        ("terms=2.5\n", []),
+        ("", ["--tol", "nan"]),
+        ("", ["--tol", "inf"]),
+        ("", ["--tol", "0"]),
+    ])
+    def test_bad_verify_input_exit_2(self, tmp_path, capsys, cfg_text, flags):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(cfg_text)
+        assert main(["verify", "spectrum", "--config", str(cfg), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
 
     def test_eval_zeros_large_order(self, capsys):
         # oracle: mpmath besseljzero(160, 1) = 170.264863568030...

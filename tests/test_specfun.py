@@ -95,6 +95,21 @@ class TestBessel:
         with pytest.raises(ValueError):
             bessel_j(0.5, 501.0)
 
+    def test_negative_order_at_zero_raises(self):
+        # J_nu(0) is infinite for -1 < nu < 0; positive orders vanish there
+        with pytest.raises(ValueError, match="infinite"):
+            bessel_j(-0.5, 0.0)
+        assert bessel_j(0.5, 0.0) == 0.0
+
+    def test_miller_sweep_length_capped(self):
+        # the start is checked before the sweep, so the refusal costs nothing
+        with pytest.raises(ValueError, match="Bessel recurrence"):
+            bessel_j_ratio(1e5, 3e5)
+        with pytest.raises(ValueError, match="Bessel recurrence"):
+            dunkl_kernel(1e5, 3e5)
+        # the widest Miller case inside bessel_j's window still evaluates
+        assert math.isfinite(bessel_j_ratio(100.0, 500.0))
+
     @pytest.mark.parametrize("fn", [bessel_j_ratio, bessel_j, dunkl_kernel])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_nonfinite_arguments(self, fn, bad):
