@@ -51,9 +51,11 @@ class QContext:
     """Deformation parameter with grid exponent bounds and series tolerance.
 
     The grid is {+- q^k, k_min <= k <= k_max}; k_min < 0 covers the large
-    arguments, k_max > 0 the small ones.  The defaults (-20, 60) hold for
-    q = 0.5 where Jackson tails then sit below 1e-18; other q scale both
-    bounds by log(tol)/log(q).
+    arguments, k_max > 0 the small ones.  By default k_max is
+    ceil(log(tol)/log(q)) + 5, five steps past where q^k reaches tol, and
+    k_min is -max(8, ceil(20 log(0.5)/log(q))), which keeps the largest
+    grid argument q^k_min near 2^20 (at least q^-8); q = 0.5 thus gets
+    (-20, 65).
     """
 
     q: float
@@ -159,26 +161,29 @@ def _qbessel_ratio_float(nu: float, x: float, Q: float):
 def _qpoch_inf_mp(a, Qm, digits: int):
     """(a; Qm)_inf in the working mpmath precision, truncated once the
     factor a Qm^k falls below 10^(-digits-5)."""
+    cutoff = mp.mpf(10) ** (-digits - 5)
     p = mp.mpf(1)
     f = a
-    while abs(f) > mp.mpf(10) ** (-digits - 5):
+    while abs(f) > cutoff:
         p *= 1 - f
         f *= Qm
     return p
 
 
-def _little_p_sum_mp(n: int, x, am, bm, Qm):
-    """The terminating 2phi1 sum of p_n(x; Qm^am, Qm^bm; Qm) in the working
-    mpmath precision; x, am, bm and Qm are mpf, so every q-power is exact
-    in the one binary exponent."""
+def _little_p_coeffs_mp(n: int, am, bm, Qm) -> list:
+    """Coefficients of p_n(x; Qm^am, Qm^bm; Qm) as a polynomial in x,
+    highest degree first as mp.polyval (Horner's rule) takes them: the
+    terms of the terminating 2phi1 without their x^k, in the working
+    mpmath precision.  am, bm and Qm are mpf, so every q-power is exact in
+    the one binary exponent."""
     t = mp.mpf(1)
-    s = mp.mpf(1)
+    cs = [t]
     for k in range(n):
         t *= ((1 - Qm ** (k - n)) * (1 - Qm ** (n + k + 1 + am + bm))
               / ((1 - Qm ** (k + 1 + am)) * (1 - Qm ** (k + 1))))
-        t *= Qm * x
-        s += t
-    return s
+        t *= Qm
+        cs.append(t)
+    return cs[::-1]
 
 
 def _qbessel_ratio_mp(nu: float, x: float, Q: float, digits: int) -> float:
@@ -188,17 +193,18 @@ def _qbessel_ratio_mp(nu: float, x: float, Q: float, digits: int) -> float:
     # (a per-term float rounding of nu+1+k wrecks the sum entirely).
     with mp.workdps(digits):
         Qm = mp.mpf(Q)
-        pref = (_qpoch_inf_mp(Qm ** (mp.mpf(nu) + 1), Qm, digits)
-                / _qpoch_inf_mp(Qm, Qm, digits))
+        nu1 = mp.mpf(nu) + 1
+        pref = _qpoch_inf_mp(Qm ** nu1, Qm, digits) / _qpoch_inf_mp(Qm, Qm, digits)
+        tol = mp.mpf(10) ** (-digits + 4)
         t = mp.mpf(1)
         s = mp.mpf(1)
         x2 = mp.mpf(x) ** 2
         k = 0
         while True:
-            t = -t * Qm ** (k + 1) * x2 / ((1 - Qm ** (mp.mpf(nu) + 1 + k)) * (1 - Qm ** (k + 1)))
+            t = -t * Qm ** (k + 1) * x2 / ((1 - Qm ** (nu1 + k)) * (1 - Qm ** (k + 1)))
             s += t
             k += 1
-            if abs(t) < abs(s) * mp.mpf(10) ** (-digits + 4) and k > 10:
+            if abs(t) < abs(s) * tol and k > 10:
                 break
             if k > 100000:
                 raise RuntimeError("q-Bessel series did not converge (internal error)")
@@ -352,8 +358,8 @@ class QJacobiFamily:
         if mx > 1e3 * max(abs(s), 1e-270):
             digits = 40 + int(2.2 * math.log10(mx))
             with mp.workdps(digits):
-                s = float(_little_p_sum_mp(n, mp.mpf(x), mp.mpf(a), mp.mpf(b),
-                                           mp.mpf(q2)))
+                cs = _little_p_coeffs_mp(n, mp.mpf(a), mp.mpf(b), mp.mpf(q2))
+                s = float(mp.polyval(cs, mp.mpf(x)))
         _qb_cache[key] = s
         return s
 
@@ -427,6 +433,13 @@ class QJacobiFamily:
         precision (at small q the polynomial values grow so large that the
         off-diagonal cancellation exceeds what float64 can resolve).
 
+        Nothing that is the same at every node is recomputed there: the
+        weight (Q x^2; Q)_inf / (Q^{b+1} x^2; Q)_inf, Q = q^2, telescopes
+        along the grid x = q^j as w_j = w_{j-1} (1 - Q^{b+j}) / (1 - Q^j),
+        so only w_0 takes infinite products, and each member's polynomial
+        coefficients and normalizing prefactor are built once per degree
+        and evaluated at the nodes by Horner's rule.
+
         Returns a (nmax+1) x (nmax+1) nested list of floats.
         """
         a, b = self.params.alpha, self.params.beta
@@ -436,27 +449,34 @@ class QJacobiFamily:
             qm = mp.sqrt(Qm)
             am = mp.mpf(a)
             bm = mp.mpf(b)
+            cutoff = mp.mpf(10) ** (-digits - 10)
 
-            def lp(k: int, x):
-                s = _little_p_sum_mp(k, x, am, bm, Qm)
+            # q^{-k(a+1)} (Q^{a+1}; Q)_k / (Q; Q)_k and the coefficients of p_k
+            members = []
+            for k in range(nmax + 1):
                 num = mp.mpf(1)
                 den = mp.mpf(1)
                 for j in range(k):
                     num *= 1 - Qm ** (am + 1 + j)
                     den *= 1 - Qm ** (j + 1)
-                return qm ** (-k * (am + 1)) * num / den * s
+                members.append((qm ** (-k * (am + 1)) * num / den,
+                                _little_p_coeffs_mp(k, am, bm, Qm)))
 
             # per-node polynomial values, weight, and measure factor
+            w = _qpoch_inf_mp(Qm, Qm, digits) / _qpoch_inf_mp(Qm ** (bm + 1), Qm, digits)
+            Qj = mp.mpf(1)
+            Qbj = Qm ** bm
             cols = []
             for j in range(jmax):
                 x = qm ** j
                 x2 = x * x
-                w = (_qpoch_inf_mp(Qm * x2, Qm, digits)
-                     / _qpoch_inf_mp(Qm ** (bm + 1) * x2, Qm, digits))
                 base = w * x ** (2 * am + 1) * qm ** j
-                cols.append((base, [lp(k, x2) for k in range(nmax + 1)]))
-                if base < mp.mpf(10) ** (-digits - 10):
+                cols.append((base, [pref * mp.polyval(cs, x2) for pref, cs in members]))
+                if base < cutoff:
                     break
+                Qj *= Qm
+                Qbj *= Qm
+                w *= (1 - Qbj) / (1 - Qj)
             out = [[0.0] * (nmax + 1) for _ in range(nmax + 1)]
             for n in range(nmax + 1):
                 for m in range(n, nmax + 1):

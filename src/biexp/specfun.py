@@ -11,6 +11,7 @@ rule.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -285,7 +286,12 @@ def _jnorm(nu: float, x: float):
         if j is not None:
             return j, False
     fs = _miller_sweep(nu, x)
-    return fs[0] / _miller_norm(nu, fs), True
+    norm = _miller_norm(nu, fs)
+    if not math.isfinite(norm):
+        # the Neumann weights d_k ~ (nu+1)_k / k! overflow at large order
+        raise ValueError(f"Bessel recurrence normalization overflows at order {nu:g}, "
+                         f"x {x:g}")
+    return fs[0] / norm, True
 
 
 def bessel_j_ratio(nu: float, x: float) -> float:
@@ -294,7 +300,9 @@ def bessel_j_ratio(nu: float, x: float) -> float:
     This is the workhorse form: it is finite at x = 0 and avoids the x^nu
     overflow/underflow of J itself at large order.  Where Miller's sweep is
     the regime and would run past 1e5 steps (max(x, nu) beyond about
-    9.9e4), it raises ValueError instead.
+    9.9e4), or where its Neumann normalization overflows (orders of a few
+    hundred, such as nu = 470 at x = 500 or nu = 1000 at x = 94.9), it
+    raises ValueError instead.
     """
     if not (-1.0 < nu < math.inf and -math.inf < x < math.inf):
         _reject_order_or_x(nu, x)
@@ -420,7 +428,9 @@ def dunkl_kernel(alpha: float, x: float) -> complex:
     """E_a(ix) = 2^a Gamma(a+1) [J_a(x)/x^a + i x J_{a+1}(x)/x^{a+1}] for real
     x and a = alpha: real part even in x, imaginary part odd.  Dividing by
     J_a(x)/x^a at x = 0 instead of multiplying by 2^a Gamma(a+1) makes
-    E_a(0) = 1 exact.
+    E_a(0) = 1 exact; where that divisor, or the one of order a+1,
+    underflows (orders above about 149, unless one Miller sweep serves
+    both orders) it raises ValueError.
     """
     if not (-1.0 < alpha < math.inf and -math.inf < x < math.inf):
         _reject_order_or_x(alpha, x)
@@ -432,8 +442,14 @@ def dunkl_kernel(alpha: float, x: float) -> complex:
         fs = _miller_sweep(alpha, ax)
         return complex(fs[0] / _miller_norm(alpha, fs),
                        x * fs[1] / (2.0 * (alpha + 1.0) * _miller_norm(alpha + 1.0, fs[1:])))
+    re, im = bessel_j_ratio(alpha, x), x * bessel_j_ratio(alpha + 1.0, x)
     c = _jratio_at_zero(alpha)
-    return complex(bessel_j_ratio(alpha, x) / c, x * bessel_j_ratio(alpha + 1.0, x) / c)
+    # im carries the factor c / (2(a+1)); once that falls below the normal
+    # floats the quotients keep few digits or none
+    if c < 2.0 * (alpha + 1.0) * sys.float_info.min:
+        raise ValueError(f"Dunkl kernel scale 1/(2^a Gamma(a+1)) underflows at order "
+                         f"a={alpha:g}, x {x:g}")
+    return complex(re / c, im / c)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -163,21 +164,94 @@ class TestQJacobiFamily:
     def test_p0(self):
         assert self.fam.little_p(0, 0.4) == 1.0
 
-    def test_orthogonality_matrix(self):
-        q = self.ctx.q
-        q2 = self.ctx.q2
-        gram = self.fam.gram_matrix_mp(5)
+    @pytest.mark.parametrize("alpha, beta", [(0.3, 0.2), (1.5, -0.3)])
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.8])
+    def test_orthogonality_matrix(self, q, alpha, beta):
+        # q-core/jacobi-orthogonality runs these three q
+        P = Params(alpha, beta)
+        q2 = q * q
+        gram = qs.QJacobiFamily(qs.QContext(q), P).gram_matrix_mp(5)
         for n in range(6):
             for m in range(6):
                 if n == m:
-                    exact = ((1.0 - q) / (1.0 - q ** (4 * n + 2 * self.P.ab + 2))
+                    exact = ((1.0 - q) / (1.0 - q ** (4 * n + 2 * P.ab + 2))
                              * qs.qpochhammer(q2 ** (n + 1.0), q2)
-                             * qs.qpochhammer(q2 ** (self.P.ab + 1.0 + n), q2)
-                             / (qs.qpochhammer(q2 ** (self.P.alpha + 1.0 + n), q2)
-                                * qs.qpochhammer(q2 ** (self.P.beta + 1.0 + n), q2)))
+                             * qs.qpochhammer(q2 ** (P.ab + 1.0 + n), q2)
+                             / (qs.qpochhammer(q2 ** (P.alpha + 1.0 + n), q2)
+                                * qs.qpochhammer(q2 ** (P.beta + 1.0 + n), q2)))
                 else:
                     exact = 0.0
                 assert abs(gram[n][m] - exact) < 1e-12
+
+    @pytest.mark.parametrize("q", [0.3, 0.5])
+    def test_gram_matches_direct_node_sum(self, q):
+        # reference: the Gram with both infinite products of the weight and
+        # the forward 2phi1 sum of each member recomputed at every node
+        nmax, digits = 3, 50
+        ctx = qs.QContext(q)
+        gram = qs.QJacobiFamily(ctx, self.P).gram_matrix_mp(nmax, digits)
+        with mp.workdps(digits):
+            Qm = mp.mpf(ctx.q2)
+            qm = mp.sqrt(Qm)
+            am, bm = mp.mpf(self.P.alpha), mp.mpf(self.P.beta)
+
+            def lp(k, x):
+                t = s = mp.mpf(1)
+                for i in range(k):
+                    t *= ((1 - Qm ** (i - k)) * (1 - Qm ** (k + i + 1 + am + bm))
+                          / ((1 - Qm ** (i + 1 + am)) * (1 - Qm ** (i + 1))))
+                    t *= Qm * x
+                    s += t
+                num = den = mp.mpf(1)
+                for i in range(k):
+                    num *= 1 - Qm ** (am + 1 + i)
+                    den *= 1 - Qm ** (i + 1)
+                return qm ** (-k * (am + 1)) * num / den * s
+
+            acc = [[mp.mpf(0)] * (nmax + 1) for _ in range(nmax + 1)]
+            for j in range(ctx.k_max + 60):
+                x = qm ** j
+                x2 = x * x
+                w = (qs._qpoch_inf_mp(Qm * x2, Qm, digits)
+                     / qs._qpoch_inf_mp(Qm ** (bm + 1) * x2, Qm, digits))
+                base = w * x ** (2 * am + 1) * qm ** j
+                vals = [lp(k, x2) for k in range(nmax + 1)]
+                for n in range(nmax + 1):
+                    for m in range(nmax + 1):
+                        acc[n][m] += base * vals[n] * vals[m]
+                if base < mp.mpf(10) ** (-digits - 10):
+                    break
+            for n in range(nmax + 1):
+                for m in range(nmax + 1):
+                    assert abs(gram[n][m] - float((1 - qm) * acc[n][m])) < 1e-15
+
+    # (q, n, j) on the grid below whose float terms stay within 1e3 of
+    # their sum, so little_p_raw keeps the float value there
+    _FLOAT_BRANCH = {(0.5, 5, 3), (0.8, 5, 2), (0.8, 5, 3)}
+
+    @pytest.mark.parametrize("n", [5, 8])
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.8])
+    def test_little_p_raw_elevated_matches_terminating_sum(self, monkeypatch, q, n):
+        monkeypatch.setattr(qs, "_qb_cache", {})
+        calls = []
+        coeffs = qs._little_p_coeffs_mp
+        monkeypatch.setattr(qs, "_little_p_coeffs_mp",
+                            lambda *args: calls.append(args) or coeffs(*args))
+        fam = qs.QJacobiFamily(qs.QContext(q), self.P)
+        Q = fam.ctx.q2
+        for j in range(4):
+            if (q, n, j) in self._FLOAT_BRANCH:
+                continue
+            x = Q ** j
+            got = fam.little_p_raw(n, x)
+            assert len(calls) == 1, "expected the elevated-precision branch"
+            calls.clear()
+            with mp.workdps(120):
+                Qm, am, bm = mp.mpf(Q), mp.mpf(self.P.alpha), mp.mpf(self.P.beta)
+                ref = mp.fsum(mp.qp(Qm ** -n, Qm, k) * mp.qp(Qm ** (n + am + bm + 1), Qm, k)
+                              / (mp.qp(Qm ** (am + 1), Qm, k) * mp.qp(Qm, Qm, k))
+                              * (Qm * x) ** k for k in range(n + 1))
+            assert got == pytest.approx(float(ref), rel=1e-14, abs=0.0)
 
     def test_norms_match_quadrature(self):
         for n in range(6):

@@ -202,6 +202,8 @@ class TestCLI:
         # past the Miller sweep's length cap: refused before any sweep
         (["eval", "dunkl-kernel", "--alpha", "1e5", "--x", "3e5"], "Bessel recurrence"),
         (["eval", "bessel", "--nu", "-0.5", "--x", "0"], "infinite"),
+        (["eval", "bessel", "--nu", "1000", "--x", "94.9"], "normalization overflows"),
+        (["eval", "dunkl-kernel", "--alpha", "1000", "--x", "1"], "underflows"),
     ])
     def test_domain_error_exit_2(self, argv, reason):
         proc = subprocess.run([sys.executable, "-m", "biexp.cli", *argv],

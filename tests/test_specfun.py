@@ -110,6 +110,14 @@ class TestBessel:
         # the widest Miller case inside bessel_j's window still evaluates
         assert math.isfinite(bessel_j_ratio(100.0, 500.0))
 
+    @pytest.mark.parametrize("nu, x", [(1000.0, 94.9), (2000.0, 134.0), (1e4, 300.0)])
+    def test_large_order_miller_overflow_raises(self, nu, x):
+        # the Miller sweep's Neumann normalization overflows here: a domain
+        # error, never a nan
+        for fn in (bessel_j, bessel_j_ratio, dunkl_kernel):
+            with pytest.raises(ValueError, match="normalization overflows"):
+                fn(nu, x)
+
     @pytest.mark.parametrize("fn", [bessel_j_ratio, bessel_j, dunkl_kernel])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_nonfinite_arguments(self, fn, bad):
@@ -169,6 +177,21 @@ class TestDunklKernel:
             ref = inorm(am, z) + z / (2 * (am + 1)) * inorm(am + 1, z)
             ref = complex(ref)
         assert dunkl_kernel(a, x) == pytest.approx(ref, abs=1e-14)
+
+    def test_scale_underflow_raises(self):
+        # 1/(2^a Gamma(a+2)) leaves the normal floats near a = 149; past it
+        # the quotients lose digits (at a = 156 all of the imaginary part)
+        for a in (150.0, 156.0, 1000.0):
+            with pytest.raises(ValueError, match="underflows"):
+                dunkl_kernel(a, 1.0)
+        with mp.workdps(40):
+            a, x = mp.mpf(148), mp.mpf(1)
+            scale = 2 ** a * mp.gamma(a + 1)
+            ref = complex(scale * mp.besselj(a, x) / x ** a,
+                          scale * mp.besselj(a + 1, x) / x ** a)
+        got = dunkl_kernel(148.0, 1.0)
+        assert got.real == pytest.approx(ref.real, rel=1e-14, abs=0.0)
+        assert got.imag == pytest.approx(ref.imag, rel=1e-14, abs=0.0)
 
     def test_parity(self):
         for x in (0.3, 2.2, 8.0, 30.0):
