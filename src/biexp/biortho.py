@@ -23,7 +23,7 @@ import numpy as np
 from .orthopoly import GenGegenbauerFamily, classical_gegenbauer, jacobi_eval
 from .quad import (Measure, _first_cell_rule, _legendre16, _neville, accelerate,
                    gauss_jacobi, mcmahon_zero, rule_for_measure)
-from .specfun import (Params, ZeroTable, _jratio_array, _jratio_at_zero,
+from .specfun import (Params, ZeroTable, _jnorm_array, _jratio_array,
                       bessel_i_norm_imag, bessel_j_ratio, bessel_zeros,
                       dunkl_kernel, gamma)
 
@@ -80,11 +80,12 @@ class TruncatedSeries:
 # ---------------------------------------------------------------------------
 
 def dunkl_kernel_grid(alpha: float, xs: np.ndarray) -> np.ndarray:
-    """E_alpha(i x) on an array of real arguments: dunkl_kernel node-wise,
-    through specfun's array path for J_nu(x)/x^nu."""
+    """E_alpha(i x) on an array of real arguments, j_a(x) + i x j_{a+1}(x)
+    / (2(a+1)) from specfun's array path for the normalized Bessel values
+    j_nu(x) = Gamma(nu+1) (2/x)^nu J_nu(x)."""
     xs = np.asarray(xs, dtype=float)
-    return ((_jratio_array(alpha, xs) + 1j * xs * _jratio_array(alpha + 1.0, xs))
-            / _jratio_at_zero(alpha))
+    return _jnorm_array(alpha, xs) + 1j * xs * (_jnorm_array(alpha + 1.0, xs)
+                                                / (2.0 * (alpha + 1.0)))
 
 
 def _dunkl_e(alpha: float, x):
@@ -94,11 +95,6 @@ def _dunkl_e(alpha: float, x):
         return dunkl_kernel(alpha, x)
     x = np.asarray(x, dtype=float)
     return dunkl_kernel_grid(alpha, x.ravel()).reshape(x.shape)
-
-
-def _i_norm_grid(alpha: float, xs: np.ndarray) -> np.ndarray:
-    """bessel_i_norm_imag on a node array, through the array path."""
-    return _jratio_array(alpha, xs) / _jratio_at_zero(alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +524,7 @@ def dunkl_sampling_sum(alpha: float, f: PWFunction, x: float, N: int,
     sn = np.concatenate([s, -s])
     fs = f.eval(np.concatenate([[0.0], sn]))
     i1x = bessel_i_norm_imag(alpha + 1.0, x)
-    c = 2.0 * (alpha + 1.0) * np.tile(_i_norm_grid(alpha, s), 2)
+    c = 2.0 * (alpha + 1.0) * np.tile(_jnorm_array(alpha, s), 2)
     at = np.abs(x - sn) < 1e-9 * np.maximum(1.0, np.abs(sn))
     terms = fs[1:] * x * i1x / (c * np.where(at, 1.0, x - sn))
     for k in np.flatnonzero(at):
@@ -547,7 +543,7 @@ def sampling_even_sum(alpha: float, f: PWFunction, x: float, N: int,
     s = np.asarray(table.zeros[:N])
     fs = f.eval(np.concatenate([[0.0], s]))
     i1x = bessel_i_norm_imag(alpha + 1.0, x)
-    i0 = _i_norm_grid(alpha, s)
+    i0 = _jnorm_array(alpha, s)
     return complex(fs[0] * i1x
                    + np.sum(fs[1:] * i1x / ((alpha + 1.0) * i0) * x * x / (x * x - s * s)))
 
@@ -561,7 +557,7 @@ def sampling_odd_sum(alpha: float, f: PWFunction, x: float, N: int,
     s = np.asarray(table.zeros[:N])
     fs = f.eval(s)
     i1x = bessel_i_norm_imag(alpha + 1.0, x)
-    i0 = _i_norm_grid(alpha, s)
+    i0 = _jnorm_array(alpha, s)
     return complex(np.sum(fs * i1x / ((alpha + 1.0) * i0) * x * s / (x * x - s * s)))
 
 

@@ -118,7 +118,7 @@ def _run_eval(args) -> int:
             raise SystemExit2(f"unknown function {fn}")
     except SystemExit2:
         raise
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, OverflowError, ZeroDivisionError) as exc:
         raise SystemExit2(str(exc))
     return 0
 
@@ -172,7 +172,7 @@ def _run_verify(args) -> int:
         return 2
     try:
         result = run_suite(args.suite, overrides)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"biexp: {exc}", file=sys.stderr)
         return 2
 

@@ -3,15 +3,16 @@ kernel on the imaginary axis, Bessel zero tables, and Lommel polynomials.
 
 Everything here is plain float64 arithmetic with explicit regime switches;
 no external special-function libraries are used at runtime.  This is the
-one module that computes J_nu(x)/x^nu: scalar calls go through
-bessel_j_ratio, node arrays through _jratio_array, both under one regime
-rule.
+one module that computes Bessel values, in one internal form, the
+normalized Gamma(nu+1) (2/x)^nu J_nu(x): scalar calls through _jnorm,
+node arrays through _jnorm_array, both under one regime rule, with
+Miller's recurrence one streaming sweep in O(1) memory.  J_nu(x)/x^nu and
+J_nu(x) are one factor away.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -169,7 +170,7 @@ def _series_norm(nu: float, x: float) -> float:
     """Gamma(nu+1) (2/x)^nu J_nu(x) by the ascending series, in its regime.
 
     The sum starts at 1, so it converges at every order; the prefactor
-    1/(2^nu Gamma(nu+1)), which underflows past nu ~ 150, stays outside.
+    1/(2^nu Gamma(nu+1)), below the float range past nu ~ 150, stays outside.
     """
     x2 = 0.25 * x * x
     t = s = 1.0
@@ -181,17 +182,17 @@ def _series_norm(nu: float, x: float) -> float:
     raise RuntimeError("bessel series did not converge (internal error)")
 
 
-# Miller's sweep costs time and memory linear in its length m, the start
-# offset (about 1 us and one list slot per step); a longer sweep raises
-# ValueError.  The library's own largest is ~1.1e4, for the zeros at the
-# order cap 1e4.  Miller runs only where x^2 > 4(nu+1), so bessel_j's
-# |x| <= 500 keeps nu < 62500 and m < 6.4e4, inside the cap.
+# Miller's sweep costs time linear in its length m, the start offset
+# (about 0.1 us a step); a longer sweep raises ValueError.  The library's
+# own largest is ~1.1e4, for the zeros at the order cap 1e4.  Miller runs
+# only where x^2 > 4(nu+1), so bessel_j's |x| <= 500 keeps nu < 62500 and
+# m < 6.4e4, inside the cap.
 _MILLER_START_MAX = 1e5
 
 
 def _miller_start(nu: float, top: float) -> int:
-    """Start offset m for the downward recurrence from order nu + m: above
-    the turning point of the largest argument `top`, with m - floor(nu) even.
+    """Even start offset m for the downward recurrence from order nu + m,
+    above the turning point of the largest argument `top`.
 
     Raises ValueError when m passes _MILLER_START_MAX = 1e5, which is where
     max(top, nu) passes about 9.9e4.
@@ -201,51 +202,68 @@ def _miller_start(nu: float, top: float) -> int:
     if m_max > _MILLER_START_MAX:
         raise ValueError(f"Bessel recurrence would run {m_max} steps, past the limit "
                          f"{_MILLER_START_MAX:g} (order {nu:g}, x {top:g})")
-    return m_max + (m_max - int(math.floor(nu))) % 2
+    return m_max + m_max % 2
 
 
-def _miller_norm(nu: float, fs: list):
-    """Neumann sum sum_k d_k f_{2k}, d_0 = 1, d_k = (nu+2k) (nu+1)_{k-1} / k!,
-    over unnormalized f_m ~ J_{nu+m}; entries are floats or arrays."""
-    norm = fs[0]
-    d = 1.0
-    for k in range(1, (len(fs) - 1) // 2 + 1):
-        if k == 1:
-            d = nu + 2.0
-        else:
-            d *= (nu + 2.0 * k) * (nu + k - 1.0) / ((nu + 2.0 * k - 2.0) * k)
-        norm = norm + d * fs[2 * k]
-    return norm
+# The sweep's running scales are powers of two, so a rescale is exact.
+_SCALE_EXP = 900
+_BIG = 2.0 ** _SCALE_EXP
+_TINY = 2.0 ** -_SCALE_EXP
 
 
-def _miller_sweep(nu: float, x: float) -> list:
-    """Unnormalized f_m ~ J_{nu+m}(x), m = 0 .. m_max, by the downward
-    recurrence from a start order above the turning point, so that it
-    locks onto the minimal solution."""
-    m_max = _miller_start(nu, x)
-    fp = 0.0          # f_{m+1}
-    fc = 1e-30        # f_m
-    fs = [0.0] * (m_max + 1)
-    fs[m_max] = fc
-    for m in range(m_max, 0, -1):
-        fp, fc = fc, (2.0 * (nu + m) / x) * fc - fp
-        fs[m - 1] = fc
-        if abs(fc) > 1e250:
-            fc *= 1e-250
-            fp *= 1e-250
-            for i in range(m - 1, m_max + 1):
-                fs[i] *= 1e-250
-    return fs
+def _miller(nu: float, x: float):
+    """One downward sweep at x > 0 in O(1) memory: (f0, f1, j0, j1), with
+    f0, f1 = c (J_nu(x), J_{nu+1}(x)) for some c > 0 and j0, j1 the
+    normalized Gamma(nu+1) (2/x)^nu J_nu(x) and its order-(nu+1) twin.
+
+    f_{m-1} = 2(nu+m)/x f_m - f_{m+1} runs from f_m = 1 at an even start
+    above the turning point onto the minimal solution (Gautschi, SIAM Rev.
+    9, 1967).  Neumann's sum_k d_k J_{nu+2k}(x) = (x/2)^nu / Gamma(nu+1),
+    d_0 = 1, d_k = (nu+2k) e_k, e_k = (nu+1)_{k-1}/k!, normalizes it; the
+    sum builds by Horner's rule in units of the current e_k, so no weight
+    is stored or overflows.  Past 2^900, f and the sum are scaled by
+    2^-900 together, and the sum alone with its count e, restored as
+    2^(-900 e): f stays normal, and j0, j1 do wherever their values are.
+    """
+    m = _miller_start(nu, x)
+    t = 2.0 / x
+    big, tiny = _BIG, _TINY
+    fp, fc = 0.0, 1.0       # f_{2k+1}, f_{2k}
+    s, g, e = nu + m, 1.0, 0  # the sum in units of e_k, times g = 2^(-900 e)
+    for k2 in range(m, 2, -2):  # k2 = 2k, down to k = 2
+        a = nu + k2
+        ta = t * a
+        fp = ta * fc - fp        # f_{2k-1}
+        fc = (ta - t) * fp - fc  # f_{2k-2}
+        a -= 2.0
+        s = s * ((nu + a) / k2) + a * fc * g
+        # f and the sum grow only above the turning point, where both are > 0
+        if fc > big:
+            fp *= tiny
+            fc *= tiny
+            s *= tiny
+        if s > big:
+            s *= tiny
+            g *= tiny
+            e += 1
+    f1 = t * (nu + 2.0) * fc - fp
+    f0 = t * (nu + 1.0) * f1 - fc
+    s += f0 * g  # d_0 = 1
+    j0, j1 = f0 / s, 2.0 * (nu + 1.0) / x * (f1 / s)
+    if e:
+        j0, j1 = math.ldexp(j0, -_SCALE_EXP * e), math.ldexp(j1, -_SCALE_EXP * e)
+    return f0, f1, j0, j1
 
 
-def _asymptotic_pq(nu: float, x, peak=abs):
-    """P and Q of J_nu(x) ~ sqrt(2/(pi x)) (P cos chi - Q sin chi), and
-    whether the expansion reached ~1e-13 before its terms started growing.
+def _j_asymptotic(nu: float, x, peak=abs, xp=math):
+    """J_nu(x) ~ sqrt(2/(pi x)) (P cos chi - Q sin chi) for large x, or None
+    where the expansion does not reach ~1e-13 before its terms start
+    growing (callers fall back to Miller's recurrence).
 
     The terms are a_k/x^k, a_k = prod_{j<=k} (4 nu^2 - (2j-1)^2) / (k! 8^k);
-    P sums the even k, Q the odd.  x is a float, or an array with peak its
-    largest |term|: that sits at the smallest node, so every node stops
-    where the smallest one would.
+    P sums the even k, Q the odd.  x is a float, or an array (xp = numpy)
+    with peak its largest |term|: that sits at the smallest node, so every
+    node stops where the smallest one would.
     """
     mu = 4.0 * nu * nu
     p, q, term, prev = 1.0, 0.0, 1.0, 1.0
@@ -256,72 +274,52 @@ def _asymptotic_pq(nu: float, x, peak=abs):
         else:
             q = q + term * (-1.0) ** ((k - 1) // 2)
         mag = peak(term)
-        if mag < 1e-17:
-            return p, q, True
-        if mag > prev:
-            return p, q, mag < 1e-13 or prev <= 1e-13
+        if mag < 1e-17 or mag > prev:
+            break
         prev = mag
-    return p, q, prev <= 1e-13
-
-
-def _j_asymptotic(nu: float, x: float):
-    """Large-argument cosine asymptotic for J_nu(x) itself, or None where it
-    does not converge (callers fall back to backward recurrence)."""
-    p, q, ok = _asymptotic_pq(nu, x)
-    if not ok:
+    if not (mag < 1e-13 or prev <= 1e-13):
         return None
     chi = x - (0.5 * nu + 0.25) * math.pi
-    return math.sqrt(2.0 / (math.pi * x)) * (p * math.cos(chi) - q * math.sin(chi))
+    return xp.sqrt(2.0 / (math.pi * x)) * (p * xp.cos(chi) - q * xp.sin(chi))
 
 
-def _jnorm(nu: float, x: float):
-    """J_nu(x) at x > 0 by the regime rule, as (v, normalized): v is
-    Gamma(nu+1) (2/x)^nu J_nu(x) (the series and Miller's recurrence) if
-    normalized, else J_nu(x) (the asymptotic).  Neither form carries a
-    scale that leaves the float range at large order."""
+def _norm_from_j(nu: float, x: float, j: float) -> float:
+    """Gamma(nu+1) (2/x)^nu J_nu(x) from J_nu(x) = j, in logarithms, so
+    that a factor past the float range reads 0."""
+    return j * math.exp(lgamma(nu + 1.0) - nu * math.log(0.5 * x))
+
+
+def _jnorm(nu: float, x: float) -> float:
+    """Gamma(nu+1) (2/x)^nu J_nu(x) at x >= 0 by the regime rule: the one
+    internal form, with no scale that leaves the float range at large
+    order.  The asymptotic's J_nu(x) is normalized in logarithms."""
     if _in_series_regime(nu, x):
-        return _series_norm(nu, x), True
+        return _series_norm(nu, x)
     if x > ASYM_EDGE:
         j = _j_asymptotic(nu, x)
         if j is not None:
-            return j, False
-    fs = _miller_sweep(nu, x)
-    norm = _miller_norm(nu, fs)
-    if not math.isfinite(norm):
-        # the Neumann weights d_k ~ (nu+1)_k / k! overflow at large order
-        raise ValueError(f"Bessel recurrence normalization overflows at order {nu:g}, "
-                         f"x {x:g}")
-    return fs[0] / norm, True
+            return _norm_from_j(nu, x, j)
+    return _miller(nu, x)[2]
 
 
 def bessel_j_ratio(nu: float, x: float) -> float:
     """J_nu(x)/x^nu, an even entire function of x; stable for all regimes.
 
-    This is the workhorse form: it is finite at x = 0 and avoids the x^nu
-    overflow/underflow of J itself at large order.  Where Miller's sweep is
-    the regime and would run past 1e5 steps (max(x, nu) beyond about
-    9.9e4), or where its Neumann normalization overflows (orders of a few
-    hundred, such as nu = 470 at x = 500 or nu = 1000 at x = 94.9), it
-    raises ValueError instead.
+    The normalized value Gamma(nu+1) (2/x)^nu J_nu(x) times 1/(2^nu
+    Gamma(nu+1)): finite at x = 0, and 0.0 or a subnormal below the float
+    range.  Only non-finite arguments and a Miller sweep past 1e5 steps
+    (max(x, nu) beyond about 9.9e4) raise ValueError.
     """
     if not (-1.0 < nu < math.inf and -math.inf < x < math.inf):
         _reject_order_or_x(nu, x)
-    x = abs(x)
-    if x == 0.0:
-        return _jratio_at_zero(nu)
-    v, normalized = _jnorm(nu, x)
-    if normalized:
-        return _jratio_at_zero(nu) * v
-    if nu > 150.0:
-        return v * math.exp(-nu * math.log(x))
-    return v / x ** nu
+    return _jratio_at_zero(nu) * _jnorm(nu, abs(x))
 
 
 # The array path: the same regimes on every node of an array at once.  It
-# is kept apart from bessel_j_ratio, whose scalar calls it would slow down
-# about thirtyfold.
+# is kept apart from the scalar one, whose calls it would slow down about
+# thirtyfold.
 
-def _jratio_series_array(nu: float, x: np.ndarray) -> np.ndarray:
+def _series_norm_array(nu: float, x: np.ndarray) -> np.ndarray:
     x2 = 0.25 * x * x
     t = np.ones_like(x)
     s = t.copy()
@@ -329,51 +327,64 @@ def _jratio_series_array(nu: float, x: np.ndarray) -> np.ndarray:
         t *= -x2 / (k * (nu + k))
         s += t
         if np.all(np.abs(t) < SERIES_TOL * np.abs(s)):
-            return _jratio_at_zero(nu) * s
+            return s
     raise RuntimeError("bessel series did not converge (internal error)")
 
 
-def _jratio_miller_array(nu: float, x: np.ndarray) -> np.ndarray:
-    """Backward recurrence from one start order, above the turning point of
-    ASYM_EDGE and of the largest node; nodes that overflow are rescaled
-    alone.  Nodes up to ASYM_EDGE thus share one start whatever the array
-    holds, and each gets the value it would get alone."""
-    m_max = _miller_start(nu, max(ASYM_EDGE, float(np.max(x))))
-    fp = np.zeros_like(x)
-    fc = np.full_like(x, 1e-30)
-    fs = [fc] * (m_max + 1)
-    for m in range(m_max, 0, -1):
-        fp, fc = fc, (2.0 * (nu + m) / x) * fc - fp
-        big = np.abs(fc) > 1e250
+def _miller_array(nu: float, x: np.ndarray) -> np.ndarray:
+    """_miller's j0 on every node: one start, above the turning point of
+    ASYM_EDGE and of the largest node, and exact rescales node by node, so
+    a node up to ASYM_EDGE gets the value it would get alone."""
+    m = _miller_start(nu, max(ASYM_EDGE, float(np.max(x))))
+    t = 2.0 / x
+    fp, fc = np.zeros_like(x), np.ones_like(x)
+    s, g, e = np.full_like(x, nu + m), np.ones_like(x), np.zeros(x.shape, dtype=int)
+    for k2 in range(m, 2, -2):
+        a = nu + k2
+        ta = t * a
+        fp = ta * fc - fp
+        fc = (ta - t) * fp - fc
+        a -= 2.0
+        s = s * ((nu + a) / k2) + a * fc * g
+        big = fc > _BIG
         if big.any():
-            scale = np.where(big, 1e-250, 1.0)
-            fc = fc * scale
-            fp = fp * scale
-            fs[m:] = [f * scale for f in fs[m:]]
-        fs[m - 1] = fc
-    return fs[0] * _jratio_at_zero(nu) / _miller_norm(nu, fs)
+            r = np.where(big, _TINY, 1.0)
+            fp *= r
+            fc *= r
+            s *= r
+        big = s > _BIG
+        if big.any():
+            r = np.where(big, _TINY, 1.0)
+            s *= r
+            g *= r
+            e += big
+    f1 = t * (nu + 2.0) * fc - fp
+    f0 = t * (nu + 1.0) * f1 - fc
+    return np.ldexp(f0 / (s + f0 * g), -_SCALE_EXP * e)
 
 
-def _jratio_array(nu: float, x: np.ndarray) -> np.ndarray:
-    """J_nu(x)/x^nu on an array of real x, by bessel_j_ratio's regimes; the
-    asymptotic takes all nodes beyond ASYM_EDGE if it converges at the
-    nearest one."""
+def _jnorm_array(nu: float, x: np.ndarray) -> np.ndarray:
+    """_jnorm on an array of real x; the asymptotic takes all nodes beyond
+    ASYM_EDGE if it converges at the nearest one."""
     x = np.abs(np.asarray(x, dtype=float))
-    out = np.empty_like(x)
+    v = np.empty_like(x)
     series = _in_series_regime(nu, x)
-    out[series] = _jratio_series_array(nu, x[series])
+    v[series] = _series_norm_array(nu, x[series])
     miller = ~series
     far = miller & (x > ASYM_EDGE)
     xf = x[far]
-    p, q, ok = _asymptotic_pq(nu, xf, lambda t: np.abs(t).max(initial=0.0))
-    if ok:
-        chi = xf - (0.5 * nu + 0.25) * math.pi
-        j = np.sqrt(2.0 / (math.pi * xf)) * (p * np.cos(chi) - q * np.sin(chi))
-        out[far] = j * np.exp(-nu * np.log(xf))
+    j = _j_asymptotic(nu, xf, lambda t: np.abs(t).max(initial=0.0), np)
+    if j is not None:
+        v[far] = j * np.exp(lgamma(nu + 1.0) - nu * np.log(0.5 * xf))
         miller &= ~far
     if miller.any():
-        out[miller] = _jratio_miller_array(nu, x[miller])
-    return out
+        v[miller] = _miller_array(nu, x[miller])
+    return v
+
+
+def _jratio_array(nu: float, x: np.ndarray) -> np.ndarray:
+    """J_nu(x)/x^nu on an array of real x, by bessel_j_ratio's regimes."""
+    return _jratio_at_zero(nu) * _jnorm_array(nu, x)
 
 
 def _power_over_gamma(nu: float, x: float) -> float:
@@ -404,8 +415,7 @@ def bessel_j(nu: float, x: float) -> float:
             raise ValueError(f"J_nu(0) is infinite for order nu < 0, got nu={nu}")
         return 1.0 if nu == 0.0 else 0.0
     ax = abs(x)
-    v, normalized = _jnorm(nu, ax)
-    val = v * _power_over_gamma(nu, ax) if normalized else v
+    val = _jnorm(nu, ax) * _power_over_gamma(nu, ax)
     if x < 0.0:
         if nu != math.floor(nu):
             raise ValueError("bessel_j at negative x needs integer order; "
@@ -420,36 +430,28 @@ def bessel_j(nu: float, x: float) -> float:
 
 def bessel_i_norm_imag(alpha: float, x: float) -> float:
     """The normalized modified Bessel function of order alpha at ix,
-    2^alpha Gamma(alpha+1) J_alpha(x)/x^alpha: real, even, 1 at x = 0."""
-    return 2.0 ** alpha * gamma(alpha + 1.0) * bessel_j_ratio(alpha, x)
+    Gamma(alpha+1) (2/x)^alpha J_alpha(x): real, even, 1 at x = 0."""
+    if not (-1.0 < alpha < math.inf and -math.inf < x < math.inf):
+        _reject_order_or_x(alpha, x)
+    return _jnorm(alpha, abs(x))
 
 
 def dunkl_kernel(alpha: float, x: float) -> complex:
-    """E_a(ix) = 2^a Gamma(a+1) [J_a(x)/x^a + i x J_{a+1}(x)/x^{a+1}] for real
-    x and a = alpha: real part even in x, imaginary part odd.  Dividing by
-    J_a(x)/x^a at x = 0 instead of multiplying by 2^a Gamma(a+1) makes
-    E_a(0) = 1 exact; where that divisor, or the one of order a+1,
-    underflows (orders above about 149, unless one Miller sweep serves
-    both orders) it raises ValueError.
+    """E_a(ix) = j_a(x) + i x j_{a+1}(x) / (2(a+1)) for real x, a = alpha,
+    from the normalized j_nu(x) = Gamma(nu+1) (2/x)^nu J_nu(x) of both
+    orders in the regime of order a: two series, two asymptotic values or
+    one Miller sweep.  Only non-finite arguments and a sweep past 1e5
+    steps raise ValueError.
     """
     if not (-1.0 < alpha < math.inf and -math.inf < x < math.inf):
         _reject_order_or_x(alpha, x)
     ax = abs(x)
-    if SERIES_EDGE < ax <= ASYM_EDGE and not _in_series_regime(alpha + 1.0, ax):
-        # both orders would run Miller: one sweep gives f_0 ~ J_a and
-        # f_1 ~ J_{a+1}, each normalized by its own Neumann sum (even and
-        # odd offsets), never by f_0, which vanishes at the zeros of J_a
-        fs = _miller_sweep(alpha, ax)
-        return complex(fs[0] / _miller_norm(alpha, fs),
-                       x * fs[1] / (2.0 * (alpha + 1.0) * _miller_norm(alpha + 1.0, fs[1:])))
-    re, im = bessel_j_ratio(alpha, x), x * bessel_j_ratio(alpha + 1.0, x)
-    c = _jratio_at_zero(alpha)
-    # im carries the factor c / (2(a+1)); once that falls below the normal
-    # floats the quotients keep few digits or none
-    if c < 2.0 * (alpha + 1.0) * sys.float_info.min:
-        raise ValueError(f"Dunkl kernel scale 1/(2^a Gamma(a+1)) underflows at order "
-                         f"a={alpha:g}, x {x:g}")
-    return complex(re / c, im / c)
+    if _in_series_regime(alpha, ax):
+        j0, j1 = _series_norm(alpha, ax), _series_norm(alpha + 1.0, ax)
+    else:
+        a, b, jn = _j_pair(alpha, ax)
+        j0, j1 = jn or (_norm_from_j(alpha, ax, a), _norm_from_j(alpha + 1.0, ax, b))
+    return complex(j0, x * j1 / (2.0 * (alpha + 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -499,19 +501,18 @@ def _zero_seeds(nu: float, k: int) -> np.ndarray:
 
 
 def _j_pair(nu: float, x: float):
-    """(a, b) = c (J_nu(x), J_{nu+1}(x)) for some c > 0 at x > 0: the two
-    asymptotic values beyond ASYM_EDGE where both converge, else f_0 and f_1
-    of one Miller sweep.  No scale enters that can underflow, b carries the
-    sign of J_{nu+1}(x), and a/b has no cancellation beyond the last step
-    of the recurrence; the ascending series would lose up to three digits
-    to cancellation near x = 9."""
+    """(a, b, jn) at x > 0: a, b = c (J_nu(x), J_{nu+1}(x)), c > 0, from the
+    asymptotic beyond ASYM_EDGE where both orders converge (c = 1, jn None),
+    else f0, f1 of one Miller sweep and jn its (j0, j1).  b carries the sign
+    of J_{nu+1}(x), and a/b has no cancellation beyond the last step of the
+    recurrence; the ascending series would lose up to three digits near 9."""
     if x > ASYM_EDGE:
         a = _j_asymptotic(nu, x)
         b = _j_asymptotic(nu + 1.0, x)
         if a is not None and b is not None:
-            return a, b
-    fs = _miller_sweep(nu, x)
-    return fs[0], fs[1]
+            return a, b, None
+    f0, f1, j0, j1 = _miller(nu, x)
+    return f0, f1, (j0, j1)
 
 
 def bessel_zeros(nu: float, k_max: int) -> ZeroTable:
@@ -539,7 +540,7 @@ def bessel_zeros(nu: float, k_max: int) -> ZeroTable:
     for k in range(k_max):
         x = float(seeds[k]) if k < len(seeds) else 3.0 * (zeros[-1] - zeros[-2]) + zeros[-3]
         for _ in range(50):
-            a, b = _j_pair(nu, x)
+            a, b, _ = _j_pair(nu, x)
             dx = a / b
             x += dx
             if abs(dx) < 1e-9 * x:

@@ -157,7 +157,7 @@ class TestDunklSampling:
     def test_normalization_constant(self):
         ks, bio, dss = bo.dunkl_system(self.al, 4)
         d0 = 2.0 ** (0.5 * (self.al + 1.0)) * math.sqrt(gamma(self.al + 2.0))
-        assert dss.d(0) == pytest.approx(d0, rel=1e-14)
+        assert dss.d(0) == pytest.approx(d0, rel=1e-14, abs=0.0)
         val = integrate_interval(lambda t: abs(dss.e(0, t)) ** 2,
                                  Measure.mu_alpha(self.al), 60)
         assert val == pytest.approx(1.0, abs=1e-10)
@@ -368,15 +368,15 @@ class TestKernelNorm:
 
 
 class TestDunklKernelGrid:
-    @pytest.mark.parametrize("al", [-0.95, -0.5, 0.3, 3.0])
+    @pytest.mark.parametrize("al", [-0.95, -0.5, 0.3, 3.0, 140.0, 160.0, 1000.0])
     def test_against_mpmath(self, al):
         # nodes straddle the regime edges 9 and 50 and the former 12
         edges = np.array([0.0, 1e-3, 8.99, 9.0, 9.01, 11.99, 12.0, 12.01,
                           30.0, 49.99, 50.0, 50.01, 120.0, 700.0])
         xs = np.concatenate([edges, -edges[1:]])
         got = bo.dunkl_kernel_grid(al, xs)
-        # the scalar kernel at the same nodes (one Miller sweep for both
-        # orders where both need it)
+        # the scalar kernel at the same nodes (both orders from the regime
+        # of order al)
         scalar = [dunkl_kernel(al, float(x)) for x in xs]
         with mp.workdps(40):
             a = mp.mpf(al)

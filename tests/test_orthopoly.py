@@ -66,11 +66,11 @@ class TestGenGegenbauer:
         self.fam = GenGegenbauerFamily(self.P)
 
     def test_c0_and_c1(self):
-        assert self.fam.eval(0, 0.37) == pytest.approx(1.0, rel=1e-14)
+        assert self.fam.eval(0, 0.37) == pytest.approx(1.0, rel=1e-14, abs=0.0)
         # C_1(t) = ((a+b+1)/(a+1)) t, from the odd-index definition at n = 0
         t = 0.41
         assert self.fam.eval(1, t) == pytest.approx((0.3 + 0.6 + 1.0) / 1.3 * t,
-                                                    rel=1e-14)
+                                                    rel=1e-14, abs=0.0)
 
     @given(st.integers(0, 20), st.floats(-1, 1))
     @settings(max_examples=60, deadline=None)

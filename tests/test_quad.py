@@ -26,7 +26,7 @@ class TestRules:
         u, w = gauss_jacobi01(10, 0.4, 0.25)
         for k in range(0, 19):
             exact = beta_fn(0.4 + k + 1.0, 1.25)
-            assert np.dot(w, u ** k) == pytest.approx(exact, rel=1e-13)
+            assert np.dot(w, u ** k) == pytest.approx(exact, rel=1e-13, abs=0.0)
 
     @given(st.floats(-0.9, 3.0), st.floats(-0.9, 3.0))
     @settings(max_examples=25, deadline=None)
@@ -76,7 +76,7 @@ class TestMeasures:
         al = 0.6
         got = integrate_interval(lambda t: 1.0, Measure.mu_alpha(al), 20)
         assert got == pytest.approx(1.0 / (2.0 ** (al + 1.0) * gamma(al + 2.0)),
-                                    rel=1e-14)
+                                    rel=1e-14, abs=0.0)
 
     def test_half_interval_split(self):
         al = 0.6
@@ -84,7 +84,7 @@ class TestMeasures:
         got = integrate_interval(lambda t: t ** 3 + t ** 2, m, 20, interval="positive")
         norm = 2.0 ** (al + 1.0) * gamma(al + 1.0)
         exact = (1.0 / (2 * al + 5.0) + 1.0 / (2 * al + 4.0)) / norm
-        assert got == pytest.approx(exact, rel=1e-13)
+        assert got == pytest.approx(exact, rel=1e-13, abs=0.0)
 
     def test_nonfinite_sample(self):
         with pytest.raises(ValueError):
@@ -94,7 +94,7 @@ class TestMeasures:
         m = Measure.mu_beta_alpha(0.5, 0.25)
         t = 0.3
         expect = abs(t) ** 2.0 / (2.0 ** 1.5 * gamma(1.5)) * (1 - t * t) ** 0.25
-        assert m.density(t) == pytest.approx(expect, rel=1e-14)
+        assert m.density(t) == pytest.approx(expect, rel=1e-14, abs=0.0)
 
     def test_bad_exponents(self):
         with pytest.raises(ValueError):

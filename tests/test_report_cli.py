@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 
+import mpmath as mp
 import pytest
 
 from biexp.cli import main
@@ -202,8 +203,10 @@ class TestCLI:
         # past the Miller sweep's length cap: refused before any sweep
         (["eval", "dunkl-kernel", "--alpha", "1e5", "--x", "3e5"], "Bessel recurrence"),
         (["eval", "bessel", "--nu", "-0.5", "--x", "0"], "infinite"),
-        (["eval", "bessel", "--nu", "1000", "--x", "94.9"], "normalization overflows"),
-        (["eval", "dunkl-kernel", "--alpha", "1000", "--x", "1"], "underflows"),
+        # a float overflow below the library is a domain error too
+        (["eval", "gengeg", "--alpha", "200", "--beta", "0.5", "--n", "3", "--t", "0.3"],
+         "exceeds the float64 range"),
+        (["verify", "spectrum", "--alpha", "200"], "out of range"),
     ])
     def test_domain_error_exit_2(self, argv, reason):
         proc = subprocess.run([sys.executable, "-m", "biexp.cli", *argv],
@@ -231,7 +234,31 @@ class TestCLI:
     def test_eval_zeros_large_order(self, capsys):
         # oracle: mpmath besseljzero(160, 1) = 170.264863568030...
         assert main(["eval", "zeros", "--nu", "160", "--k", "1"]) == 0
-        assert float(capsys.readouterr().out) == pytest.approx(170.26486356803005, rel=1e-14)
+        assert float(capsys.readouterr().out) == pytest.approx(170.26486356803005,
+                                                               rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "bessel", "--nu", "1000", "--x", "94.9"],  # below the float range: 0
+        ["eval", "dunkl-kernel", "--alpha", "1000", "--x", "1"],
+        ["eval", "bessel", "--nu", "470", "--x", "500"],
+        ["eval", "dunkl-kernel", "--alpha", "160", "--x", "60"],
+    ])
+    def test_eval_large_order_values(self, capsys, argv):
+        # values the Miller normalization or the kernel scale used to refuse;
+        # oracle: mpmath at 40 digits, against the 15 printed digits.  J
+        # itself holds bessel_j's 1e-12 (its factor (x/2)^nu / Gamma(nu+1)
+        # costs ~1e-13 at order 470), the kernel 1e-14.
+        assert main(argv) == 0
+        got = [float(v) for v in capsys.readouterr().out.strip("()\n").split(",")]
+        with mp.workdps(40):
+            n, x = mp.mpf(argv[3]), mp.mpf(argv[5])
+            if argv[1] == "bessel":
+                ref, rel = [mp.besselj(n, x)], 1e-12
+            else:
+                sc = mp.gamma(n + 1) * (2 / x) ** n
+                ref, rel = [sc * mp.besselj(n, x), sc * mp.besselj(n + 1, x)], 1e-14
+            ref = [float(r) for r in ref]
+        assert got == pytest.approx(ref, rel=rel, abs=0.0)
 
     def test_bare_invocation_exit_2(self, capsys):
         assert main([]) == 2

@@ -79,7 +79,7 @@ class TestRecurrence:
         ab = problem.params.ab
         lam = 0.15j
         a = spe.recurrence_coeffs(problem, lam, 1.0, 6)
-        assert a[2] / a[1] == pytest.approx(-2.0 * lam * (ab + 3.0), rel=1e-14)
+        assert a[2] / a[1] == pytest.approx(-2.0 * lam * (ab + 3.0), rel=1e-14, abs=0.0)
 
     def test_matches_lommel_relation(self, problem):
         ab = problem.params.ab
@@ -144,7 +144,7 @@ class TestEigen:
     def test_conjugation_symmetry(self, problem):
         s1, _ = spe.eigenfunction(problem, 1, 1, 0.37, 60)
         s2, _ = spe.eigenfunction(problem, 1, -1, 0.37, 60)
-        assert s2 == pytest.approx(s1.conjugate(), rel=1e-14)
+        assert s2 == pytest.approx(s1.conjugate(), rel=1e-14, abs=0.0)
 
     def test_residual_small_at_eigenvalue(self, problem):
         for k in (1, 2, 3):
