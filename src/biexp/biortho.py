@@ -82,10 +82,12 @@ class TruncatedSeries:
 def dunkl_kernel_grid(alpha: float, xs: np.ndarray) -> np.ndarray:
     """E_alpha(i x) on an array of real arguments, j_a(x) + i x j_{a+1}(x)
     / (2(a+1)) from specfun's array path for the normalized Bessel values
-    j_nu(x) = Gamma(nu+1) (2/x)^nu J_nu(x)."""
+    j_nu(x) = Gamma(nu+1) (2/x)^nu J_nu(x): both orders from one call, in
+    the regime of order a, as the scalar dunkl_kernel takes them (two
+    series, two asymptotic values or one Miller sweep)."""
     xs = np.asarray(xs, dtype=float)
-    return _jnorm_array(alpha, xs) + 1j * xs * (_jnorm_array(alpha + 1.0, xs)
-                                                / (2.0 * (alpha + 1.0)))
+    j0, j1 = _jnorm_array(alpha, xs, pair=True)
+    return j0 + 1j * xs * (j1 / (2.0 * (alpha + 1.0)))
 
 
 def _dunkl_e(alpha: float, x):

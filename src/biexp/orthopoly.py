@@ -9,9 +9,10 @@ a pure index shift, which is what the spectral module exploits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .specfun import Params, gamma, pochhammer
+from .specfun import Params, gamma, lgamma, pochhammer
 
 __all__ = [
     "GenGegenbauerFamily",
@@ -120,16 +121,30 @@ class GenGegenbauerFamily:
             * t * jacobi_eval(m, a + 1.0, b, 1.0 - 2.0 * t * t)
 
     def norm(self, n: int) -> float:
-        """Squared norm h_n against (1-t^2)^beta dmu_alpha, closed form."""
+        """Squared norm h_n against (1-t^2)^beta dmu_alpha, closed form.
+
+        Where a Gamma factor or their product leaves the float range
+        (alpha past about 50), the same quotient is taken in logarithms;
+        OverflowError where h_n itself does (alpha past about 150).
+        """
         a, b = self.params.alpha, self.params.beta
         m, r = divmod(n, 2)
-        if r == 0:
-            return (gamma(a + 1.0) * gamma(b + m + 1.0) * gamma(a + b + m + 1.0)
-                    / (2.0 ** (a + 1.0) * (a + b + 2.0 * m + 1.0)
-                       * gamma(a + b + 1.0) ** 2 * gamma(a + m + 1.0) * gamma(m + 1.0)))
-        return (gamma(a + 1.0) * gamma(b + m + 1.0) * gamma(a + b + m + 2.0)
-                / (2.0 ** (a + 1.0) * (a + b + 2.0 * m + 2.0)
-                   * gamma(a + b + 1.0) ** 2 * gamma(a + m + 2.0) * gamma(m + 1.0)))
+        s = 1.0 + r
+        up, down = (a + 1.0, b + m + 1.0, a + b + m + s), (a + m + s, m + 1.0)
+        c = a + b + 2.0 * m + s
+        try:
+            h = (gamma(up[0]) * gamma(up[1]) * gamma(up[2])
+                 / (2.0 ** (a + 1.0) * c
+                    * gamma(a + b + 1.0) ** 2 * gamma(down[0]) * gamma(down[1])))
+        except OverflowError:
+            h = 0.0
+        if 0.0 < h < math.inf:
+            return h
+        log_h = (sum(map(lgamma, up)) - (a + 1.0) * math.log(2.0) - math.log(c)
+                 - 2.0 * lgamma(a + b + 1.0) - sum(map(lgamma, down)))
+        if not -745.0 < log_h < 709.0:
+            raise OverflowError(f"norm h_{n} at alpha={a}, beta={b} is out of range of float64")
+        return math.exp(log_h)
 
     def coeffs(self, n: int) -> list:
         """Monomial coefficients of C_n in t (exact at the low degrees the

@@ -331,10 +331,10 @@ def _series_norm_array(nu: float, x: np.ndarray) -> np.ndarray:
     raise RuntimeError("bessel series did not converge (internal error)")
 
 
-def _miller_array(nu: float, x: np.ndarray) -> np.ndarray:
-    """_miller's j0 on every node: one start, above the turning point of
-    ASYM_EDGE and of the largest node, and exact rescales node by node, so
-    a node up to ASYM_EDGE gets the value it would get alone."""
+def _miller_array(nu: float, x: np.ndarray):
+    """_miller's (j0, j1) on every node: one start, above the turning point
+    of ASYM_EDGE and of the largest node, and exact rescales node by node,
+    so a node up to ASYM_EDGE gets the values it would get alone."""
     m = _miller_start(nu, max(ASYM_EDGE, float(np.max(x))))
     t = 2.0 / x
     fp, fc = np.zeros_like(x), np.ones_like(x)
@@ -360,26 +360,37 @@ def _miller_array(nu: float, x: np.ndarray) -> np.ndarray:
             e += big
     f1 = t * (nu + 2.0) * fc - fp
     f0 = t * (nu + 1.0) * f1 - fc
-    return np.ldexp(f0 / (s + f0 * g), -_SCALE_EXP * e)
+    s += f0 * g
+    e *= -_SCALE_EXP
+    return np.ldexp(f0 / s, e), np.ldexp(2.0 * (nu + 1.0) / x * (f1 / s), e)
 
 
-def _jnorm_array(nu: float, x: np.ndarray) -> np.ndarray:
+def _jnorm_array(nu: float, x: np.ndarray, pair: bool = False):
     """_jnorm on an array of real x; the asymptotic takes all nodes beyond
-    ASYM_EDGE if it converges at the nearest one."""
+    ASYM_EDGE if it converges at the nearest one.  With pair, the values
+    of orders nu and nu + 1 both in the regime of order nu, as
+    dunkl_kernel takes them: two series, two asymptotic values where both
+    converge, or one Miller sweep."""
     x = np.abs(np.asarray(x, dtype=float))
-    v = np.empty_like(x)
+    orders = (nu, nu + 1.0) if pair else (nu,)
+    v = [np.empty_like(x) for _ in orders]
     series = _in_series_regime(nu, x)
-    v[series] = _series_norm_array(nu, x[series])
+    xs = x[series]
+    for vi, o in zip(v, orders):
+        vi[series] = _series_norm_array(o, xs)
     miller = ~series
     far = miller & (x > ASYM_EDGE)
     xf = x[far]
-    j = _j_asymptotic(nu, xf, lambda t: np.abs(t).max(initial=0.0), np)
-    if j is not None:
-        v[far] = j * np.exp(lgamma(nu + 1.0) - nu * np.log(0.5 * xf))
+    peak = lambda t: np.abs(t).max(initial=0.0)
+    js = [_j_asymptotic(o, xf, peak, np) for o in orders]
+    if all(j is not None for j in js):
+        for vi, o, j in zip(v, orders, js):
+            vi[far] = j * np.exp(lgamma(o + 1.0) - o * np.log(0.5 * xf))
         miller &= ~far
     if miller.any():
-        v[miller] = _miller_array(nu, x[miller])
-    return v
+        for vi, j in zip(v, _miller_array(nu, x[miller])):
+            vi[miller] = j
+    return tuple(v) if pair else v[0]
 
 
 def _jratio_array(nu: float, x: np.ndarray) -> np.ndarray:

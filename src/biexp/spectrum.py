@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .orthopoly import GenGegenbauerFamily
-from .specfun import (Params, ZeroTable, bessel_j_ratio, bessel_zeros,
-                      dunkl_kernel, gamma)
+from .specfun import Params, ZeroTable, bessel_j, bessel_zeros, dunkl_kernel, gamma
 
 __all__ = [
     "SpectralProblem",
@@ -158,11 +157,11 @@ def eigen_coeffs(problem: SpectralProblem, k: int, sign: int, N: int,
         raise ValueError("sign is +1 or -1")
     ab = problem.params.ab
     j = problem.zero(k)
-    jab = bessel_j_ratio(ab, j) * j ** ab
+    jab = bessel_j(ab, j)
     a = np.zeros(N + 1, dtype=complex)
     base = (-1j * sign)
     for n in range(1, N + 1):
-        h = -(bessel_j_ratio(ab + n + 1.0, j) * j ** (ab + n + 1.0)) / jab
+        h = -bessel_j(ab + n + 1.0, j) / jab
         a[n] = base ** (n - 1) * (ab + n + 1.0) / (ab + 2.0) * h * a1
     return a
 
@@ -187,7 +186,7 @@ def eigenfunction(problem: SpectralProblem, k: int, sign: int, t: float,
     a = eigen_coeffs(problem, k, sign, N)
     fam = problem.family
     series = sum(a[n] * fam.eval(n, t) for n in range(1, N + 1))
-    jab = bessel_j_ratio(ab, j) * j ** ab
+    jab = bessel_j(ab, j)
     closed = (-sign * 1j * (0.5 * j) ** (ab + 1.0)
               * dunkl_kernel(al, -sign * t * j)
               / (gamma(ab + 1.0) * (ab + 2.0) * jab))

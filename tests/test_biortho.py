@@ -368,15 +368,19 @@ class TestKernelNorm:
 
 
 class TestDunklKernelGrid:
-    @pytest.mark.parametrize("al", [-0.95, -0.5, 0.3, 3.0, 140.0, 160.0, 1000.0])
+    @pytest.mark.parametrize("al", [-0.95, -0.5, 0.3, 3.0, 19.5, 30.0, 140.0, 160.0, 1000.0])
     def test_against_mpmath(self, al):
-        # nodes straddle the regime edges 9 and 50 and the former 12
+        # nodes straddle the regime edges 9 and 50 and the former 12, and
+        # the series edges of orders al and al + 1, sqrt(4(al+1)) and
+        # sqrt(4(al+2)), between which the two orders once took different
+        # regimes; both are now taken from the regime of order al, as the
+        # scalar kernel takes them
+        pair = [math.sqrt(4.0 * (al + d)) * f for d in (1.0, 1.5, 2.0)
+                for f in (1.0 - 1e-3, 1.0, 1.0 + 1e-3)]
         edges = np.array([0.0, 1e-3, 8.99, 9.0, 9.01, 11.99, 12.0, 12.01,
-                          30.0, 49.99, 50.0, 50.01, 120.0, 700.0])
+                          30.0, 49.99, 50.0, 50.01, 80.0, 120.0, 700.0] + pair)
         xs = np.concatenate([edges, -edges[1:]])
         got = bo.dunkl_kernel_grid(al, xs)
-        # the scalar kernel at the same nodes (both orders from the regime
-        # of order al)
         scalar = [dunkl_kernel(al, float(x)) for x in xs]
         with mp.workdps(40):
             a = mp.mpf(al)
@@ -422,5 +426,4 @@ class TestPWFunction:
             single = bo.PWFunction(u, al)
             assert batched.shape == (len(xs),)
             for x, v in zip(xs, batched):
-                ref = single.eval(x)
-                assert abs(v - ref) <= 1e-14 * abs(ref)
+                assert v == single.eval(x)

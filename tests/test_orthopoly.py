@@ -99,6 +99,26 @@ class TestGenGegenbauer:
             got = integrate_interval(lambda t, n=n: self.fam.eval(n, t) ** 2, m, 60)
             assert got == pytest.approx(self.fam.norm(n), rel=1e-9)
 
+    @pytest.mark.parametrize("al", [60.0, 100.0, 140.0])
+    def test_norms_large_order(self, al):
+        # Gamma(a+b+1)^2 and the other factors leave the float range here,
+        # so the closed form is taken in logarithms (measured worst 5.9e-13)
+        import mpmath as mp
+        with mp.workdps(40):
+            for be in (-0.5, 0.1, 1.1):
+                fam = GenGegenbauerFamily(Params(al, be))
+                a, b = mp.mpf(al), mp.mpf(be)
+                for n in (0, 1, 2, 3, 40, 79, 80, 81):
+                    m, r = divmod(n, 2)
+                    ref = (mp.gamma(a + 1) * mp.gamma(b + m + 1) * mp.gamma(a + b + m + 1 + r)
+                           / (2 ** (a + 1) * (a + b + n + 1) * mp.gamma(a + b + 1) ** 2
+                              * mp.gamma(a + m + 1 + r) * mp.gamma(m + 1)))
+                    assert fam.norm(n) == pytest.approx(float(ref), rel=1e-12, abs=0.0)
+
+    def test_norm_below_the_floats_raises(self):
+        with pytest.raises(OverflowError, match="out of range"):
+            GenGegenbauerFamily(Params(200.0, 0.1)).norm(0)
+
     def test_orthogonality(self):
         P = Params(0.4, 0.25)
         fam = GenGegenbauerFamily(P)

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import special as sp
 
+from biexp import quad
 from biexp.quad import (Measure, _jacobi_matrix_roots, accelerate, gauss_jacobi, gauss_jacobi01,
                         integrate_bessel_product, integrate_interval,
                         mcmahon_zero, rule_for_measure)
-from biexp.specfun import gamma
+from biexp.specfun import _jratio_array, gamma
 
 
 def beta_fn(a, b):
@@ -141,6 +142,88 @@ class TestOscillatory:
                                        rtol=1e-30, allow_partial=True)
         assert not res.converged
         assert len(res.last_partials) == 2
+
+
+def _per_cell_bessel_product(lam, mu, nu, t, max_cells=400, rtol=1e-7, atol=1e-9):
+    """integrate_bessel_product with one integrand call per cell, as a tuple
+    (value, converged, cells, error_estimate, last_partials)."""
+    def integrand(x):
+        return x ** (mu + nu - lam) * t ** nu * _jratio_array(mu, x) * _jratio_array(nu, x * t)
+
+    edges = (lambda k: mcmahon_zero(nu, k) / t) if t >= 1.0 else (lambda k: mcmahon_zero(mu, k))
+    xg, wg = quad._legendre16()
+    e1, c = edges(1), mu + nu - lam
+    u0, w0 = quad._first_cell_rule(c)
+    total = e1 ** (c + 1.0) * float(np.dot(w0, t ** nu * _jratio_array(mu, e1 * u0)
+                                           * _jratio_array(nu, e1 * u0 * t)))
+    partial = [total]
+    beat = abs(1.0 - t)
+    min_cells = 12 if beat == 0.0 else \
+        min(max_cells // 2, max(12, int(math.ceil(6.0 / max(beat, 0.05)))))
+    best, best_err, prev_val, k = total, float("inf"), None, 1
+    while k < max_cells:
+        a, b = edges(k), edges(k + 1)
+        xs = 0.5 * (b - a) * xg + 0.5 * (a + b)
+        total += 0.5 * (b - a) * float(np.dot(wg, integrand(xs)))
+        partial.append(total)
+        k += 1
+        if k >= min_cells and k % 4 == 0:
+            val, err = accelerate(partial)
+            if err < best_err:
+                best, best_err = val, err
+            stable = prev_val is not None and abs(val - prev_val) <= max(rtol * abs(val), atol)
+            prev_val = val
+            if stable and (err <= rtol * max(abs(val), 1.0e-30) or err <= atol):
+                return complex(val).real, True, k, float(err), (partial[-2], partial[-1])
+    val, err = accelerate(partial)
+    if err < best_err:
+        best, best_err = val, err
+    return complex(best).real, False, k, float(best_err), (partial[-2], partial[-1])
+
+
+# the (lam, mu, nu, t) of every integral in the real-line suites
+_SUITE_PRODUCTS = [
+    (0.2, 3.5, 0.3, 0.5), (0.2, 4.5, 1.3, 0.5), (1.0, 2.4, 2.4, 1.0), (1.0, 3.4, 1.4, 1.0),
+    (0.2, 1.5, 0.3, 0.4), (-0.2, 1.5, 0.3, 0.4), (0.2, 1.5, 0.3, 0.7), (-0.2, 1.5, 0.3, 0.7),
+    (0.2, 3.5, 0.3, 0.4), (-0.2, 3.5, 0.3, 0.4), (0.2, 3.5, 0.3, 0.7), (-0.2, 3.5, 0.3, 0.7),
+    (-0.1, 5.4, 0.5, 0.4), (0.1, 5.4, 0.5, 0.4), (-0.1, 5.4, 0.5, 0.7), (0.1, 5.4, 0.5, 0.7),
+    (0.2, 3.5, 0.3, 1.5), (1.0, 1.7, 1.7, 1.0), (1.0, 1.2, 3.2, 1.0), (1.0, 1.2, 2.5, 1.0),
+]
+
+
+class TestBlockedCells:
+    """The cells between two acceleration tests are evaluated in one call;
+    every result field equals that of the loop with one call per cell."""
+
+    @staticmethod
+    def _check(monkeypatch, args, **kw):
+        nodes = []
+
+        def counting(nu, x):
+            nodes.append(np.size(x))
+            return _jratio_array(nu, x)
+
+        monkeypatch.setattr(quad, "_jratio_array", counting)
+        r = integrate_bessel_product(*args, **kw)
+        monkeypatch.undo()
+        kw.pop("allow_partial", None)
+        assert (r.value, r.converged, r.cells, r.error_estimate, r.last_partials) \
+            == _per_cell_bessel_product(*args, **kw)
+        # no cell past the last one the loop adds: 24 first-cell nodes and
+        # 16 per later cell, for each of the two factors
+        assert sum(nodes) == 2 * (24 + 16 * (r.cells - 1))
+        return r
+
+    @pytest.mark.parametrize("args, kw", [(p, {}) for p in _SUITE_PRODUCTS]
+                             + [((0.2, 3.5, 0.3, 0.4), {"rtol": 1e-9})])
+    def test_suite_integrals(self, monkeypatch, args, kw):
+        assert self._check(monkeypatch, args, **kw).converged
+
+    @pytest.mark.parametrize("max_cells", [14, 30, 37])
+    def test_partial_at_a_cap_off_the_test_cadence(self, monkeypatch, max_cells):
+        r = self._check(monkeypatch, (0.2, 3.5, 0.3, 0.4), max_cells=max_cells, rtol=1e-30,
+                        atol=0.0, allow_partial=True)
+        assert not r.converged and r.cells == max_cells
 
 
 class TestAccelerate:

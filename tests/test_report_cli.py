@@ -207,6 +207,8 @@ class TestCLI:
         (["eval", "gengeg", "--alpha", "200", "--beta", "0.5", "--n", "3", "--t", "0.3"],
          "exceeds the float64 range"),
         (["verify", "spectrum", "--alpha", "200"], "out of range"),
+        # a sample the quadrature rejects, with no numpy warning before it
+        (["verify", "spectrum", "--alpha", "140"], "non-finite sample"),
     ])
     def test_domain_error_exit_2(self, argv, reason):
         proc = subprocess.run([sys.executable, "-m", "biexp.cli", *argv],
@@ -214,6 +216,22 @@ class TestCLI:
         assert proc.returncode == 2
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1 and reason in lines[0]
+
+    def test_spectrum_large_alpha_reports(self):
+        # J_ab at the zeros is formed from the normalized value and the
+        # family norms fall back to logarithms, so alpha = 100 (ab log j
+        # past 709) runs to a report instead of stopping on an overflow
+        proc = subprocess.run([sys.executable, "-m", "biexp.cli", "verify", "spectrum",
+                               "--alpha", "100", "--format", "json"],
+                              capture_output=True, text=True)
+        assert proc.returncode in (0, 1)
+        assert proc.stderr == ""
+        doc = json.loads(proc.stdout)
+        assert doc["params"]["alpha"] == 100.0
+        rows = {c["id"]: c for c in doc["checks"]}
+        assert len(rows) == 25
+        for k in (1, 2, 3):
+            assert rows[f"spectrum/lommel-bessel-identity/k={k}"]["pass"]
 
     @pytest.mark.parametrize("cfg_text, flags", [
         ("format=xml\n", []),

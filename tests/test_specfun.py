@@ -81,12 +81,15 @@ class TestBessel:
         # oracle: bisection root of the power series (frozen)
         assert abs(bessel_j(0.0, 2.404825557695773)) < 1e-12
 
-    def test_against_scipy_all_regimes(self):
+    def test_against_mpmath_all_regimes(self):
+        # mpmath, not scipy: scipy's jv is itself off by up to 1.0e-12 of
+        # the envelope on this range, e.g. at (28.23, 388.40)
         rng = np.random.default_rng(7)
         for _ in range(800):
             nu = float(rng.uniform(-0.95, 30.0))
             x = float(rng.uniform(1e-3, 500.0))
-            ref = float(sp.jv(nu, x))
+            with mp.workdps(40):
+                ref = float(mp.besselj(nu, x))
             env = max(abs(ref), 0.3 * math.sqrt(2.0 / (math.pi * max(x, 1.0))))
             assert abs(bessel_j(nu, x) - ref) <= 1e-12 * env
             # the array path, one node at a time
