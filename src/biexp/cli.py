@@ -1,18 +1,25 @@
 """Command-line verification harness.
 
-    biexp verify <suite> [--alpha A --beta B --q Q --terms N --tol T]
+    biexp verify <suite> [--alpha A --beta B --q Q --terms N --tol T --k-max K]
                          [--format json|csv|text] [--out PATH] [--config FILE]
     biexp eval <function> [value flags]
     biexp --list-suites
 
+A suite takes only the overrides it reads: planewave alpha beta terms tol;
+dunkl-sampling alpha; fourier-neumann alpha beta; hankel none; spectrum
+alpha beta k_max terms; lemma71 tol; q-core and q-weber q alpha beta;
+q-planewave q alpha beta terms; all any key some suite takes.  A config
+file holds `key=value` lines of those keys, `format` and `out`.  Flag
+values override config-file values override the suite's defaults.  Any
+other key, and a config line without `=`, is a usage error.
+
 Exit codes: 0 all checks passed, 1 some check failed, 2 usage error,
-3 I/O error.  Flag values override config-file values override defaults.
+3 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from . import qspec as qsp
@@ -20,21 +27,36 @@ from . import spectrum as spe
 from .orthopoly import GenGegenbauerFamily
 from .report import emit_csv, emit_json, emit_text
 from .specfun import Params, bessel_j, bessel_zeros, dunkl_kernel, lommel_h
-from .suites import SUITE_NAMES, run_suite
+from .suites import _PARAM_TYPES, SUITE_NAMES, run_suite
 
 _EVAL_FUNCTIONS = ("bessel", "dunkl-kernel", "gengeg", "qbessel3", "lommel",
                    "zeros", "eigenvalue")
 
 
 def _parse_config(path: str) -> dict:
+    """The key=value lines of a config file, override values cast to their
+    types.  Raises ValueError for a line without '=', a key outside the
+    overrides, format and out, or a value that does not parse."""
     out = {}
     with open(path) as fh:
         for line in fh:
             line = line.strip()
-            if not line or line.startswith("#") or "=" not in line:
+            if not line or line.startswith("#"):
                 continue
-            key, val = line.split("=", 1)
-            out[key.strip()] = val.strip()
+            key, eq, val = (part.strip() for part in line.partition("="))
+            if not eq:
+                raise ValueError(f"config line {line!r} is not key=value")
+            if key in _PARAM_TYPES:
+                cast = _PARAM_TYPES[key]
+                try:
+                    val = cast(val)
+                except ValueError:
+                    raise ValueError(f"config value {key}={val!r} is not a valid "
+                                     f"{cast.__name__}") from None
+            elif key not in ("format", "out"):
+                raise ValueError(f"unknown config key {key!r}; choose from "
+                                 f"{', '.join(_PARAM_TYPES)}, format, out")
+            out[key] = val
     return out
 
 
@@ -48,28 +70,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     vp = sub.add_parser("verify", help="run a named check suite")
     vp.add_argument("suite", nargs="?", help="suite name (see --list-suites)")
-    vp.add_argument("--alpha", type=float)
-    vp.add_argument("--beta", type=float)
-    vp.add_argument("--q", type=float)
-    vp.add_argument("--terms", type=int)
-    vp.add_argument("--tol", type=float)
-    vp.add_argument("--k-max", type=int, dest="k_max")
+    for key, cast in _PARAM_TYPES.items():
+        vp.add_argument("--" + key.replace("_", "-"), type=cast, dest=key)
     vp.add_argument("--format", choices=("json", "csv", "text"), default=None)
     vp.add_argument("--out", default=None)
     vp.add_argument("--config", default=None)
 
     ep = sub.add_parser("eval", help="evaluate one function and print it")
     ep.add_argument("function", choices=_EVAL_FUNCTIONS)
-    ep.add_argument("--alpha", type=float)
-    ep.add_argument("--beta", type=float)
-    ep.add_argument("--nu", type=float)
-    ep.add_argument("--x", type=float)
-    ep.add_argument("--t", type=float)
-    ep.add_argument("--w", type=float)
-    ep.add_argument("--a", type=float)
-    ep.add_argument("--q", type=float)
-    ep.add_argument("--n", type=int)
-    ep.add_argument("--k", type=int)
+    for flag in ("alpha", "beta", "nu", "x", "t", "w", "a", "q", "n", "k"):
+        ep.add_argument("--" + flag, type=int if flag in ("n", "k") else float)
     ep.add_argument("--sign", type=int, default=1)
     return ap
 
@@ -131,33 +141,16 @@ def _run_verify(args) -> int:
         except OSError as exc:
             print(f"biexp: cannot read config: {exc}", file=sys.stderr)
             return 3
+        except ValueError as exc:
+            print(f"biexp: {exc}", file=sys.stderr)
+            return 2
     if args.suite is None:
         print("biexp verify: missing suite name", file=sys.stderr)
         return 2
 
-    def pick(name, cast):
-        flag = getattr(args, name, None)
-        if flag is not None:
-            return flag
-        if name in cfg:
-            return cast(cfg[name])
-        return None
-
-    overrides = {}
-    for name, cast in (("alpha", float), ("beta", float), ("q", float),
-                       ("terms", int), ("tol", float), ("k_max", int)):
-        try:
-            val = pick(name, cast)
-        except ValueError:
-            print(f"biexp: config value {name}={cfg[name]!r} is not a valid "
-                  f"{cast.__name__}", file=sys.stderr)
-            return 2
-        if val is not None:
-            overrides[name] = val
-    if "tol" in overrides and not (0.0 < overrides["tol"] < math.inf):
-        print(f"biexp: tol must be finite and positive, got {overrides['tol']}",
-              file=sys.stderr)
-        return 2
+    overrides = {key: val for key, val in cfg.items() if key in _PARAM_TYPES}
+    overrides.update((key, getattr(args, key)) for key in _PARAM_TYPES
+                     if getattr(args, key) is not None)
     fmt = args.format or cfg.get("format") or "text"
     out_path = args.out or cfg.get("out")
     emit = {"json": emit_json, "csv": emit_csv, "text": emit_text}.get(fmt)

@@ -336,7 +336,10 @@ class QJacobiFamily:
 
         The q^{-2n}-type factors make the alternating terms peak around
         q^{-(n-j)^2} for x = q^{2j}, far above the superexponentially small
-        values near the endpoint, so heavy cancellation reruns at elevated
+        values near the endpoint.  The float sum is kept only where its
+        rounding bound stays below 1e-14 of it: with u = 2^-53, each factor
+        1 - p costs u |p/(1-p)| relative (p is one rounding off), and each
+        product and addition about u more.  Otherwise it reruns at elevated
         precision with all q-powers formed in exact mpf arithmetic (per-term
         float rounding of the exponents would break the cancellation).
         """
@@ -349,13 +352,17 @@ class QJacobiFamily:
         term = 1.0
         s = 1.0
         mx = 1.0
+        rel = 0.0   # relative rounding error of term, in units of 2^-53
+        err = 0.0   # rounding error bound of s, in the same units
         for k in range(n):
-            term *= ((1.0 - q2 ** (k - n)) * (1.0 - q2 ** (n + a + b + 1.0 + k))
-                     / ((1.0 - q2 ** (a + 1.0 + k)) * (1.0 - q2 ** (k + 1))))
+            ps = (q2 ** (k - n), q2 ** (n + a + b + 1.0 + k), q2 ** (a + 1.0 + k), q2 ** (k + 1))
+            term *= ((1.0 - ps[0]) * (1.0 - ps[1]) / ((1.0 - ps[2]) * (1.0 - ps[3])))
             term *= q2 * x
+            rel += 8.0 + sum(abs(p / (1.0 - p)) for p in ps)
             s += term
             mx = max(mx, abs(term))
-        if mx > 1e3 * max(abs(s), 1e-270):
+            err += (rel + n) * abs(term)
+        if 2.0 ** -53 * err > 1e-14 * abs(s):
             digits = 40 + int(2.2 * math.log10(mx))
             with mp.workdps(digits):
                 cs = _little_p_coeffs_mp(n, mp.mpf(a), mp.mpf(b), mp.mpf(q2))

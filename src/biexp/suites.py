@@ -1,15 +1,20 @@
 """Named verification suites.
 
 Each suite runs a fixed, deterministic grid of identity checks and returns
-CheckReports in registry order.  Suites accept a few overrides (alpha,
-beta, q, terms, tol, k_max); anything not overridden uses the defaults
-baked in here, so two runs of the same suite produce identical values.
+CheckReports in registry order.  `_PARAM_TYPES` lists every key a run may
+override and the type its value is cast to.  `_REGISTRY` pairs each suite
+function with the keys it reads and their defaults; `run_suite` refuses a
+key the suite does not declare, lays the overrides over the defaults and
+hands the suite that read-only mapping, so two runs of the same suite
+produce identical values and a report echoes the values in effect.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections.abc import Mapping
+from types import MappingProxyType
 from typing import Callable
 
 import numpy as np
@@ -23,7 +28,7 @@ from .report import SuiteResult, make_check
 from .specfun import (Params, bessel_j, bessel_j_ratio, bessel_zeros,
                       dunkl_kernel, gamma, lommel_h)
 
-__all__ = ["SUITE_NAMES", "run_suite", "list_suites"]
+__all__ = ["SUITE_NAMES", "run_suite"]
 
 # calibrated once against the quadrature oracle, then frozen: sampling
 # reconstruction sup-error at N = 400 for u = (1-t^2)^2, alpha = 0.5
@@ -56,17 +61,17 @@ def _flag(checks: list, cid: str, ok: bool, detail: float = 0.0) -> None:
 # planewave
 # ---------------------------------------------------------------------------
 
-def suite_planewave(ov: dict) -> list:
+def suite_planewave(ov: Mapping) -> list:
     checks: list = []
-    N = int(ov.get("terms", 40))
-    tol_classical = ov.get("tol", 1e-10)
+    N = ov["terms"]
+    tol_classical = 1e-10 if ov["tol"] is None else ov["tol"]
     for beta in (0.5, 1.0, 2.3):
         def worst(beta=beta):
             return _worst(abs(bo.classical_planewave(beta, x, t, N)
                               - complex(math.cos(x * t), math.sin(x * t)))
                           for x in _X_GRID for t in _T_GRID), 0.0
         _timed(checks, f"planewave/classical/beta={beta}", worst, tol_classical)
-    tol_dunkl = ov.get("tol", 1e-9)
+    tol_dunkl = 1e-9 if ov["tol"] is None else ov["tol"]
     for al in (-0.5, 0.0, 0.7):
         for be in (-0.2, 0.3):
             def worst(al=al, be=be):
@@ -88,7 +93,7 @@ def suite_planewave(ov: dict) -> list:
     _timed(checks, "planewave/bessel-quotient-parity", parity, 1e-14)
 
     def at_zero():
-        P = Params(ov.get("alpha", 0.3), ov.get("beta", 0.2))
+        P = Params(ov["alpha"], ov["beta"])
         return bo.planewave_partial_sum(P, 0.0, 0.3, 5), 1.0
     _timed(checks, "planewave/x=0-normalization", at_zero, 1e-12)
     return checks
@@ -98,9 +103,9 @@ def suite_planewave(ov: dict) -> list:
 # dunkl-sampling
 # ---------------------------------------------------------------------------
 
-def suite_dunkl_sampling(ov: dict) -> list:
+def suite_dunkl_sampling(ov: Mapping) -> list:
     checks: list = []
-    al = ov.get("alpha", 0.5)
+    al = ov["alpha"]
     table = bessel_zeros(al + 1.0, 400)
     f = bo.PWFunction(lambda t: (1.0 - t * t) ** 2, al)
     xs = (0.3, 1.7, 4.2)
@@ -167,9 +172,9 @@ def suite_dunkl_sampling(ov: dict) -> list:
 # fourier-neumann
 # ---------------------------------------------------------------------------
 
-def suite_fourier_neumann(ov: dict) -> list:
+def suite_fourier_neumann(ov: Mapping) -> list:
     checks: list = []
-    P = Params(ov.get("alpha", 0.3), ov.get("beta", 0.2))
+    P = Params(ov["alpha"], ov["beta"])
     ab = P.ab
 
     def gram():
@@ -234,7 +239,7 @@ def suite_fourier_neumann(ov: dict) -> list:
 # hankel
 # ---------------------------------------------------------------------------
 
-def suite_hankel(ov: dict) -> list:
+def suite_hankel(ov: Mapping) -> list:
     checks: list = []
 
     def corollary():
@@ -259,21 +264,14 @@ def suite_hankel(ov: dict) -> list:
     al = 0.5
     table = bessel_zeros(al + 1.0, 60)
 
-    def even_group():
-        f = bo.PWFunction(lambda t: (1.0 - t * t) ** 2, al)  # even density -> even f
-        x = 1.9
-        full = bo.dunkl_sampling_sum(al, f, x, 50, table)
-        grouped = bo.sampling_even_sum(al, f, x, 50, table)
-        return grouped, full
-    _timed(checks, "hankel/even-grouped-equals-full", even_group, 1e-12)
-
-    def odd_group():
-        f = bo.PWFunction(lambda t: t * (1.0 - t * t) ** 2, al)  # odd f
-        x = 1.9
-        full = bo.dunkl_sampling_sum(al, f, x, 50, table)
-        grouped = bo.sampling_odd_sum(al, f, x, 50, table)
-        return grouped, full
-    _timed(checks, "hankel/odd-grouped-equals-full", odd_group, 1e-12)
+    # an even density gives an even f, an odd one an odd f
+    for parity, dens, grouped_sum in (
+            ("even", lambda t: (1.0 - t * t) ** 2, bo.sampling_even_sum),
+            ("odd", lambda t: t * (1.0 - t * t) ** 2, bo.sampling_odd_sum)):
+        def grouped(dens=dens, grouped_sum=grouped_sum):
+            f = bo.PWFunction(dens, al)
+            return grouped_sum(al, f, 1.9, 50, table), bo.dunkl_sampling_sum(al, f, 1.9, 50, table)
+        _timed(checks, f"hankel/{parity}-grouped-equals-full", grouped, 1e-12)
 
     def odd_reconstructs():
         f = bo.PWFunction(lambda t: t * (1.0 - t * t) ** 2, al)
@@ -297,13 +295,15 @@ def suite_hankel(ov: dict) -> list:
 # spectrum
 # ---------------------------------------------------------------------------
 
-def suite_spectrum(ov: dict) -> list:
+def suite_spectrum(ov: Mapping) -> list:
     checks: list = []
-    P = Params(ov.get("alpha", 0.4), ov.get("beta", 0.1))
-    k_max = int(ov.get("k_max", 3))
-    N = int(ov.get("terms", 80))
+    P = Params(ov["alpha"], ov["beta"])
+    k_max = ov["k_max"]
+    N = ov["terms"]
     prob = spe.SpectralProblem(P, N, bessel_zeros(P.ab + 1.0, max(8, k_max)))
     ab = P.ab
+    fam = GenGegenbauerFamily(P)
+    up = fam.raised()
 
     for k in range(1, k_max + 1):
         for sign in (1, -1):
@@ -372,8 +372,6 @@ def suite_spectrum(ov: dict) -> list:
         # coefficients reach ~1e3 by degree 10, beyond what float64 can pin
         # to 1e-12 absolutely)
         errs = []
-        fam = GenGegenbauerFamily(P)
-        up = fam.raised()
         for n in range(1, 11):
             lhs = dunkl_apply_poly(P.alpha, fam.coeffs(n))
             rhs = [2.0 * (ab + 1.0) * c for c in up.coeffs(n - 1)]
@@ -384,8 +382,6 @@ def suite_spectrum(ov: dict) -> list:
     _timed(checks, "spectrum/derivative-lowers-index", lcn, 1e-12)
 
     def lam_T_identity():
-        fam = GenGegenbauerFamily(P)
-        up = fam.raised()
         g = np.zeros(N + 1, dtype=complex)
         g[2] = 1.0
         out, _ = spe.apply_T(prob, g, input_basis="raised")
@@ -410,8 +406,6 @@ def suite_spectrum(ov: dict) -> list:
 
     def t_kernel_oracle():
         # integral-kernel route with a 20-term kernel sum vs coefficient route
-        fam = GenGegenbauerFamily(P)
-        up = fam.raised()
         g = np.zeros(N + 1, dtype=complex)
         g[2] = 1.0
         out, _ = spe.apply_T(prob, g, input_basis="raised")
@@ -456,8 +450,6 @@ def suite_spectrum(ov: dict) -> list:
     def bound():
         M = spe.bound_constant(prob)
         rng = np.random.default_rng(12345)
-        fam = GenGegenbauerFamily(P)
-        up = fam.raised()
         ok = True
         for _ in range(20):
             g = rng.standard_normal(N + 1) + 1j * rng.standard_normal(N + 1)
@@ -469,8 +461,6 @@ def suite_spectrum(ov: dict) -> list:
     _timed(checks, "spectrum/right-inverse-norm-bound", bound, 0.0)
 
     def hratio():
-        fam = GenGegenbauerFamily(P)
-        up = fam.raised()
         errs = []
         for k in range(0, 20):
             r1 = fam.norm(2 * k + 1) / up.norm(2 * k)
@@ -499,9 +489,9 @@ def _i_plus(al: float, be: float, n: int, t: float):
     return t ** (-al) * r.value, r
 
 
-def suite_lemma71(ov: dict) -> list:
+def suite_lemma71(ov: Mapping) -> list:
     checks: list = []
-    tol = ov.get("tol", 1e-5)
+    tol = ov["tol"]
     for (al, be, n) in ((0.3, 0.2, 0), (0.3, 0.2, 1), (0.5, -0.1, 2)):
         for t in (0.4, 0.7):
             def minus(al=al, be=be, n=n, t=t):
@@ -555,15 +545,11 @@ def suite_lemma71(ov: dict) -> list:
 # q suites
 # ---------------------------------------------------------------------------
 
-def _qctx(ov: dict) -> qs.QContext:
-    return qs.QContext(ov.get("q", 0.5))
-
-
-def suite_q_core(ov: dict) -> list:
+def suite_q_core(ov: Mapping) -> list:
     checks: list = []
-    ctx = _qctx(ov)
+    ctx = qs.QContext(ov["q"])
     q = ctx.q
-    P = Params(ov.get("alpha", 0.3), ov.get("beta", 0.2))
+    P = Params(ov["alpha"], ov["beta"])
 
     for qq in (0.3, 0.5, 0.8):
         def ortho(qq=qq):
@@ -680,12 +666,12 @@ def suite_q_core(ov: dict) -> list:
     return checks
 
 
-def suite_q_planewave(ov: dict) -> list:
+def suite_q_planewave(ov: Mapping) -> list:
     checks: list = []
-    ctx = _qctx(ov)
+    ctx = qs.QContext(ov["q"])
     q = ctx.q
-    P = Params(ov.get("alpha", 0.3), ov.get("beta", 0.2))
-    N = int(ov.get("terms", 30))
+    P = Params(ov["alpha"], ov["beta"])
+    N = ov["terms"]
 
     def lemma_route():
         errs = []
@@ -755,11 +741,11 @@ def suite_q_planewave(ov: dict) -> list:
     return checks
 
 
-def suite_q_weber(ov: dict) -> list:
+def suite_q_weber(ov: Mapping) -> list:
     checks: list = []
-    ctx = _qctx(ov)
+    ctx = qs.QContext(ov["q"])
     q = ctx.q
-    P = Params(ov.get("alpha", 0.3), ov.get("beta", 0.2))
+    P = Params(ov["alpha"], ov["beta"])
     tuples = ((0.4, 1.3, 2.1, 0, 1), (1.0, 1.3, 1.3, 1, 1), (0.2, 0.7, 1.9, 2, 0),
               (-0.3, 1.1, 2.3, 0, 0), (0.8, 2.0, 1.0, 2, 1), (1.5, 2.4, 1.6, 2, 2))
     for tup in tuples:
@@ -807,46 +793,57 @@ def suite_q_weber(ov: dict) -> list:
 # registry
 # ---------------------------------------------------------------------------
 
+# every key a run may override, with the type its value is cast to
+_PARAM_TYPES = {"alpha": float, "beta": float, "q": float, "tol": float,
+                "terms": int, "k_max": int}
+
+# each suite with the keys it reads and their defaults; a None default
+# (planewave's tol) leaves the suite its own per-row tolerances
+_Q_DEFAULTS = {"q": 0.5, "alpha": 0.3, "beta": 0.2}
 _REGISTRY = {
-    "planewave": suite_planewave,
-    "dunkl-sampling": suite_dunkl_sampling,
-    "fourier-neumann": suite_fourier_neumann,
-    "hankel": suite_hankel,
-    "spectrum": suite_spectrum,
-    "lemma71": suite_lemma71,
-    "q-core": suite_q_core,
-    "q-planewave": suite_q_planewave,
-    "q-weber": suite_q_weber,
+    "planewave": (suite_planewave, {"alpha": 0.3, "beta": 0.2, "terms": 40, "tol": None}),
+    "dunkl-sampling": (suite_dunkl_sampling, {"alpha": 0.5}),
+    "fourier-neumann": (suite_fourier_neumann, {"alpha": 0.3, "beta": 0.2}),
+    "hankel": (suite_hankel, {}),
+    "spectrum": (suite_spectrum, {"alpha": 0.4, "beta": 0.1, "k_max": 3, "terms": 80}),
+    "lemma71": (suite_lemma71, {"tol": 1e-5}),
+    "q-core": (suite_q_core, _Q_DEFAULTS),
+    "q-planewave": (suite_q_planewave, {**_Q_DEFAULTS, "terms": 30}),
+    "q-weber": (suite_q_weber, _Q_DEFAULTS),
 }
 
 SUITE_NAMES = tuple(_REGISTRY) + ("all",)
 
 
-def list_suites() -> tuple:
-    return SUITE_NAMES
-
-
 def run_suite(name: str, overrides: dict | None = None) -> SuiteResult:
-    """Run one registered suite (or all of them, merged in registry order)."""
-    ov = dict(overrides or {})
-    if name == "all":
-        t0 = time.perf_counter()
-        checks: list = []
-        for sub in _REGISTRY.values():
-            checks.extend(sub(ov))
-        return SuiteResult(suite="all", params=_echo_params(ov), checks=checks,
-                           runtime_ms=(time.perf_counter() - t0) * 1000.0)
-    if name not in _REGISTRY:
+    """Run one registered suite (or all of them, merged in registry order).
+
+    An override must be a key the suite declares (for "all", a key some
+    suite declares), and is cast to its type; an int key takes only an
+    integral value.  Each suite reads its declared keys, overridden where
+    given.  The result echoes every value in effect, or for "all" the
+    overrides given, since the defaults differ between suites.
+    """
+    if name != "all" and name not in _REGISTRY:
         raise KeyError(name)
+    names = tuple(_REGISTRY) if name == "all" else (name,)
+    declared = {key for sub in names for key in _REGISTRY[sub][1]}
+    given = {}
+    for key, val in (overrides or {}).items():
+        if key not in declared:
+            takes = ", ".join(k for k in _PARAM_TYPES if k in declared) or "no overrides"
+            raise ValueError(f"suite {name} does not take {key!r} (it takes {takes})")
+        given[key] = _PARAM_TYPES[key](val)
+        if _PARAM_TYPES[key] is int and given[key] != val:
+            raise ValueError(f"{key} must be an integer, got {val!r}")
+    if not 0.0 < given.get("tol", 1.0) < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {given['tol']}")
     t0 = time.perf_counter()
-    checks = _REGISTRY[name](ov)
-    return SuiteResult(suite=name, params=_echo_params(ov), checks=checks,
+    checks: list = []
+    for sub in names:
+        fn, defaults = _REGISTRY[sub]
+        used = {key: given.get(key, default) for key, default in defaults.items()}
+        checks.extend(fn(MappingProxyType(used)))
+    params = given if name == "all" else {k: v for k, v in used.items() if v is not None}
+    return SuiteResult(suite=name, params=params, checks=checks,
                        runtime_ms=(time.perf_counter() - t0) * 1000.0)
-
-
-def _echo_params(ov: dict) -> dict:
-    out = {}
-    for key in ("alpha", "beta", "q", "terms", "tol", "k_max"):
-        if key in ov:
-            out[key] = ov[key]
-    return out

@@ -225,10 +225,6 @@ class TestQJacobiFamily:
                 for m in range(nmax + 1):
                     assert abs(gram[n][m] - float((1 - qm) * acc[n][m])) < 1e-15
 
-    # (q, n, j) on the grid below whose float terms stay within 1e3 of
-    # their sum, so little_p_raw keeps the float value there
-    _FLOAT_BRANCH = {(0.5, 5, 3), (0.8, 5, 2), (0.8, 5, 3)}
-
     @pytest.mark.parametrize("n", [5, 8])
     @pytest.mark.parametrize("q", [0.3, 0.5, 0.8])
     def test_little_p_raw_elevated_matches_terminating_sum(self, monkeypatch, q, n):
@@ -240,18 +236,44 @@ class TestQJacobiFamily:
         fam = qs.QJacobiFamily(qs.QContext(q), self.P)
         Q = fam.ctx.q2
         for j in range(4):
-            if (q, n, j) in self._FLOAT_BRANCH:
-                continue
             x = Q ** j
             got = fam.little_p_raw(n, x)
-            assert len(calls) == 1, "expected the elevated-precision branch"
-            calls.clear()
             with mp.workdps(120):
                 Qm, am, bm = mp.mpf(Q), mp.mpf(self.P.alpha), mp.mpf(self.P.beta)
                 ref = mp.fsum(mp.qp(Qm ** -n, Qm, k) * mp.qp(Qm ** (n + am + bm + 1), Qm, k)
                               / (mp.qp(Qm ** (am + 1), Qm, k) * mp.qp(Qm, Qm, k))
                               * (Qm * x) ** k for k in range(n + 1))
             assert got == pytest.approx(float(ref), rel=1e-14, abs=0.0)
+            assert len(calls) == 1, "expected the elevated-precision branch"
+            calls.clear()
+
+    def test_little_p_raw_within_1e14_where_float_kept(self, monkeypatch):
+        # points on and off the q-grid, q up to 0.999 where the factors
+        # 1 - q^(2m) cancel themselves; whichever branch a point takes, it
+        # holds 1e-14 of the 80-digit sum, and the float branch is taken
+        monkeypatch.setattr(qs, "_qb_cache", {})
+        calls = []
+        coeffs = qs._little_p_coeffs_mp
+        monkeypatch.setattr(qs, "_little_p_coeffs_mp",
+                            lambda *args: calls.append(args) or coeffs(*args))
+        kept = 0
+        for q in (0.3, 0.8, 0.99, 0.999):
+            for a, b in ((0.3, 0.2), (2.0, -0.9), (-0.5, 0.7)):
+                fam = qs.QJacobiFamily(qs.QContext(q), Params(a, b))
+                Q = fam.ctx.q2
+                for n in range(1, 7):
+                    for x in (1.0, Q, Q ** 3, 0.9, 0.37, 0.05):
+                        got = fam.little_p_raw(n, x)
+                        kept += not calls
+                        calls.clear()
+                        with mp.workdps(80):
+                            Qm, am, bm = mp.mpf(Q), mp.mpf(a), mp.mpf(b)
+                            ref = mp.fsum(mp.qp(Qm ** -n, Qm, k)
+                                          * mp.qp(Qm ** (n + am + bm + 1), Qm, k)
+                                          / (mp.qp(Qm ** (am + 1), Qm, k) * mp.qp(Qm, Qm, k))
+                                          * (Qm * x) ** k for k in range(n + 1))
+                        assert got == pytest.approx(float(ref), rel=1e-14, abs=0.0), (q, a, b, n, x)
+        assert kept >= 50
 
     def test_norms_match_quadrature(self):
         for n in range(6):

@@ -1,17 +1,24 @@
+import contextlib
 import io
 import json
 import math
+import pathlib
+import shlex
 import subprocess
 import sys
+import tempfile
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from biexp.cli import main
 from biexp.report import (CSV_HEADER, SuiteResult, emit_csv, emit_json,
                           emit_text, make_check, parse_json)
-from biexp import biortho
+from biexp import biortho, suites
 from biexp.suites import SUITE_NAMES, _worst, run_suite
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
 class TestCheckReport:
@@ -234,20 +241,54 @@ class TestCLI:
             assert rows[f"spectrum/lommel-bessel-identity/k={k}"]["pass"]
 
     @pytest.mark.parametrize("cfg_text, flags", [
-        ("format=xml\n", []),
-        ("alpha=abc\n", []),
-        ("terms=2.5\n", []),
-        ("", ["--tol", "nan"]),
-        ("", ["--tol", "inf"]),
-        ("", ["--tol", "0"]),
+        ("format=xml\n", ["spectrum"]),
+        ("alpha=abc\n", ["spectrum"]),
+        ("terms=2.5\n", ["spectrum"]),
+        ("", ["lemma71", "--tol", "nan"]),
+        ("", ["planewave", "--tol", "inf"]),
+        ("", ["lemma71", "--tol", "0"]),
+        ("alpha 0.3\n", ["hankel"]),
+        ("alhpa=5\n", ["hankel"]),
+        ("foo=bar\n", ["hankel"]),
     ])
     def test_bad_verify_input_exit_2(self, tmp_path, capsys, cfg_text, flags):
         cfg = tmp_path / "cfg"
         cfg.write_text(cfg_text)
-        assert main(["verify", "spectrum", "--config", str(cfg), *flags]) == 2
+        assert main(["verify", "--config", str(cfg), *flags]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert len(captured.err.strip().splitlines()) == 1
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        # the one line names the offending flag, config key or config line
+        named = flags[1].lstrip("-") if len(flags) > 1 else cfg_text.split("=")[0].strip()
+        assert named in lines[0]
+
+    @pytest.mark.parametrize("suite, cfg_text, flags, key", [
+        ("hankel", "", ["--alpha", "0.9"], "alpha"),
+        ("lemma71", "", ["--q", "0.3"], "q"),
+        ("fourier-neumann", "", ["--k-max", "7"], "k_max"),
+        ("hankel", "terms=5\n", [], "terms"),
+        ("spectrum", "tol=1e-3\n", [], "tol"),
+    ])
+    def test_undeclared_key_exit_2(self, tmp_path, capsys, suite, cfg_text, flags, key):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(cfg_text)
+        assert main(["verify", suite, "--config", str(cfg), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and f"'{key}'" in lines[0] and suite in lines[0]
+
+    def test_params_echo_defaults(self, capsys):
+        assert main(["verify", "spectrum", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["params"] == {"alpha": 0.4, "beta": 0.1, "k_max": 3, "terms": 80}
+
+    def test_params_echo_overrides(self, capsys):
+        # planewave's tol has no single default: echoed only when given
+        assert main(["verify", "planewave", "--terms", "30", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["params"] == {"alpha": 0.3, "beta": 0.2, "terms": 30}
 
     def test_eval_zeros_large_order(self, capsys):
         # oracle: mpmath besseljzero(160, 1) = 170.264863568030...
@@ -336,3 +377,160 @@ class TestCLI:
         code = main(["verify", "q-weber", "--format", "csv",
                      "--out", "/nonexistent-dir/r.csv"])
         assert code == 3
+
+    @staticmethod
+    def _readme_commands():
+        text = README.read_text()
+        block = text[text.index("## CLI"):]
+        block = block[block.index("```sh\n") + 6:]
+        block = block[:block.index("```")]
+        return [shlex.split(line.split("#")[0])[1:] for line in block.splitlines()
+                if line.startswith("biexp ")]
+
+    def test_readme_examples_run(self, tmp_path, capsys):
+        # `verify all` is left to CI, which runs it on its own
+        cmds = [argv for argv in self._readme_commands() if argv[:2] != ["verify", "all"]]
+        assert len(cmds) >= 5
+        for argv in cmds:
+            if "--out" in argv:
+                i = argv.index("--out") + 1
+                argv[i] = str(tmp_path / argv[i])
+            assert main(argv) == 0, argv
+        capsys.readouterr()
+
+
+def _flag(key, val):
+    return f"--{key.replace('_', '-')}={val!r}"
+
+
+def _run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_contract(code, out, err):
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+
+
+_BAD = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+def _mostly(strat):
+    """Values of strat, and one draw in five non-finite."""
+    return st.tuples(st.integers(0, 4), strat, _BAD).map(lambda t: t[2] if t[0] == 0 else t[1])
+
+
+_ORDER = _mostly(st.floats(-0.9, 5.0))
+_ARG = _mostly(st.floats(-50.0, 50.0))
+# q away from the default 0.5 but inside (0, 1) can run for minutes, so
+# q is drawn from the default and from values the library refuses
+_Q = st.sampled_from([0.5, 0.5, 0.0, 1.5, -1.0, math.nan, math.inf])
+
+_EVAL_ARGS = {
+    "bessel": {"nu": _ORDER, "x": _ARG},
+    "dunkl-kernel": {"alpha": _ORDER, "x": _ARG},
+    "gengeg": {"alpha": _ORDER, "beta": _ORDER, "n": st.integers(-2, 20),
+               "t": _mostly(st.floats(-1.5, 1.5))},
+    "qbessel3": {"nu": _ORDER, "x": _ARG, "q": _Q},
+    "lommel": {"n": st.integers(-2, 20), "a": _ORDER, "w": _ARG},
+    "zeros": {"nu": _ORDER, "k": st.integers(-2, 10)},
+    "eigenvalue": {"alpha": _ORDER, "beta": _ORDER, "k": st.integers(-2, 5),
+                   "sign": st.sampled_from([1, -1])},
+}
+
+_VERIFY_VALUES = {
+    "alpha": _ORDER, "beta": _ORDER, "q": _Q,
+    "tol": _mostly(st.floats(1e-14, 1e-2) | st.sampled_from([0.0, -1.0])),
+    "terms": st.integers(-2, 100), "k_max": st.integers(-1, 5),
+    "alhpa": st.just(0.3),  # declared by no suite
+}
+
+
+class TestCLIProperties:
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_eval_contract(self, data):
+        fn = data.draw(st.sampled_from(sorted(_EVAL_ARGS)))
+        argv = ["eval", fn]
+        for key, strat in _EVAL_ARGS[fn].items():
+            if data.draw(st.integers(0, 7)) > 0:  # now and then a flag is missing
+                argv.append(_flag(key, data.draw(strat)))
+        _assert_contract(*_run_main(argv))
+
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_verify_contract(self, data):
+        suite = data.draw(st.sampled_from(["planewave", "hankel", "spectrum", "lemma71",
+                                           "q-planewave", "q-weber"]))
+        declared = sorted(suites._REGISTRY[suite][1])
+        keys = data.draw(st.lists(st.sampled_from(declared), unique=True, max_size=3)
+                         if declared else st.just([]))
+        if data.draw(st.integers(0, 3)) == 0:  # one key of any suite, or of none
+            keys.append(data.draw(st.sampled_from(sorted(_VERIFY_VALUES))))
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = pathlib.Path(tmp) / "cfg"
+            argv, lines = ["verify", suite, "--config", str(cfg)], []
+            for key in keys:
+                val = data.draw(_VERIFY_VALUES[key])
+                # a name argparse does not know can only come from a config file
+                if key in suites._PARAM_TYPES and data.draw(st.booleans()):
+                    argv.append(_flag(key, val))
+                else:
+                    lines.append(f"{key}={val!r}\n")
+            cfg.write_text("".join(lines))
+            code, out, err = _run_main(argv)
+        _assert_contract(code, out, err)
+        if not set(keys) <= set(declared):
+            assert code == 2 and repr(next(k for k in keys if k not in declared)) in err
+
+
+class TestSuiteParams:
+    def _record(self, monkeypatch):
+        seen = {}
+
+        def recorder(name):
+            def fn(ov):
+                with pytest.raises(TypeError):
+                    ov["alpha"] = 0.0  # the mapping a suite gets is read-only
+                seen[name] = dict(ov)
+                return []
+            return fn
+        monkeypatch.setattr(suites, "_REGISTRY", {
+            name: (recorder(name), defaults)
+            for name, (_, defaults) in suites._REGISTRY.items()})
+        return seen
+
+    def test_each_suite_gets_its_own_keys(self, monkeypatch):
+        seen = self._record(monkeypatch)
+        r = run_suite("all", {"k_max": 2, "alpha": 0.35})
+        assert r.params == {"k_max": 2, "alpha": 0.35}
+        assert seen["hankel"] == {}
+        assert seen["lemma71"] == {"tol": 1e-5}
+        assert seen["spectrum"] == {"alpha": 0.35, "beta": 0.1, "k_max": 2, "terms": 80}
+        assert seen["q-weber"] == {"q": 0.5, "alpha": 0.35, "beta": 0.2}
+        assert seen["planewave"] == {"alpha": 0.35, "beta": 0.2, "terms": 40, "tol": None}
+
+    def test_values_cast_by_type(self, monkeypatch):
+        seen = self._record(monkeypatch)
+        r = run_suite("spectrum", {"k_max": 2.0, "alpha": 1})
+        assert seen["spectrum"]["k_max"] == 2 and type(seen["spectrum"]["k_max"]) is int
+        assert type(r.params["alpha"]) is float
+
+    @pytest.mark.parametrize("name, ov, match", [
+        ("hankel", {"alpha": 0.9}, "hankel does not take 'alpha'"),
+        ("all", {"alhpa": 0.9}, "all does not take 'alhpa'"),
+        ("lemma71", {"tol": math.nan}, "tol must be finite and positive"),
+        ("all", {"tol": 0.0}, "tol must be finite and positive"),
+        ("spectrum", {"k_max": 2.7}, "k_max must be an integer"),
+    ])
+    def test_refused(self, monkeypatch, name, ov, match):
+        seen = self._record(monkeypatch)
+        with pytest.raises(ValueError, match=match):
+            run_suite(name, ov)
+        assert seen == {}

@@ -129,7 +129,7 @@ class TestBessel:
     @pytest.mark.parametrize("nu, x", _LARGE_ORDER_GRID)
     def test_large_order_against_mpmath(self, nu, x):
         # oracle: mpmath at 40 digits.  Each value holds 1e-12 of the
-        # envelope of test_against_scipy_all_regimes, max(|J|, 0.3
+        # envelope of test_against_mpmath_all_regimes, max(|J|, 0.3
         # sqrt(2/(pi x))), in its own normalization, and is never nan
         # and never refused.
         with mp.workdps(40):
