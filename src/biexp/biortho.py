@@ -157,7 +157,8 @@ class PWFunction:
         kernel grid on the (x, node) outer product for each block of
         _PW_BLOCK values.  The grid gives each node the value it would get
         alone (whenever the asymptotic takes the nodes beyond 50), so a
-        batched x reads the same as a single one."""
+        batched x reads the same as a single one.  The grid covers the nodes
+        t > 0 alone: E_alpha(-ixt) = conj E_alpha(ixt) to the bit."""
         todo: dict = {}
         for v in xs:
             k = round(v, 14)
@@ -167,7 +168,8 @@ class PWFunction:
             nodes, wu = self._rule(order)
             keys, vs = list(items), np.asarray(list(items.values()))
             for i in range(0, len(keys), _PW_BLOCK):
-                kv = _dunkl_e(self.alpha, np.outer(vs[i:i + _PW_BLOCK], nodes))
+                kp = _dunkl_e(self.alpha, np.outer(vs[i:i + _PW_BLOCK], nodes[len(nodes) // 2:]))
+                kv = np.concatenate([np.conj(kp[:, ::-1]), kp], axis=1)
                 self._cache.update(zip(keys[i:i + _PW_BLOCK], (kv * wu).sum(axis=1).tolist()))
 
     def eval(self, x):
@@ -718,20 +720,25 @@ def st_gram_gegenbauer(beta: float, nmax: int, cells: int = 256,
     if t_order is None:
         t_order = max(120, int(0.8 * ymax) + 60)
     tz, tw = gauss_jacobi(t_order, 0.0, 0.0)
-    pm = np.asarray([[classical_gegenbauer(m, beta, t) for t in tz]
+    # C_m has parity (-1)^m and the rule is symmetric, so T_m sums over the
+    # nodes t >= 0 with doubled weights (not that of an odd rule's t = 0)
+    th, wh = tz[t_order // 2:], 2.0 * tw[t_order // 2:]
+    wh[0] /= 1 + t_order % 2
+    pm = np.asarray([[classical_gegenbauer(m, beta, t) for t in th]
                      for m in range(nmax + 1)])
     gram = np.zeros((nmax + 1, nmax + 1), dtype=complex)
     ys = np.concatenate([0.5 * math.pi * xg + (k + 0.5) * math.pi
                          for k in range(cells)])
-    # T_m(y) = int_{-1}^1 C_m(t) e^{i t y} dt / sqrt(2 pi), vectorized
-    phase = np.exp(1j * np.outer(ys, tz))           # (Y, T)
-    tm_pos = (phase * tw) @ pm.T / _SQ2PI           # (Y, m)
-    tm_neg = (np.conj(phase) * tw) @ pm.T / _SQ2PI  # T_m(-y)
+    # T_m(y) = int_{-1}^1 C_m(t) e^{i t y} dt / sqrt(2 pi), vectorized: cos
+    # for even m, i sin for odd m, and T_m(-y) = conj T_m(y)
+    ty = np.outer(ys, th)                           # (Y, T/2)
+    tm = np.empty((len(ys), nmax + 1), dtype=complex)
+    tm[:, 0::2] = (np.cos(ty) * wh) @ pm[0::2].T / _SQ2PI
+    tm[:, 1::2] = 1j * ((np.sin(ty) * wh) @ pm[1::2].T / _SQ2PI)
     for n in range(nmax + 1):
-        # gegenbauer_coeff(beta, n, y) on the whole y-grid
-        sn_pos = _gegenbauer_coeff_pref(beta, n) * (_jratio_array(beta + n, ys) * ys ** n)
-        sn_neg = sn_pos * (-1.0) ** n
-        integ = sn_pos[:, None] * np.conj(tm_pos) + sn_neg[:, None] * np.conj(tm_neg)
+        # gegenbauer_coeff(beta, n, y) on the whole y-grid; S_n(-y) = (-1)^n S_n(y)
+        sn = _gegenbauer_coeff_pref(beta, n) * (_jratio_array(beta + n, ys) * ys ** n)
+        integ = sn[:, None] * (np.conj(tm) + (-1.0) ** n * tm)
         # cell sums and their running totals, one column per m
         partial = np.cumsum(0.5 * math.pi * (wg @ integ.reshape(cells, 16, nmax + 1)), axis=0)
         for m in range(nmax + 1):

@@ -362,7 +362,10 @@ class QJacobiFamily:
             s += term
             mx = max(mx, abs(term))
             err += (rel + n) * abs(term)
-        if 2.0 ** -53 * err > 1e-14 * abs(s):
+        if not 2.0 ** -53 * err <= 1e-14 * abs(s):    # also where terms overflowed
+            if mx == math.inf:    # size the terms by an mpf sum, as an int for log10
+                cs = _little_p_coeffs_mp(n, mp.mpf(a), mp.mpf(b), mp.mpf(q2))
+                mx = int(mp.polyval([abs(c) for c in cs], abs(x)))
             digits = 40 + int(2.2 * math.log10(mx))
             with mp.workdps(digits):
                 cs = _little_p_coeffs_mp(n, mp.mpf(a), mp.mpf(b), mp.mpf(q2))

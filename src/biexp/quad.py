@@ -184,18 +184,17 @@ class QuadRule:
 _rule_cache: dict = {}
 
 
-def _u_rules(measure: Measure, order: int):
-    """Even- and odd-part mapped rules on (0,1) for a weighted measure.
+def _u_rule(measure: Measure, order: int, odd: bool = False):
+    """Even- or odd-part mapped rule on (0,1) for a weighted measure.
 
     The even part of f maps by u = t^2 onto the weight u^a (1-u)^b; the odd
     part f(t) = t g(t^2) maps onto u^{a+1/2} (1-u)^b via the extra factor t.
     """
-    a = measure.a
+    a = measure.a + 0.5 * odd
     b = measure.b if measure.kind == "mu_beta_alpha" else 0.0
     key = ("u", round(a, 14), round(b, 14), order)
     if key not in _rule_cache:
-        _rule_cache[key] = (gauss_jacobi01(order, a, b),
-                            gauss_jacobi01(order, a + 0.5, b))
+        _rule_cache[key] = gauss_jacobi01(order, a, b)
     return _rule_cache[key]
 
 
@@ -219,7 +218,7 @@ def rule_for_measure(measure: Measure, order: int) -> QuadRule:
            round(measure.b, 14) if measure.kind == "mu_beta_alpha" else 0.0,
            order)
     if key not in _rule_cache:
-        (u, w), _ = _u_rules(measure, order)
+        u, w = _u_rule(measure, order)
         norm = 2.0 ** (a + 1.0) * gamma(a + 1.0)
         t = np.sqrt(u)
         nodes = np.concatenate([-t[::-1], t])
@@ -243,7 +242,7 @@ def integrate_interval(f: Callable, measure: Measure, order: int,
         raise ValueError("half-interval integration is for weighted measures")
     if interval == "sym":
         return rule_for_measure(measure, order).apply(f)
-    (ue, we), (uo, wo) = _u_rules(measure, order)
+    (ue, we), (uo, wo) = _u_rule(measure, order), _u_rule(measure, order, odd=True)
     norm = 2.0 ** (measure.a + 1.0) * gamma(measure.a + 1.0)
     te, to = np.sqrt(ue), np.sqrt(uo)
     fe = np.asarray([0.5 * (f(t) + f(-t)) for t in te])

@@ -3,10 +3,13 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from biexp import biortho as bo
-from biexp.orthopoly import GenGegenbauerFamily
-from biexp.quad import Measure, integrate_bessel_product, integrate_interval, rule_for_measure
+from biexp import specfun as sf
+from biexp.orthopoly import GenGegenbauerFamily, classical_gegenbauer
+from biexp.quad import (Measure, gauss_jacobi, integrate_bessel_product, integrate_interval,
+                        rule_for_measure)
 from biexp.specfun import Params, bessel_j_ratio, bessel_zeros, dunkl_kernel, gamma
 
 
@@ -75,6 +78,26 @@ class TestGegenbauerSystem:
         g = bo.st_gram_gegenbauer(1.0, 4)
         assert np.max(np.abs(g - np.eye(5))) < 1e-6
 
+    def test_st_gram_matches_full_complex_product(self):
+        # T_m(+-y) as complex products over every node of the Legendre
+        # rule, where the Gram takes the nonnegative half by parity
+        beta, nmax, cells = 1.0, 4, 256
+        xg, wg = gauss_jacobi(16, 0.0, 0.0)
+        tz, tw = gauss_jacobi(int(0.8 * cells * math.pi) + 60, 0.0, 0.0)
+        pm = np.asarray([[classical_gegenbauer(m, beta, t) for t in tz] for m in range(nmax + 1)])
+        ys = np.concatenate([0.5 * math.pi * xg + (k + 0.5) * math.pi for k in range(cells)])
+        phase = np.exp(1j * np.outer(ys, tz))
+        tm_pos = (phase * tw) @ pm.T / bo._SQ2PI
+        tm_neg = (np.conj(phase) * tw) @ pm.T / bo._SQ2PI
+        ref = np.zeros((nmax + 1, nmax + 1), dtype=complex)
+        for n in range(nmax + 1):
+            sn = bo._gegenbauer_coeff_pref(beta, n) * (bo._jratio_array(beta + n, ys) * ys ** n)
+            integ = sn[:, None] * np.conj(tm_pos) + (-1.0) ** n * sn[:, None] * np.conj(tm_neg)
+            partial = np.cumsum(0.5 * math.pi * (wg @ integ.reshape(cells, 16, nmax + 1)), axis=0)
+            for m in range(nmax + 1):
+                ref[n, m], _ = bo._neville_halfpow(partial[:, m])
+        assert np.max(np.abs(bo.st_gram_gegenbauer(beta, nmax, cells) - ref)) < 1e-12
+
 
 class TestPlaneWave:
     def test_classical_matches_exponential(self):
@@ -101,6 +124,16 @@ class TestPlaneWave:
                 c = complex(math.cos(x * t), math.sin(x * t))
                 assert abs(a - b) < 1e-12
                 assert abs(a - c) < 1e-10
+
+    @given(st.floats(-0.45, 2.5), st.floats(-6.0, 6.0), st.floats(-1.0, 1.0))
+    @settings(max_examples=40, deadline=None)
+    def test_halfint_dunkl_is_classical(self, be, x, t):
+        # at alpha = -1/2 the Dunkl plane wave is the classical one with
+        # Gegenbauer index beta + 1/2, and both sum to e^{ixt}
+        a = bo.planewave_partial_sum(Params(-0.5, be), x, t, 40)
+        b = bo.classical_planewave(be + 0.5, x, t, 40)
+        assert abs(a - b) < 1e-12
+        assert abs(a - complex(math.cos(x * t), math.sin(x * t))) < 1e-10
 
     def test_at_origin(self):
         P = Params(0.3, 0.2)
@@ -139,6 +172,20 @@ class TestDunklSampling:
         s3 = self.table.signed(3)
         got = bo.dunkl_sampling_sum(self.al, f, s3, 40, self.table)
         assert abs(got - f.eval(s3)) < 1e-12
+
+    @given(st.floats(-0.9, 3.0), st.integers(1, 30), st.sampled_from([1, -1]),
+           st.sampled_from([0, 1, 2]))
+    @settings(max_examples=25, deadline=None)
+    def test_interpolation_at_retained_nodes(self, al, n, sign, which):
+        # the truncated series reproduces f at every node it samples
+        u = (lambda t: 1.0, lambda t: (1.0 - t * t) * (0.3 + t),
+             lambda t: t * (1.0 - t * t) ** 2)[which]
+        f = bo.PWFunction(u, al)
+        table = bessel_zeros(al + 1.0, 30)
+        x = table.signed(sign * n)
+        got = bo.dunkl_sampling_sum(al, f, x, 30, table)
+        scale = max(abs(f.eval(v)) for v in [0.0] + list(table.zeros))
+        assert abs(got - f.eval(x)) <= 1e-12 * scale
 
     def test_convergence_ladder(self):
         f = bo.PWFunction(lambda t: (1.0 - t * t) ** 2, self.al)
@@ -395,6 +442,46 @@ class TestDunklKernelGrid:
                                   c * xm * mp.besselj(a + 1, ax) / ax ** (a + 1))
                 assert abs(g - ref) <= 1e-12 * abs(ref)
                 assert abs(e - ref) <= 1e-12 * abs(ref)
+
+
+class TestMirrorSymmetry:
+    # the Bessel values depend on |x| only, so a grid and its mirror read
+    # the same to the bit in every regime: what lets PWFunction evaluate
+    # the kernel on the nonnegative rule nodes alone
+    @pytest.mark.parametrize("al", [-0.5, 0.5, 19.5, 30.0])
+    def test_jnorm_pair_even_in_x(self, al):
+        regimes = {"series": np.array([1e-3, 0.5, 3.0, 8.99]),
+                   "miller": np.array([12.0, 30.0, 49.99]),
+                   "asymptotic": np.array([700.0, 2000.0])}
+        assert np.all(sf._in_series_regime(al, regimes["series"]))
+        assert not np.any(sf._in_series_regime(al, regimes["miller"]))
+        peak = lambda t: np.abs(t).max(initial=0.0)
+        for o in (al, al + 1.0):
+            assert sf._j_asymptotic(o, regimes["asymptotic"], peak, np) is not None
+        for x in regimes.values():
+            pos = sf._jnorm_array(al, x, pair=True)
+            neg = sf._jnorm_array(al, -x, pair=True)
+            both = sf._jnorm_array(al, np.concatenate([-x[::-1], x]), pair=True)
+            for p, n, b in zip(pos, neg, both):
+                assert np.array_equal(p, n)
+                assert np.array_equal(b, np.concatenate([p[::-1], p]))
+
+    @pytest.mark.parametrize("u, al, w", [
+        (lambda t: (1.0 - t * t) ** 2, 0.5, 0.0),        # the dunkl-sampling density
+        (lambda t: (1.0 - t * t) * (0.3 + t), 0.3, 0.0),
+        (lambda t: t * (1.0 - t * t) ** 2, 0.5, 0.0),
+        (lambda t: 1.0 + t, 0.3, 0.2),
+    ])
+    def test_pw_eval_matches_full_node_grid(self, u, al, w):
+        # orders 120 and 1344, one kernel grid on every node of the rule
+        f = bo.PWFunction(u, al, weight_pow=w)
+        for order, xs in ((120, [0.0, 0.3, -2.5, 17.0, -60.0]),
+                          (1344, [1250.0, -1300.0, 1500.0])):
+            assert {bo._order_for(abs(x), f.base_order) for x in xs} == {order}
+            got = f.eval(np.array(xs))
+            nodes, wu = f._rule(order)
+            ref = (bo._dunkl_e(al, np.outer(xs, nodes)) * wu).sum(axis=1)
+            assert np.array_equal(got, ref)
 
 
 class TestPWFunction:

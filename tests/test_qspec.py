@@ -275,6 +275,28 @@ class TestQJacobiFamily:
                         assert got == pytest.approx(float(ref), rel=1e-14, abs=0.0), (q, a, b, n, x)
         assert kept >= 50
 
+    def test_little_p_raw_past_float_range(self, monkeypatch):
+        # qgegenbauer(n, t) for n = 66..100 takes p_{n//2} at t^2; there the
+        # float terms overflow, and a sum beyond the float range reads its
+        # rounding (0, a subnormal or inf), never nan
+        monkeypatch.setattr(qs, "_qb_cache", {})
+        Q = self.ctx.q2
+        for m in range(33, 51):
+            for x, a in ((0.25, 0.3), (0.25, 1.3), (0.81, 0.3), (Q ** 5, 1.3)):
+                got = self.fam.little_p_raw(m, x, a=a)
+                with mp.workdps(2000):
+                    Qm = mp.mpf(Q)
+                    qa, qab = Qm ** (mp.mpf(a) + 1), Qm ** (mp.mpf(a) + mp.mpf(self.P.beta) + 1)
+                    t = ref = mp.mpf(1)
+                    for k in range(m):
+                        t *= ((1 - Qm ** (k - m)) * (1 - qab * Qm ** (m + k))
+                              / ((1 - qa * Qm ** k) * (1 - Qm ** (k + 1))) * Qm * x)
+                        ref += t
+                assert got == pytest.approx(float(ref), rel=1e-14, abs=5e-324), (m, x, a)
+        for n in range(66, 101):
+            for t in (0.5, -0.5, 0.9, Q ** 2):
+                assert not math.isnan(self.fam.qgegenbauer(n, t)), (n, t)
+
     def test_norms_match_quadrature(self):
         for n in range(6):
             cf = self.fam.norm(n)

@@ -12,6 +12,16 @@ from biexp.quad import (Measure, _jacobi_matrix_roots, accelerate, gauss_jacobi,
 from biexp.specfun import _jratio_array, gamma
 
 
+def _spy_gauss_jacobi(monkeypatch) -> list:
+    """Empty the rule cache and record the (n, a, b) of each Gauss-Jacobi
+    rule built from then on."""
+    monkeypatch.setattr(quad, "_rule_cache", {})
+    calls = []
+    build = quad.gauss_jacobi
+    monkeypatch.setattr(quad, "gauss_jacobi", lambda n, a, b: calls.append((n, a, b)) or build(n, a, b))
+    return calls
+
+
 def beta_fn(a, b):
     return math.exp(sp.gammaln(a) + sp.gammaln(b) - sp.gammaln(a + b))
 
@@ -79,13 +89,30 @@ class TestMeasures:
         assert got == pytest.approx(1.0 / (2.0 ** (al + 1.0) * gamma(al + 2.0)),
                                     rel=1e-14, abs=0.0)
 
-    def test_half_interval_split(self):
+    def test_half_interval_split(self, monkeypatch):
+        # the odd part t^3 integrates exactly only on its own mapped rule,
+        # for the weight u^{a+1/2}, which this path alone builds
+        calls = _spy_gauss_jacobi(monkeypatch)
         al = 0.6
         m = Measure.mu_alpha(al)
         got = integrate_interval(lambda t: t ** 3 + t ** 2, m, 20, interval="positive")
         norm = 2.0 ** (al + 1.0) * gamma(al + 1.0)
         exact = (1.0 / (2 * al + 5.0) + 1.0 / (2 * al + 4.0)) / norm
         assert got == pytest.approx(exact, rel=1e-13, abs=0.0)
+        assert calls == [(20, 0.0, al), (20, 0.0, al + 0.5)]
+
+    def test_symmetric_rule_builds_even_rule_only(self, monkeypatch):
+        calls = _spy_gauss_jacobi(monkeypatch)
+        measures = (Measure.mu_alpha(0.5), Measure.mu_beta_alpha(0.3, 0.2),
+                    Measure("lebesgue"))
+        for _ in range(2):
+            for m in measures:
+                for order in (24, 120):
+                    rule_for_measure(m, order)
+        assert sorted(calls) == sorted([(24, 0.0, 0.5), (120, 0.0, 0.5), (24, 0.2, 0.3),
+                                        (120, 0.2, 0.3), (24, 0.0, 0.0), (120, 0.0, 0.0)])
+        integrate_interval(lambda t: t * t, measures[0], 24)
+        assert len(calls) == 6
 
     def test_nonfinite_sample(self):
         with pytest.raises(ValueError):

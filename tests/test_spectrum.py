@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from biexp import spectrum as spe
 from biexp.orthopoly import GenGegenbauerFamily, dunkl_apply_poly
@@ -145,6 +146,23 @@ class TestEigen:
         s1, _ = spe.eigenfunction(problem, 1, 1, 0.37, 60)
         s2, _ = spe.eigenfunction(problem, 1, -1, 0.37, 60)
         assert s2 == pytest.approx(s1.conjugate(), rel=1e-14, abs=0.0)
+
+    @given(st.floats(-0.9, 2.0), st.floats(-0.5, 0.9), st.integers(1, 3), st.floats(-1.0, 1.0))
+    @settings(max_examples=25, deadline=None)
+    def test_eigenpairs_conjugate(self, al, be, k, t):
+        # -i/j_k pairs with i/j_k, and its eigenfunction is the conjugate
+        assume(al + be > -0.9)
+        P = Params(al, be)
+        prob = spe.SpectralProblem(P, 40, bessel_zeros(P.ab + 1.0, 3))
+        vals = spe.eigenvalues(prob, 3)
+        assert vals[2 * k - 1] == vals[2 * k - 2].conjugate()
+        assert np.array_equal(spe.eigen_coeffs(prob, k, -1, 40),
+                              np.conj(spe.eigen_coeffs(prob, k, 1, 40)))
+        for plus, minus in zip(spe.eigenfunction(prob, k, 1, t, 40),
+                               spe.eigenfunction(prob, k, -1, t, 40)):
+            assert minus == pytest.approx(plus.conjugate(), rel=1e-13, abs=1e-15)
+        assert spe.eigen_residual(prob, k, -1, 40) == pytest.approx(
+            spe.eigen_residual(prob, k, 1, 40), rel=1e-12, abs=1e-15)
 
     def test_residual_small_at_eigenvalue(self, problem):
         for k in (1, 2, 3):
