@@ -582,10 +582,6 @@ def neumann_system(params: Params):
     dmu_alpha; paired with the Dunkl kernel."""
     fam = GenGegenbauerFamily(params)
     a, b = params.alpha, params.beta
-
-    def p(n: int, t: np.ndarray) -> np.ndarray:
-        return np.asarray([fam.eval(n, ti) for ti in t])
-
     ks = KernelSystem(
         name="neumann",
         kernel=lambda x, t: _dunkl_e(a, x * t),
@@ -594,9 +590,9 @@ def neumann_system(params: Params):
     bio = BiorthSystem(
         name="fourier-neumann",
         index="N",
-        P=p,
+        P=fam.eval,
         q_measure=Measure.mu_beta_alpha(a, b),
-        q_smooth=lambda n, t: p(n, t) / fam.norm(n),
+        q_smooth=lambda n, t: fam.eval(n, t) / fam.norm(n),
     )
     return ks, bio, fam
 

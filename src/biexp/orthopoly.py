@@ -12,7 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .specfun import Params, gamma, lgamma, pochhammer
+import numpy as np
+
+from .specfun import Params, gamma, lgamma
 
 __all__ = [
     "GenGegenbauerFamily",
@@ -24,33 +26,9 @@ __all__ = [
     "dunkl_apply_poly",
 ]
 
-# Terminating-sum path up to here, recurrence beyond.  The sum's alternating
-# cancellation grows like the central binomial; past degree ~10 it cannot
-# hold 1e-11 at y near 0 in float64, so the switch sits there.
-_HYP_MAX_N = 10
-
-
-def _jacobi_hyp(n: int, a: float, b: float, y: float) -> float:
-    """P_n^{(a,b)}(y) as the terminating hypergeometric sum.
-
-    Negative y reflects to positive argument (swapping the parameters) so
-    the expansion variable (1-y)/2 stays at most 1/2.
-    """
-    if y < 0.0:
-        return (-1.0) ** n * _jacobi_hyp(n, b, a, -y)
-    pref = gamma(n + a + 1.0) / (gamma(a + 1.0) * gamma(n + 1.0))
-    u = 0.5 * (1.0 - y)
-    term = 1.0
-    s = 1.0
-    for k in range(n):
-        term *= (-(n - k)) * (n + a + b + 1.0 + k) / ((a + 1.0 + k) * (k + 1.0)) * u
-        s += term
-    return pref * s
-
-
 def _jacobi_rec(n: int, a: float, b: float, x):
     """P_n^{(a,b)} and P_{n-1}^{(a,b)} at x, a float or an array, n >= 1,
-    by the three-term recurrence (stable at larger n)."""
+    by the three-term recurrence."""
     p0 = x ** 0                       # 1 in the type and shape of x
     p1 = 0.5 * (a - b) + 0.5 * (a + b + 2.0) * x
     for k in range(2, n + 1):
@@ -63,14 +41,13 @@ def _jacobi_rec(n: int, a: float, b: float, x):
     return p1, p0
 
 
-def jacobi_eval(n: int, a: float, b: float, y: float) -> float:
-    """Jacobi polynomial P_n^{(a,b)}(y), parameters a, b > -1."""
+def jacobi_eval(n: int, a: float, b: float, y):
+    """Jacobi polynomial P_n^{(a,b)}(y) at a float or an array y,
+    parameters a, b > -1."""
     if n < 0:
         raise ValueError("degree must be >= 0")
     if n == 0:
-        return 1.0
-    if n <= _HYP_MAX_N:
-        return _jacobi_hyp(n, a, b, y)
+        return y ** 0
     return _jacobi_rec(n, a, b, y)[0]
 
 
@@ -108,17 +85,30 @@ class GenGegenbauerFamily:
 
     params: Params
 
-    def eval(self, n: int, t: float) -> float:
+    def _pref(self, m: int, r: int) -> float:
+        """(-1)^m (a+b+1)_{m+r} / (a+1)_{m+r}, the factor in front of the
+        Jacobi polynomial in C_{2m+r}, as one product of ratios (each
+        Pochhammer product alone leaves the float range long before it)."""
+        a, b = self.params.alpha, self.params.beta
+        c, d = a + b + 1.0, a + 1.0
+        p = (-1.0) ** m
+        for k in range(m + r):
+            p *= (c + k) / (d + k)
+        return p
+
+    def eval(self, n: int, t):
+        """C_n at a float or an array t; OverflowError where a value leaves
+        the float range."""
         if n < 0:
             raise ValueError("degree must be >= 0")
         a, b = self.params.alpha, self.params.beta
         m, r = divmod(n, 2)
-        sgn = (-1.0) ** m
-        if r == 0:
-            return sgn * pochhammer(a + b + 1.0, m) / pochhammer(a + 1.0, m) \
-                * jacobi_eval(m, a, b, 1.0 - 2.0 * t * t)
-        return sgn * pochhammer(a + b + 1.0, m + 1) / pochhammer(a + 1.0, m + 1) \
-            * t * jacobi_eval(m, a + 1.0, b, 1.0 - 2.0 * t * t)
+        v = self._pref(m, r) * t ** r * jacobi_eval(m, a + r, b, 1.0 - 2.0 * t * t)
+        # math.isfinite on floats: np.isfinite alone costs more than a low-degree call
+        finite = np.isfinite(v).all() if isinstance(v, np.ndarray) else math.isfinite(v)
+        if not finite:
+            raise OverflowError(f"C_{n} at alpha={a}, beta={b} exceeds the float64 range")
+        return v
 
     def norm(self, n: int) -> float:
         """Squared norm h_n against (1-t^2)^beta dmu_alpha, closed form.
@@ -151,16 +141,10 @@ class GenGegenbauerFamily:
         operator identities are checked at)."""
         a, b = self.params.alpha, self.params.beta
         m, r = divmod(n, 2)
-        sgn = (-1.0) ** m
+        pref = self._pref(m, r)
         out = [0.0] * (n + 1)
-        if r == 0:
-            pref = sgn * pochhammer(a + b + 1.0, m) / pochhammer(a + 1.0, m)
-            for k, c in enumerate(jacobi_u_coeffs(m, a, b)):
-                out[2 * k] = pref * c
-        else:
-            pref = sgn * pochhammer(a + b + 1.0, m + 1) / pochhammer(a + 1.0, m + 1)
-            for k, c in enumerate(jacobi_u_coeffs(m, a + 1.0, b)):
-                out[2 * k + 1] = pref * c
+        for k, c in enumerate(jacobi_u_coeffs(m, a + r, b)):
+            out[2 * k + r] = pref * c
         return out
 
     def raised(self) -> "GenGegenbauerFamily":

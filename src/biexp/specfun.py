@@ -1,4 +1,4 @@
-"""Special functions: Gamma family, Bessel J of real order, the Dunkl
+"""Special functions: Gamma and log-Gamma, Bessel J of real order, the Dunkl
 kernel on the imaginary axis, Bessel zero tables, and Lommel polynomials.
 
 Everything here is plain float64 arithmetic with explicit regime switches;
@@ -22,7 +22,6 @@ __all__ = [
     "ZeroTable",
     "gamma",
     "lgamma",
-    "pochhammer",
     "bessel_j",
     "bessel_j_ratio",
     "dunkl_kernel",
@@ -67,70 +66,21 @@ class Params:
 # Gamma family
 # ---------------------------------------------------------------------------
 
-# Lanczos approximation, g = 7, 9 coefficients; reflection handles x < 0.5.
-# The relative error against math.gamma grows with x: 1.8e-15 at 20,
-# 2.3e-14 at 50, 6.6e-14 at 100 and 1.0e-13 at 171.
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def _lanczos_sum(z: float) -> float:
-    s = _LANCZOS[0]
-    for i in range(1, 9):
-        s += _LANCZOS[i] / (z + i)
-    return s
-
-
 def gamma(x: float) -> float:
     """Gamma function for real x, poles at nonpositive integers."""
     if x <= 0.0 and x == math.floor(x):
         raise ValueError(f"gamma pole at nonpositive integer x={x}")
-    if x < 0.5:
-        # reflection: Gamma(x) Gamma(1-x) = pi / sin(pi x)
-        return math.pi / (math.sin(math.pi * x) * gamma(1.0 - x))
-    z = x - 1.0
-    s = _lanczos_sum(z)
-    t = z + _LANCZOS_G + 0.5
-    if x <= 141.0:
-        return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * s
-    # t^(z+1/2) alone overflows past x ~ 142: split it around exp(-t)
-    h = t ** (0.5 * (z + 0.5))
-    g = math.sqrt(2.0 * math.pi) * h * math.exp(-t) * h * s
-    if math.isinf(g):
-        raise OverflowError(f"gamma({x}) exceeds the float64 range")
-    return g
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        raise OverflowError(f"gamma({x}) exceeds the float64 range") from None
 
 
 def lgamma(x: float) -> float:
     """log Gamma(x) for x > 0 (used where Gamma itself would overflow)."""
     if x <= 0.0:
         raise ValueError(f"lgamma requires x > 0, got {x}")
-    if x < 0.5:
-        return math.log(math.pi / math.sin(math.pi * x)) - lgamma(1.0 - x)
-    z = x - 1.0
-    s = _lanczos_sum(z)
-    t = z + _LANCZOS_G + 0.5
-    return 0.5 * math.log(2.0 * math.pi) + (z + 0.5) * math.log(t) - t + math.log(s)
-
-
-def pochhammer(a: float, n: int) -> float:
-    """Rising factorial (a)_n = a (a+1) ... (a+n-1), computed as a product."""
-    if n < 0:
-        raise ValueError("pochhammer needs n >= 0")
-    p = 1.0
-    for k in range(n):
-        p *= a + k
-    return p
+    return math.lgamma(x)
 
 
 # ---------------------------------------------------------------------------

@@ -210,8 +210,9 @@ class TestCLI:
         # past the Miller sweep's length cap: refused before any sweep
         (["eval", "dunkl-kernel", "--alpha", "1e5", "--x", "3e5"], "Bessel recurrence"),
         (["eval", "bessel", "--nu", "-0.5", "--x", "0"], "infinite"),
-        # a float overflow below the library is a domain error too
-        (["eval", "gengeg", "--alpha", "200", "--beta", "0.5", "--n", "3", "--t", "0.3"],
+        # a float overflow below the library is a domain error too:
+        # C_800 at t = 1 is 2.2e477
+        (["eval", "gengeg", "--alpha", "0.5", "--beta", "400", "--n", "800", "--t", "1"],
          "exceeds the float64 range"),
         (["verify", "spectrum", "--alpha", "200"], "out of range"),
         # a sample the quadrature rejects, with no numpy warning before it
@@ -223,6 +224,23 @@ class TestCLI:
         assert proc.returncode == 2
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1 and reason in lines[0]
+
+    @pytest.mark.parametrize("n, ref", [
+        # mpmath values; each Pochhammer product of the prefactor alone
+        # leaves the float range at n = 400
+        (3, -55.3793174135511),
+        (400, 3.4712285698644743e+100),
+    ])
+    def test_gengeg_large_alpha(self, capsys, n, ref):
+        assert main(["eval", "gengeg", "--alpha", "200", "--beta", "0.5",
+                     "--n", str(n), "--t", "0.3"]) == 0
+        assert float(capsys.readouterr().out) == pytest.approx(ref, rel=1e-12)
+
+    def test_q_planewave_many_terms(self, capsys):
+        # the Cauchy bound q^{N(N-1)/4} underflows to 0.0 past N = 66
+        assert main(["verify", "q-planewave", "--terms", "80", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["params"]["terms"] == 80 and doc["pass"]
 
     def test_spectrum_large_alpha_reports(self):
         # J_ab at the zeros is formed from the normalized value and the

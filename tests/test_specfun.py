@@ -9,7 +9,7 @@ from scipy import special as sp
 from biexp import specfun
 from biexp.specfun import (Params, _jratio_array, bessel_j, bessel_j_ratio,
                            bessel_zeros, dunkl_kernel, gamma, lommel_h,
-                           lommel_r, pochhammer)
+                           lgamma, lommel_r)
 
 SQRT_PI = 1.7724538509055160273
 
@@ -38,8 +38,16 @@ class TestGamma:
         assert gamma(0.5) ** 2 == pytest.approx(math.pi, rel=1e-13, abs=0.0)
 
     def test_range_accuracy(self):
-        for x in np.linspace(0.1, 50.0, 173):
-            assert gamma(float(x)) == pytest.approx(float(sp.gamma(x)), rel=1e-12)
+        # against mpmath on (0.01, 171) and at negative non-integers;
+        # log-Gamma relative to max(1, |log Gamma|)
+        pos = [float(x) for x in np.linspace(0.01, 171.0, 347)]
+        neg = [-k - f for k in range(0, 170, 7) for f in (0.1, 0.5, 0.77)]
+        for x in pos + neg:
+            ref = mp.gamma(x)
+            assert abs(mp.mpf(gamma(x)) - ref) <= 2e-15 * abs(ref)
+        for x in pos:
+            ref = mp.loggamma(x)
+            assert abs(mp.mpf(lgamma(x)) - ref) <= 2e-15 * max(1, abs(ref))
 
     def test_reflection(self):
         assert gamma(-0.5) == pytest.approx(float(sp.gamma(-0.5)), rel=1e-12)
@@ -51,21 +59,11 @@ class TestGamma:
             gamma(-3.0)
 
     def test_large_argument_below_overflow(self):
-        # t^(z+1/2) alone overflows float64 past x ~ 142
+        # Gamma(171.62...) is the largest float64 value
         for x in (143.0, 160.0, 171.0):
             assert gamma(x) == pytest.approx(math.gamma(x), rel=5e-13)
         with pytest.raises(OverflowError):
             gamma(172.0)
-
-    def test_pochhammer_empty(self):
-        assert pochhammer(2.7, 0) == 1.0
-        assert pochhammer(-1.3, 0) == 1.0
-
-    @given(st.floats(-5, 5), st.integers(0, 20))
-    @settings(max_examples=50, deadline=None)
-    def test_pochhammer_recurrence(self, a, n):
-        assert pochhammer(a, n + 1) == pytest.approx(pochhammer(a, n) * (a + n),
-                                                     rel=1e-12, abs=1e-12)
 
 
 class TestBessel:
