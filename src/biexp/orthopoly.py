@@ -53,8 +53,12 @@ def jacobi_eval(n: int, a: float, b: float, y):
 
 def jacobi_u_coeffs(n: int, a: float, b: float) -> list:
     """Coefficients c_k with P_n^{(a,b)}(1 - 2u) = sum_k c_k u^k, exact in
-    float64 for the low degrees the operator checks use."""
-    pref = gamma(n + a + 1.0) / (gamma(a + 1.0) * gamma(n + 1.0))
+    float64 for the low degrees the operator checks use.  The constant
+    term (a+1)_n / n! is a running product of ratios, finite wherever the
+    coefficients are (a Gamma quotient overflows past a = 170)."""
+    pref = 1.0
+    for k in range(n):
+        pref *= (a + 1.0 + k) / (k + 1.0)
     coeffs = [pref]
     term = pref
     for k in range(n):

@@ -11,6 +11,7 @@ precision (mpmath) and cached; all other machinery is plain float.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Literal
@@ -140,9 +141,16 @@ def phi21(a, b, c, q: float, z):
 _qb_cache: dict = {}
 
 
+@functools.lru_cache(maxsize=None)
+def _qpoch_ratio(a: float, b: float, Q: float) -> float:
+    """(a; Q)_inf / (b; Q)_inf, formed once per argument triple: the
+    prefactors that do not depend on the grid point."""
+    return qpochhammer(a, Q) / qpochhammer(b, Q)
+
+
 def _qbessel_ratio_float(nu: float, x: float, Q: float):
     """One float pass of the ratio series; returns (value, max_term)."""
-    pref = qpochhammer(Q ** (nu + 1.0), Q) / qpochhammer(Q, Q)
+    pref = _qpoch_ratio(Q ** (nu + 1.0), Q, Q)
     t = 1.0
     s = 1.0
     mx = 1.0
@@ -174,41 +182,62 @@ def _little_p_coeffs_mp(n: int, am, bm, Qm) -> list:
     """Coefficients of p_n(x; Qm^am, Qm^bm; Qm) as a polynomial in x,
     highest degree first as mp.polyval (Horner's rule) takes them: the
     terms of the terminating 2phi1 without their x^k, in the working
-    mpmath precision.  am, bm and Qm are mpf, so every q-power is exact in
-    the one binary exponent."""
+    mpmath precision.  am, bm and Qm are mpf; each q-power is formed once
+    from the one binary exponent and then stepped by Qm, one rounding per
+    step (none at Qm = 1/4) instead of an exp and a log per term."""
     t = mp.mpf(1)
     cs = [t]
-    for k in range(n):
-        t *= ((1 - Qm ** (k - n)) * (1 - Qm ** (n + k + 1 + am + bm))
-              / ((1 - Qm ** (k + 1 + am)) * (1 - Qm ** (k + 1))))
+    qn = Qm ** -n                   # Qm^(k-n)
+    qab = Qm ** (n + 1 + am + bm)   # Qm^(n+k+1+am+bm)
+    qa = Qm ** (1 + am)             # Qm^(k+1+am)
+    qk = Qm                         # Qm^(k+1)
+    for _ in range(n):
+        t *= (1 - qn) * (1 - qab) / ((1 - qa) * (1 - qk))
         t *= Qm
         cs.append(t)
+        qn *= Qm
+        qab *= Qm
+        qa *= Qm
+        qk *= Qm
     return cs[::-1]
+
+
+@functools.lru_cache(maxsize=None)
+def _qbessel_pref_mp(nu: float, Q: float):
+    """(Q^{nu+1}; Q)_inf / (Q; Q)_inf as a 40-digit mpf, formed once per
+    (nu, Q).  Every factor lies in (0, 1], so nothing cancels and 40 digits
+    serve every working precision of the series."""
+    with mp.workdps(40):
+        Qm = mp.mpf(Q)
+        return _qpoch_inf_mp(Qm ** (mp.mpf(nu) + 1), Qm, 40) / _qpoch_inf_mp(Qm, Qm, 40)
 
 
 def _qbessel_ratio_mp(nu: float, x: float, Q: float, digits: int) -> float:
     # The alternating series cancels over ~2 log10(max term) digits; that
     # cancellation only happens if every q-power is an exact function of
-    # the same binary nu, so all exponents are built in mpf arithmetic
-    # (a per-term float rounding of nu+1+k wrecks the sum entirely).
+    # the same binary nu, so the powers are built in mpf arithmetic (a
+    # per-term float rounding of nu+1+k wrecks the sum entirely), each
+    # formed once and stepped by Qm.
     with mp.workdps(digits):
         Qm = mp.mpf(Q)
-        nu1 = mp.mpf(nu) + 1
-        pref = _qpoch_inf_mp(Qm ** nu1, Qm, digits) / _qpoch_inf_mp(Qm, Qm, digits)
         tol = mp.mpf(10) ** (-digits + 4)
         t = mp.mpf(1)
         s = mp.mpf(1)
         x2 = mp.mpf(x) ** 2
+        qk = Qm                         # Q^(k+1)
+        qnk = Qm ** (mp.mpf(nu) + 1)    # Q^(nu+1+k)
         k = 0
         while True:
-            t = -t * Qm ** (k + 1) * x2 / ((1 - Qm ** (nu1 + k)) * (1 - Qm ** (k + 1)))
+            t = -t * qk * x2 / ((1 - qnk) * (1 - qk))
             s += t
             k += 1
             if abs(t) < abs(s) * tol and k > 10:
                 break
             if k > 100000:
                 raise RuntimeError("q-Bessel series did not converge (internal error)")
-        return float(pref * s)
+            qk *= Qm
+            qnk *= Qm
+        return float(_qbessel_pref_mp(nu, Q) * s)
 
 
 def qbessel3_ratio(nu: float, x: float, Q: float) -> float:
@@ -223,7 +252,7 @@ def qbessel3_ratio(nu: float, x: float, Q: float) -> float:
             if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v}")
     x = abs(x)
-    key = (round(nu, 12), round(x, 15), round(Q, 15))
+    key = (nu, x, Q)
     if key in _qb_cache:
         return _qb_cache[key]
     val, mx = _qbessel_ratio_float(nu, x, Q)
@@ -346,7 +375,7 @@ class QJacobiFamily:
         q2 = self.ctx.q2
         a = self.params.alpha if a is None else a
         b = self.params.beta if b is None else b
-        key = ("lp", n, round(a, 12), round(b, 12), round(x, 15), round(q2, 15))
+        key = ("lp", n, a, b, x, q2)
         if key in _qb_cache:
             return _qb_cache[key]
         term = 1.0
@@ -366,10 +395,20 @@ class QJacobiFamily:
             if mx == math.inf:    # size the terms by an mpf sum, as an int for log10
                 cs = _little_p_coeffs_mp(n, mp.mpf(a), mp.mpf(b), mp.mpf(q2))
                 mx = int(mp.polyval([abs(c) for c in cs], abs(x)))
+            # the sum keeps digits - log10(mx/|v|) digits; where that falls
+            # below 20 (values far below 1/mx), rerun with 40 to spare
             digits = 40 + int(2.2 * math.log10(mx))
-            with mp.workdps(digits):
-                cs = _little_p_coeffs_mp(n, mp.mpf(a), mp.mpf(b), mp.mpf(q2))
-                s = float(mp.polyval(cs, mp.mpf(x)))
+            for _ in range(8):
+                with mp.workdps(digits):
+                    cs = _little_p_coeffs_mp(n, mp.mpf(a), mp.mpf(b), mp.mpf(q2))
+                    v = mp.polyval(cs, mp.mpf(x))
+                lost = int(mp.ceil(mp.log10(mx / abs(v)))) if v else digits
+                if digits - lost >= 20:
+                    break
+                digits = lost + 40
+            else:
+                raise RuntimeError("little q-Jacobi sum kept no 20 digits (internal error)")
+            s = float(v)
         _qb_cache[key] = s
         return s
 
@@ -463,14 +502,17 @@ class QJacobiFamily:
 
             # q^{-k(a+1)} (Q^{a+1}; Q)_k / (Q; Q)_k and the coefficients of p_k
             members = []
+            num = mp.mpf(1)
+            den = mp.mpf(1)
+            qa = Qm ** (am + 1)     # Q^(a+1+k)
+            qk = Qm                 # Q^(k+1)
             for k in range(nmax + 1):
-                num = mp.mpf(1)
-                den = mp.mpf(1)
-                for j in range(k):
-                    num *= 1 - Qm ** (am + 1 + j)
-                    den *= 1 - Qm ** (j + 1)
                 members.append((qm ** (-k * (am + 1)) * num / den,
                                 _little_p_coeffs_mp(k, am, bm, Qm)))
+                num *= 1 - qa
+                den *= 1 - qk
+                qa *= Qm
+                qk *= Qm
 
             # per-node polynomial values, weight, and measure factor
             w = _qpoch_inf_mp(Qm, Qm, digits) / _qpoch_inf_mp(Qm ** (bm + 1), Qm, digits)
@@ -528,7 +570,7 @@ def q_dunkl_kernel(ctx: QContext, alpha: float, x: float) -> complex:
 
     with the third Jackson q-Bessel at base q^2; equals 1 at x = 0."""
     q2 = ctx.q2
-    pref = qpochhammer(q2, q2) / qpochhammer(q2 ** (alpha + 1.0), q2)
+    pref = _qpoch_ratio(q2, q2 ** (alpha + 1.0), q2)
     re = qbessel3_ratio(alpha, x, q2)
     im = x * qbessel3_ratio(alpha + 1.0, x, q2)
     return pref * complex(re, im)
@@ -688,7 +730,7 @@ def q_planewave_partial_sum(ctx: QContext, params: Params, x: float, t: float,
     a, b = params.alpha, params.beta
     ab = params.ab
     fam = QJacobiFamily(ctx, params)
-    pref = qpochhammer(q2, q2) / qpochhammer(q2 ** (ab + 1.0), q2)
+    pref = _qpoch_ratio(q2, q2 ** (ab + 1.0), q2)
     acc = 0.0 + 0.0j
     for n in range(N):
         c = q ** (-(n // 2) * b) if route == "lemma" else 1.0

@@ -150,6 +150,14 @@ class TestGenGegenbauer:
                 assert np.polynomial.polynomial.polyval(t, c) == pytest.approx(
                     self.fam.eval(n, t), rel=1e-11, abs=1e-11)
 
+    def test_coeffs_large_alpha(self):
+        # (a+1)_n/n! as a product of ratios: no Gamma(a+n+1) past the floats
+        fam = GenGegenbauerFamily(Params(200.0, 0.5))
+        horner = 0.0
+        for c in reversed(fam.coeffs(3)):
+            horner = horner * 0.3 + c
+        assert horner == pytest.approx(fam.eval(3, 0.3), rel=1e-12, abs=0.0)
+
     def test_connection_closed_forms(self):
         # A_n, B_n per parity, against direct evaluation of both sides
         for (al, be, n, r) in ((0.5, 0.25, 3, 0.6), (0.2, 0.1, 4, -0.33),

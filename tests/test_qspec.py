@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import mpmath as mp
 import pytest
@@ -113,6 +115,33 @@ class TestQBessel:
                 a = qs.q_neumann(ctx, 0.5, n, -x)
                 b = qs.q_neumann(ctx, 0.5, n, x)
                 assert a == pytest.approx((-1.0) ** n * b, rel=1e-13, abs=1e-300)
+
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.7, 0.9])
+    def test_elevated_matches_per_term_powers(self, monkeypatch, q):
+        # the elevated series steps its q-powers by Q and takes a 40-digit
+        # prefactor; a twin that forms every power and the prefactor anew at
+        # twice the digits gives the same values on the grid
+        monkeypatch.setattr(qs, "_qb_cache", {})
+        Q = q * q
+        for nu in (0.3, 1.3):
+            for k in (-4, -8, -12, -16):
+                x = q ** k
+                val, mx = qs._qbessel_ratio_float(nu, x, Q)
+                assert mx > 1e3 * max(abs(val), 1e-270), "expected the elevated path"
+                digits = 2 * (40 + int(2.2 * math.log10(mx)))
+                with mp.workdps(digits):
+                    Qm, nu1 = mp.mpf(Q), mp.mpf(nu) + 1
+                    t = s = mp.mpf(1)
+                    x2 = mp.mpf(x) ** 2
+                    j = 0
+                    while abs(t) >= abs(s) * mp.mpf(10) ** (-digits + 4) or j <= 10:
+                        t = -t * Qm ** (j + 1) * x2 / ((1 - Qm ** (nu1 + j)) * (1 - Qm ** (j + 1)))
+                        s += t
+                        j += 1
+                    ref = (qs._qpoch_inf_mp(Qm ** nu1, Qm, digits)
+                           / qs._qpoch_inf_mp(Qm, Qm, digits) * s)
+                got = qs.qbessel3_ratio(nu, x, Q)
+                assert got == pytest.approx(float(ref), rel=1e-14, abs=0.0), (nu, k)
 
 
 class TestJackson:
@@ -297,6 +326,72 @@ class TestQJacobiFamily:
             for t in (0.5, -0.5, 0.9, Q ** 2):
                 assert not math.isnan(self.fam.qgegenbauer(n, t)), (n, t)
 
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.7, 0.9])
+    def test_little_p_coeffs_match_per_term_powers(self, q):
+        # coefficients built from running q-powers keep the cancellation of
+        # the sum at grid points: at 40 digits past what it loses, Horner's
+        # rule on them matches a twin that forms every non-integer power
+        # anew at twice the digits
+        Q = q * q
+        a, b = self.P.alpha, self.P.beta
+
+        def twin(n, x, digits):
+            with mp.workdps(digits):
+                Qm, am, bm = mp.mpf(Q), mp.mpf(a), mp.mpf(b)
+                t = mp.mpf(1)
+                cs = [t]
+                for k in range(n):
+                    t *= ((1 - Qm ** (k - n)) * (1 - Qm ** (n + k + 1 + am + bm))
+                          / ((1 - Qm ** (k + 1 + am)) * (1 - Qm ** (k + 1))))
+                    t *= Qm
+                    cs.append(t)
+                return mp.polyval(cs[::-1], mp.mpf(x)), mp.polyval([abs(c) for c in cs[::-1]], x)
+
+        for n in (5, 12, 20):
+            for j in (0, 1, 2, 5, 10):
+                x = Q ** j
+                val, size = twin(n, x, 60 + int(2.5 * n * n * math.log10(1.0 / q)))
+                digits = 40 + int(mp.ceil(mp.log10(size / abs(val))))
+                ref = twin(n, x, 2 * digits)[0]
+                with mp.workdps(digits):
+                    cs = qs._little_p_coeffs_mp(n, mp.mpf(a), mp.mpf(b), mp.mpf(Q))
+                    got = mp.polyval(cs, mp.mpf(x))
+                assert abs(got - ref) <= 1e-14 * abs(ref), (n, j)
+
+    def test_little_p_raw_small_q_sweep(self, monkeypatch):
+        # small q: terms up to q^{-(n-j)^2} against values often far below
+        # their reciprocal, and grid points below 1e-15 that must not share
+        # a cache entry; a 2.5 n^2 log10(1/q) + 100 digit reference, whose
+        # own 40 spare digits are checked, holds every point to 1e-13
+        monkeypatch.setattr(qs, "_qb_cache", {})
+        for q in (0.1, 0.2, 0.3):
+            for a, b in ((0.3, 0.2), (2.0, 1.0), (-0.5, 0.7)):
+                fam = qs.QJacobiFamily(qs.QContext(q), Params(a, b))
+                Q = fam.ctx.q2
+                for n in range(1, 26):
+                    digits = 100 + int(2.5 * n * n * math.log10(1.0 / q))
+                    with mp.workdps(digits):
+                        Qm, am, bm = mp.mpf(Q), mp.mpf(a), mp.mpf(b)
+                        qab, qa = Qm ** (n + 1 + am + bm), Qm ** (1 + am)
+                        t = mp.mpf(1)
+                        cs = [t]
+                        for k in range(n):
+                            t *= ((1 - Qm ** (k - n)) * (1 - qab * Qm ** k)
+                                  / ((1 - qa * Qm ** k) * (1 - Qm ** (k + 1))) * Qm)
+                            cs.append(t)
+                        cs.reverse()
+                    for j in range(25):
+                        x = Q ** j
+                        with mp.workdps(digits):
+                            ref = mp.polyval(cs, mp.mpf(x))
+                        with mp.workdps(20):
+                            lost = mp.log10(mp.polyval([abs(c) for c in cs], x) / abs(ref))
+                        assert lost < digits - 40
+                        got = fam.little_p_raw(n, x)
+                        # values past the float range compare as equal infinities
+                        assert got == float(ref) or abs(got - float(ref)) <= 1e-13 * abs(float(ref)), (
+                            q, a, b, n, j)
+
     def test_norms_match_quadrature(self):
         for n in range(6):
             cf = self.fam.norm(n)
@@ -475,3 +570,19 @@ class TestQPlaneWave:
     def test_grid_argument_validation(self):
         with pytest.raises(ValueError):
             qs.q_planewave_partial_sum(self.ctx, self.P, 1.0, 0.3, 0)
+
+
+def test_q_core_rows_independent_of_suite_order():
+    # the prefactors and values cached by a q-weber run first must not move
+    # any q-core row: the same rows in a fresh process and after q-weber
+    script = ("import sys\n"
+              "from biexp.suites import run_suite\n"
+              "for name in sys.argv[1:]:\n"
+              "    rows = run_suite(name).checks\n"
+              "for c in rows:\n"
+              "    print(c.id, repr(c.lhs), repr(c.rhs), repr(c.abs_err), repr(c.rel_err))\n")
+    fresh, after = (subprocess.run([sys.executable, "-c", script, *names], check=True,
+                                   capture_output=True, text=True).stdout
+                    for names in (["q-core"], ["q-weber", "q-core"]))
+    assert fresh.count("q-core/") == 14
+    assert fresh == after
