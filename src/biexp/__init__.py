@@ -7,8 +7,8 @@ identities at desk scale.
 """
 
 from .specfun import (Params, ZeroTable, bessel_j, bessel_j_ratio,
-                      bessel_zeros, dunkl_kernel, gamma, lommel_h, lommel_r)
-from .quad import (Measure, QuadRule, accelerate, gauss_jacobi,
+                      bessel_zeros, dunkl_kernel, gamma, lommel_h)
+from .quad import (Measure, accelerate, gauss_jacobi,
                    integrate_bessel_product, integrate_interval)
 from .orthopoly import (GenGegenbauerFamily, classical_gegenbauer,
                         dunkl_apply_poly, jacobi_eval)

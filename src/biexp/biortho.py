@@ -103,18 +103,18 @@ def _dunkl_e(alpha: float, x):
 # Paley-Wiener functions: densities on [-1, 1] transported by the kernel
 # ---------------------------------------------------------------------------
 
-_PW_BUCKETS = (120, 160, 240, 320, 480, 640, 960, 1344)
+# the rule order of every quadrature on [-1, 1] at a fixed x: the S_n
+# coefficients, the Grams, and f(x) of a PWFunction up to |x| = 80
+_RULE_ORDER = 120
+_PW_BUCKETS = (_RULE_ORDER, 160, 240, 320, 480, 640, 960, 1344)
 # x values per kernel grid in a batched eval: bounds the (x, node) table,
 # 64 x 2688 nodes at the top order
 _PW_BLOCK = 64
 
 
-def _order_for(ax: float, base: int) -> int:
+def _order_for(ax: float) -> int:
     need = int(0.75 * ax) + 60
-    for b in _PW_BUCKETS:
-        if b >= max(need, base):
-            return b
-    return _PW_BUCKETS[-1]
+    return next((b for b in _PW_BUCKETS if b >= need), _PW_BUCKETS[-1])
 
 
 @dataclass
@@ -133,7 +133,6 @@ class PWFunction:
     u: Callable[[float], complex]
     alpha: float
     weight_pow: float = 0.0
-    base_order: int = 120
     _cache: dict = field(default_factory=dict, repr=False)
     _rules: dict = field(default_factory=dict, repr=False)
 
@@ -146,10 +145,8 @@ class PWFunction:
         """Nodes of the rule of this order and the weighted density w u on
         them; u is called once per node and order."""
         if order not in self._rules:
-            rule = rule_for_measure(self._measure(), order)
-            nodes = np.asarray(rule.nodes)
-            wu = np.asarray(rule.weights) * np.asarray([self.u(t) for t in nodes])
-            self._rules[order] = (nodes, wu)
+            nodes, w = rule_for_measure(self._measure(), order)
+            self._rules[order] = (nodes, w * np.asarray([self.u(t) for t in nodes]))
         return self._rules[order]
 
     def _fill(self, xs: list) -> None:
@@ -163,7 +160,7 @@ class PWFunction:
         for v in xs:
             k = round(v, 14)
             if k not in self._cache:
-                todo.setdefault(_order_for(abs(v), self.base_order), {}).setdefault(k, v)
+                todo.setdefault(_order_for(abs(v)), {}).setdefault(k, v)
         for order, items in sorted(todo.items()):
             nodes, wu = self._rule(order)
             keys, vs = list(items), np.asarray(list(items.values()))
@@ -209,30 +206,24 @@ class KernelSystem:
     name: str
     kernel: Callable
     measure: Measure
-    order: int = 120
 
-    def inverse_on_interval(self, g: Callable, x: float,
-                            measure: Measure | None = None,
-                            order: int | None = None):
-        """int_{-1}^{1} g(t) K(x, t) dmu(t): the windowed inverse transform.
+    def inverse_on_interval(self, g: Callable, x: float, measure: Measure):
+        """int_{-1}^{1} g(t) K(x, t) dmeasure(t): the windowed inverse transform.
 
         g maps the node array to its values, or to a table with one row per
         function; the result is then one integral per row.
         """
-        mu = measure if measure is not None else self.measure
-        rule = rule_for_measure(mu, order if order is not None else self.order)
-        nodes = np.asarray(rule.nodes)
-        return g(nodes) @ (np.asarray(rule.weights) * self.kernel(x, nodes))
+        nodes, w = rule_for_measure(measure, _RULE_ORDER)
+        return g(nodes) @ (w * self.kernel(x, nodes))
 
     def transform_line(self, f: Callable[[float], complex], t: float,
-                       radius: float = 40.0, cell: float | None = None,
-                       accelerated: bool = True) -> complex:
-        """Kf(t) = int_R f(x) conj(K(x, t)) dmu(x), cellwise to the radius,
-        with the tail extrapolated from the oscillatory cell sums."""
+                       radius: float = 40.0) -> complex:
+        """Kf(t) = int_R f(x) conj(K(x, t)) dmu(x), cellwise (cells of
+        pi/max(1, |t|)) to the radius, with the tail extrapolated from the
+        oscillatory cell sums."""
         if self.measure.kind == "mu_beta_alpha":
             raise ValueError("line transform needs a measure supported on the line")
-        if cell is None:
-            cell = math.pi / max(1.0, abs(t))
+        cell = math.pi / max(1.0, abs(t))
         xg, wg = _legendre16()
         # first cell on each side handles the |x|^{2a+1} factor exactly
         if self.measure.kind == "lebesgue":
@@ -257,7 +248,7 @@ class KernelSystem:
                                   .reshape(-1, len(xg)) @ wg))
         first = cell ** (exp0 + 1.0) * complex(np.dot(w0, fold[:n0])) * norm0
         partial = np.cumsum(np.concatenate([[first], cells])).tolist()
-        if accelerated and len(partial) >= 8:
+        if len(partial) >= 8:
             val, _ = accelerate(partial)
             return complex(val)
         return complex(partial[-1])
@@ -301,15 +292,12 @@ class BiorthSystem:
     P: Callable[[int, np.ndarray], np.ndarray]
     q_measure: Measure
     q_smooth: Callable[[int, np.ndarray], np.ndarray]
-    order: int = 120
 
-    def gram(self, ns, ms, order: int | None = None) -> np.ndarray:
+    def gram(self, ns, ms) -> np.ndarray:
         """Matrix of int_I P_n conj(Q_m) dmu_base over n in ns, m in ms, by
         the weight-absorbed rule: (P w) Q^T from one table per family."""
-        rule = rule_for_measure(self.q_measure, order if order is not None else self.order)
-        nodes = np.asarray(rule.nodes)
-        return ((_table(self.P, ns, nodes) * np.asarray(rule.weights))
-                @ _table(self.q_smooth, ms, nodes).T)
+        nodes, w = rule_for_measure(self.q_measure, _RULE_ORDER)
+        return (_table(self.P, ns, nodes) * w) @ _table(self.q_smooth, ms, nodes).T
 
 
 def _window(index: str, N: int) -> list:
@@ -318,8 +306,7 @@ def _window(index: str, N: int) -> list:
     return list(range(N))
 
 
-def expand_kernel(sys: KernelSystem, bio: BiorthSystem, x: float, N: int,
-                  order: int | None = None) -> TruncatedSeries:
+def expand_kernel(sys: KernelSystem, bio: BiorthSystem, x: float, N: int) -> TruncatedSeries:
     """Coefficients S_n(x) of the bilinear expansion, by quadrature.
 
     Returns the coefficient window (|n| <= N for Z-indexed systems, n < N
@@ -329,7 +316,7 @@ def expand_kernel(sys: KernelSystem, bio: BiorthSystem, x: float, N: int,
         raise ValueError("N must be >= 1")
     ns = _window(bio.index, N)
     coeffs = sys.inverse_on_interval(lambda t: _table(bio.q_smooth, ns, t), x,
-                                     measure=bio.q_measure, order=order).tolist()
+                                     bio.q_measure).tolist()
     tail = max(abs(coeffs[0]), abs(coeffs[-1]))
 
     def partial(t: float) -> complex:
@@ -617,8 +604,11 @@ def planewave_partial_sum(params: Params, x: float, t: float, N: int) -> complex
     return pref * acc
 
 
-def fourier_neumann_coeffs(params: Params, f: PWFunction, N: int,
-                           radius: float = 40.0) -> TruncatedSeries:
+# the line is cut at |t| = 40 for the Fourier-Neumann coefficients
+_FN_RADIUS = 40.0
+
+
+def fourier_neumann_coeffs(params: Params, f: PWFunction, N: int) -> TruncatedSeries:
     """Expansion coefficients a_n(f) of a band-limited f over the Bessel
     quotients (beta < 1), by cellwise quadrature on the truncated line:
 
@@ -636,8 +626,9 @@ def fourier_neumann_coeffs(params: Params, f: PWFunction, N: int,
     # shared cell edges from the zeros of the lowest-order factor; the
     # radius caps the cell count but never truncates a cell (a ragged final
     # cell would wreck the 1/k structure the extrapolation relies on)
-    edges = np.asarray([mcmahon_zero(ab + 1.0, k) for k in range(1, int(radius / math.pi) + 3)])
-    edges = edges[edges < radius + math.pi]
+    edges = np.asarray([mcmahon_zero(ab + 1.0, k)
+                        for k in range(1, int(_FN_RADIUS / math.pi) + 3)])
+    edges = edges[edges < _FN_RADIUS + math.pi]
     lo, hi = edges[:-1], edges[1:]
     xc = 0.5 * (hi - lo)[:, None] * xg + 0.5 * (lo + hi)[:, None]   # (cell, node)
     xs = np.concatenate([edges[0] * u0, xc.ravel()])
@@ -687,7 +678,7 @@ def hankel_corollary_sum(params: Params, x: float, t: float, N: int) -> float:
     return acc
 
 
-def _neville_halfpow(partial: list, levels: int = 7):
+def _neville_halfpow(partial: list):
     """Neville extrapolation of partial sums in the variable K^{-1/2}.
 
     The S/T-pair Grams have cell-sum tails whose smooth decay runs through
@@ -695,14 +686,19 @@ def _neville_halfpow(partial: list, levels: int = 7):
     abscissas eliminates them order by order.  Sample indices are spread
     geometrically so the extrapolation stays well conditioned."""
     n = len(partial)
-    idx = sorted({max(1, int(round(n / 1.4 ** j))) for j in range(levels)})
+    idx = sorted({max(1, int(round(n / 1.4 ** j))) for j in range(7)})
     if len(idx) < 3:
         return partial[-1], float("inf")
     return _neville(partial, idx, 1.0 / np.sqrt(np.asarray(idx, dtype=float)))
 
 
-def st_gram_gegenbauer(beta: float, nmax: int, cells: int = 256,
-                       t_order: int | None = None) -> np.ndarray:
+# the S/T Gram's cells of width pi along the line, and the Legendre order
+# of T_m that resolves the largest |y| there
+_ST_CELLS = 256
+_ST_T_ORDER = int(0.8 * _ST_CELLS * math.pi) + 60
+
+
+def st_gram_gegenbauer(beta: float, nmax: int) -> np.ndarray:
     """Gram matrix int_R S_n conj(T_m) dx for the Gegenbauer system.
 
     S_n comes from its closed form; T_m = conj of the transform of the
@@ -712,9 +708,7 @@ def st_gram_gegenbauer(beta: float, nmax: int, cells: int = 256,
     should be the identity, the generic biorthogonality of the pair.
     """
     xg, wg = gauss_jacobi(16, 0.0, 0.0)
-    ymax = cells * math.pi
-    if t_order is None:
-        t_order = max(120, int(0.8 * ymax) + 60)
+    cells, t_order = _ST_CELLS, _ST_T_ORDER
     tz, tw = gauss_jacobi(t_order, 0.0, 0.0)
     # C_m has parity (-1)^m and the rule is symmetric, so T_m sums over the
     # nodes t >= 0 with doubled weights (not that of an odd rule's t = 0)

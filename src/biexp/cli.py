@@ -110,6 +110,8 @@ def _run_eval(args) -> int:
             print(f"{fam.eval(_need(args, 'n'), _need(args, 't')):.15g}")
         elif fn == "qbessel3":
             q = _need(args, "q")
+            if not 0.0 < q < 1.0:
+                raise SystemExit2(f"q must lie in (0, 1), got {q}")
             val = qsp.qbessel3(_need(args, "nu"), _need(args, "x"), q * q)
             print(f"{val:.15g}")
         elif fn == "lommel":
@@ -121,6 +123,8 @@ def _run_eval(args) -> int:
         elif fn == "eigenvalue":
             P = Params(_need(args, "alpha"), _need(args, "beta"))
             k = _need(args, "k")
+            if args.sign not in (1, -1):
+                raise SystemExit2(f"eval eigenvalue: sign must be 1 or -1, got {args.sign}")
             prob = spe.SpectralProblem(P, 10, bessel_zeros(P.ab + 1.0, k))
             lam = complex(0.0, args.sign / prob.zero(k))
             print(f"({lam.real:.15g}, {lam.imag:.15g})")

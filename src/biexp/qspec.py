@@ -246,11 +246,16 @@ def qbessel3_ratio(nu: float, x: float, Q: float) -> float:
     Grid arguments beyond ~Q^{-2} cancel catastrophically in float64 (the
     value decays superexponentially while the largest term grows the same
     way), so those are recomputed at elevated precision and cached.
+    Raises ValueError outside the domain: finite x, finite order > -1 and
+    Q in (0, 1).
     """
-    if not (math.isfinite(nu) and math.isfinite(x) and math.isfinite(Q)):
+    if not (-1.0 < nu < math.inf and math.isfinite(x) and 0.0 < Q < 1.0):
         for name, v in (("order", nu), ("x", x), ("Q", Q)):
             if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v}")
+        if nu <= -1.0:
+            raise ValueError(f"order must exceed -1, got {nu}")
+        raise ValueError(f"Q must lie in (0, 1), got {Q}")
     x = abs(x)
     key = (nu, x, Q)
     if key in _qb_cache:
@@ -316,19 +321,18 @@ def jackson_integral(ctx: QContext, f: Callable[[float], complex],
                      domain="unit") -> complex:
     """q-integral of f.
 
-    domain "unit" or (0, a): (1-q) a sum_{n>=0} f(a q^n) q^n
-    domain "halfline":       (1-q) sum_{n in Z} f(q^n) q^n
-    domain "line":           the bilateral form with both sign branches.
+    domain "unit":     (1-q) sum_{n>=0} f(q^n) q^n
+    domain "halfline": (1-q) sum_{n in Z} f(q^n) q^n
+    domain "line":     the bilateral form with both sign branches.
 
     Raises DecayError when the summand has not decayed at the grid bounds.
     """
     q = ctx.q
-    if domain == "unit" or (isinstance(domain, tuple) and len(domain) == 2):
-        a = 1.0 if domain == "unit" else float(domain[1])
+    if domain == "unit":
         acc = 0.0 + 0.0j
         small = 0
         for n in range(0, ctx.k_max + 80):
-            term = f(a * q ** n) * q ** n
+            term = f(q ** n) * q ** n
             acc += term
             if abs(term) < ctx.tol * max(abs(acc), 1e-300):
                 small += 1
@@ -337,8 +341,8 @@ def jackson_integral(ctx: QContext, f: Callable[[float], complex],
             else:
                 small = 0
         else:
-            raise DecayError("Jackson sum on (0, a) did not decay")
-        return (1.0 - q) * a * acc
+            raise DecayError("Jackson sum on (0, 1) did not decay")
+        return (1.0 - q) * acc
 
     if domain == "halfline":
         return (1.0 - q) * complex(_bilateral_sum(ctx, lambda n: f(q ** n) * q ** n))
@@ -476,10 +480,10 @@ class QJacobiFamily:
                 / (qpochhammer(q2 ** (a1 + 1.0 + m), q2)
                    * qpochhammer(q2 ** (b + 1.0 + m), q2)))
 
-    def gram_matrix_mp(self, nmax: int, digits: int = 50) -> list:
+    def gram_matrix_mp(self, nmax: int) -> list:
         """Full orthogonality Gram of the normalized members against the
-        radial weight, as Jackson sums evaluated end to end in elevated
-        precision (at small q the polynomial values grow so large that the
+        radial weight, as Jackson sums evaluated end to end at 50 digits
+        (at small q the polynomial values grow so large that the
         off-diagonal cancellation exceeds what float64 can resolve).
 
         Nothing that is the same at every node is recomputed there: the
@@ -493,6 +497,7 @@ class QJacobiFamily:
         """
         a, b = self.params.alpha, self.params.beta
         jmax = self.ctx.k_max + 60
+        digits = 50
         with mp.workdps(digits):
             Qm = mp.mpf(self.ctx.q2)
             qm = mp.sqrt(Qm)

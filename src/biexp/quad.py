@@ -23,7 +23,6 @@ from .specfun import _jratio_array, gamma, lgamma
 
 __all__ = [
     "Measure",
-    "QuadRule",
     "gauss_jacobi",
     "gauss_jacobi01",
     "rule_for_measure",
@@ -162,94 +161,48 @@ class Measure:
         return d
 
 
-@dataclass(frozen=True)
-class QuadRule:
-    """Immutable node/weight rule; exact for the target weight class."""
-
-    nodes: tuple
-    weights: tuple
-    order: int
-
-    def apply(self, f: Callable) -> complex:
-        x = np.asarray(self.nodes)
-        w = np.asarray(self.weights)
-        # a non-finite sample raises below, so numpy need not warn of it
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            fx = np.asarray([f(t) for t in x])
-        if not np.all(np.isfinite(np.abs(fx))):
-            raise ValueError("integrand produced a non-finite sample")
-        return complex(np.dot(w, fx)) if np.iscomplexobj(fx) else float(np.dot(w, fx))
-
-
 _rule_cache: dict = {}
 
 
-def _u_rule(measure: Measure, order: int, odd: bool = False):
-    """Even- or odd-part mapped rule on (0,1) for a weighted measure.
+def rule_for_measure(measure: Measure, order: int):
+    """Symmetric rule on [-1, 1] exact for the measure's weight class, as
+    (nodes, weights) arrays, cached per measure and order and read-only,
+    since every caller shares them.
 
-    The even part of f maps by u = t^2 onto the weight u^a (1-u)^b; the odd
-    part f(t) = t g(t^2) maps onto u^{a+1/2} (1-u)^b via the extra factor t.
-    """
-    a = measure.a + 0.5 * odd
-    b = measure.b if measure.kind == "mu_beta_alpha" else 0.0
-    key = ("u", round(a, 14), round(b, 14), order)
-    if key not in _rule_cache:
-        _rule_cache[key] = gauss_jacobi01(order, a, b)
-    return _rule_cache[key]
-
-
-def rule_for_measure(measure: Measure, order: int) -> QuadRule:
-    """Symmetric rule on [-1, 1] exact for the measure's weight class.
-
-    For the weighted kinds the nodes are the pair +-sqrt(u_i) of the mapped
-    even rule; odd integrands then cancel exactly and even ones inherit the
-    Gauss exactness in u.
+    For the weighted kinds the nodes are the pair +-sqrt(u_i) of the even
+    rule mapped by u = t^2 onto the weight u^a (1-u)^b; odd integrands then
+    cancel exactly and even ones inherit the Gauss exactness in u.
     """
     if order < 8:
         raise ValueError("order must be >= 8")
-    if measure.kind == "lebesgue":
-        key = ("leg", order)
-        if key not in _rule_cache:
-            x, w = gauss_jacobi(order, 0.0, 0.0)
-            _rule_cache[key] = QuadRule(tuple(x), tuple(w), order)
-        return _rule_cache[key]
     a = measure.a
-    key = ("sym", measure.kind, round(a, 14),
-           round(measure.b, 14) if measure.kind == "mu_beta_alpha" else 0.0,
-           order)
+    b = measure.b if measure.kind == "mu_beta_alpha" else 0.0
+    key = (measure.kind, round(a, 14), round(b, 14), order)
     if key not in _rule_cache:
-        u, w = _u_rule(measure, order)
-        norm = 2.0 ** (a + 1.0) * gamma(a + 1.0)
-        t = np.sqrt(u)
-        nodes = np.concatenate([-t[::-1], t])
-        weights = np.concatenate([w[::-1], w]) / (2.0 * norm)
-        _rule_cache[key] = QuadRule(tuple(nodes), tuple(weights), order)
+        if measure.kind == "lebesgue":
+            rule = gauss_jacobi(order, 0.0, 0.0)
+        else:
+            u, w = gauss_jacobi01(order, a, b)
+            norm = 2.0 ** (a + 1.0) * gamma(a + 1.0)
+            t = np.sqrt(u)
+            rule = (np.concatenate([-t[::-1], t]), np.concatenate([w[::-1], w]) / (2.0 * norm))
+        for arr in rule:
+            arr.flags.writeable = False
+        _rule_cache[key] = rule
     return _rule_cache[key]
 
 
-def integrate_interval(f: Callable, measure: Measure, order: int,
-                       interval: Literal["sym", "positive"] = "sym"):
-    """Integrate f against the measure over [-1, 1] (or its positive half).
-
-    "sym" evaluates the symmetric node rule (the odd part of f integrates
-    to zero against the even density, exactly).  "positive" splits f into
-    even and odd parts and integrates each with its own mapped rule.
-    """
-    if measure.kind == "lebesgue":
-        rule = rule_for_measure(measure, order)
-        if interval == "sym":
-            return rule.apply(f)
-        raise ValueError("half-interval integration is for weighted measures")
-    if interval == "sym":
-        return rule_for_measure(measure, order).apply(f)
-    (ue, we), (uo, wo) = _u_rule(measure, order), _u_rule(measure, order, odd=True)
-    norm = 2.0 ** (measure.a + 1.0) * gamma(measure.a + 1.0)
-    te, to = np.sqrt(ue), np.sqrt(uo)
-    fe = np.asarray([0.5 * (f(t) + f(-t)) for t in te])
-    go = np.asarray([0.5 * (f(t) - f(-t)) / t for t in to])
-    if not (np.all(np.isfinite(np.abs(fe))) and np.all(np.isfinite(np.abs(go)))):
+def integrate_interval(f: Callable, measure: Measure, order: int):
+    """Integrate f against the measure over [-1, 1] on its symmetric rule
+    (the odd part of f integrates to zero against the even density,
+    exactly); f is called once per node."""
+    x, w = rule_for_measure(measure, order)
+    # a non-finite sample raises below, so numpy need not warn of it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        fx = np.asarray([f(t) for t in x])
+    if not np.all(np.isfinite(np.abs(fx))):
         raise ValueError("integrand produced a non-finite sample")
-    return (0.5 * np.dot(we, fe) + 0.5 * np.dot(wo, go)) / norm
+    return complex(np.dot(w, fx)) if np.iscomplexobj(fx) else float(np.dot(w, fx))
 
 
 # ---------------------------------------------------------------------------

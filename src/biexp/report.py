@@ -24,7 +24,6 @@ __all__ = [
     "emit_json",
     "emit_csv",
     "emit_text",
-    "parse_json",
     "CSV_HEADER",
 ]
 
@@ -99,24 +98,6 @@ def emit_json(result: SuiteResult, out: IO[str]) -> None:
     }
     json.dump(doc, out, indent=2, sort_keys=False)
     out.write("\n")
-
-
-def parse_json(src: str) -> SuiteResult:
-    doc = json.loads(src)
-    checks = [
-        CheckReport(
-            id=row["id"],
-            lhs=complex(row["lhs_re"], row["lhs_im"]),
-            rhs=complex(row["rhs_re"], row["rhs_im"]),
-            abs_err=row["abs_err"],
-            rel_err=row["rel_err"],
-            tol=row["tol"],
-            passed=row["pass"],
-        )
-        for row in doc["checks"]
-    ]
-    return SuiteResult(suite=doc["suite"], params=doc["params"], checks=checks,
-                       runtime_ms=doc.get("runtime_ms", 0.0))
 
 
 def emit_csv(result: SuiteResult, out: IO[str]) -> None:

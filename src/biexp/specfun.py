@@ -12,6 +12,7 @@ J_nu(x) are one factor away.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -26,7 +27,6 @@ __all__ = [
     "bessel_j_ratio",
     "dunkl_kernel",
     "bessel_zeros",
-    "lommel_r",
     "lommel_h",
 ]
 
@@ -518,27 +518,14 @@ def bessel_zeros(nu: float, k_max: int) -> ZeroTable:
 # Lommel polynomials
 # ---------------------------------------------------------------------------
 
-def lommel_r(n: int, a: float, z):
-    """Lommel polynomial R_{n,a}(z) by the forward three-term recurrence
-
-        R_{n+1} = (2(n+a)/z) R_n - R_{n-1},  R_{-1} = 0, R_0 = 1.
-
-    Accepts complex z.  Note R_{n,a}(-z) = (-1)^n R_{n,a}(z).
-    """
-    if n < -1:
-        raise ValueError("lommel_r needs n >= -1")
-    if a <= 0.0:
-        raise ValueError("lommel_r needs a > 0")
-    if z == 0:
-        raise ZeroDivisionError("R_{n,a}(z) is singular at z = 0; use lommel_h")
-    return lommel_h(n, a, 1.0 / z)
-
-
 def lommel_h(n: int, a: float, w):
     """Modified Lommel polynomial h_{n,a}(w) = R_{n,a}(1/w); complex w ok.
 
         h_{n+1} = 2(n+a) w h_n - h_{n-1},  h_{-1} = 0, h_0 = 1.
     """
+    for name, v in (("a", a), ("w", w)):
+        if not cmath.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v}")
     if n < -1:
         raise ValueError("lommel_h needs n >= -1")
     if a <= 0.0:

@@ -11,12 +11,12 @@ polynomial values) and a closed kernel form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .orthopoly import GenGegenbauerFamily
-from .specfun import Params, ZeroTable, bessel_j, bessel_zeros, dunkl_kernel, gamma
+from .specfun import Params, ZeroTable, bessel_j, dunkl_kernel, gamma
 
 __all__ = [
     "SpectralProblem",
@@ -37,14 +37,11 @@ class SpectralProblem:
 
     params: Params
     N: int
-    table: ZeroTable = field(default=None)
+    table: ZeroTable
 
     def __post_init__(self):
         if self.N < 10:
             raise ValueError("basis truncation must be >= 10")
-        if self.table is None:
-            object.__setattr__(self, "table",
-                               bessel_zeros(self.params.ab + 1.0, 8))
 
     @property
     def family(self) -> GenGegenbauerFamily:
@@ -102,9 +99,8 @@ def apply_T(problem: SpectralProblem, g: np.ndarray,
     return out, dropped
 
 
-def recurrence_coeffs(problem: SpectralProblem, lam: complex, a1: complex,
-                      N: int) -> np.ndarray:
-    """Forward eigen-coefficient recurrence from the seed a_1:
+def recurrence_coeffs(problem: SpectralProblem, lam: complex, N: int) -> np.ndarray:
+    """Forward eigen-coefficient recurrence from the seed a_1 = 1:
 
         a_2     = -2 lam (a+b+3) a_1
         a_{n+1} = (a+b+n+2) (a_{n-1}/(a+b+n) - 2 lam a_n),  n >= 2.
@@ -117,9 +113,9 @@ def recurrence_coeffs(problem: SpectralProblem, lam: complex, a1: complex,
         raise ValueError("lam must be nonzero")
     ab = problem.params.ab
     a = np.zeros(N + 1, dtype=complex)
-    a[1] = a1
+    a[1] = 1.0
     if N >= 2:
-        a[2] = -2.0 * lam * (ab + 3.0) * a1
+        a[2] = -2.0 * lam * (ab + 3.0)
     for n in range(2, N):
         a[n + 1] = (ab + n + 2.0) * (a[n - 1] / (ab + n) - 2.0 * lam * a[n])
     return a
@@ -140,11 +136,10 @@ def eigenvalues(problem: SpectralProblem, k_max: int) -> list:
     return out
 
 
-def eigen_coeffs(problem: SpectralProblem, k: int, sign: int, N: int,
-                 a1: complex = 1.0) -> np.ndarray:
-    """Eigenfunction coefficients over the base family, n = 1..N.
+def eigen_coeffs(problem: SpectralProblem, k: int, sign: int, N: int) -> np.ndarray:
+    """Eigenfunction coefficients over the base family, n = 1..N, a_1 = 1.
 
-    Uses a_n = (-+ i)^{n-1} (a+b+n+1)/(a+b+2) h_{n-1}(1/j) a_1 with the
+    Uses a_n = (-+ i)^{n-1} (a+b+n+1)/(a+b+2) h_{n-1}(1/j) with the
     modified Lommel values taken from the Bessel identity
 
         h_{n-1, a+b+2}(1/j) = -J_{a+b+n+1}(j) / J_{a+b}(j)
@@ -162,7 +157,7 @@ def eigen_coeffs(problem: SpectralProblem, k: int, sign: int, N: int,
     base = (-1j * sign)
     for n in range(1, N + 1):
         h = -bessel_j(ab + n + 1.0, j) / jab
-        a[n] = base ** (n - 1) * (ab + n + 1.0) / (ab + 2.0) * h * a1
+        a[n] = base ** (n - 1) * (ab + n + 1.0) / (ab + 2.0) * h
     return a
 
 
@@ -220,7 +215,7 @@ def eigen_residual(problem: SpectralProblem, k: int, sign: int, N: int,
         lam = exact
         a = eigen_coeffs(sub, k, sign, N)
     else:
-        a = recurrence_coeffs(sub, lam, 1.0, N)
+        a = recurrence_coeffs(sub, lam, N)
     ta, _ = apply_T(sub, a, input_basis="base")
     r = ta - lam * a
     num = _norm_raised(sub, raised_from_base(sub, r))

@@ -423,7 +423,7 @@ def suite_spectrum(ov: Mapping) -> list:
 
     def relationab():
         lam = 0.15j
-        a = spe.recurrence_coeffs(prob, lam, 1.0, 12)
+        a = spe.recurrence_coeffs(prob, lam, 12)
         return _worst(abs(a[n] - (1j) ** (n - 1) * (ab + n + 1.0) / (ab + 2.0)
                           * lommel_h(n - 1, ab + 2.0, 1j * lam)) for n in range(1, 13)), 0.0
     _timed(checks, "spectrum/recurrence-vs-lommel-relation", relationab, 1e-10)
@@ -545,6 +545,20 @@ def suite_lemma71(ov: Mapping) -> list:
 # q suites
 # ---------------------------------------------------------------------------
 
+def _grid_memo(q: float, fn: Callable[[float], complex]) -> Callable[[float], complex]:
+    """fn on the grid {+-q^k}, evaluated once per exponent k and sign: the
+    first y that reaches a grid point gives the value of every later one."""
+    cache: dict = {}
+    lq = math.log(q)
+
+    def memo(y: float):
+        key = (round(math.log(abs(y)) / lq), y > 0)
+        if key not in cache:
+            cache[key] = fn(y)
+        return cache[key]
+    return memo
+
+
 def suite_q_core(ov: Mapping) -> list:
     checks: list = []
     ctx = qs.QContext(ov["q"])
@@ -602,13 +616,7 @@ def suite_q_core(ov: Mapping) -> list:
     def hankel_inv():
         al = P.alpha
         fgrid = lambda y: math.exp(-math.log(y) ** 2) if y > 0 else 0.0
-        cache: dict = {}
-
-        def hf(y: float) -> float:
-            k = round(math.log(y) / math.log(q))
-            if k not in cache:
-                cache[k] = qs.q_hankel(ctx, al, fgrid, y)
-            return cache[k]
+        hf = _grid_memo(q, lambda y: qs.q_hankel(ctx, al, fgrid, y))
         return _worst(abs(qs.q_hankel(ctx, al, hf, q ** n) - fgrid(q ** n))
                       for n in range(-2, 5)), 0.0
     _timed(checks, "q-core/hankel-double-transform", hankel_inv, 1e-11)
@@ -617,20 +625,8 @@ def suite_q_core(ov: Mapping) -> list:
         al = P.alpha
         u = lambda x: math.exp(-math.log(abs(x)) ** 2) if x != 0 else 0.0
         v = lambda x: abs(x) * math.exp(-math.log(abs(x)) ** 2) if x != 0 else 0.0
-        cu: dict = {}
-        cv: dict = {}
-
-        def fu(y):
-            k = (round(math.log(abs(y)) / math.log(q)), y > 0)
-            if k not in cu:
-                cu[k] = qs.q_transform(ctx, al, u, y)
-            return cu[k]
-
-        def fv(y):
-            k = (round(math.log(abs(y)) / math.log(q)), y > 0)
-            if k not in cv:
-                cv[k] = qs.q_transform(ctx, al, v, y)
-            return cv[k]
+        fu = _grid_memo(q, lambda y: qs.q_transform(ctx, al, u, y))
+        fv = _grid_memo(q, lambda y: qs.q_transform(ctx, al, v, y))
         cq = qs.qpochhammer(ctx.q2 ** (al + 1.0), ctx.q2) / qs.qpochhammer(ctx.q2, ctx.q2)
 
         def msum(g):

@@ -108,6 +108,17 @@ class TestQBessel:
         with pytest.raises(ValueError, match="Q must be finite"):
             fn(0.5, 1.0, math.nan)
 
+    @pytest.mark.parametrize("fn", [qs.qbessel3, qs.qbessel3_ratio])
+    def test_domain(self, fn, ctx):
+        # at a negative integer order the series divides by 1 - Q^0
+        for nu in (-1.0, -2.0, -3.0, -1.5):
+            with pytest.raises(ValueError, match="order must exceed -1"):
+                fn(nu, 1.0, ctx.q2)
+        for Q in (0.0, -0.25, 1.0, 1.5):
+            with pytest.raises(ValueError, match=r"Q must lie in \(0, 1\)"):
+                fn(0.5, 1.0, Q)
+        assert math.isfinite(fn(-0.9, 1.0, ctx.q2))
+
     def test_neumann_parity(self, ctx):
         for n in range(5):
             for m in (0, 1, 3):
@@ -218,7 +229,7 @@ class TestQJacobiFamily:
         # the forward 2phi1 sum of each member recomputed at every node
         nmax, digits = 3, 50
         ctx = qs.QContext(q)
-        gram = qs.QJacobiFamily(ctx, self.P).gram_matrix_mp(nmax, digits)
+        gram = qs.QJacobiFamily(ctx, self.P).gram_matrix_mp(nmax)
         with mp.workdps(digits):
             Qm = mp.mpf(ctx.q2)
             qm = mp.sqrt(Qm)

@@ -75,31 +75,18 @@ class TestMeasures:
         # monomials against dmu_{b,a} hit their Beta closed forms
         for (al, be) in ((0.4, 0.25), (0.7, -0.2), (1.9, 1.3)):
             m = Measure.mu_beta_alpha(al, be)
-            rule = rule_for_measure(m, 24)
             norm = 2.0 ** (al + 1.0) * gamma(al + 1.0)
             for mm in range(0, 24):
                 exact = beta_fn(mm + al + 1.0, be + 1.0) / norm
-                assert rule.apply(lambda t, mm=mm: t ** (2 * mm)) == \
+                assert integrate_interval(lambda t, mm=mm: t ** (2 * mm), m, 24) == \
                     pytest.approx(exact, rel=1e-12)
-                assert abs(rule.apply(lambda t, mm=mm: t ** (2 * mm + 1))) < 1e-15
+                assert abs(integrate_interval(lambda t, mm=mm: t ** (2 * mm + 1), m, 24)) < 1e-15
 
     def test_constant_against_mu_alpha(self):
         al = 0.6
         got = integrate_interval(lambda t: 1.0, Measure.mu_alpha(al), 20)
         assert got == pytest.approx(1.0 / (2.0 ** (al + 1.0) * gamma(al + 2.0)),
                                     rel=1e-14, abs=0.0)
-
-    def test_half_interval_split(self, monkeypatch):
-        # the odd part t^3 integrates exactly only on its own mapped rule,
-        # for the weight u^{a+1/2}, which this path alone builds
-        calls = _spy_gauss_jacobi(monkeypatch)
-        al = 0.6
-        m = Measure.mu_alpha(al)
-        got = integrate_interval(lambda t: t ** 3 + t ** 2, m, 20, interval="positive")
-        norm = 2.0 ** (al + 1.0) * gamma(al + 1.0)
-        exact = (1.0 / (2 * al + 5.0) + 1.0 / (2 * al + 4.0)) / norm
-        assert got == pytest.approx(exact, rel=1e-13, abs=0.0)
-        assert calls == [(20, 0.0, al), (20, 0.0, al + 0.5)]
 
     def test_symmetric_rule_builds_even_rule_only(self, monkeypatch):
         calls = _spy_gauss_jacobi(monkeypatch)
@@ -113,6 +100,16 @@ class TestMeasures:
                                         (120, 0.2, 0.3), (24, 0.0, 0.0), (120, 0.0, 0.0)])
         integrate_interval(lambda t: t * t, measures[0], 24)
         assert len(calls) == 6
+
+    @pytest.mark.parametrize("m", [Measure.mu_alpha(0.5), Measure.mu_beta_alpha(0.3, 0.2),
+                                   Measure("lebesgue")])
+    def test_cached_rule_is_read_only(self, m):
+        # every caller shares the cached arrays, so none may write into them
+        nodes, weights = rule_for_measure(m, 24)
+        for a in (nodes, weights):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+        assert rule_for_measure(m, 24)[0] is nodes
 
     def test_nonfinite_sample(self):
         with pytest.raises(ValueError):

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from biexp.cli import main
 from biexp.report import (CSV_HEADER, SuiteResult, emit_csv, emit_json,
-                          emit_text, make_check, parse_json)
+                          emit_text, make_check)
 from biexp import biortho, suites
 from biexp.suites import SUITE_NAMES, _worst, run_suite
 
@@ -50,14 +50,16 @@ class TestEmitters:
         r = self._result()
         buf = io.StringIO()
         emit_json(r, buf)
-        back = parse_json(buf.getvalue())
-        assert back.suite == r.suite
-        assert back.params == r.params
-        assert len(back.checks) == 3
-        for a, b in zip(back.checks, r.checks):
-            assert a.id == b.id and a.lhs == b.lhs and a.rhs == b.rhs
-            assert a.abs_err == b.abs_err and a.rel_err == b.rel_err
-            assert a.tol == b.tol and a.passed == b.passed
+        doc = json.loads(buf.getvalue())
+        assert doc["suite"] == r.suite and doc["params"] == r.params
+        assert doc["pass"] == r.passed and doc["runtime_ms"] == r.runtime_ms
+        assert len(doc["checks"]) == 3
+        for row, c in zip(doc["checks"], r.checks):
+            assert row["id"] == c.id and row["pass"] == c.passed
+            assert complex(row["lhs_re"], row["lhs_im"]) == c.lhs
+            assert complex(row["rhs_re"], row["rhs_im"]) == c.rhs
+            assert row["abs_err"] == c.abs_err and row["rel_err"] == c.rel_err
+            assert row["tol"] == c.tol
 
     def test_empty_report_is_vacuous_pass(self):
         r = SuiteResult(suite="demo", params={}, checks=[], runtime_ms=0.0)
@@ -183,6 +185,8 @@ class TestCLI:
         ["eval", "gengeg", "--alpha", "inf", "--beta", "0", "--n", "2", "--t", "0.3"],
         ["eval", "qbessel3", "--nu", "nan", "--x", "1", "--q", "0.5"],
         ["verify", "spectrum", "--alpha", "inf"],
+        ["eval", "lommel", "--n", "3", "--a", "2.5", "--w", "nan"],
+        ["eval", "lommel", "--n", "3", "--a", "inf", "--w", "0.2"],
     ])
     def test_nonfinite_value_exit_2(self, argv):
         proc = subprocess.run([sys.executable, "-m", "biexp.cli", *argv],
@@ -217,6 +221,16 @@ class TestCLI:
         (["verify", "spectrum", "--alpha", "200"], "out of range"),
         # a sample the quadrature rejects, with no numpy warning before it
         (["verify", "spectrum", "--alpha", "140"], "non-finite sample"),
+        # the eigenvalues are +-i/j_k: any other sign names none of them
+        (["eval", "eigenvalue", "--alpha", "0.3", "--beta", "0.2", "--k", "1", "--sign", "3"],
+         "sign must be 1 or -1"),
+        (["eval", "eigenvalue", "--alpha", "0.3", "--beta", "0.2", "--k", "1", "--sign", "0"],
+         "sign must be 1 or -1"),
+        # Q = q^2 would hide the sign of q
+        (["eval", "qbessel3", "--nu", "0.5", "--x", "1", "--q", "0"], "q must lie in (0, 1)"),
+        (["eval", "qbessel3", "--nu", "0.5", "--x", "1", "--q", "-0.5"], "q must lie in (0, 1)"),
+        (["eval", "qbessel3", "--nu", "-1", "--x", "1", "--q", "0.5"], "order must exceed -1"),
+        (["eval", "qbessel3", "--nu", "-3", "--x", "1", "--q", "0.5"], "order must exceed -1"),
     ])
     def test_domain_error_exit_2(self, argv, reason):
         proc = subprocess.run([sys.executable, "-m", "biexp.cli", *argv],

@@ -8,8 +8,7 @@ from scipy import special as sp
 
 from biexp import specfun
 from biexp.specfun import (Params, _jratio_array, bessel_j, bessel_j_ratio,
-                           bessel_zeros, dunkl_kernel, gamma, lommel_h,
-                           lgamma, lommel_r)
+                           bessel_zeros, dunkl_kernel, gamma, lommel_h, lgamma)
 
 SQRT_PI = 1.7724538509055160273
 
@@ -325,18 +324,15 @@ class TestLommel:
 
     def test_parity(self):
         a, z = 2.6, 0.4
-        assert lommel_r(3, a, -z) == pytest.approx(-lommel_r(3, a, z), rel=1e-13, abs=0.0)
         for n in range(8):
             assert lommel_h(n, a, -z) == pytest.approx((-1.0) ** n * lommel_h(n, a, z),
                                                        rel=1e-13, abs=0.0)
 
-    def test_r_h_relation(self):
-        a, z = 1.7, 2.3
-        assert lommel_r(4, a, z) == pytest.approx(lommel_h(4, a, 1.0 / z), rel=1e-14, abs=0.0)
-
-    def test_singularity(self):
-        with pytest.raises(ZeroDivisionError):
-            lommel_r(2, 1.5, 0.0)
+    @pytest.mark.parametrize("a, w, name", [(2.5, math.nan, "w"), (math.inf, 0.2, "a"),
+                                            (math.nan, 0.2, "a"), (2.5, complex(0.1, math.inf), "w")])
+    def test_nonfinite_arguments(self, a, w, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            lommel_h(3, a, w)
 
     def test_hurwitz_sign_stabilizes(self):
         a = 2.6

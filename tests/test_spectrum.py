@@ -79,13 +79,13 @@ class TestRecurrence:
     def test_seed_ratio(self, problem):
         ab = problem.params.ab
         lam = 0.15j
-        a = spe.recurrence_coeffs(problem, lam, 1.0, 6)
+        a = spe.recurrence_coeffs(problem, lam, 6)
         assert a[2] / a[1] == pytest.approx(-2.0 * lam * (ab + 3.0), rel=1e-14, abs=0.0)
 
     def test_matches_lommel_relation(self, problem):
         ab = problem.params.ab
         lam = 0.15j
-        a = spe.recurrence_coeffs(problem, lam, 1.0, 12)
+        a = spe.recurrence_coeffs(problem, lam, 12)
         for n in range(1, 13):
             rel = ((1j) ** (n - 1) * (ab + n + 1.0) / (ab + 2.0)
                    * lommel_h(n - 1, ab + 2.0, 1j * lam))
@@ -99,7 +99,7 @@ class TestRecurrence:
 
     def test_lambda_zero_rejected(self, problem):
         with pytest.raises(ValueError):
-            spe.recurrence_coeffs(problem, 0.0, 1.0, 10)
+            spe.recurrence_coeffs(problem, 0.0, 10)
 
 
 class TestEigen:
