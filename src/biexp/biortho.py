@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Literal
+from typing import Callable, Literal, Sequence
 
 import numpy as np
 
-from .orthopoly import GenGegenbauerFamily, classical_gegenbauer, jacobi_eval
+from .orthopoly import GenGegenbauerFamily, _jacobi_rows, classical_gegenbauer
 from .quad import (Measure, _first_cell_rule, _legendre16, _neville, accelerate,
                    gauss_jacobi, mcmahon_zero, rule_for_measure)
 from .specfun import (Params, ZeroTable, _jnorm_array, _jratio_array,
@@ -188,14 +188,6 @@ class PWFunction:
 # Kernel systems and biorthogonal pairs
 # ---------------------------------------------------------------------------
 
-def _table(fn: Callable, ns, nodes: np.ndarray) -> np.ndarray:
-    """One family on one node array: row i is fn(ns[i], nodes)."""
-    tab = np.empty((len(ns), len(nodes)), dtype=complex)
-    for i, n in enumerate(ns):
-        tab[i] = fn(n, nodes)
-    return tab
-
-
 @dataclass(frozen=True)
 class KernelSystem:
     """Kernel K(x, t) with its measure and the transform it induces.
@@ -210,8 +202,8 @@ class KernelSystem:
     def inverse_on_interval(self, g: Callable, x: float, measure: Measure):
         """int_{-1}^{1} g(t) K(x, t) dmeasure(t): the windowed inverse transform.
 
-        g maps the node array to its values, or to a table with one row per
-        function; the result is then one integral per row.
+        g maps the node array to a table with one row per function: one
+        integral per row.
         """
         nodes, w = rule_for_measure(measure, _RULE_ORDER)
         return g(nodes) @ (w * self.kernel(x, nodes))
@@ -283,21 +275,22 @@ class BiorthSystem:
     q_measure and q_smooth express conj(Q_n) times the base measure as a
     smooth factor against a Gauss-exact weighted measure, so that Gram
     matrices and S_n quadratures keep spectral accuracy even when Q carries
-    an endpoint weight like (1-t^2)^beta.  P(n, t) and q_smooth(n, t) take
-    a node array t.
+    an endpoint weight like (1-t^2)^beta.  P(ns, t) and q_smooth(ns, t)
+    give the table of every index of ns (one row each) on a node array t.
     """
 
     name: str
     index: Literal["Z", "N"]
-    P: Callable[[int, np.ndarray], np.ndarray]
+    P: Callable[[Sequence[int], np.ndarray], np.ndarray]
     q_measure: Measure
-    q_smooth: Callable[[int, np.ndarray], np.ndarray]
+    q_smooth: Callable[[Sequence[int], np.ndarray], np.ndarray]
 
     def gram(self, ns, ms) -> np.ndarray:
         """Matrix of int_I P_n conj(Q_m) dmu_base over n in ns, m in ms, by
         the weight-absorbed rule: (P w) Q^T from one table per family."""
         nodes, w = rule_for_measure(self.q_measure, _RULE_ORDER)
-        return (_table(self.P, ns, nodes) * w) @ _table(self.q_smooth, ms, nodes).T
+        # a complex product for every system, real tables included
+        return (self.P(ns, nodes) * w) @ self.q_smooth(ms, nodes).astype(complex).T
 
 
 def _window(index: str, N: int) -> list:
@@ -315,12 +308,12 @@ def expand_kernel(sys: KernelSystem, bio: BiorthSystem, x: float, N: int) -> Tru
     if N < 1:
         raise ValueError("N must be >= 1")
     ns = _window(bio.index, N)
-    coeffs = sys.inverse_on_interval(lambda t: _table(bio.q_smooth, ns, t), x,
+    coeffs = sys.inverse_on_interval(lambda t: bio.q_smooth(ns, t), x,
                                      bio.q_measure).tolist()
     tail = max(abs(coeffs[0]), abs(coeffs[-1]))
 
     def partial(t: float) -> complex:
-        return complex(np.dot(coeffs, _table(bio.P, ns, np.array([t]))[:, 0]))
+        return complex(np.dot(coeffs, bio.P(ns, np.array([t]))[:, 0]))
 
     return TruncatedSeries(coeffs=coeffs, order=N, tail_estimate=tail,
                            n_min=ns[0], partial_sum=partial)
@@ -342,15 +335,15 @@ def fourier_system():
         measure=Measure("lebesgue"),
     )
 
-    def p(n: int, t: np.ndarray) -> np.ndarray:
-        return np.exp(1j * math.pi * n * t) / math.sqrt(2.0)
+    def p(ns, t: np.ndarray) -> np.ndarray:
+        return np.exp((1j * math.pi * np.asarray(ns))[:, None] * t) / math.sqrt(2.0)
 
     bio = BiorthSystem(
         name="fourier",
         index="Z",
         P=p,
         q_measure=Measure("lebesgue"),
-        q_smooth=lambda n, t: np.conj(p(n, t)),
+        q_smooth=lambda ns, t: np.conj(p(ns, t)),
     )
     return ks, bio
 
@@ -369,53 +362,47 @@ def fourier_sampling_coeff(n: int, x: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _gegenbauer_h(beta: float, n: int) -> float:
-    """L2 norm of C_n^beta against (1-t^2)^{beta-1/2} dt (Chebyshev at 0)."""
-    if beta == 0.0:
-        return math.pi if n == 0 else 2.0 * math.pi / (n * n)
+    """L2 norm of C_n^beta against (1-t^2)^{beta-1/2} dt."""
     return (math.sqrt(math.pi) * gamma(beta + 0.5) * gamma(2.0 * beta + n)
             / (gamma(beta) * gamma(2.0 * beta) * (n + beta) * gamma(n + 1.0)))
 
 
 def gegenbauer_system(beta: float):
-    """Plane-wave system: P_n the Gegenbauer polynomials of order beta,
-    Q_n the same polynomials times the weight, over Lebesgue measure.
-
-    beta = 0 follows the Chebyshev convention for the degenerate family.
-    """
-    if beta <= -0.5:
-        raise ValueError("gegenbauer system needs beta > -1/2")
+    """Plane-wave system: P_n the Gegenbauer polynomials of order beta > 0,
+    Q_n the same polynomials times the weight, over Lebesgue measure."""
+    if not beta > 0.0:
+        raise ValueError(f"gegenbauer system needs beta > 0, got {beta}")
     ks = KernelSystem(
         name="gegenbauer",
         kernel=lambda x, t: np.exp(1j * x * t) / _SQ2PI,
         measure=Measure("lebesgue"),
     )
 
-    def p(n: int, t: np.ndarray) -> np.ndarray:
-        return classical_gegenbauer(n, beta, t)
+    def p(ns, t: np.ndarray) -> np.ndarray:
+        return classical_gegenbauer(max(ns), beta, t)[list(ns)]
+
+    def q(ns, t: np.ndarray) -> np.ndarray:
+        return _SQ2PI * p(ns, t) / np.asarray([_gegenbauer_h(beta, n) for n in ns])[:, None]
 
     bio = BiorthSystem(
         name="gegenbauer",
         index="N",
         P=p,
         q_measure=Measure.mu_beta_alpha(-0.5, beta - 0.5),
-        q_smooth=lambda n, t: _SQ2PI * p(n, t) / _gegenbauer_h(beta, n),
+        q_smooth=q,
     )
     return ks, bio
 
 
 def _gegenbauer_coeff_pref(beta: float, n: int) -> complex:
     """S_n(x) / (J_{beta+n}(x)/x^beta) for the Gegenbauer system."""
-    if beta == 0.0:
-        return (1j ** n) * (1.0 if n == 0 else float(n)) / _SQ2PI
     return 2.0 ** (beta - 0.5) / math.sqrt(math.pi) * (1j ** n) * gamma(beta) * (beta + n)
 
 
 def gegenbauer_coeff(beta: float, n: int, x: float) -> complex:
-    """Closed form S_n(x) for the Gegenbauer system.
+    """Closed form S_n(x) for the Gegenbauer system,
 
-    beta > 0: 2^{beta-1/2} pi^{-1/2} i^n Gamma(beta) (beta+n) J_{beta+n}(x)/x^beta.
-    beta = 0: the Chebyshev-convention family (2/n) T_n pairs with
-    S_0 = J_0/sqrt(2 pi) and S_n = n i^n J_n/sqrt(2 pi).
+        2^{beta-1/2} pi^{-1/2} i^n Gamma(beta) (beta+n) J_{beta+n}(x)/x^beta.
     """
     # J_{beta+n}(x) / x^beta
     return _gegenbauer_coeff_pref(beta, n) * (bessel_j_ratio(beta + n, abs(x)) * x ** n)
@@ -426,20 +413,17 @@ def classical_planewave(beta: float, x: float, t: float, N: int) -> complex:
 
         e^{ixt} = Gamma(b) (x/2)^{-b} sum i^n (b+n) J_{b+n}(x) C_n^b(t),
 
-    with the Chebyshev-convention branch at beta = 0 (Jacobi-Anger)."""
+    for b = beta > 0."""
     if N < 1:
         raise ValueError("N must be >= 1")
+    if not beta > 0.0:
+        raise ValueError(f"classical plane wave needs beta > 0, got {beta}")
     acc = 0.0 + 0.0j
     ax = abs(x)
-    if beta == 0.0:
-        for n in range(N):
-            jn = bessel_j_ratio(float(n), ax) * x ** n
-            acc += (1j ** n) * (1.0 if n == 0 else 2.0) * jn * classical_gegenbauer(n, 0.0, t)
-        return acc
     pref = gamma(beta) * 2.0 ** beta
-    for n in range(N):
+    for n, c in enumerate(classical_gegenbauer(N - 1, beta, t).tolist()):
         jq = bessel_j_ratio(beta + n, ax) * x ** n
-        acc += (1j ** n) * (beta + n) * jq * classical_gegenbauer(n, beta, t)
+        acc += (1j ** n) * (beta + n) * jq * c
     return pref * acc
 
 
@@ -460,9 +444,11 @@ class DunklSamplingSystem:
         s = self.table.signed(n)
         return 2.0 ** (0.5 * a) * math.sqrt(gamma(a + 1.0)) / abs(bessel_i_norm_imag(a, s))
 
-    def e(self, n: int, t):
-        """d_n E_alpha(i s_n t) at one node or on a node array."""
-        return self.d(n) * _dunkl_e(self.alpha, self.table.signed(n) * t)
+    def e(self, ns, t) -> np.ndarray:
+        """d_n E_alpha(i s_n t) for every n of ns at a node or on a node
+        array t, one row per n, from one kernel grid on the (n, node) product."""
+        s = np.asarray([self.table.signed(n) for n in ns])
+        return np.asarray([self.d(n) for n in ns])[:, None] * _dunkl_e(self.alpha, np.outer(s, t))
 
 
 def dunkl_system(alpha: float, n_max: int = 24):
@@ -480,7 +466,7 @@ def dunkl_system(alpha: float, n_max: int = 24):
         index="Z",
         P=dss.e,
         q_measure=Measure.mu_alpha(alpha),
-        q_smooth=lambda n, t: np.conj(dss.e(n, t)),
+        q_smooth=lambda ns, t: np.conj(dss.e(ns, t)),
     )
     return ks, bio, dss
 
@@ -574,12 +560,16 @@ def neumann_system(params: Params):
         kernel=lambda x, t: _dunkl_e(a, x * t),
         measure=Measure.mu_alpha(a),
     )
+
+    def p(ns, t: np.ndarray) -> np.ndarray:
+        return fam.table(max(ns), t)[list(ns)]
+
     bio = BiorthSystem(
         name="fourier-neumann",
         index="N",
-        P=fam.eval,
+        P=p,
         q_measure=Measure.mu_beta_alpha(a, b),
-        q_smooth=lambda n, t: fam.eval(n, t) / fam.norm(n),
+        q_smooth=lambda ns, t: p(ns, t) / np.asarray([fam.norm(n) for n in ns])[:, None],
     )
     return ks, bio, fam
 
@@ -599,8 +589,8 @@ def planewave_partial_sum(params: Params, x: float, t: float, N: int) -> complex
     fam = GenGegenbauerFamily(params)
     pref = 2.0 ** (ab + 1.0) * gamma(ab + 1.0)
     acc = 0.0 + 0.0j
-    for n in range(N):
-        acc += (1j ** n) * (ab + n + 1.0) * neumann_fn(ab, n, x) * fam.eval(n, t)
+    for n, c in enumerate(fam.table(N - 1, t).tolist()):
+        acc += (1j ** n) * (ab + n + 1.0) * neumann_fn(ab, n, x) * c
     return pref * acc
 
 
@@ -671,10 +661,9 @@ def hankel_corollary_sum(params: Params, x: float, t: float, N: int) -> float:
     a, b = params.alpha, params.beta
     ab = params.ab
     acc = 0.0
-    y = 1.0 - 2.0 * t * t
-    for n in range(N):
+    for n, pn in enumerate(_jacobi_rows(N - 1, a, b, 1.0 - 2.0 * t * t)):
         coef = 2.0 ** (b + 1.0) * (ab + 2.0 * n + 1.0) * gamma(ab + n + 1.0) / gamma(a + n + 1.0)
-        acc += coef * neumann_fn(ab, 2 * n, x) * jacobi_eval(n, a, b, y)
+        acc += coef * neumann_fn(ab, 2 * n, x) * pn
     return acc
 
 
@@ -714,8 +703,7 @@ def st_gram_gegenbauer(beta: float, nmax: int) -> np.ndarray:
     # nodes t >= 0 with doubled weights (not that of an odd rule's t = 0)
     th, wh = tz[t_order // 2:], 2.0 * tw[t_order // 2:]
     wh[0] /= 1 + t_order % 2
-    pm = np.asarray([[classical_gegenbauer(m, beta, t) for t in th]
-                     for m in range(nmax + 1)])
+    pm = classical_gegenbauer(nmax, beta, th)
     gram = np.zeros((nmax + 1, nmax + 1), dtype=complex)
     ys = np.concatenate([0.5 * math.pi * xg + (k + 0.5) * math.pi
                          for k in range(cells)])

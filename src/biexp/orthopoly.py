@@ -10,6 +10,7 @@ a pure index shift, which is what the spectral module exploits.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,15 +23,18 @@ __all__ = [
     "jacobi_eval",
     "jacobi_u_coeffs",
     "classical_gegenbauer",
-    "chebyshev_t",
     "dunkl_apply_poly",
 ]
 
-def _jacobi_rec(n: int, a: float, b: float, x):
-    """P_n^{(a,b)} and P_{n-1}^{(a,b)} at x, a float or an array, n >= 1,
-    by the three-term recurrence."""
+def _jacobi_rows(n: int, a: float, b: float, x):
+    """P_0^{(a,b)}(x), ..., P_n^{(a,b)}(x) at a float or an array x, one row
+    at a time: the one code that steps the three-term recurrence."""
     p0 = x ** 0                       # 1 in the type and shape of x
+    yield p0
+    if n == 0:
+        return
     p1 = 0.5 * (a - b) + 0.5 * (a + b + 2.0) * x
+    yield p1
     for k in range(2, n + 1):
         c = 2.0 * k + a + b
         a1 = 2.0 * k * (k + a + b) * (c - 2.0)
@@ -38,7 +42,13 @@ def _jacobi_rec(n: int, a: float, b: float, x):
         a3 = (c - 1.0) * c * (c - 2.0)
         a4 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * c
         p0, p1 = p1, ((a2 + a3 * x) * p1 - a4 * p0) / a1
-    return p1, p0
+        yield p1
+
+
+def _jacobi_rec(n: int, a: float, b: float, x):
+    """P_n^{(a,b)} and P_{n-1}^{(a,b)} at x, n >= 1: the last two rows."""
+    pm, pn = deque(_jacobi_rows(n, a, b, x), maxlen=2)
+    return pn, pm
 
 
 def jacobi_eval(n: int, a: float, b: float, y):
@@ -46,9 +56,7 @@ def jacobi_eval(n: int, a: float, b: float, y):
     parameters a, b > -1."""
     if n < 0:
         raise ValueError("degree must be >= 0")
-    if n == 0:
-        return y ** 0
-    return _jacobi_rec(n, a, b, y)[0]
+    return deque(_jacobi_rows(n, a, b, y), maxlen=1)[0]
 
 
 def jacobi_u_coeffs(n: int, a: float, b: float) -> list:
@@ -89,30 +97,47 @@ class GenGegenbauerFamily:
 
     params: Params
 
-    def _pref(self, m: int, r: int) -> float:
-        """(-1)^m (a+b+1)_{m+r} / (a+1)_{m+r}, the factor in front of the
-        Jacobi polynomial in C_{2m+r}, as one product of ratios (each
-        Pochhammer product alone leaves the float range long before it)."""
+    def _pass(self, m: int, r: int, t, rows: list | None = None):
+        """C_{2m+r} at t from one Jacobi pass in 1 - 2t^2 with a running
+        prefactor, a product of ratios (each Pochhammer product alone leaves
+        the float range long before it); appends C_r, ..., C_{2m+r} to rows."""
         a, b = self.params.alpha, self.params.beta
         c, d = a + b + 1.0, a + 1.0
-        p = (-1.0) ** m
-        for k in range(m + r):
-            p *= (c + k) / (d + k)
-        return p
+        tr = t ** r
+        p = 1.0
+        # row k = j + 1 - r takes the ratios up to index j
+        for j, pk in enumerate(_jacobi_rows(m, a + r, b, 1.0 - 2.0 * t * t), r - 1):
+            if j >= 0:
+                p *= (c + j) / (d + j)
+            if rows is not None:
+                rows.append((-p if (j + 1 - r) % 2 else p) * tr * pk)
+        return (-p if m % 2 else p) * tr * pk
 
     def eval(self, n: int, t):
-        """C_n at a float or an array t; OverflowError where a value leaves
-        the float range."""
+        """C_n at a float or an array t; OverflowError past the float range."""
         if n < 0:
             raise ValueError("degree must be >= 0")
-        a, b = self.params.alpha, self.params.beta
-        m, r = divmod(n, 2)
-        v = self._pref(m, r) * t ** r * jacobi_eval(m, a + r, b, 1.0 - 2.0 * t * t)
+        v = self._pass(*divmod(n, 2), t)
         # math.isfinite on floats: np.isfinite alone costs more than a low-degree call
-        finite = np.isfinite(v).all() if isinstance(v, np.ndarray) else math.isfinite(v)
-        if not finite:
+        if not (np.isfinite(v).all() if isinstance(v, np.ndarray) else math.isfinite(v)):
+            a, b = self.params.alpha, self.params.beta
             raise OverflowError(f"C_{n} at alpha={a}, beta={b} exceeds the float64 range")
         return v
+
+    def table(self, N: int, t) -> np.ndarray:
+        """C_0, ..., C_N at a float or an array t from one pass per parity,
+        row n equal to eval(n, t) to the bit; OverflowError as eval."""
+        tab = np.empty((N + 1,) + np.shape(t))
+        # a non-finite value raises below, so numpy need not warn of it
+        with np.errstate(over="ignore", invalid="ignore"):
+            for r in range(min(N + 1, 2)):
+                rows: list = []
+                self._pass((N - r) // 2, r, t, rows)
+                tab[r::2] = rows
+        if not np.isfinite(tab).all():
+            a, b = self.params.alpha, self.params.beta
+            raise OverflowError(f"C_0..C_{N} at alpha={a}, beta={b} exceed the float64 range")
+        return tab
 
     def norm(self, n: int) -> float:
         """Squared norm h_n against (1-t^2)^beta dmu_alpha, closed form.
@@ -145,7 +170,9 @@ class GenGegenbauerFamily:
         operator identities are checked at)."""
         a, b = self.params.alpha, self.params.beta
         m, r = divmod(n, 2)
-        pref = self._pref(m, r)
+        # the prefactor of C_n, with its ratios in the order of the pass
+        pref = math.prod(((a + b + 1.0 + k) / (a + 1.0 + k) for k in range(m + r)),
+                         start=(-1.0) ** m)
         out = [0.0] * (n + 1)
         for k, c in enumerate(jacobi_u_coeffs(m, a + r, b)):
             out[2 * k + r] = pref * c
@@ -178,32 +205,14 @@ class GenGegenbauerFamily:
         )
 
 
-def chebyshev_t(n: int, t: float) -> float:
-    """Chebyshev polynomial T_n(t)."""
-    if n == 0:
-        return 1.0
-    p0, p1 = 1.0, t
-    for _ in range(n - 1):
-        p0, p1 = p1, 2.0 * t * p1 - p0
-    return p1
-
-
-def classical_gegenbauer(n: int, lam: float, t: float) -> float:
-    """Classical Gegenbauer C_n^{lam}(t) for lam > -1/2.
-
-    The degenerate lam = 0 family follows the Chebyshev normalization
-    (T_0 and (2/n) T_n), the usual convention for plane-wave expansions.
-    """
-    if lam == 0.0:
-        if n == 0:
-            return 1.0
-        return 2.0 / n * chebyshev_t(n, t)
-    if n == 0:
-        return 1.0
-    p0, p1 = 1.0, 2.0 * lam * t
-    for k in range(2, n + 1):
-        p0, p1 = p1, (2.0 * t * (k + lam - 1.0) * p1 - (k + 2.0 * lam - 2.0) * p0) / k
-    return p1
+def classical_gegenbauer(N: int, lam: float, t) -> np.ndarray:
+    """Classical Gegenbauer C_0^lam(t), ..., C_N^lam(t), lam > -1/2, at a
+    float or an array t, from their own recurrence in t (kept apart from
+    the Jacobi one: the half-integer plane-wave check compares the two)."""
+    rows = [t ** 0, 2.0 * lam * t]
+    for k in range(2, N + 1):
+        rows.append((2.0 * t * (k + lam - 1.0) * rows[-1] - (k + 2.0 * lam - 2.0) * rows[-2]) / k)
+    return np.asarray(rows[:N + 1])
 
 
 def dunkl_apply_poly(alpha: float, coeffs: list) -> list:

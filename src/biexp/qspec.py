@@ -247,7 +247,7 @@ def qbessel3_ratio(nu: float, x: float, Q: float) -> float:
     value decays superexponentially while the largest term grows the same
     way), so those are recomputed at elevated precision and cached.
     Raises ValueError outside the domain: finite x, finite order > -1 and
-    Q in (0, 1).
+    Q in (0, 1); OverflowError where the float series overflows.
     """
     if not (-1.0 < nu < math.inf and math.isfinite(x) and 0.0 < Q < 1.0):
         for name, v in (("order", nu), ("x", x), ("Q", Q)):
@@ -261,6 +261,8 @@ def qbessel3_ratio(nu: float, x: float, Q: float) -> float:
     if key in _qb_cache:
         return _qb_cache[key]
     val, mx = _qbessel_ratio_float(nu, x, Q)
+    if not (math.isfinite(val) and math.isfinite(mx)):
+        raise OverflowError(f"q-Bessel series at x={x}, Q={Q} leaves the float64 range")
     if mx > 1e3 * max(abs(val), 1e-270):
         digits = 40 + int(2.2 * math.log10(max(mx, 1.0)))
         val = _qbessel_ratio_mp(nu, x, Q, digits)

@@ -519,7 +519,8 @@ def bessel_zeros(nu: float, k_max: int) -> ZeroTable:
 # ---------------------------------------------------------------------------
 
 def lommel_h(n: int, a: float, w):
-    """Modified Lommel polynomial h_{n,a}(w) = R_{n,a}(1/w); complex w ok.
+    """Modified Lommel polynomial h_{n,a}(w) = R_{n,a}(1/w); complex w ok;
+    OverflowError where the value leaves the float range.
 
         h_{n+1} = 2(n+a) w h_n - h_{n-1},  h_{-1} = 0, h_0 = 1.
     """
@@ -539,4 +540,6 @@ def lommel_h(n: int, a: float, w):
     for k in range(0, n):
         hn = 2.0 * (k + a) * w * hc - hm
         hm, hc = hc, hn
+    if not cmath.isfinite(hc):
+        raise OverflowError(f"h_{n} at a={a}, w={w} exceeds the float64 range")
     return hc

@@ -70,33 +70,20 @@ def raised_from_base(problem: SpectralProblem, a: np.ndarray) -> np.ndarray:
     return out
 
 
-def apply_T(problem: SpectralProblem, g: np.ndarray,
-            input_basis: str = "base") -> tuple:
-    """Apply the right inverse in coefficient space.
-
-    input_basis "base": g are coefficients over C_n^{(b+1/2,a+1/2)}
-    (slot 0 ignored); they are first converted to the raised family.
-    input_basis "raised": g are already coefficients over the raised family
-    (slots 0..N used).
+def apply_T(problem: SpectralProblem, g: np.ndarray) -> tuple:
+    """Apply the right inverse in coefficient space to g, coefficients over
+    the raised family C_m^{(b+3/2,a+1/2)} (slots 0..N; raised_from_base
+    converts from the base family).
 
     The operator shifts g_{n-1}/(2(a+b+1)) into slot n of the base family.
     Returns (result coefficients, dropped mass beyond the window).
     """
     ab = problem.params.ab
     N = problem.N
-    if input_basis == "base":
-        raised = raised_from_base(problem, np.asarray(g, dtype=complex))
-    elif input_basis == "raised":
-        raised = np.asarray(g, dtype=complex)
-        if len(raised) < N + 1:
-            raised = np.concatenate([raised, np.zeros(N + 1 - len(raised))])
-    else:
-        raise ValueError("input_basis must be 'base' or 'raised'")
+    g = np.asarray(g, dtype=complex)
     out = np.zeros(N + 1, dtype=complex)
-    for n in range(1, N + 1):
-        out[n] = raised[n - 1] / (2.0 * (ab + 1.0))
-    dropped = abs(raised[N]) / (2.0 * (ab + 1.0))
-    return out, dropped
+    out[1:] = g[:N] / (2.0 * (ab + 1.0))
+    return out, abs(g[N]) / (2.0 * (ab + 1.0))
 
 
 def recurrence_coeffs(problem: SpectralProblem, lam: complex, N: int) -> np.ndarray:
@@ -107,7 +94,9 @@ def recurrence_coeffs(problem: SpectralProblem, lam: complex, N: int) -> np.ndar
 
     Numerically useful at small n only: at an eigenvalue the true solution
     is minimal and forward recursion loses it to rounding noise (growth
-    like Gamma(n)(2/j)^n); eigen_coeffs holds the stable route.
+    like Gamma(n)(2/j)^n); eigen_coeffs holds the stable route.  Past
+    2^400 the vector is scaled by 2^-400, exactly: the same solution up to
+    a power of two, whose squares stay finite.
     """
     if lam == 0:
         raise ValueError("lam must be nonzero")
@@ -118,6 +107,8 @@ def recurrence_coeffs(problem: SpectralProblem, lam: complex, N: int) -> np.ndar
         a[2] = -2.0 * lam * (ab + 3.0)
     for n in range(2, N):
         a[n + 1] = (ab + n + 2.0) * (a[n - 1] / (ab + n) - 2.0 * lam * a[n])
+        if abs(a[n + 1]) > 2.0 ** 400:
+            a[:n + 2] /= 2.0 ** 400
     return a
 
 
@@ -179,8 +170,8 @@ def eigenfunction(problem: SpectralProblem, k: int, sign: int, t: float,
     al = problem.params.alpha
     j = problem.zero(k)
     a = eigen_coeffs(problem, k, sign, N)
-    fam = problem.family
-    series = sum(a[n] * fam.eval(n, t) for n in range(1, N + 1))
+    cs = problem.family.table(N, t).tolist()
+    series = sum(a[n] * cs[n] for n in range(1, N + 1))
     jab = bessel_j(ab, j)
     closed = (-sign * 1j * (0.5 * j) ** (ab + 1.0)
               * dunkl_kernel(al, -sign * t * j)
@@ -216,7 +207,7 @@ def eigen_residual(problem: SpectralProblem, k: int, sign: int, N: int,
         a = eigen_coeffs(sub, k, sign, N)
     else:
         a = recurrence_coeffs(sub, lam, N)
-    ta, _ = apply_T(sub, a, input_basis="base")
+    ta, _ = apply_T(sub, raised_from_base(sub, a))
     r = ta - lam * a
     num = _norm_raised(sub, raised_from_base(sub, r))
     den = _norm_raised(sub, raised_from_base(sub, a))

@@ -137,7 +137,7 @@ def suite_dunkl_sampling(ov: Mapping) -> list:
 
     def e0_norm():
         ks, bio, dss = bo.dunkl_system(al, 4)
-        val = integrate_interval(lambda t: abs(dss.e(0, t)) ** 2,
+        val = integrate_interval(lambda t: abs(dss.e([0], t)[0, 0]) ** 2,
                                  Measure.mu_alpha(al), 80)
         return val, 1.0
     _timed(checks, "dunkl-sampling/e0-normalization", e0_norm, 1e-10)
@@ -384,7 +384,7 @@ def suite_spectrum(ov: Mapping) -> list:
     def lam_T_identity():
         g = np.zeros(N + 1, dtype=complex)
         g[2] = 1.0
-        out, _ = spe.apply_T(prob, g, input_basis="raised")
+        out, _ = spe.apply_T(prob, g)
         coeffs = np.zeros(N + 2)
         for n in range(1, N + 1):
             if abs(out[n]) > 0.0:
@@ -399,7 +399,7 @@ def suite_spectrum(ov: Mapping) -> list:
     def t_on_basis():
         g = np.zeros(N + 1, dtype=complex)
         g[0] = 1.0
-        out, _ = spe.apply_T(prob, g, input_basis="raised")
+        out, _ = spe.apply_T(prob, g)
         dev = abs(out[1] - 1.0 / (2.0 * (ab + 1.0))) + float(np.max(np.abs(out[2:])))
         return dev, 0.0
     _timed(checks, "spectrum/T-on-basis-element", t_on_basis, 1e-15)
@@ -408,15 +408,18 @@ def suite_spectrum(ov: Mapping) -> list:
         # integral-kernel route with a 20-term kernel sum vs coefficient route
         g = np.zeros(N + 1, dtype=complex)
         g[2] = 1.0
-        out, _ = spe.apply_T(prob, g, input_basis="raised")
+        out, _ = spe.apply_T(prob, g)
         t = 0.3
-        direct = sum((out[n] * fam.eval(n, t)).real for n in range(1, N + 1))
+        ct = fam.table(N, t).tolist()
+        direct = sum((out[n] * ct[n]).real for n in range(1, N + 1))
+        hs = [up.norm(n) for n in range(20)]
 
         def kern(r: float) -> float:
+            ur = up.table(19, r).tolist()
             acc = 0.0
             for n in range(1, 21):
-                acc += fam.eval(n, t) * up.eval(n - 1, r) / up.norm(n - 1)
-            return acc / (2.0 * (ab + 1.0)) * up.eval(2, r)
+                acc += ct[n] * ur[n - 1] / hs[n - 1]
+            return acc / (2.0 * (ab + 1.0)) * ur[2]
         byquad = integrate_interval(kern, Measure.mu_beta_alpha(P.alpha, P.beta + 1.0), 60)
         return direct, byquad
     _timed(checks, "spectrum/T-quadrature-kernel-oracle", t_kernel_oracle, 1e-6)
@@ -453,7 +456,7 @@ def suite_spectrum(ov: Mapping) -> list:
         ok = True
         for _ in range(20):
             g = rng.standard_normal(N + 1) + 1j * rng.standard_normal(N + 1)
-            out, _ = spe.apply_T(prob, g, input_basis="raised")
+            out, _ = spe.apply_T(prob, g)
             ntg = math.sqrt(sum(abs(out[n]) ** 2 * fam.norm(n) for n in range(N + 1)))
             ng = math.sqrt(sum(abs(g[n]) ** 2 * up.norm(n) for n in range(N + 1)))
             ok = ok and (ntg <= M * ng * (1.0 + 1e-12))

@@ -206,7 +206,7 @@ def test_a8_operator_identities():
     prob = spe.SpectralProblem(P, 80, bessel_zeros(ab + 1.0, 8))
     g = np.zeros(81, dtype=complex)
     g[2] = 1.0
-    out, _ = spe.apply_T(prob, g, input_basis="raised")
+    out, _ = spe.apply_T(prob, g)
     coeffs = np.zeros(82)
     for n in range(1, 81):
         if abs(out[n]) > 0:

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import special as sp
 
-from biexp.orthopoly import (GenGegenbauerFamily, chebyshev_t,
-                             classical_gegenbauer, dunkl_apply_poly,
-                             jacobi_eval)
+from biexp import quad
+from biexp.orthopoly import (GenGegenbauerFamily, classical_gegenbauer,
+                             dunkl_apply_poly, jacobi_eval)
 from biexp.quad import Measure, integrate_interval
 from biexp.specfun import Params, bessel_zeros, gamma
 from biexp.spectrum import SpectralProblem, raised_from_base
@@ -104,7 +104,7 @@ class TestGenGegenbauer:
         fam = GenGegenbauerFamily(Params(-0.5, 1.0))
         for n in range(7):
             got = fam.eval(n, 0.41)
-            ref = classical_gegenbauer(n, 1.5, 0.41)
+            ref = classical_gegenbauer(n, 1.5, 0.41)[n]
             assert got == pytest.approx(ref, rel=1e-11, abs=1e-11)
 
     def test_norms_closed_form_vs_quadrature(self):
@@ -216,16 +216,71 @@ class TestDunklOperator:
 
 
 class TestClassicalGegenbauer:
-    def test_chebyshev_branch(self):
-        t = 0.37
-        assert classical_gegenbauer(0, 0.0, t) == 1.0
-        for n in (1, 4, 7):
-            assert classical_gegenbauer(n, 0.0, t) == pytest.approx(
-                2.0 / n * chebyshev_t(n, t), rel=1e-14)
-
     def test_against_scipy(self):
-        for n in range(8):
-            for lam in (0.5, 1.0, 2.3):
-                got = classical_gegenbauer(n, lam, 0.41)
+        for lam in (0.5, 1.0, 2.3):
+            got = classical_gegenbauer(7, lam, 0.41)
+            for n in range(8):
                 ref = float(sp.eval_gegenbauer(n, lam, 0.41))
-                assert got == pytest.approx(ref, rel=1e-12, abs=1e-12)
+                assert got[n] == pytest.approx(ref, rel=1e-12, abs=1e-12)
+
+
+def _two_row_jacobi(n, a, b, x):
+    """P_n and P_{n-1} by a plain two-row loop: the recurrence the Gauss
+    rules were built from before it became a row generator."""
+    p0 = x ** 0
+    p1 = 0.5 * (a - b) + 0.5 * (a + b + 2.0) * x
+    for k in range(2, n + 1):
+        c = 2.0 * k + a + b
+        a1 = 2.0 * k * (k + a + b) * (c - 2.0)
+        a2 = (c - 1.0) * (a * a - b * b)
+        a3 = (c - 1.0) * c * (c - 2.0)
+        a4 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * c
+        p0, p1 = p1, ((a2 + a3 * x) * p1 - a4 * p0) / a1
+    return p1, p0
+
+
+class TestTable:
+    def test_rows_are_eval_to_the_bit(self):
+        # seeded (alpha, beta, N <= 40, t) over the range the plane-wave
+        # sums use, on floats and on a node array
+        rng = np.random.default_rng(1414)
+        nodes = np.linspace(-1.0, 1.0, 9)
+        for _ in range(300):
+            al = -0.9 + 3.9 * rng.random()
+            lo = max(-0.9, -0.95 - al)
+            fam = GenGegenbauerFamily(Params(al, lo + (2.0 - lo) * rng.random()))
+            N = int(rng.integers(0, 41))
+            t = -1.0 + 2.0 * rng.random()
+            tab = fam.table(N, t)
+            assert tab.shape == (N + 1,)
+            assert tab.tobytes() == np.asarray([fam.eval(n, t) for n in range(N + 1)]).tobytes()
+            tab = fam.table(N, nodes)
+            assert tab.shape == (N + 1, len(nodes))
+            assert tab.tobytes() == np.asarray([fam.eval(n, nodes) for n in range(N + 1)]).tobytes()
+
+    def test_overflow_raises(self):
+        # C_800 at t = 1 is 2.2e477
+        fam = GenGegenbauerFamily(Params(0.5, 400.0))
+        with pytest.raises(OverflowError):
+            fam.table(800, 1.0)
+        with pytest.raises(OverflowError):
+            fam.table(800, np.array([0.5, 1.0]))
+
+    def test_classical_on_nodes_is_scalar_to_the_bit(self):
+        nodes = np.linspace(-1.0, 1.0, 7)
+        tab = classical_gegenbauer(12, 1.3, nodes)
+        for i, t in enumerate(nodes):
+            assert tab[:, i].tobytes() == classical_gegenbauer(12, 1.3, float(t)).tobytes()
+
+    @pytest.mark.parametrize("measure", [Measure.mu_alpha(0.3), Measure.mu_beta_alpha(0.4, 1.1),
+                                         Measure.mu_beta_alpha(-0.5, 0.5), Measure("lebesgue")])
+    def test_rules_unchanged(self, measure, monkeypatch):
+        # the same Gauss rules, to the bit, as from the two-row loop
+        for order in (8, 60, 120):
+            nodes, w = quad.rule_for_measure(measure, order)
+            with monkeypatch.context() as m:
+                m.setattr(quad, "_jacobi_rec", _two_row_jacobi)
+                m.setattr(quad, "_rule_cache", {})
+                ref_nodes, ref_w = quad.rule_for_measure(measure, order)
+            assert nodes.tobytes() == ref_nodes.tobytes()
+            assert w.tobytes() == ref_w.tobytes()

@@ -72,6 +72,13 @@ class TestPhi21:
 
 
 class TestQBessel:
+    def test_float_series_overflow_raises(self, ctx):
+        # the float pass overflows at x = 1e10 (its sum read nan); at 1e8
+        # its largest term still fits and the elevated-precision pass runs
+        with pytest.raises(OverflowError, match="float64 range"):
+            qs.qbessel3_ratio(0.5, 1e10, ctx.q2)
+        assert qs.qbessel3(0.5, 1e8, ctx.q2) == pytest.approx(1.18501337491908e+208, rel=1e-13)
+
     def test_small_argument_limit(self, ctx):
         nu = 0.7
         got = qs.qbessel3_ratio(nu, 1e-8, ctx.q2)

@@ -231,6 +231,10 @@ class TestCLI:
         (["eval", "qbessel3", "--nu", "0.5", "--x", "1", "--q", "-0.5"], "q must lie in (0, 1)"),
         (["eval", "qbessel3", "--nu", "-1", "--x", "1", "--q", "0.5"], "order must exceed -1"),
         (["eval", "qbessel3", "--nu", "-3", "--x", "1", "--q", "0.5"], "order must exceed -1"),
+        # finite arguments whose float value is not: nan and inf were printed
+        (["eval", "qbessel3", "--nu", "0.5", "--x", "1e10", "--q", "0.5"], "float64 range"),
+        (["eval", "lommel", "--n", "3", "--a", "2.5", "--w", "1e300"], "float64 range"),
+        (["eval", "lommel", "--n", "3", "--a", "1e300", "--w", "1e10"], "float64 range"),
     ])
     def test_domain_error_exit_2(self, argv, reason):
         proc = subprocess.run([sys.executable, "-m", "biexp.cli", *argv],

@@ -334,6 +334,12 @@ class TestLommel:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             lommel_h(3, a, w)
 
+    @pytest.mark.parametrize("a, w", [(2.5, 1e300), (1e300, 1e10), (2.5, complex(0.0, 1e300))])
+    def test_overflow_raises(self, a, w):
+        # inf, and inf - inf = nan, for finite arguments
+        with pytest.raises(OverflowError, match="float64 range"):
+            lommel_h(3, a, w)
+
     def test_hurwitz_sign_stabilizes(self):
         a = 2.6
         j1 = bessel_zeros(a - 1.0, 1).zeros[0]

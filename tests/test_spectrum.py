@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ class TestOperator:
         ab = problem.params.ab
         g = np.zeros(81, dtype=complex)
         g[0] = 1.0
-        out, dropped = spe.apply_T(problem, g, input_basis="raised")
+        out, dropped = spe.apply_T(problem, g)
         assert out[1] == pytest.approx(1.0 / (2.0 * (ab + 1.0)))
         assert np.max(np.abs(out[2:])) == 0.0
         assert dropped == 0.0
@@ -32,7 +33,7 @@ class TestOperator:
         up = fam.raised()
         g = np.zeros(81, dtype=complex)
         g[2] = 1.0
-        out, _ = spe.apply_T(problem, g, input_basis="raised")
+        out, _ = spe.apply_T(problem, g)
         coeffs = np.zeros(82)
         for n in range(1, 81):
             if abs(out[n]) > 0:
@@ -44,10 +45,6 @@ class TestOperator:
                     for i in range(len(applied)))
         assert resid < 1e-12
 
-    def test_input_basis_validation(self, problem):
-        with pytest.raises(ValueError):
-            spe.apply_T(problem, np.zeros(81), input_basis="nope")
-
     def test_norm_bound(self, problem):
         M = spe.bound_constant(problem)
         rng = np.random.default_rng(12345)
@@ -55,7 +52,7 @@ class TestOperator:
         up = fam.raised()
         for _ in range(20):
             g = rng.standard_normal(81) + 1j * rng.standard_normal(81)
-            out, _ = spe.apply_T(problem, g, input_basis="raised")
+            out, _ = spe.apply_T(problem, g)
             ntg = math.sqrt(sum(abs(out[n]) ** 2 * fam.norm(n) for n in range(81)))
             ng = math.sqrt(sum(abs(g[n]) ** 2 * up.norm(n) for n in range(81)))
             assert ntg <= M * ng * (1.0 + 1e-12)
@@ -178,6 +175,22 @@ class TestEigen:
     def test_perturbed_lambda_rejected(self, problem):
         r = spe.eigen_residual(problem, 1, 1, 80, lam=1.01j / problem.zero(1))
         assert r >= 1e-2
+
+    @pytest.mark.parametrize("N", [120, 160, 240, 400])
+    def test_perturbed_lambda_rejected_many_terms(self, problem, N):
+        # the forward recurrence grows like Gamma(n)(2/j)^n; neither it nor
+        # the squared coefficients of the norms may leave the float range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = spe.eigen_residual(problem, 1, 1, N, lam=1.01j / problem.zero(1))
+            a = spe.recurrence_coeffs(problem, 1.01j / problem.zero(1), N)
+        assert 1e-2 <= r < math.inf
+        assert float(np.max(np.abs(a))) ** 2 < math.inf
+
+    def test_suite_passes_at_many_terms(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_suite("spectrum", {"terms": 400}).passed
 
     def test_summability_condition(self, problem):
         P = problem.params
