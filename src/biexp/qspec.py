@@ -281,42 +281,39 @@ def qbessel3(nu: float, x: float, Q: float) -> float:
 # Jackson integrals
 # ---------------------------------------------------------------------------
 
-def _bilateral_sum(ctx: QContext, term: Callable[[int], complex]):
-    """sum_{k in Z} term(k) over the grid exponents: k = 0 .. k_max, then
-    k = -1 down to k_min, each half stopping after three terms in a row
-    below tol relative to the running sum.  The sum keeps the type of the
-    terms (float or complex).
+def _grid_sum(ctx: QContext, term: Callable[[int], complex], ks: range, acc=0.0):
+    """acc + sum of term(k) over the grid exponents ks, stopping after three
+    terms in a row below tol relative to the running sum.  The sum keeps
+    the type of the terms (float or complex).
 
-    Raises DecayError when the k < 0 half runs out at k_min with its last
-    term still above 1e3 tol relative to the sum.
+    Raises DecayError naming the end where the sum has not decayed when ks
+    runs out: an ascending run (toward x = 0) must end on three small
+    terms; a descending run (toward large x) is cut at its last exponent
+    and may end on a term up to 1e3 tol relative to the sum.
     """
-    acc = 0.0
-    small = 0
-    for k in range(0, ctx.k_max + 1):
-        t = term(k)
-        acc += t
-        if abs(t) < ctx.tol * max(abs(acc), 1e-300):
-            small += 1
-            if small >= 3:
-                break
-        else:
-            small = 0
     small = 0
     last = 0.0
-    for k in range(-1, ctx.k_min - 1, -1):
+    for k in ks:
         t = term(k)
         acc += t
         last = abs(t)
         if last < ctx.tol * max(abs(acc), 1e-300):
             small += 1
             if small >= 3:
-                break
+                return acc
         else:
             small = 0
-    else:
-        if last > 1e3 * ctx.tol * max(abs(acc), 1e-300):
-            raise DecayError("Jackson sum did not decay at the large-x end")
+    if ks.step > 0 or last > 1e3 * ctx.tol * max(abs(acc), 1e-300):
+        end = "small-x" if ks.step > 0 else "large-x"
+        raise DecayError(f"Jackson sum did not decay at the {end} end")
     return acc
+
+
+def _bilateral_sum(ctx: QContext, term: Callable[[int], complex]):
+    """sum_{k in Z} term(k) over the grid exponents: k = 0 .. k_max, then
+    k = -1 down to k_min, into one running sum (see _grid_sum)."""
+    acc = _grid_sum(ctx, term, range(0, ctx.k_max + 1))
+    return _grid_sum(ctx, term, range(-1, ctx.k_min - 1, -1), acc)
 
 
 def jackson_integral(ctx: QContext, f: Callable[[float], complex],
@@ -331,21 +328,8 @@ def jackson_integral(ctx: QContext, f: Callable[[float], complex],
     """
     q = ctx.q
     if domain == "unit":
-        acc = 0.0 + 0.0j
-        small = 0
-        for n in range(0, ctx.k_max + 80):
-            term = f(q ** n) * q ** n
-            acc += term
-            if abs(term) < ctx.tol * max(abs(acc), 1e-300):
-                small += 1
-                if small >= 3:
-                    break
-            else:
-                small = 0
-        else:
-            raise DecayError("Jackson sum on (0, 1) did not decay")
-        return (1.0 - q) * acc
-
+        return (1.0 - q) * _grid_sum(ctx, lambda n: f(q ** n) * q ** n,
+                                     range(0, ctx.k_max + 80), 0j)
     if domain == "halfline":
         return (1.0 - q) * complex(_bilateral_sum(ctx, lambda n: f(q ** n) * q ** n))
     if domain == "line":
@@ -365,8 +349,7 @@ class QJacobiFamily:
     ctx: QContext
     params: Params
 
-    def little_p_raw(self, n: int, x: float, a: float | None = None,
-                     b: float | None = None) -> float:
+    def little_p_raw(self, n: int, x: float, a: float | None = None) -> float:
         """p_n(x; q^{2a}, q^{2b}; q^2), the terminating 2phi1 sum.
 
         The q^{-2n}-type factors make the alternating terms peak around
@@ -380,7 +363,7 @@ class QJacobiFamily:
         """
         q2 = self.ctx.q2
         a = self.params.alpha if a is None else a
-        b = self.params.beta if b is None else b
+        b = self.params.beta
         key = ("lp", n, a, b, x, q2)
         if key in _qb_cache:
             return _qb_cache[key]
@@ -418,8 +401,7 @@ class QJacobiFamily:
         _qb_cache[key] = s
         return s
 
-    def little_p(self, n: int, x: float, a: float | None = None,
-                 b: float | None = None) -> float:
+    def little_p(self, n: int, x: float, a: float | None = None) -> float:
         """Normalized p_n^{(a,b)}(x; q^2), which tends to the classical
         Jacobi polynomial P_n^{(a,b)}(1-2x) as q -> 1."""
         q = self.ctx.q
@@ -427,7 +409,7 @@ class QJacobiFamily:
         a = self.params.alpha if a is None else a
         s = (q ** (-n * (a + 1.0))
              * qpochhammer(q2 ** (a + 1.0), q2, n) / qpochhammer(q2, q2, n))
-        return s * self.little_p_raw(n, x, a, b)
+        return s * self.little_p_raw(n, x, a)
 
     def qgegenbauer(self, n: int, t: float) -> float:
         """Generalized little q-Gegenbauer C_n^{(b+1/2,a+1/2)}(t; q^2)."""
@@ -452,7 +434,7 @@ class QJacobiFamily:
     def measure_const(self) -> float:
         """Normalizing constant of dmu_{q,a}: (q^{2a+2}; q^2)_inf/(q^2; q^2)_inf."""
         q2 = self.ctx.q2
-        return qpochhammer(q2 ** (self.params.alpha + 1.0), q2) / qpochhammer(q2, q2)
+        return _qpoch_ratio(q2 ** (self.params.alpha + 1.0), q2, q2)
 
     def norm(self, n: int) -> float:
         """Squared norm h_{n,q} of the q-Gegenbauer member against the
@@ -557,13 +539,8 @@ class QJacobiFamily:
             c = self.qgegenbauer(n, t)
             return c * c * self.weight(t) * abs(t) ** (2.0 * a + 1.0)
 
-        acc = 0.0
-        for j in range(0, self.ctx.k_max + 40):
-            term = g(q ** j) * q ** j
-            acc += term
-            if abs(term) < self.ctx.tol * max(abs(acc), 1e-300):
-                break
-        return cq * acc
+        return cq * _grid_sum(self.ctx, lambda j: g(q ** j) * q ** j,
+                              range(0, self.ctx.k_max + 40))
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +577,7 @@ def q_transform(ctx: QContext, alpha: float, f: Callable[[float], complex],
     a bilateral Jackson sum over {+-q^k} carrying |x|^{2a+1}."""
     q = ctx.q
     q2 = ctx.q2
-    cq = qpochhammer(q2 ** (alpha + 1.0), q2) / qpochhammer(q2, q2)
+    cq = _qpoch_ratio(q2 ** (alpha + 1.0), q2, q2)
 
     def summand(k: int) -> complex:
         xk = q ** k

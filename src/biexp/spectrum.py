@@ -179,12 +179,12 @@ def eigenfunction(problem: SpectralProblem, k: int, sign: int, t: float,
     return complex(series), complex(closed)
 
 
-def _norm_raised(problem: SpectralProblem, raised: np.ndarray) -> float:
-    """L2 norm against the raised-weight measure from raised coefficients."""
-    up = problem.family.raised()
+def _norm_raised(raised: np.ndarray, hs: list) -> float:
+    """L2 norm against the raised-weight measure from raised coefficients
+    and the raised family's squared norms hs."""
     total = 0.0
-    for m, c in enumerate(raised):
-        total += abs(c) ** 2 * up.norm(m)
+    for c, h in zip(raised, hs):
+        total += abs(c) ** 2 * h
     return math.sqrt(total)
 
 
@@ -209,8 +209,10 @@ def eigen_residual(problem: SpectralProblem, k: int, sign: int, N: int,
         a = recurrence_coeffs(sub, lam, N)
     ta, _ = apply_T(sub, raised_from_base(sub, a))
     r = ta - lam * a
-    num = _norm_raised(sub, raised_from_base(sub, r))
-    den = _norm_raised(sub, raised_from_base(sub, a))
+    up = sub.family.raised()
+    hs = [up.norm(m) for m in range(N + 1)]
+    num = _norm_raised(raised_from_base(sub, r), hs)
+    den = _norm_raised(raised_from_base(sub, a), hs)
     return num / den
 
 

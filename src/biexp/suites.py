@@ -453,12 +453,14 @@ def suite_spectrum(ov: Mapping) -> list:
     def bound():
         M = spe.bound_constant(prob)
         rng = np.random.default_rng(12345)
+        hs = [fam.norm(n) for n in range(N + 1)]
+        hs_up = [up.norm(n) for n in range(N + 1)]
         ok = True
         for _ in range(20):
             g = rng.standard_normal(N + 1) + 1j * rng.standard_normal(N + 1)
             out, _ = spe.apply_T(prob, g)
-            ntg = math.sqrt(sum(abs(out[n]) ** 2 * fam.norm(n) for n in range(N + 1)))
-            ng = math.sqrt(sum(abs(g[n]) ** 2 * up.norm(n) for n in range(N + 1)))
+            ntg = math.sqrt(sum(abs(out[n]) ** 2 * hs[n] for n in range(N + 1)))
+            ng = math.sqrt(sum(abs(g[n]) ** 2 * hs_up[n] for n in range(N + 1)))
             ok = ok and (ntg <= M * ng * (1.0 + 1e-12))
         return (1.0 if ok else 0.0), 1.0
     _timed(checks, "spectrum/right-inverse-norm-bound", bound, 0.0)

@@ -191,6 +191,20 @@ class TestJackson:
         with pytest.raises(qs.DecayError, match="large-x end"):
             qs.q_transform(short, 0.3, lambda x: 1.0, 1.0)
 
+    def test_small_x_end_must_decay(self, ctx):
+        # exp(-x)/x is integrable at infinity but not at 0: the k >= 0 half
+        # of the two-sided sum runs out without three small terms
+        with pytest.raises(qs.DecayError, match="small-x end"):
+            qs.jackson_integral(ctx, lambda x: math.exp(-x) / x, "halfline")
+        with pytest.raises(qs.DecayError, match="small-x end"):
+            qs.jackson_integral(ctx, lambda t: 1.0 / t, "unit")
+
+    def test_unit_integrable_singularity(self, ctx):
+        # sum_n q^(n/2) (1 - q) = (1 - q)/(1 - sqrt q)
+        got = qs.jackson_integral(ctx, lambda t: t ** -0.5, "unit").real
+        want = (1.0 - ctx.q) / (1.0 - math.sqrt(ctx.q))
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
     def test_bilateral_return_types(self, ctx):
         f = lambda x: math.exp(-math.log(abs(x)) ** 2)
         assert type(qs.jackson_integral(ctx, f, "halfline")) is complex
