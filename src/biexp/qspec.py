@@ -5,8 +5,10 @@ q-Weber-Schafheitlin evaluations.
 
 Everything lives on the geometric grid {+-q^k}.  The third Jackson q-Bessel
 decays superexponentially along the grid while its series terms peak
-superexponentially, so large grid arguments are summed at elevated
-precision (mpmath) and cached; all other machinery is plain float.
+superexponentially.  So the grid sums read it by grid exponent from one
+float table per (nu, q), a q-difference recurrence below x = 1 and the
+series above (_GridRatios); off-grid arguments sum the series, at elevated
+precision (mpmath) where it cancels.  All other machinery is plain float.
 """
 
 from __future__ import annotations
@@ -56,7 +58,9 @@ class QContext:
     ceil(log(tol)/log(q)) + 5, five steps past where q^k reaches tol, and
     k_min is -max(8, ceil(20 log(0.5)/log(q))), which keeps the largest
     grid argument q^k_min near 2^20 (at least q^-8); q = 0.5 thus gets
-    (-20, 65).
+    (-20, 65).  The bounds cut the Jackson sums only: the q-Bessel values
+    they read come by exponent from tables that cover every k, reading
+    0.0 below the float range.
     """
 
     q: float
@@ -99,10 +103,10 @@ def qpochhammer(a, q: float, n: int | None = None):
     x = a
     for _ in range(200000):
         if abs(x) < 1e-18:
-            break
+            return p
         p *= 1.0 - x
         x *= q
-    return p
+    raise ValueError(f"infinite product in base {q} needs more than 200000 factors")
 
 
 def phi21(a, b, c, q: float, z):
@@ -144,8 +148,13 @@ _qb_cache: dict = {}
 @functools.lru_cache(maxsize=None)
 def _qpoch_ratio(a: float, b: float, Q: float) -> float:
     """(a; Q)_inf / (b; Q)_inf, formed once per argument triple: the
-    prefactors that do not depend on the grid point."""
-    return qpochhammer(a, Q) / qpochhammer(b, Q)
+    prefactors that do not depend on the grid point.  Raises OverflowError
+    where the quotient (or a product) leaves the float64 range."""
+    num, den = qpochhammer(a, Q), qpochhammer(b, Q)
+    r = num / den if den else math.inf
+    if not (r and math.isfinite(r)):
+        raise OverflowError(f"q-Pochhammer quotient at Q={Q} is out of the float64 range")
+    return r
 
 
 def _qbessel_ratio_float(nu: float, x: float, Q: float):
@@ -212,43 +221,46 @@ def _qbessel_pref_mp(nu: float, Q: float):
         return _qpoch_inf_mp(Qm ** (mp.mpf(nu) + 1), Qm, 40) / _qpoch_inf_mp(Qm, Qm, 40)
 
 
-def _qbessel_ratio_mp(nu: float, x: float, Q: float, digits: int) -> float:
-    # The alternating series cancels over ~2 log10(max term) digits; that
-    # cancellation only happens if every q-power is an exact function of
-    # the same binary nu, so the powers are built in mpf arithmetic (a
-    # per-term float rounding of nu+1+k wrecks the sum entirely), each
-    # formed once and stepped by Qm.
-    with mp.workdps(digits):
-        Qm = mp.mpf(Q)
-        tol = mp.mpf(10) ** (-digits + 4)
-        t = mp.mpf(1)
-        s = mp.mpf(1)
-        x2 = mp.mpf(x) ** 2
-        qk = Qm                         # Q^(k+1)
-        qnk = Qm ** (mp.mpf(nu) + 1)    # Q^(nu+1+k)
-        k = 0
-        while True:
-            t = -t * qk * x2 / ((1 - qnk) * (1 - qk))
-            s += t
-            k += 1
-            if abs(t) < abs(s) * tol and k > 10:
-                break
-            if k > 100000:
-                raise RuntimeError("q-Bessel series did not converge (internal error)")
-            qk *= Qm
-            qnk *= Qm
-        return float(_qbessel_pref_mp(nu, Q) * s)
+def _qbessel_ratio_mp(nu: float, x: float, Q: float, mx: float) -> float:
+    """The ratio series at elevated precision, given the largest term mx of
+    its float pass.
+
+    The alternating series cancels over ~2 log10(mx) digits; that
+    cancellation only happens if every q-power is an exact function of the
+    same binary nu, so the powers are built in mpf arithmetic (a per-term
+    float rounding of nu+1+k wrecks the sum entirely), each formed once and
+    stepped by Qm.  The sum keeps digits - log10(mx/|s|) digits; where that
+    falls below 20 (values far below 1/mx, as from order ~3 up), it reruns
+    with 40 to spare."""
+    digits = 40 + int(2.2 * math.log10(mx))
+    for _ in range(8):
+        with mp.workdps(digits):
+            Qm = mp.mpf(Q)
+            tol = mp.mpf(10) ** (-digits + 4)
+            t = mp.mpf(1)
+            s = mp.mpf(1)
+            x2 = mp.mpf(x) ** 2
+            qk = Qm                         # Q^(k+1)
+            qnk = Qm ** (mp.mpf(nu) + 1)    # Q^(nu+1+k)
+            k = 0
+            while True:
+                t = -t * qk * x2 / ((1 - qnk) * (1 - qk))
+                s += t
+                k += 1
+                if abs(t) < abs(s) * tol and k > 10:
+                    break
+                if k > 100000:
+                    raise RuntimeError("q-Bessel series did not converge (internal error)")
+                qk *= Qm
+                qnk *= Qm
+            lost = int(mp.ceil(mp.log10(mx / abs(s)))) if s else digits
+            if digits - lost >= 20:
+                return float(_qbessel_pref_mp(nu, Q) * s)
+        digits = lost + 40
+    raise RuntimeError("q-Bessel series kept no 20 digits (internal error)")
 
 
-def qbessel3_ratio(nu: float, x: float, Q: float) -> float:
-    """J_nu^{(3)}(x; Q) / x^nu, an even entire function of x.
-
-    Grid arguments beyond ~Q^{-2} cancel catastrophically in float64 (the
-    value decays superexponentially while the largest term grows the same
-    way), so those are recomputed at elevated precision and cached.
-    Raises ValueError outside the domain: finite x, finite order > -1 and
-    Q in (0, 1); OverflowError where the float series overflows.
-    """
+def _check_domain(nu: float, x: float, Q: float) -> None:
     if not (-1.0 < nu < math.inf and math.isfinite(x) and 0.0 < Q < 1.0):
         for name, v in (("order", nu), ("x", x), ("Q", Q)):
             if not math.isfinite(v):
@@ -256,18 +268,119 @@ def qbessel3_ratio(nu: float, x: float, Q: float) -> float:
         if nu <= -1.0:
             raise ValueError(f"order must exceed -1, got {nu}")
         raise ValueError(f"Q must lie in (0, 1), got {Q}")
+
+
+def _ratio(nu: float, x: float, Q: float, cancel: float = 1e3) -> float:
+    """The series at x: its float pass, or the elevated pass where the
+    largest float term exceeds `cancel` times the value."""
+    val, mx = _qbessel_ratio_float(nu, x, Q)
+    if not (math.isfinite(val) and math.isfinite(mx)):
+        raise OverflowError(f"q-Bessel series at x={x}, Q={Q} leaves the float64 range")
+    if mx > cancel * max(abs(val), 1e-270):
+        val = _qbessel_ratio_mp(nu, x, Q, mx)
+    return val
+
+
+def qbessel3_ratio(nu: float, x: float, Q: float) -> float:
+    """J_nu^{(3)}(x; Q) / x^nu, an even entire function of x, at any x.
+
+    Large arguments cancel catastrophically in float64 (the value decays
+    superexponentially along the grid while the largest term grows the
+    same way), so where the float series cancels by more than ~1e3 it is
+    recomputed at elevated precision; every value is cached.  The grid
+    sums below do not come here: they read _GridRatios by grid exponent,
+    since a float q**k rounded off the grid point moves the value by far
+    more than the value itself.
+    Raises ValueError outside the domain: finite x, finite order > -1 and
+    Q in (0, 1); OverflowError where the float series overflows.
+    """
+    _check_domain(nu, x, Q)
     x = abs(x)
     key = (nu, x, Q)
     if key in _qb_cache:
         return _qb_cache[key]
-    val, mx = _qbessel_ratio_float(nu, x, Q)
-    if not (math.isfinite(val) and math.isfinite(mx)):
-        raise OverflowError(f"q-Bessel series at x={x}, Q={Q} leaves the float64 range")
-    if mx > 1e3 * max(abs(val), 1e-270):
-        digits = 40 + int(2.2 * math.log10(max(mx, 1.0)))
-        val = _qbessel_ratio_mp(nu, x, Q, digits)
-    _qb_cache[key] = val
+    val = _qb_cache[key] = _ratio(nu, x, Q)
     return val
+
+
+class _GridRatios(dict):
+    """qbessel3_ratio(nu, q^k, q^2) by grid exponent k, one table per
+    (nu, q), filled as it is read.
+
+    On x = q^k the series G(k) (the ratio over its prefactor) satisfies the
+    Hahn-Exton q-difference equation (Koelink & Swarttouw 1994)
+
+        G(k) + (Q^{k+1} - 1 - Q^nu) G(k+1) + Q^nu G(k+2) = 0,    Q = q^2,
+
+    whose coefficients are integer powers of Q: no rounded x = q**k
+    enters.  Toward large x (k -> -inf) G is the minimal solution, falling
+    like Q^{k^2/2}; toward small x the second solution grows like x^{-2nu}.
+    So k > 0 reads the float series at q**k (the value qbessel3_ratio
+    gives), k = 0 the series elevated wherever its float pass cancels by
+    more than 4 (from q ~ 0.7 up), and the first read below 0 runs Miller's
+    algorithm once (Gautschi 1967): a float sweep up from (0, 1), each
+    value keeping its own power-of-two exponent, scaled to the value at 0.
+    It starts ten steps below k_floor, where the asymptotic ratio
+    G(k)/G(k+1) ~ Q^{nu-k} has taken G 1400 bits below G(0); every k below
+    k_floor reads 0.0, under the float range.
+    """
+
+    __slots__ = ("nu", "q", "Q")
+
+    def __init__(self, nu: float, q: float):
+        super().__init__()
+        _check_domain(nu, 1.0, q * q)
+        self.nu, self.q, self.Q = nu, q, q * q
+
+    def __missing__(self, k: int) -> float:
+        if k >= 0:
+            v = self[k] = _ratio(self.nu, self.q ** k, self.Q, 4.0 if k == 0 else 1e3)
+            return v
+        if -1 not in self:
+            self._sweep()
+        return self.get(k, 0.0)
+
+    def _sweep(self) -> None:
+        nu, Q = self.nu, self.Q
+        r0 = self[0]
+        Qn = Q ** nu
+        lg, floor = 0.0, 0
+        while Qn and lg > -1400.0:
+            floor -= 1
+            lg += math.log2(Qn / max(Q ** (floor + 1) - 1.0 - Qn, 1.0 + Qn))
+        g0, g1, e = 0.0, 1.0, 0
+        vals = []
+        for j in range(floor - 10, -1):     # G(j+2) from G(j), G(j+1)
+            g = -(g0 + (Q ** (j + 1) - 1.0 - Qn) * g1) / Qn if Qn else math.inf
+            if not math.isfinite(g):
+                raise OverflowError(f"q-Bessel grid sweep at order {nu}, Q={Q} "
+                                    "leaves the float64 range")
+            m, ex = math.frexp(g)
+            e += ex
+            g0, g1 = math.ldexp(g1, -ex), m
+            vals.append((m, e))             # G(j+2) = m 2^e
+        m0, e0 = vals[-1]
+        c = r0 / m0
+        for k, (m, e) in zip(range(floor, 0), vals[8:]):
+            self[k] = math.ldexp(m * c, e - e0)
+
+
+@functools.lru_cache(maxsize=None)
+def _grid_table(nu: float, q: float) -> _GridRatios:
+    return _GridRatios(nu, q)
+
+
+def _along(ctx: QContext, nu: float, x: float) -> Callable[[int], float]:
+    """k -> qbessel3_ratio(nu, x q^k, q^2), read by exponent from the grid
+    table where x is a grid point +-q**j (that float), from the series
+    elsewhere."""
+    q = ctx.q
+    ax = abs(x)
+    j = round(math.log(ax) / math.log(q)) if 0.0 < ax < math.inf else None
+    if j is None or q ** j != ax:
+        return lambda k: qbessel3_ratio(nu, x * q ** k, ctx.q2)
+    tab = _grid_table(nu, q)
+    return lambda k: tab[j + k]
 
 
 def qbessel3(nu: float, x: float, Q: float) -> float:
@@ -553,18 +666,21 @@ def q_dunkl_kernel(ctx: QContext, alpha: float, x: float) -> complex:
         (q^2;q^2)_inf/(q^{2a+2};q^2)_inf (J_a(x)/x^a + i x J_{a+1}(x)/x^{a+1})
 
     with the third Jackson q-Bessel at base q^2; equals 1 at x = 0."""
+    return _kernel_along(ctx, alpha, x)(0)
+
+
+def _kernel_along(ctx: QContext, alpha: float, y: float) -> Callable[[int], complex]:
+    """k -> E_alpha(i y q^k; q^2), its q-Bessel values read as _along does."""
     q2 = ctx.q2
     pref = _qpoch_ratio(q2, q2 ** (alpha + 1.0), q2)
-    re = qbessel3_ratio(alpha, x, q2)
-    im = x * qbessel3_ratio(alpha + 1.0, x, q2)
-    return pref * complex(re, im)
+    ra, rb = _along(ctx, alpha, y), _along(ctx, alpha + 1.0, y)
+    return lambda k: pref * complex(ra(k), y * ctx.q ** k * rb(k))
 
 
 def q_neumann(ctx: QContext, nu: float, n: int, x: float) -> float:
     """q-Neumann member J_{nu+n+1}(x q^{[n/2]}; q^2)/x^{nu+1}: parity (-1)^n."""
-    q = ctx.q
-    shift = q ** (n // 2)
-    return (qbessel3_ratio(nu + n + 1.0, x * shift, ctx.q2)
+    shift = ctx.q ** (n // 2)
+    return (_along(ctx, nu + n + 1.0, x)(n // 2)
             * shift ** (nu + n + 1.0) * x ** n)
 
 
@@ -578,12 +694,14 @@ def q_transform(ctx: QContext, alpha: float, f: Callable[[float], complex],
     q = ctx.q
     q2 = ctx.q2
     cq = _qpoch_ratio(q2 ** (alpha + 1.0), q2, q2)
+    kern = _kernel_along(ctx, alpha, y)
 
     def summand(k: int) -> complex:
+        # E_alpha(-ix) is the conjugate of E_alpha(ix) on the real line
         xk = q ** k
         w = q ** (k * (2.0 * alpha + 2.0))
-        return w * (f(xk) * q_dunkl_kernel(ctx, alpha, -y * xk)
-                    + f(-xk) * q_dunkl_kernel(ctx, alpha, y * xk))
+        e = kern(k)
+        return w * (f(xk) * e.conjugate() + f(-xk) * e)
 
     return 0.5 * cq * _bilateral_sum(ctx, summand)
 
@@ -596,8 +714,8 @@ def q_hankel(ctx: QContext, alpha: float, f: Callable[[float], float],
 
     self-inverse on decaying grid functions."""
     q = ctx.q
-    return _bilateral_sum(ctx, lambda k: qbessel3_ratio(alpha, x * q ** k, ctx.q2)
-                          * f(q ** k) * q ** (k * (2.0 * alpha + 2.0)))
+    r = _along(ctx, alpha, x)
+    return _bilateral_sum(ctx, lambda k: r(k) * f(q ** k) * q ** (k * (2.0 * alpha + 2.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -610,14 +728,14 @@ def qweber_lhs(ctx: QContext, lam: float, mu: float, nu: float,
     if not (-1.0 < lam < mu + nu + 1.0):
         raise ValueError("lam outside the convergence window")
     q = ctx.q
-    q2 = ctx.q2
+    rm, rn = _grid_table(mu, q), _grid_table(nu, q)
 
-    def f(x: float) -> float:
-        return (x ** (-lam)
-                * qbessel3_ratio(mu, q ** m * x, q2) * (q ** m * x) ** mu
-                * qbessel3_ratio(nu, q ** n * x, q2) * (q ** n * x) ** nu)
+    def term(k: int) -> float:
+        x = q ** k
+        return (x ** (-lam) * rm[m + k] * (q ** m * x) ** mu
+                * rn[n + k] * (q ** n * x) ** nu) * x
 
-    return float(jackson_integral(ctx, f, domain="halfline").real)
+    return float((1.0 - q) * _bilateral_sum(ctx, term))
 
 
 def qweber_rhs(ctx: QContext, lam: float, mu: float, nu: float,

@@ -235,6 +235,12 @@ class TestCLI:
         (["eval", "qbessel3", "--nu", "0.5", "--x", "1e10", "--q", "0.5"], "float64 range"),
         (["eval", "lommel", "--n", "3", "--a", "2.5", "--w", "1e300"], "float64 range"),
         (["eval", "lommel", "--n", "3", "--a", "1e300", "--w", "1e10"], "float64 range"),
+        # (Q; Q)_inf underflows to 0.0, or needs more than the product's
+        # 200,000 factors: "float division by zero" was printed
+        (["eval", "qbessel3", "--nu", "0.5", "--x", "1", "--q", "0.9995"], "float64 range"),
+        (["eval", "qbessel3", "--nu", "0.5", "--x", "1", "--q", "0.9999"], "200000 factors"),
+        (["eval", "qbessel3", "--nu", "0.5", "--x", "1", "--q", "0.99995"], "200000 factors"),
+        (["eval", "qbessel3", "--nu", "0.5", "--x", "1", "--q", "0.99999"], "200000 factors"),
     ])
     def test_domain_error_exit_2(self, argv, reason):
         proc = subprocess.run([sys.executable, "-m", "biexp.cli", *argv],
