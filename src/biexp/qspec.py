@@ -158,7 +158,8 @@ def _qpoch_ratio(a: float, b: float, Q: float) -> float:
 
 
 def _qbessel_ratio_float(nu: float, x: float, Q: float):
-    """One float pass of the ratio series; returns (value, max_term)."""
+    """One float pass of the ratio series; returns (value, largest term),
+    both times the prefactor, so that their quotient is the cancellation."""
     pref = _qpoch_ratio(Q ** (nu + 1.0), Q, Q)
     t = 1.0
     s = 1.0
@@ -172,7 +173,7 @@ def _qbessel_ratio_float(nu: float, x: float, Q: float):
             mx = a
         if a < 1e-19 * max(abs(s), 1e-280):
             break
-    return pref * s, mx
+    return pref * s, pref * mx
 
 
 def _qpoch_inf_mp(a, Qm, digits: int):
@@ -253,9 +254,10 @@ def _qbessel_ratio_mp(nu: float, x: float, Q: float, mx: float) -> float:
                     raise RuntimeError("q-Bessel series did not converge (internal error)")
                 qk *= Qm
                 qnk *= Qm
-            lost = int(mp.ceil(mp.log10(mx / abs(s)))) if s else digits
+            v = _qbessel_pref_mp(nu, Q) * s
+            lost = int(mp.ceil(mp.log10(mx / abs(v)))) if v else digits
             if digits - lost >= 20:
-                return float(_qbessel_pref_mp(nu, Q) * s)
+                return float(v)
         digits = lost + 40
     raise RuntimeError("q-Bessel series kept no 20 digits (internal error)")
 
@@ -270,13 +272,13 @@ def _check_domain(nu: float, x: float, Q: float) -> None:
         raise ValueError(f"Q must lie in (0, 1), got {Q}")
 
 
-def _ratio(nu: float, x: float, Q: float, cancel: float = 1e3) -> float:
-    """The series at x: its float pass, or the elevated pass where the
-    largest float term exceeds `cancel` times the value."""
+def _ratio(nu: float, x: float, Q: float, elevate: bool = False) -> float:
+    """The series at x: its float pass, or the elevated pass where asked or
+    where the largest float term exceeds 1e3 times the value."""
     val, mx = _qbessel_ratio_float(nu, x, Q)
     if not (math.isfinite(val) and math.isfinite(mx)):
         raise OverflowError(f"q-Bessel series at x={x}, Q={Q} leaves the float64 range")
-    if mx > cancel * max(abs(val), 1e-270):
+    if elevate or mx > 1e3 * max(abs(val), 1e-270):
         val = _qbessel_ratio_mp(nu, x, Q, mx)
     return val
 
@@ -316,13 +318,15 @@ class _GridRatios(dict):
     enters.  Toward large x (k -> -inf) G is the minimal solution, falling
     like Q^{k^2/2}; toward small x the second solution grows like x^{-2nu}.
     So k > 0 reads the float series at q**k (the value qbessel3_ratio
-    gives), k = 0 the series elevated wherever its float pass cancels by
-    more than 4 (from q ~ 0.7 up), and the first read below 0 runs Miller's
-    algorithm once (Gautschi 1967): a float sweep up from (0, 1), each
-    value keeping its own power-of-two exponent, scaled to the value at 0.
-    It starts ten steps below k_floor, where the asymptotic ratio
-    G(k)/G(k+1) ~ Q^{nu-k} has taken G 1400 bits below G(0); every k below
-    k_floor reads 0.0, under the float range.
+    gives), k = 0 the elevated series, and the first read below 0 runs
+    Miller's algorithm once (Gautschi 1967): a float sweep up from (0, 1),
+    each value keeping its own power-of-two exponent.  It starts ten steps
+    below k_floor, where the asymptotic ratio G(k)/G(k+1) ~ Q^{nu-k} has
+    taken G 1400 bits below G(0); every k below k_floor reads 0.0, under
+    the float range.  The sweep runs on to k = 1 and takes its scale from
+    the elevated series at k = 0 and 1 by least squares: a value near a
+    zero of G is the remainder of a cancellation in the sweep, but two
+    consecutive values cannot both be near zero, so the larger one rules.
     """
 
     __slots__ = ("nu", "q", "Q")
@@ -334,7 +338,7 @@ class _GridRatios(dict):
 
     def __missing__(self, k: int) -> float:
         if k >= 0:
-            v = self[k] = _ratio(self.nu, self.q ** k, self.Q, 4.0 if k == 0 else 1e3)
+            v = self[k] = _ratio(self.nu, self.q ** k, self.Q, elevate=k == 0)
             return v
         if -1 not in self:
             self._sweep()
@@ -342,7 +346,6 @@ class _GridRatios(dict):
 
     def _sweep(self) -> None:
         nu, Q = self.nu, self.Q
-        r0 = self[0]
         Qn = Q ** nu
         lg, floor = 0.0, 0
         while Qn and lg > -1400.0:
@@ -350,7 +353,7 @@ class _GridRatios(dict):
             lg += math.log2(Qn / max(Q ** (floor + 1) - 1.0 - Qn, 1.0 + Qn))
         g0, g1, e = 0.0, 1.0, 0
         vals = []
-        for j in range(floor - 10, -1):     # G(j+2) from G(j), G(j+1)
+        for j in range(floor - 10, 0):      # G(j+2) from G(j), G(j+1)
             g = -(g0 + (Q ** (j + 1) - 1.0 - Qn) * g1) / Qn if Qn else math.inf
             if not math.isfinite(g):
                 raise OverflowError(f"q-Bessel grid sweep at order {nu}, Q={Q} "
@@ -359,10 +362,13 @@ class _GridRatios(dict):
             e += ex
             g0, g1 = math.ldexp(g1, -ex), m
             vals.append((m, e))             # G(j+2) = m 2^e
-        m0, e0 = vals[-1]
-        c = r0 / m0
+        (m0, e0), (m1, e1) = vals[-2:]      # G(0), G(1)
+        top = max(e0, e1)
+        m0, m1 = math.ldexp(m0, e0 - top), math.ldexp(m1, e1 - top)
+        r1 = _ratio(nu, self.q, Q, elevate=True)
+        c = (self[0] * m0 + r1 * m1) / (m0 * m0 + m1 * m1)
         for k, (m, e) in zip(range(floor, 0), vals[8:]):
-            self[k] = math.ldexp(m * c, e - e0)
+            self[k] = math.ldexp(m * c, e - top)
 
 
 @functools.lru_cache(maxsize=None)
@@ -370,14 +376,21 @@ def _grid_table(nu: float, q: float) -> _GridRatios:
     return _GridRatios(nu, q)
 
 
+def _grid_exponent(q: float, x: float) -> int | None:
+    """j where x is the grid point +-q**j (that float), else None."""
+    ax = abs(x)
+    if not 0.0 < ax < math.inf:
+        return None
+    j = round(math.log(ax) / math.log(q))
+    return j if q ** j == ax else None
+
+
 def _along(ctx: QContext, nu: float, x: float) -> Callable[[int], float]:
     """k -> qbessel3_ratio(nu, x q^k, q^2), read by exponent from the grid
-    table where x is a grid point +-q**j (that float), from the series
-    elsewhere."""
+    table where x is a grid point, from the series elsewhere."""
     q = ctx.q
-    ax = abs(x)
-    j = round(math.log(ax) / math.log(q)) if 0.0 < ax < math.inf else None
-    if j is None or q ** j != ax:
+    j = _grid_exponent(q, x)
+    if j is None:
         return lambda k: qbessel3_ratio(nu, x * q ** k, ctx.q2)
     tab = _grid_table(nu, q)
     return lambda k: tab[j + k]
@@ -429,6 +442,13 @@ def _bilateral_sum(ctx: QContext, term: Callable[[int], complex]):
     return _grid_sum(ctx, term, range(-1, ctx.k_min - 1, -1), acc)
 
 
+def _halfline(ctx: QContext, term: Callable[[int], complex]):
+    """(1-q) sum_{n in Z} term(n) q^n: the half-line Jackson integral of a
+    summand given by grid exponent."""
+    q = ctx.q
+    return (1.0 - q) * _bilateral_sum(ctx, lambda n: term(n) * q ** n)
+
+
 def jackson_integral(ctx: QContext, f: Callable[[float], complex],
                      domain="unit") -> complex:
     """q-integral of f.
@@ -444,10 +464,10 @@ def jackson_integral(ctx: QContext, f: Callable[[float], complex],
         return (1.0 - q) * _grid_sum(ctx, lambda n: f(q ** n) * q ** n,
                                      range(0, ctx.k_max + 80), 0j)
     if domain == "halfline":
-        return (1.0 - q) * complex(_bilateral_sum(ctx, lambda n: f(q ** n) * q ** n))
+        return complex(_halfline(ctx, lambda n: f(q ** n)))
     if domain == "line":
-        return (1.0 - q) * complex(_bilateral_sum(ctx, lambda n: f(q ** n) * q ** n)
-                                   + _bilateral_sum(ctx, lambda n: f(-q ** n) * q ** n))
+        return complex(_halfline(ctx, lambda n: f(q ** n))
+                       + _halfline(ctx, lambda n: f(-q ** n)))
     raise ValueError(f"unknown Jackson domain {domain!r}")
 
 
@@ -733,9 +753,9 @@ def qweber_lhs(ctx: QContext, lam: float, mu: float, nu: float,
     def term(k: int) -> float:
         x = q ** k
         return (x ** (-lam) * rm[m + k] * (q ** m * x) ** mu
-                * rn[n + k] * (q ** n * x) ** nu) * x
+                * rn[n + k] * (q ** n * x) ** nu)
 
-    return float((1.0 - q) * _bilateral_sum(ctx, term))
+    return float(_halfline(ctx, term))
 
 
 def qweber_rhs(ctx: QContext, lam: float, mu: float, nu: float,

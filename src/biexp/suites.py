@@ -551,13 +551,15 @@ def suite_lemma71(ov: Mapping) -> list:
 # ---------------------------------------------------------------------------
 
 def _grid_memo(q: float, fn: Callable[[float], complex]) -> Callable[[float], complex]:
-    """fn on the grid {+-q^k}, evaluated once per exponent k and sign: the
-    first y that reaches a grid point gives the value of every later one."""
+    """fn on the grid {+-q^k}, evaluated once per exponent k and sign; an
+    argument off the grid is passed through."""
     cache: dict = {}
-    lq = math.log(q)
 
     def memo(y: float):
-        key = (round(math.log(abs(y)) / lq), y > 0)
+        j = qs._grid_exponent(q, y)
+        if j is None:
+            return fn(y)
+        key = (j, y > 0)
         if key not in cache:
             cache[key] = fn(y)
         return cache[key]

@@ -155,6 +155,15 @@ class TestQBessel:
         ref = _ratio_ref(nu, 0.25, 700, x=x)
         assert qs.qbessel3_ratio(nu, x, 0.25) == pytest.approx(float(ref), rel=1e-14, abs=0.0)
 
+    @pytest.mark.parametrize("nu,x", [(2.3, 1.0), (2.1, 0.9)])
+    def test_cancellation_is_measured_on_the_series(self, monkeypatch, nu, x):
+        # the float pass is kept where it cancels by less than 1e3; with the
+        # prefactor (20 here) left out of the largest term, cancellations
+        # of ~1e4 stayed in float: 1.3e-12 and 2.9e-13 off
+        monkeypatch.setattr(qs, "_qb_cache", {})
+        ref = _ratio_ref(nu, 0.81, 100, x=x)
+        assert qs.qbessel3_ratio(nu, x, 0.81) == pytest.approx(float(ref), rel=1e-13, abs=0.0)
+
     def test_negative_argument(self, ctx):
         with pytest.raises(ValueError):
             qs.qbessel3(0.5, -1.0, ctx.q2)
@@ -224,9 +233,8 @@ class TestGridTable:
             for k in range(1, 60):
                 assert tab[k] == qs.qbessel3_ratio(nu, q ** k, q * q), (nu, k)
 
-    @pytest.mark.parametrize("q", [0.3, 0.5, 0.7, 0.9])
-    @pytest.mark.parametrize("nu", [-0.5, 0.3, 1.3, 5.0])
-    def test_sweep_matches_series(self, q, nu):
+    @staticmethod
+    def _check_sweep(nu, q):
         # the exact grid point x^2 = Q^k of the same float Q, with digits
         # for the ~k^2 log10(1/Q) the series cancels over, at least 300,
         # from k = 0 down to the first value that rounds to 0.0; past it
@@ -246,10 +254,38 @@ class TestGridTable:
         for j in (k - 1, k - 30, k - 1000):
             assert tab[j] == 0.0, j
 
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.7, 0.9])
+    @pytest.mark.parametrize("nu", [-0.5, 0.3, 1.3, 5.0])
+    def test_sweep_matches_series(self, q, nu):
+        self._check_sweep(nu, q)
+
+    @pytest.mark.parametrize("q,k,lo,hi", [(0.5, 0, -0.79, -0.69), (0.7, 0, 0.41, 0.46),
+                                           (0.9, 0, 0.96, 1.01), (0.9, 0, 5.16, 5.21),
+                                           (0.5, 1, -0.94, -0.89), (0.9, 1, 3.41, 3.46)])
+    def test_sweep_at_a_zero_of_a_match_point(self, q, k, lo, hi):
+        # the float order next to a zero of J_nu(q^k; q^2), k = 0 or 1 (the
+        # sweep's match points), bisected on the 80-digit series: the sweep's
+        # value there is the remainder of a cancellation, and scaling by it
+        # alone put every k < 0 value off by orders of magnitude
+        Q = q * q
+        sign = lambda nu: _ratio_ref(nu, Q, 80, k=k) > 0
+        s_lo = sign(lo)
+        assert sign(hi) != s_lo
+        while lo < (lo + hi) / 2.0 < hi:
+            mid = (lo + hi) / 2.0
+            if sign(mid) == s_lo:
+                lo = mid
+            else:
+                hi = mid
+        nu = min((lo, hi), key=lambda nu: abs(_ratio_ref(nu, Q, 80, k=k)))
+        assert abs(_ratio_ref(nu, Q, 80, k=k)) < 1e-14
+        self._check_sweep(nu, q)
+
     def test_grid_sums_read_the_table(self, monkeypatch):
         # a q-weber pass evaluates no q-Bessel at a float grid argument and
-        # elevates at most once per table (never at q = 0.5); q-core's
-        # off-grid calls (x = 0, 1e-8) are the only ones in the cache
+        # elevates only at the match points x = 1 and q, at most once per
+        # table and point; q-core's off-grid calls (x = 0, 1e-8) are the
+        # only ones in the cache
         monkeypatch.setattr(qs, "_qb_cache", {})
         monkeypatch.setattr(qs, "_grid_table", functools.lru_cache(maxsize=None)(qs._GridRatios))
         elevated = []
@@ -259,7 +295,9 @@ class TestGridTable:
         assert [k for k in qs._qb_cache if k[0] != "lp"] == []
         run_suite("q-core")
         assert sorted(k[1] for k in qs._qb_cache if k[0] != "lp") == [0.0, 0.0, 1e-08]
-        assert elevated == []
+        points = [(nu, x, Q) for nu, x, Q, _ in elevated]
+        assert points and len(set(points)) == len(points)
+        assert {x for _, x, _ in points} <= {1.0, 0.5}
         assert qs._grid_table.cache_info().currsize > 10
 
 
