@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Literal
 
 import mpmath as mp
+import numpy as np
 
 from .specfun import Params
 
@@ -83,6 +84,16 @@ class QContext:
     @property
     def q2(self) -> float:
         return self.q * self.q
+
+    def small_end(self, decay: float) -> int:
+        """Last grid exponent toward x = 0 for a summand falling like
+        q^(k decay): k_max, or k_max / decay where decay < 1, so that it
+        falls as far as q^k does by k_max.  Raises ValueError past 2 k_max
+        (decay < 1/2; with the weight |x|^(2a+1) d_q x, a < -3/4)."""
+        if not decay >= 0.5:
+            raise ValueError(f"a Jackson sum falling like q^(k*{decay:g}) needs more than "
+                             "2 k_max grid steps toward x = 0")
+        return self.k_max if decay >= 1.0 else math.ceil(self.k_max / decay)
 
 
 def qpochhammer(a, q: float, n: int | None = None):
@@ -435,18 +446,18 @@ def _grid_sum(ctx: QContext, term: Callable[[int], complex], ks: range, acc=0.0)
     return acc
 
 
-def _bilateral_sum(ctx: QContext, term: Callable[[int], complex]):
-    """sum_{k in Z} term(k) over the grid exponents: k = 0 .. k_max, then
-    k = -1 down to k_min, into one running sum (see _grid_sum)."""
-    acc = _grid_sum(ctx, term, range(0, ctx.k_max + 1))
+def _bilateral_sum(ctx: QContext, term: Callable[[int], complex], decay: float = 1.0):
+    """sum_{k in Z} term(k), term falling like q^(k decay) toward x = 0: k = 0
+    .. small_end(decay), then k = -1 down to k_min, into one running sum."""
+    acc = _grid_sum(ctx, term, range(0, ctx.small_end(decay) + 1))
     return _grid_sum(ctx, term, range(-1, ctx.k_min - 1, -1), acc)
 
 
-def _halfline(ctx: QContext, term: Callable[[int], complex]):
+def _halfline(ctx: QContext, term: Callable[[int], complex], decay: float = 1.0):
     """(1-q) sum_{n in Z} term(n) q^n: the half-line Jackson integral of a
-    summand given by grid exponent."""
+    summand given by grid exponent, term(n) q^n falling like q^(n decay)."""
     q = ctx.q
-    return (1.0 - q) * _bilateral_sum(ctx, lambda n: term(n) * q ** n)
+    return (1.0 - q) * _bilateral_sum(ctx, lambda n: term(n) * q ** n, decay)
 
 
 def jackson_integral(ctx: QContext, f: Callable[[float], complex],
@@ -549,13 +560,9 @@ class QJacobiFamily:
         q2 = self.ctx.q2
         a, b = self.params.alpha, self.params.beta
         m, r = divmod(n, 2)
-        if r == 0:
-            pref = ((-1.0) ** m * qpochhammer(q2 ** (a + b + 1.0), q2, m)
-                    / qpochhammer(q2 ** (a + 1.0), q2, m))
-            return pref * self.little_p(m, t * t)
-        pref = ((-1.0) ** m * qpochhammer(q2 ** (a + b + 1.0), q2, m + 1)
-                / qpochhammer(q2 ** (a + 1.0), q2, m + 1))
-        return pref * t * self.little_p(m, t * t, a=a + 1.0)
+        pref = ((-1.0) ** m * qpochhammer(q2 ** (a + b + 1.0), q2, m + r)
+                / qpochhammer(q2 ** (a + 1.0), q2, m + r))
+        return pref * t ** r * self.little_p(m, t * t, a=a + r)
 
     def weight(self, t: float) -> float:
         """Radial weight (q^2 t^2; q^2)_inf / (q^{2b+2} t^2; q^2)_inf."""
@@ -580,18 +587,16 @@ class QJacobiFamily:
         q2 = self.ctx.q2
         a, b = self.params.alpha, self.params.beta
         m, r = divmod(n, 2)
+        rn = (qpochhammer(q2 ** (a + b + 1.0), q2, m + r)
+              / qpochhammer(q2 ** (a + 1.0), q2, m + r))
         if r == 0:
-            rn = (qpochhammer(q2 ** (a + b + 1.0), q2, m)
-                  / qpochhammer(q2 ** (a + 1.0), q2, m))
             return (rn / (1.0 - q2 ** (2.0 * m + a + b + 1.0))
                     * qpochhammer(q2 ** (m + 1.0), q2)
                     * qpochhammer(q2 ** (a + b + 1.0), q2)
                     / (qpochhammer(q2, q2) * qpochhammer(q2 ** (b + 1.0 + m), q2)))
-        rn1 = (qpochhammer(q2 ** (a + b + 1.0), q2, m + 1)
-               / qpochhammer(q2 ** (a + 1.0), q2, m + 1))
         cq = self.measure_const()
         a1 = a + 1.0
-        return (cq * rn1 ** 2 / (1.0 - q2 ** (2.0 * m + a1 + b + 1.0))
+        return (cq * rn ** 2 / (1.0 - q2 ** (2.0 * m + a1 + b + 1.0))
                 * qpochhammer(q2 ** (m + 1.0), q2)
                 * qpochhammer(q2 ** (a1 + b + 1.0 + m), q2)
                 / (qpochhammer(q2 ** (a1 + 1.0 + m), q2)
@@ -599,68 +604,60 @@ class QJacobiFamily:
 
     def gram_matrix_mp(self, nmax: int) -> list:
         """Full orthogonality Gram of the normalized members against the
-        radial weight, as Jackson sums evaluated end to end at 50 digits
-        (at small q the polynomial values grow so large that the
-        off-diagonal cancellation exceeds what float64 can resolve).
+        radial weight: (1-q) sum_j w(x_j) x_j^(2a+1) q^j p_n(x_j) p_m(x_j)
+        over x_j = q^j, as a (nmax+1) x (nmax+1) nested list of floats.
 
-        Nothing that is the same at every node is recomputed there: the
-        weight (Q x^2; Q)_inf / (Q^{b+1} x^2; Q)_inf, Q = q^2, telescopes
-        along the grid x = q^j as w_j = w_{j-1} (1 - Q^{b+j}) / (1 - Q^j),
-        so only w_0 takes infinite products, and each member's polynomial
-        coefficients and normalizing prefactor are built once per degree
-        and evaluated at the nodes by Horner's rule.
-
-        Returns a (nmax+1) x (nmax+1) nested list of floats.
+        The cancellation is inside each member value near x = 1 (Horner
+        terms up to 8.8e13 at q = 0.3, 3.2e26 at q = 0.1, nmax 5), so the
+        members are evaluated at 50 digits at the exact x_j^2 = Q^j, Q = q^2,
+        and rounded once.  The sum does not cancel ((1-q) sum_j |terms| <=
+        1.33 at q in [0.1, 0.95], (a, b) in {(0.3, 0.2), (1.5, -0.3),
+        (-0.7, 0.9)}): it is a float pairwise sum, and w_j telescopes as
+        w_{j-1} (1 - Q^{b+j}) / (1 - Q^j).  With r = q^(2a+2) and M_j =
+        max_n sum_k |pref_n c_k| Q^(jk), the size of the members' terms, the
+        nodes from j on add at most r^j max(w_j, 1) M_j^2 / (1 - r) to an
+        entry (w tends monotonically to 1, M falls with j).  The sum stops
+        where that is below 2^-64; ValueError where that takes more than
+        ctx.small_end(2a+2) + 60 nodes.
         """
+        base, V = self._gram_nodes(nmax)
+        T = V.T
+        return ((1.0 - self.ctx.q) * (T[:, None] * T[None] * base).sum(axis=-1)).tolist()
+
+    def _gram_nodes(self, nmax: int):
+        """w(x_j) x_j^(2a+1) q^j and [p_n(x_j), n <= nmax] over gram_matrix_mp's nodes."""
+        q, Q = self.ctx.q, self.ctx.q2
         a, b = self.params.alpha, self.params.beta
-        jmax = self.ctx.k_max + 60
-        digits = 50
-        with mp.workdps(digits):
-            Qm = mp.mpf(self.ctx.q2)
-            qm = mp.sqrt(Qm)
-            am = mp.mpf(a)
-            bm = mp.mpf(b)
-            cutoff = mp.mpf(10) ** (-digits - 10)
-
-            # q^{-k(a+1)} (Q^{a+1}; Q)_k / (Q; Q)_k and the coefficients of p_k
-            members = []
-            num = mp.mpf(1)
-            den = mp.mpf(1)
-            qa = Qm ** (am + 1)     # Q^(a+1+k)
-            qk = Qm                 # Q^(k+1)
+        cap = self.ctx.small_end(2.0 * a + 2.0) + 60
+        with mp.workdps(50):
+            Qm, am, bm = mp.mpf(Q), mp.mpf(a), mp.mpf(b)
+            # q^{-k(a+1)} (Q^{a+1}; Q)_k / (Q; Q)_k times the coefficients of p_k
+            members, pref = [], mp.mpf(1)
             for k in range(nmax + 1):
-                members.append((qm ** (-k * (am + 1)) * num / den,
-                                _little_p_coeffs_mp(k, am, bm, Qm)))
-                num *= 1 - qa
-                den *= 1 - qk
-                qa *= Qm
-                qk *= Qm
-
-            # per-node polynomial values, weight, and measure factor
-            w = _qpoch_inf_mp(Qm, Qm, digits) / _qpoch_inf_mp(Qm ** (bm + 1), Qm, digits)
-            Qj = mp.mpf(1)
-            Qbj = Qm ** bm
-            cols = []
-            for j in range(jmax):
-                x = qm ** j
-                x2 = x * x
-                base = w * x ** (2 * am + 1) * qm ** j
-                cols.append((base, [pref * mp.polyval(cs, x2) for pref, cs in members]))
-                if base < cutoff:
+                members.append([pref * c for c in _little_p_coeffs_mp(k, am, bm, Qm)])
+                pref *= (1 - Qm ** (am + 1 + k)) / ((1 - Qm ** (k + 1)) * Qm ** ((am + 1) / 2))
+            sizes = [[float(abs(c)) for c in cs] for cs in members]
+            # w_0 = (Q; Q)_inf / (Q^{b+1}; Q)_inf by fsum of logs: a product drifts 1e-15
+            w = math.exp(math.fsum(math.log1p(-Q ** k) - math.log1p(-Q ** (b + k))
+                                   for k in range(1, math.ceil(math.log(1e-18, Q)) + 1)))
+            r = Qm ** (am + 1)              # q^(2a+2)
+            x, xf, rj, Qb = mp.mpf(1), 1.0, mp.mpf(1), Q ** b
+            tail = 2.0 ** -64 * (1.0 - float(r))
+            base, vals = [], []
+            for _ in range(cap + 1):
+                m = max(functools.reduce(lambda v, c: v * xf + c, s) for s in sizes)
+                if float(rj) * m * m * max(w, 1.0) < tail:
                     break
-                Qj *= Qm
-                Qbj *= Qm
-                w *= (1 - Qbj) / (1 - Qj)
-            out = [[0.0] * (nmax + 1) for _ in range(nmax + 1)]
-            for n in range(nmax + 1):
-                for m in range(n, nmax + 1):
-                    acc = mp.mpf(0)
-                    for base, vals in cols:
-                        acc += base * vals[n] * vals[m]
-                    v = float((1 - qm) * acc)
-                    out[n][m] = v
-                    out[m][n] = v
-            return out
+                vals.append([float(functools.reduce(lambda v, c: v * x + c, cs)) for cs in members])
+                base.append(w * float(rj))
+                x *= Qm
+                rj *= r
+                xf = float(x)
+                w *= (1.0 - Qb * xf) / (1.0 - xf)
+            else:
+                raise ValueError(f"q-Jacobi Gram at q={q}, alpha={a} needs more than "
+                                 f"{cap} nodes; raise k_max")
+        return np.array(base), np.array(vals)
 
     def norm_quadrature(self, n: int) -> float:
         """Jackson-sum oracle for the same norm."""
@@ -673,7 +670,7 @@ class QJacobiFamily:
             return c * c * self.weight(t) * abs(t) ** (2.0 * a + 1.0)
 
         return cq * _grid_sum(self.ctx, lambda j: g(q ** j) * q ** j,
-                              range(0, self.ctx.k_max + 40))
+                              range(0, self.ctx.small_end(2.0 * a + 2.0) + 40))
 
 
 # ---------------------------------------------------------------------------
@@ -723,7 +720,7 @@ def q_transform(ctx: QContext, alpha: float, f: Callable[[float], complex],
         e = kern(k)
         return w * (f(xk) * e.conjugate() + f(-xk) * e)
 
-    return 0.5 * cq * _bilateral_sum(ctx, summand)
+    return 0.5 * cq * _bilateral_sum(ctx, summand, 2.0 * alpha + 2.0)
 
 
 def q_hankel(ctx: QContext, alpha: float, f: Callable[[float], float],
@@ -735,7 +732,8 @@ def q_hankel(ctx: QContext, alpha: float, f: Callable[[float], float],
     self-inverse on decaying grid functions."""
     q = ctx.q
     r = _along(ctx, alpha, x)
-    return _bilateral_sum(ctx, lambda k: r(k) * f(q ** k) * q ** (k * (2.0 * alpha + 2.0)))
+    e = 2.0 * alpha + 2.0
+    return _bilateral_sum(ctx, lambda k: r(k) * f(q ** k) * q ** (k * e), e)
 
 
 # ---------------------------------------------------------------------------
@@ -755,7 +753,8 @@ def qweber_lhs(ctx: QContext, lam: float, mu: float, nu: float,
         return (x ** (-lam) * rm[m + k] * (q ** m * x) ** mu
                 * rn[n + k] * (q ** n * x) ** nu)
 
-    return float(_halfline(ctx, term))
+    # J_mu(y) ~ y^mu at small y: the summand falls like x^(1 - lam + mu + nu)
+    return float(_halfline(ctx, term, 1.0 - lam + mu + nu))
 
 
 def qweber_rhs(ctx: QContext, lam: float, mu: float, nu: float,

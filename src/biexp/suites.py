@@ -669,6 +669,27 @@ def suite_q_core(ov: Mapping) -> list:
     return checks
 
 
+def _pw_term_bound(ctx: qs.QContext, P: Params, x: float, t: float, n: int) -> float:
+    """A bound on |term n| of q_planewave_partial_sum (route "lemma") at
+    0 < x, t <= 1: the q-Neumann member by (-Q x^2; Q)_inf / (Q; Q)_inf x^n
+    q^{m(a+b+n+1)}, m = n // 2 (Euler's sum bounds the q-Bessel series for
+    orders >= 0), and the q-Gegenbauer by its prefactors times the sum of
+    the absolute terms of its 2phi1."""
+    q, Q, qp = ctx.q, ctx.q2, qs.qpochhammer
+    a, b, ab = P.alpha, P.beta, P.ab
+    m, r = divmod(n, 2)
+    ap = a + r
+    s = c = 1.0
+    for k in range(m):
+        c *= abs((1.0 - Q ** (k - m)) * (1.0 - Q ** (m + ap + b + 1.0 + k))
+                 / ((1.0 - Q ** (ap + 1.0 + k)) * (1.0 - Q ** (k + 1.0)))) * Q * t * t
+        s += c
+    neumann = qp(-Q * x * x, Q) / qp(Q, Q) * x ** n * q ** (m * (ab + n + 1.0))
+    gegen = (abs(qp(Q ** (ab + 1.0), Q, m + r) / qp(Q ** (a + 1.0), Q, m + r)) * t ** r
+             * q ** (-m * (ap + 1.0)) * abs(qp(Q ** (ap + 1.0), Q, m) / qp(Q, Q, m)) * s)
+    return qp(Q, Q) / qp(Q ** (ab + 1.0), Q) * q ** (-m * b) * neumann * gegen
+
+
 def suite_q_planewave(ov: Mapping) -> list:
     checks: list = []
     ctx = qs.QContext(ov["q"])
@@ -695,9 +716,13 @@ def suite_q_planewave(ov: Mapping) -> list:
     _timed(checks, "q-planewave/ratio-factor-route-matches", route_report, 0.0)
 
     def smallest_grid():
-        x = q ** 8
-        t = q
-        got = qs.q_planewave_partial_sum(ctx, P, x, t, 5, route="lemma")
+        # 5 terms, or as many as the bound on the next 20 (they fall
+        # superexponentially) needs to put the truncation below tol / 2
+        x, t = q ** 8, q
+        N = 5
+        while sum(_pw_term_bound(ctx, P, x, t, n) for n in range(N, N + 20)) >= 0.5e-8:
+            N += 1
+        got = qs.q_planewave_partial_sum(ctx, P, x, t, N, route="lemma")
         return got, qs.q_dunkl_kernel(ctx, P.alpha, x * t)
     _timed(checks, "q-planewave/small-argument-truncation", smallest_grid, 1e-8)
 
@@ -806,6 +831,10 @@ _PARAM_TYPES = {"alpha": float, "beta": float, "q": float, "tol": float,
 # each suite with the keys it reads and their defaults; a None default
 # (planewave's tol) leaves the suite its own per-row tolerances
 _Q_DEFAULTS = {"q": 0.5, "alpha": 0.3, "beta": 0.2}
+# below this alpha the q suites' sums with the weight |x|^(2 alpha + 1) d_q x
+# pass qspec's cap on the small-x end (2 k_max); the three suites pass at
+# alpha = -0.75, -0.7, -0.6, -0.55 and -0.5
+_Q_ALPHA_MIN = -0.75
 _REGISTRY = {
     "planewave": (suite_planewave, {"alpha": 0.3, "beta": 0.2, "terms": 40, "tol": None}),
     "dunkl-sampling": (suite_dunkl_sampling, {"alpha": 0.5}),
@@ -844,6 +873,9 @@ def run_suite(name: str, overrides: dict | None = None) -> SuiteResult:
             raise ValueError(f"{key} must be an integer, got {val!r}")
     if not 0.0 < given.get("tol", 1.0) < math.inf:
         raise ValueError(f"tol must be finite and positive, got {given['tol']}")
+    if any(sub.startswith("q-") for sub in names) and not given.get("alpha", 0.0) >= _Q_ALPHA_MIN:
+        raise ValueError(f"the q suites take alpha >= {_Q_ALPHA_MIN} (their measured "
+                         f"domain), got {given['alpha']}")
     t0 = time.perf_counter()
     checks: list = []
     for sub in names:

@@ -241,6 +241,9 @@ class TestCLI:
         (["eval", "qbessel3", "--nu", "0.5", "--x", "1", "--q", "0.9999"], "200000 factors"),
         (["eval", "qbessel3", "--nu", "0.5", "--x", "1", "--q", "0.99995"], "200000 factors"),
         (["eval", "qbessel3", "--nu", "0.5", "--x", "1", "--q", "0.99999"], "200000 factors"),
+        # the small-x end of the weighted q sums would pass its cap of 2 k_max
+        (["verify", "q-core", "--alpha", "-0.8"], "take alpha >= -0.75"),
+        (["verify", "all", "--alpha", "-0.9"], "take alpha >= -0.75"),
     ])
     def test_domain_error_exit_2(self, argv, reason):
         proc = subprocess.run([sys.executable, "-m", "biexp.cli", *argv],
