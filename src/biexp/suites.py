@@ -410,7 +410,7 @@ def suite_spectrum(ov: Mapping) -> list:
         g[2] = 1.0
         out, _ = spe.apply_T(prob, g)
         t = 0.3
-        ct = fam.table(N, t).tolist()
+        ct = fam.table(max(N, 20), t).tolist()  # the kernel sum reads C_1..C_20
         direct = sum((out[n] * ct[n]).real for n in range(1, N + 1))
         hs = [up.norm(n) for n in range(20)]
 

@@ -147,6 +147,12 @@ class TestSuiteRegistry:
         # first zero the identity's conditioning at a float64 zero caps it
         assert all(c.rel_err < 1e-10 for c in jh if "k=1" not in c.id)
 
+    def test_spectrum_few_terms_kernel_oracle(self):
+        # the kernel sum reads C_1..C_20 whatever the basis truncation
+        r = run_suite("spectrum", {"terms": 10, "k_max": 1})
+        row = next(c for c in r.checks if c.id == "spectrum/T-quadrature-kernel-oracle")
+        assert row.passed
+
 
 class TestCLI:
     def test_list_suites(self, capsys):
