@@ -153,9 +153,9 @@ class PWFunction:
         """Cache f at every x of xs not cached yet: per rule order, one
         kernel grid on the (x, node) outer product for each block of
         _PW_BLOCK values.  The grid gives each node the value it would get
-        alone (whenever the asymptotic takes the nodes beyond 50), so a
-        batched x reads the same as a single one.  The grid covers the nodes
-        t > 0 alone: E_alpha(-ixt) = conj E_alpha(ixt) to the bit."""
+        alone, so a batched x reads the same as a single one (to rounding
+        past alpha = 9, where one Miller sweep takes nodes beyond 50).  The
+        grid covers the nodes t > 0 alone: E_alpha(-ixt) = conj E_alpha(ixt)."""
         todo: dict = {}
         for v in xs:
             k = round(v, 14)

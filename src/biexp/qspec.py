@@ -464,9 +464,8 @@ def jackson_integral(ctx: QContext, f: Callable[[float], complex],
                      domain="unit") -> complex:
     """q-integral of f.
 
-    domain "unit":     (1-q) sum_{n>=0} f(q^n) q^n
-    domain "halfline": (1-q) sum_{n in Z} f(q^n) q^n
-    domain "line":     the bilateral form with both sign branches.
+    domain "unit": (1-q) sum_{n>=0} f(q^n) q^n
+    domain "line": (1-q) sum_{n in Z} (f(q^n) + f(-q^n)) q^n, both sign branches
 
     Raises DecayError when the summand has not decayed at the grid bounds.
     """
@@ -474,8 +473,6 @@ def jackson_integral(ctx: QContext, f: Callable[[float], complex],
     if domain == "unit":
         return (1.0 - q) * _grid_sum(ctx, lambda n: f(q ** n) * q ** n,
                                      range(0, ctx.k_max + 80), 0j)
-    if domain == "halfline":
-        return complex(_halfline(ctx, lambda n: f(q ** n)))
     if domain == "line":
         return complex(_halfline(ctx, lambda n: f(q ** n))
                        + _halfline(ctx, lambda n: f(-q ** n)))
@@ -609,8 +606,9 @@ class QJacobiFamily:
 
         The cancellation is inside each member value near x = 1 (Horner
         terms up to 8.8e13 at q = 0.3, 3.2e26 at q = 0.1, nmax 5), so the
-        members are evaluated at 50 digits at the exact x_j^2 = Q^j, Q = q^2,
-        and rounded once.  The sum does not cancel ((1-q) sum_j |terms| <=
+        members are evaluated at the exact x_j^2 = Q^j, Q = q^2, at 40 + 2.2
+        log10 M digits (M their largest term sum, at x = 1; at least 50), and
+        rounded once.  The sum does not cancel ((1-q) sum_j |terms| <=
         1.33 at q in [0.1, 0.95], (a, b) in {(0.3, 0.2), (1.5, -0.3),
         (-0.7, 0.9)}): it is a float pairwise sum, and w_j telescopes as
         w_{j-1} (1 - Q^{b+j}) / (1 - Q^j).  With r = q^(2a+2) and M_j =
@@ -629,14 +627,20 @@ class QJacobiFamily:
         q, Q = self.ctx.q, self.ctx.q2
         a, b = self.params.alpha, self.params.beta
         cap = self.ctx.small_end(2.0 * a + 2.0) + 60
-        with mp.workdps(50):
-            Qm, am, bm = mp.mpf(Q), mp.mpf(a), mp.mpf(b)
+        Qm, am, bm = mp.mpf(Q), mp.mpf(a), mp.mpf(b)
+
+        def coeffs():
             # q^{-k(a+1)} (Q^{a+1}; Q)_k / (Q; Q)_k times the coefficients of p_k
             members, pref = [], mp.mpf(1)
             for k in range(nmax + 1):
                 members.append([pref * c for c in _little_p_coeffs_mp(k, am, bm, Qm)])
                 pref *= (1 - Qm ** (am + 1 + k)) / ((1 - Qm ** (k + 1)) * Qm ** ((am + 1) / 2))
-            sizes = [[float(abs(c)) for c in cs] for cs in members]
+            return members
+        with mp.workdps(50):
+            sizes = [[float(abs(c)) for c in cs] for cs in coeffs()]
+        # Horner near x = 1 cancels over ~2 log10 M digits, M the largest term sum
+        with mp.workdps(max(50, 40 + int(2.2 * math.log10(max(map(sum, sizes)))))):
+            members = coeffs()
             # w_0 = (Q; Q)_inf / (Q^{b+1}; Q)_inf by fsum of logs: a product drifts 1e-15
             w = math.exp(math.fsum(math.log1p(-Q ** k) - math.log1p(-Q ** (b + k))
                                    for k in range(1, math.ceil(math.log(1e-18, Q)) + 1)))

@@ -5,9 +5,10 @@ Everything here is plain float64 arithmetic with explicit regime switches;
 no external special-function libraries are used at runtime.  This is the
 one module that computes Bessel values, in one internal form, the
 normalized Gamma(nu+1) (2/x)^nu J_nu(x): scalar calls through _jnorm,
-node arrays through _jnorm_array, both under one regime rule, with
-Miller's recurrence one streaming sweep in O(1) memory.  J_nu(x)/x^nu and
-J_nu(x) are one factor away.
+node arrays through _jnorm_array, both under one regime rule judged node by
+node (the cosine asymptotic where x > 50 and 8x >= 4 nu^2 - 1, which bounds
+its terms), with Miller's recurrence one streaming sweep in O(1) memory.
+J_nu(x)/x^nu and J_nu(x) are one factor away.
 """
 
 from __future__ import annotations
@@ -87,10 +88,9 @@ def lgamma(x: float) -> float:
 # Bessel J_nu for real order nu > -1
 # ---------------------------------------------------------------------------
 
-# Regime edges of J_nu(x)/x^nu, shared by the scalar and the array path:
-# the ascending series up to SERIES_EDGE (or below the turning point), the
-# cosine asymptotic beyond ASYM_EDGE where it converges, Miller's backward
-# recurrence (Gautschi, SIAM Rev. 9, 1967) in between.
+# Regime edges of J_nu(x)/x^nu, shared by the scalar and the array path: the
+# ascending series to SERIES_EDGE or the turning point, the cosine asymptotic
+# beyond ASYM_EDGE where 8x >= 4 nu^2 - 1, Miller's recurrence in between.
 SERIES_EDGE = 9.0
 ASYM_EDGE = 50.0
 
@@ -98,6 +98,13 @@ ASYM_EDGE = 50.0
 def _in_series_regime(nu: float, x):
     """True where the ascending series is used; x >= 0, a float or an array."""
     return (x <= SERIES_EDGE) | (x * x <= 4.0 * (nu + 1.0))
+
+
+def _in_asym_regime(nu: float, x):
+    """True where the cosine asymptotic is used; x >= 0, a float or an array:
+    there _j_asymptotic's term ratios |4 nu^2 - (2k-1)^2| / (8 k x) are at
+    most 1 and its 17th term at most 2.8e-15; below, the first exceeds 1."""
+    return (x > ASYM_EDGE) & (8.0 * x >= 4.0 * nu * nu - 1.0)
 
 
 def _jratio_at_zero(nu: float) -> float:
@@ -206,29 +213,24 @@ def _miller(nu: float, x: float):
 
 
 def _j_asymptotic(nu: float, x, peak=abs, xp=math):
-    """J_nu(x) ~ sqrt(2/(pi x)) (P cos chi - Q sin chi) for large x, or None
-    where the expansion does not reach ~1e-13 before its terms start
-    growing (callers fall back to Miller's recurrence).
+    """J_nu(x) ~ sqrt(2/(pi x)) (P cos chi - Q sin chi) to 1e-13 or better
+    where _in_asym_regime holds.
 
     The terms are a_k/x^k, a_k = prod_{j<=k} (4 nu^2 - (2j-1)^2) / (k! 8^k);
-    P sums the even k, Q the odd.  x is a float, or an array (xp = numpy)
-    with peak its largest |term|: that sits at the smallest node, so every
-    node stops where the smallest one would.
+    P sums the even k, Q the odd, to the 17th term or the first below 1e-17.
+    x is a float, or an array (xp = numpy) with peak its largest |term|: that
+    sits at the smallest node, so every node stops where the smallest would.
     """
     mu = 4.0 * nu * nu
-    p, q, term, prev = 1.0, 0.0, 1.0, 1.0
+    p, q, term = 1.0, 0.0, 1.0
     for k in range(1, 18):
         term = term * ((mu - (2.0 * k - 1.0) ** 2) / (k * 8.0 * x))
         if k % 2 == 0:
             p = p + term * (-1.0) ** (k // 2)
         else:
             q = q + term * (-1.0) ** ((k - 1) // 2)
-        mag = peak(term)
-        if mag < 1e-17 or mag > prev:
+        if peak(term) < 1e-17:
             break
-        prev = mag
-    if not (mag < 1e-13 or prev <= 1e-13):
-        return None
     chi = x - (0.5 * nu + 0.25) * math.pi
     return xp.sqrt(2.0 / (math.pi * x)) * (p * xp.cos(chi) - q * xp.sin(chi))
 
@@ -245,10 +247,8 @@ def _jnorm(nu: float, x: float) -> float:
     order.  The asymptotic's J_nu(x) is normalized in logarithms."""
     if _in_series_regime(nu, x):
         return _series_norm(nu, x)
-    if x > ASYM_EDGE:
-        j = _j_asymptotic(nu, x)
-        if j is not None:
-            return _norm_from_j(nu, x, j)
+    if _in_asym_regime(nu, x):
+        return _norm_from_j(nu, x, _j_asymptotic(nu, x))
     return _miller(nu, x)[2]
 
 
@@ -316,11 +316,9 @@ def _miller_array(nu: float, x: np.ndarray):
 
 
 def _jnorm_array(nu: float, x: np.ndarray, pair: bool = False):
-    """_jnorm on an array of real x; the asymptotic takes all nodes beyond
-    ASYM_EDGE if it converges at the nearest one.  With pair, the values
-    of orders nu and nu + 1 both in the regime of order nu, as
-    dunkl_kernel takes them: two series, two asymptotic values where both
-    converge, or one Miller sweep."""
+    """_jnorm on an array of real x, the regime judged node by node.  With
+    pair, orders nu and nu + 1 both in the regime of order nu, as dunkl_kernel
+    takes them: two series, two asymptotic values or one Miller sweep."""
     x = np.abs(np.asarray(x, dtype=float))
     orders = (nu, nu + 1.0) if pair else (nu,)
     v = [np.empty_like(x) for _ in orders]
@@ -328,15 +326,15 @@ def _jnorm_array(nu: float, x: np.ndarray, pair: bool = False):
     xs = x[series]
     for vi, o in zip(v, orders):
         vi[series] = _series_norm_array(o, xs)
-    miller = ~series
-    far = miller & (x > ASYM_EDGE)
+    far = ~series
+    for o in orders:
+        far &= _in_asym_regime(o, x)
     xf = x[far]
     peak = lambda t: np.abs(t).max(initial=0.0)
-    js = [_j_asymptotic(o, xf, peak, np) for o in orders]
-    if all(j is not None for j in js):
-        for vi, o, j in zip(v, orders, js):
-            vi[far] = j * np.exp(lgamma(o + 1.0) - o * np.log(0.5 * xf))
-        miller &= ~far
+    for vi, o in zip(v, orders):
+        j = _j_asymptotic(o, xf, peak, np)
+        vi[far] = j * np.exp(lgamma(o + 1.0) - o * np.log(0.5 * xf))
+    miller = ~(series | far)
     if miller.any():
         for vi, j in zip(v, _miller_array(nu, x[miller])):
             vi[miller] = j
@@ -463,15 +461,12 @@ def _zero_seeds(nu: float, k: int) -> np.ndarray:
 
 def _j_pair(nu: float, x: float):
     """(a, b, jn) at x > 0: a, b = c (J_nu(x), J_{nu+1}(x)), c > 0, from the
-    asymptotic beyond ASYM_EDGE where both orders converge (c = 1, jn None),
-    else f0, f1 of one Miller sweep and jn its (j0, j1).  b carries the sign
-    of J_{nu+1}(x), and a/b has no cancellation beyond the last step of the
+    asymptotic where both orders are in its regime (c = 1, jn None), else
+    f0, f1 of one Miller sweep and jn its (j0, j1).  b carries the sign of
+    J_{nu+1}(x), and a/b has no cancellation beyond the last step of the
     recurrence; the ascending series would lose up to three digits near 9."""
-    if x > ASYM_EDGE:
-        a = _j_asymptotic(nu, x)
-        b = _j_asymptotic(nu + 1.0, x)
-        if a is not None and b is not None:
-            return a, b, None
+    if _in_asym_regime(nu, x) and _in_asym_regime(nu + 1.0, x):
+        return _j_asymptotic(nu, x), _j_asymptotic(nu + 1.0, x), None
     f0, f1, j0, j1 = _miller(nu, x)
     return f0, f1, (j0, j1)
 

@@ -456,9 +456,9 @@ class TestMirrorSymmetry:
                    "asymptotic": np.array([700.0, 2000.0])}
         assert np.all(sf._in_series_regime(al, regimes["series"]))
         assert not np.any(sf._in_series_regime(al, regimes["miller"]))
-        peak = lambda t: np.abs(t).max(initial=0.0)
         for o in (al, al + 1.0):
-            assert sf._j_asymptotic(o, regimes["asymptotic"], peak, np) is not None
+            assert np.all(sf._in_asym_regime(o, regimes["asymptotic"]))
+            assert not np.any(sf._in_asym_regime(o, regimes["miller"]))
         for x in regimes.values():
             pos = sf._jnorm_array(al, x, pair=True)
             neg = sf._jnorm_array(al, -x, pair=True)

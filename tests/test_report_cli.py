@@ -275,6 +275,14 @@ class TestCLI:
         doc = json.loads(capsys.readouterr().out)
         assert doc["params"]["terms"] == 80 and doc["pass"]
 
+    def test_dunkl_sampling_alpha_10(self, capsys):
+        # the zeros of J_11 reach x ~ 1270; each node past the order-11
+        # asymptotic edge takes the asymptotic, not one long Miller sweep
+        assert main(["verify", "dunkl-sampling", "--alpha", "10", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert len(doc["checks"]) == 14
+        assert all(c["pass"] for c in doc["checks"])
+
     def test_spectrum_large_alpha_reports(self):
         # J_ab at the zeros is formed from the normalized value and the
         # family norms fall back to logarithms, so alpha = 100 (ab log j

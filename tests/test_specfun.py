@@ -183,6 +183,47 @@ class TestBessel:
         assert bessel_j_ratio(nu, -x) == bessel_j_ratio(nu, x)
 
 
+def _trial_converges(nu: float, x: float) -> bool:
+    # the trial the regime predicate replaced: the cosine asymptotic beyond
+    # 50 where its terms reach 1e-13 before they start growing
+    mu = 4.0 * nu * nu
+    term = prev = 1.0
+    for k in range(1, 18):
+        term *= (mu - (2.0 * k - 1.0) ** 2) / (k * 8.0 * x)
+        mag = abs(term)
+        if mag < 1e-17 or mag > prev:
+            break
+        prev = mag
+    return x > 50.0 and (mag < 1e-13 or prev <= 1e-13)
+
+
+class TestAsymRegime:
+    def test_predicate_is_the_trial(self):
+        rng = np.random.default_rng(18)
+        nus = list(-1.0 + 401.0 * (1.0 - rng.random(10_000)))
+        xs = list(50.0 + 19_950.0 * (1.0 - rng.random(10_000)))
+        for nu in np.linspace(10.02, 400.0, 500):
+            edge = (4.0 * nu * nu - 1.0) / 8.0
+            nus += [nu] * 3
+            xs += [edge * (1.0 - 1e-12), edge, edge * (1.0 + 1e-12)]
+        got = [bool(specfun._in_asym_regime(nu, x)) for nu, x in zip(nus, xs)]
+        assert got == [_trial_converges(nu, x) for nu, x in zip(nus, xs)]
+        assert 0.3 < np.mean(got) < 0.7
+        for nu in (-0.9, 0.5, 30.0, 300.0):
+            arr = specfun._in_asym_regime(nu, np.asarray(xs))
+            assert list(arr) == [bool(specfun._in_asym_regime(nu, x)) for x in xs]
+
+    def test_array_regime_per_node(self):
+        # order 11 enters the asymptotic regime at x = 60.375: the node at
+        # 1000 takes the asymptotic beside a Miller node at 55, and each
+        # reads as it does alone
+        near, far = np.array([55.0]), np.array([1000.0])
+        both = specfun._jnorm_array(10.0, np.concatenate([near, far]), pair=True)
+        for v, a, b in zip(both, specfun._jnorm_array(10.0, near, pair=True),
+                           specfun._jnorm_array(10.0, far, pair=True)):
+            assert np.array_equal(v, np.concatenate([a, b]))
+
+
 class TestDunklKernel:
     def test_at_zero(self):
         assert dunkl_kernel(0.3, 0.0) == 1.0 + 0.0j
