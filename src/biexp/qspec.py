@@ -7,8 +7,11 @@ Everything lives on the geometric grid {+-q^k}.  The third Jackson q-Bessel
 decays superexponentially along the grid while its series terms peak
 superexponentially.  So the grid sums read it by grid exponent from one
 float table per (nu, q), a q-difference recurrence below x = 1 and the
-series above (_GridRatios); off-grid arguments sum the series, at elevated
-precision (mpmath) where it cancels.  All other machinery is plain float.
+series above (_GridRatios).  The little q-Jacobi members at a grid point
+likewise come by degree from one float table per (a, b, q, m), a backward
+recurrence in the degree above the float sums that keep their bound
+(_JacobiGrid).  Off-grid arguments sum the series, at elevated precision
+(mpmath) where it cancels.  All other machinery is plain float.
 """
 
 from __future__ import annotations
@@ -483,9 +486,144 @@ def jackson_integral(ctx: QContext, f: Callable[[float], complex],
 # Little q-Jacobi and generalized little q-Gegenbauer families
 # ---------------------------------------------------------------------------
 
+def _little_p_float(n: int, a: float, b: float, Q: float, x: float):
+    """The float sum of p_n(x; Q^a, Q^b; Q): (sum, largest term, whether its
+    rounding bound stays below 1e-14 of it).  With u = 2^-53, each factor
+    1 - p costs u |p/(1-p)| relative (p is one rounding off), and each
+    product and addition about u more; the bound fails where terms overflow."""
+    term = 1.0
+    s = 1.0
+    mx = 1.0
+    rel = 0.0   # relative rounding error of term, in units of 2^-53
+    err = 0.0   # rounding error bound of s, in the same units
+    for k in range(n):
+        ps = (Q ** (k - n), Q ** (n + a + b + 1.0 + k), Q ** (a + 1.0 + k), Q ** (k + 1))
+        term *= ((1.0 - ps[0]) * (1.0 - ps[1]) / ((1.0 - ps[2]) * (1.0 - ps[3])))
+        term *= Q * x
+        rel += 8.0 + sum(abs(p / (1.0 - p)) for p in ps)
+        s += term
+        mx = max(mx, abs(term))
+        err += (rel + n) * abs(term)
+    return s, mx, 2.0 ** -53 * err <= 1e-14 * abs(s)
+
+
+class _JacobiGrid:
+    """p_n(Q^j; Q^a, Q^b; Q) by degree n, Q = q^2, one table per (a, b, q, j)
+    with j >= 0, filled as it is read.
+
+    On a mass point x = Q^j the little q-Jacobi recurrence (Koekoek, Lesky &
+    Swarttouw 2010, 14.12.3), with A = Q^a, B = Q^b,
+
+        -x p_n = A_n p_{n+1} - (A_n + C_n) p_n + C_n p_{n-1},
+
+    has p_n(Q^j) as its minimal solution past n ~ j, falling like
+    Q^{(n-j)^2/2}, while the float sum's terms grow the same way.  Below
+    that, where p_n ~ 1, the sum is accurate and a backward sweep is not:
+    there the second solution falls like Q^{an}, so a > 0 draws the sweep
+    off p.  So each degree keeps its float sum (at x = Q**j, within an ulp
+    of the mass point) where the sum's rounding bound holds.  While every
+    degree read does, the table is those sums.  Once one fails, the sums
+    run on to two failures in a row, and the other degrees come from
+    Miller's algorithm (Gautschi 1967): one float sweep down from (0, 1),
+    in differences so that x is not lost where p_n ~ 1, each value keeping
+    its own power-of-two exponent, scaled by least squares to the float
+    sums at the two highest degrees that kept them.  The sweep covers every
+    degree up to the floor, where the local decay of the recurrence has
+    taken p 1200 bits below those sums; past it every degree reads 0.0,
+    under the float range.  It starts where the local root ratio has taken
+    the unwanted solution 2^-64 below p at the floor.  So no value depends
+    on which degrees were read before it.
+    """
+
+    __slots__ = ("a", "b", "Q", "j", "sums", "vals", "swept")
+
+    def __init__(self, a: float, b: float, q: float, j: int):
+        self.a, self.b, self.Q, self.j = a, b, q * q, j
+        self.sums: list = []    # float sums where kept, None where the bound fails
+        self.vals: list = []
+        self.swept = False
+
+    def __getitem__(self, n: int) -> float:
+        if n >= len(self.vals) and not self.swept:
+            self._fill(max(n, 2 * len(self.vals)))
+        return self.vals[n] if n < len(self.vals) else 0.0
+
+    def _roots(self, n: int):
+        """(a_n, c_n, y_n, log2 |small root|, log2 root ratio) of the
+        recurrence a_n p_{n+1} - (a_n + c_n - y_n) p_n + c_n p_{n-1} = 0,
+        the one above divided by Q^n (y_n = Q^{j-n})."""
+        Q, a, b = self.Q, self.a, self.b
+        lq = math.log(Q)
+
+        def om(e):      # 1 - Q^e, without the cancellation of 1 - Q**e
+            return -math.expm1(e * lq)
+        an = om(a + n + 1) * om(a + b + n + 1) / (om(a + b + 2 * n + 1) * om(a + b + 2 * n + 2))
+        cn = Q ** a * om(n) * om(b + n) / (om(a + b + 2 * n) * om(a + b + 2 * n + 1))
+        y = Q ** (self.j - n)
+        sn = an + cn - y
+        disc = sn * sn - 4.0 * an * cn
+        if disc <= 0.0:     # complex pair: equal moduli
+            return an, cn, y, 0.5 * math.log2(cn / an), 0.0
+        big = (abs(sn) + math.sqrt(disc)) / (2.0 * an)
+        return an, cn, y, math.log2(cn / (an * big)), math.log2(cn / (an * big * big))
+
+    def _fill(self, top: int) -> None:
+        """Float sums through degree top; where one of them fails its bound,
+        the whole table instead, so that no value depends on the reads
+        before it."""
+        Q, x, sums = self.Q, self.Q ** self.j, self.sums
+        while (len(sums) <= top or None in sums) and sums[-2:] != [None, None]:
+            s, _, kept = _little_p_float(len(sums), self.a, self.b, Q, x)
+            sums.append(s if kept else None)
+        if None not in sums:
+            self.vals = sums[:]
+            return
+        fit = [n for n, s in enumerate(sums) if s is not None][-2:]
+        low = min(fit[0], sums.index(None))
+        roots = functools.lru_cache(maxsize=None)(self._roots)
+        # the floor, where p has fallen 1200 bits below the kept sums
+        n, lg = fit[-1], math.log2(max(abs(sums[k]) for k in fit))
+        while lg > -1200.0:
+            n += 1
+            lg += roots(n)[3]
+        floor, lg = n, 0.0
+        while lg > -64.0:
+            n += 1
+            lg += roots(n)[4]
+        # in differences d_n = p_{n+1} - p_n, c_n d_{n-1} = a_n d_n + y_n p_n,
+        # so y_n = Q^{j-n} is not lost against a_n + c_n where p_n ~ 1
+        p, d, e = 1.0, -1.0, 0              # p_n, d_n with p_{n+1} = 0, scaled by 2^-e
+        swept = {}
+        for n in range(n, low, -1):         # p_{n-1}, d_{n-1} from p_n, d_n
+            an, cn, y, _, _ = roots(n)
+            d = (an * d + y * p) / cn
+            p -= d
+            ex = math.frexp(max(abs(p), abs(d)))[1]
+            e += ex
+            p, d = math.ldexp(p, -ex), math.ldexp(d, -ex)
+            swept[n - 1] = (p, e)
+        ms = [swept[k] for k in fit]
+        hi = max(e for _, e in ms)
+        ms = [math.ldexp(m, e - hi) for m, e in ms]
+        c = sum(sums[k] * m for k, m in zip(fit, ms)) / sum(m * m for m in ms)
+        self.vals = [sums[k] if k < len(sums) and sums[k] is not None
+                     else math.ldexp(swept[k][0] * c, swept[k][1] - hi) for k in range(floor + 1)]
+        self.swept = True
+
+
+@functools.lru_cache(maxsize=None)
+def _jacobi_grid(a: float, b: float, q: float, j: int) -> _JacobiGrid:
+    return _JacobiGrid(a, b, q, j)
+
+
 @dataclass(frozen=True)
 class QJacobiFamily:
-    """Little q-Jacobi machinery for an index pair, base q^2."""
+    """Little q-Jacobi machinery for an index pair, base q^2.
+
+    Members on the q-grid, qgegenbauer at t = +-q^m (m >= 0) and the closed
+    forms of I_-/I_+, read p_n(Q^m) by degree from one table per (a, b, q, m)
+    (_JacobiGrid); little_p and little_p_raw take any float x, at elevated
+    precision where the float sum cancels."""
 
     ctx: QContext
     params: Params
@@ -496,32 +634,20 @@ class QJacobiFamily:
         The q^{-2n}-type factors make the alternating terms peak around
         q^{-(n-j)^2} for x = q^{2j}, far above the superexponentially small
         values near the endpoint.  The float sum is kept only where its
-        rounding bound stays below 1e-14 of it: with u = 2^-53, each factor
-        1 - p costs u |p/(1-p)| relative (p is one rounding off), and each
-        product and addition about u more.  Otherwise it reruns at elevated
-        precision with all q-powers formed in exact mpf arithmetic (per-term
-        float rounding of the exponents would break the cancellation).
+        rounding bound stays below 1e-14 of it (_little_p_float).  Otherwise
+        it reruns at elevated precision with all q-powers formed in exact
+        mpf arithmetic (per-term float rounding of the exponents would break
+        the cancellation).  This is the path for any float x; the grid
+        callers (qgegenbauer at t = +-q^m, m >= 0, and the I_-/I_+ closed
+        forms) read the mass point Q^m from its degree table instead
+        (_JacobiGrid), where a rounded x = t * t would follow the growing
+        solution of the recurrence.
         """
         q2 = self.ctx.q2
         a = self.params.alpha if a is None else a
         b = self.params.beta
-        key = ("lp", n, a, b, x, q2)
-        if key in _qb_cache:
-            return _qb_cache[key]
-        term = 1.0
-        s = 1.0
-        mx = 1.0
-        rel = 0.0   # relative rounding error of term, in units of 2^-53
-        err = 0.0   # rounding error bound of s, in the same units
-        for k in range(n):
-            ps = (q2 ** (k - n), q2 ** (n + a + b + 1.0 + k), q2 ** (a + 1.0 + k), q2 ** (k + 1))
-            term *= ((1.0 - ps[0]) * (1.0 - ps[1]) / ((1.0 - ps[2]) * (1.0 - ps[3])))
-            term *= q2 * x
-            rel += 8.0 + sum(abs(p / (1.0 - p)) for p in ps)
-            s += term
-            mx = max(mx, abs(term))
-            err += (rel + n) * abs(term)
-        if not 2.0 ** -53 * err <= 1e-14 * abs(s):    # also where terms overflowed
+        s, mx, kept = _little_p_float(n, a, b, q2, x)
+        if not kept:
             if mx == math.inf:    # size the terms by an mpf sum, as an int for log10
                 cs = _little_p_coeffs_mp(n, mp.mpf(a), mp.mpf(b), mp.mpf(q2))
                 mx = int(mp.polyval([abs(c) for c in cs], abs(x)))
@@ -539,27 +665,40 @@ class QJacobiFamily:
             else:
                 raise RuntimeError("little q-Jacobi sum kept no 20 digits (internal error)")
             s = float(v)
-        _qb_cache[key] = s
         return s
 
     def little_p(self, n: int, x: float, a: float | None = None) -> float:
         """Normalized p_n^{(a,b)}(x; q^2), which tends to the classical
         Jacobi polynomial P_n^{(a,b)}(1-2x) as q -> 1."""
+        a = self.params.alpha if a is None else a
+        return self._little_p_scale(n, a) * self.little_p_raw(n, x, a)
+
+    def _little_p_scale(self, n: int, a: float) -> float:
         q = self.ctx.q
         q2 = self.ctx.q2
-        a = self.params.alpha if a is None else a
-        s = (q ** (-n * (a + 1.0))
-             * qpochhammer(q2 ** (a + 1.0), q2, n) / qpochhammer(q2, q2, n))
-        return s * self.little_p_raw(n, x, a)
+        return (q ** (-n * (a + 1.0))
+                * qpochhammer(q2 ** (a + 1.0), q2, n) / qpochhammer(q2, q2, n))
+
+    def _little_p_sq(self, n: int, t: float, a: float) -> float:
+        """little_p(n, t * t, a), read by degree from the grid table where t
+        is a grid point +-q**m, m >= 0."""
+        m = _grid_exponent(self.ctx.q, t)
+        if m is None or m < 0:
+            return self.little_p(n, t * t, a)
+        return self._little_p_scale(n, a) * _jacobi_grid(a, self.params.beta, self.ctx.q, m)[n]
 
     def qgegenbauer(self, n: int, t: float) -> float:
-        """Generalized little q-Gegenbauer C_n^{(b+1/2,a+1/2)}(t; q^2)."""
+        """Generalized little q-Gegenbauer C_n^{(b+1/2,a+1/2)}(t; q^2).
+
+        At a grid point t = +-q^m, m >= 0, the little q-Jacobi member is
+        read at the mass point q^{2m} from its degree table, so values past
+        the float range read 0.0; elsewhere it is the float-x sum at t * t."""
         q2 = self.ctx.q2
         a, b = self.params.alpha, self.params.beta
         m, r = divmod(n, 2)
         pref = ((-1.0) ** m * qpochhammer(q2 ** (a + b + 1.0), q2, m + r)
                 / qpochhammer(q2 ** (a + 1.0), q2, m + r))
-        return pref * t ** r * self.little_p(m, t * t, a=a + r)
+        return pref * t ** r * self._little_p_sq(m, t, a + r)
 
     def weight(self, t: float) -> float:
         """Radial weight (q^2 t^2; q^2)_inf / (q^{2b+2} t^2; q^2)_inf."""
@@ -804,7 +943,7 @@ def q_i_minus_closed(ctx: QContext, params: Params, n: int, m: int) -> float:
     fam = QJacobiFamily(ctx, params)
     return (ctx.q ** (n * b)
             * qpochhammer(q2 ** (b + 1.0 + n), q2) / qpochhammer(q2 ** (n + 1.0), q2)
-            * fam.weight(t) * fam.little_p(n, t * t))
+            * fam.weight(t) * fam._little_p_sq(n, t, a))
 
 
 def q_i_plus(ctx: QContext, params: Params, n: int, m: int) -> float:
@@ -828,7 +967,7 @@ def q_i_plus_closed(ctx: QContext, params: Params, n: int, m: int) -> float:
     return (ctx.q ** (-n * b)
             * qpochhammer(q2 ** (a + n + 1.0), q2)
             / qpochhammer(q2 ** (a + b + n + 1.0), q2)
-            * fam.little_p(n, t * t))
+            * fam._little_p_sq(n, t, a))
 
 
 # ---------------------------------------------------------------------------

@@ -699,6 +699,82 @@ class TestQJacobiFamily:
         assert got == pytest.approx(ref, abs=5e-2)
 
 
+def _mass_point_refs(a, b, Q, js, nmax):
+    """p_n(mpf(Q)^j; Q^a, Q^b; Q) for n <= nmax, each summed at 400 digits
+    past its largest term sum (at q = 0.3, n = 60 the terms reach 1e1883),
+    so every value above 1e-400 is resolved."""
+    def coeffs(n):
+        Qm, am, bm = mp.mpf(Q), mp.mpf(a), mp.mpf(b)
+        qab, qa = Qm ** (n + 1 + am + bm), Qm ** (1 + am)
+        t = mp.mpf(1)
+        cs = [t]
+        for k in range(n):
+            t *= ((1 - Qm ** (k - n)) * (1 - qab * Qm ** k)
+                  / ((1 - qa * Qm ** k) * (1 - Qm ** (k + 1))) * Qm)
+            cs.append(t)
+        return cs[::-1]
+
+    refs = {j: [] for j in js}
+    for n in range(nmax + 1):
+        with mp.workdps(30):
+            size = sum(abs(c) for c in coeffs(n))
+        with mp.workdps(400 + max(0, int(mp.log10(size)))):
+            cs = coeffs(n)
+            for j in js:
+                refs[j].append(mp.polyval(cs, mp.mpf(Q) ** j))
+    return refs
+
+
+class TestJacobiGrid:
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.7, 0.9])
+    def test_table_matches_mass_point_sums(self, q):
+        # every degree read from the table, float sum or scaled sweep, holds
+        # 1e-14 of its largest neighbour at the exact mass point, j >= 10
+        # (where p_n ~ 1 below n ~ j) among them; values under the float
+        # range read their rounding
+        js, nmax = (0, 1, 2, 4, 10, 30), 60
+        for a, b in ((0.3, 0.2), (1.3, 0.2), (-0.7, 0.9)):
+            refs = _mass_point_refs(a, b, q * q, js, nmax + 1)
+            for j in js:
+                tab, r = qs._JacobiGrid(a, b, q, j), refs[j]
+                for n in range(nmax + 1):
+                    scale = max(abs(r[k]) for k in (max(n - 1, 0), n, n + 1))
+                    assert abs(tab[n] - r[n]) <= max(1e-14 * scale, mp.mpf(2) ** -1074), (a, b, j, n)
+
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
+    def test_values_independent_of_read_order(self, q):
+        # a table read low degrees first holds the same values as one read
+        # from the top down: suite rows must not depend on suite order
+        for a, b, j in ((0.3, 0.2, 1), (1.3, 0.2, 0), (-0.7, 0.9, 4), (0.3, 0.2, 30)):
+            up, down = qs._JacobiGrid(a, b, q, j), qs._JacobiGrid(a, b, q, j)
+            first = [up[n] for n in range(4)]
+            top = [down[n] for n in range(80, -1, -1)][::-1]
+            assert [up[n] for n in range(81)] == top and top[:4] == first, (a, b, j)
+
+    def test_grid_reads_skip_the_elevated_sum(self, monkeypatch):
+        # a default q-planewave pass sums one member at a float x, the
+        # classical limit's off-grid point (n = 3, x = 0.4 at q = 0.999), and
+        # elevates only there; q-core sums none, and elevates only its Grams
+        monkeypatch.setattr(qs, "_jacobi_grid", functools.lru_cache(maxsize=None)(qs._JacobiGrid))
+        raw, coeffs = [], []
+        raw_fn, coeffs_fn = qs.QJacobiFamily.little_p_raw, qs._little_p_coeffs_mp
+        monkeypatch.setattr(qs.QJacobiFamily, "little_p_raw",
+                            lambda self, n, x, a=None: raw.append((n, x)) or raw_fn(self, n, x, a))
+        monkeypatch.setattr(qs, "_little_p_coeffs_mp",
+                            lambda *args: coeffs.append((sys._getframe(1).f_code.co_name, args))
+                            or coeffs_fn(*args))
+        run_suite("q-planewave")
+        assert raw == [(3, 0.4)]
+        assert [(caller, n, float(Q)) for caller, (n, _, _, Q) in coeffs] == [
+            ("little_p_raw", 3, 0.999 ** 2)]
+        assert qs._jacobi_grid.cache_info().currsize > 10
+        raw.clear()
+        coeffs.clear()
+        run_suite("q-core")
+        assert raw == []
+        assert coeffs and {caller for caller, _ in coeffs} == {"coeffs"}
+
+
 class TestQKernelTransforms:
     def setup_method(self):
         self.ctx = qs.QContext(0.5)

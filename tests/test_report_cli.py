@@ -275,6 +275,15 @@ class TestCLI:
         doc = json.loads(capsys.readouterr().out)
         assert doc["params"]["terms"] == 80 and doc["pass"]
 
+    @pytest.mark.parametrize("q", ["0.3", "0.7"])
+    def test_q_planewave_many_terms_off_half(self, capsys, q):
+        # t^2 = q^(2m) rounds off the mass point off q = 0.5; the members
+        # come from the degree table there, so the q-Gegenbauer values past
+        # the float range read 0.0, not +-inf times an underflowed 0.0
+        assert main(["verify", "q-planewave", "--terms", "100", "--q", q, "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["pass"] and len(doc["checks"]) == 7
+
     def test_dunkl_sampling_alpha_10(self, capsys):
         # the zeros of J_11 reach x ~ 1270; each node past the order-11
         # asymptotic edge takes the asymptotic, not one long Miller sweep
