@@ -151,23 +151,38 @@ class PWFunction:
 
     def _fill(self, xs: list) -> None:
         """Cache f at every x of xs not cached yet: per rule order, one
-        kernel grid on the (x, node) outer product for each block of
-        _PW_BLOCK values.  The grid gives each node the value it would get
-        alone, so a batched x reads the same as a single one (to rounding
-        past alpha = 9, where one Miller sweep takes nodes beyond 50).  The
-        grid covers the nodes t > 0 alone: E_alpha(-ixt) = conj E_alpha(ixt)."""
+        kernel grid on the (|x|, node) outer product for each block of
+        _PW_BLOCK values of |x|.  The grid gives each node the value it would
+        get alone, so a batched x reads the same as a single one (to rounding
+        past alpha = 9, where one Miller sweep takes nodes beyond 50).
+        E_alpha(-ixt) = conj E_alpha(ixt) to the bit, so the grid covers the
+        nodes t > 0 alone, and one grid row gives f(x) = sum kv wu and
+        f(-x) = sum conj(kv) wu, each only where it was asked."""
         todo: dict = {}
         for v in xs:
             k = round(v, 14)
             if k not in self._cache:
-                todo.setdefault(_order_for(abs(v)), {}).setdefault(k, v)
+                # per order, |x| -> [|x| as given, x asked, -x asked]
+                row = todo.setdefault(_order_for(abs(v)), {}).setdefault(
+                    abs(k), [abs(v), False, False])
+                row[1 if k >= 0 else 2] = True
         for order, items in sorted(todo.items()):
             nodes, wu = self._rule(order)
-            keys, vs = list(items), np.asarray(list(items.values()))
+            keys = list(items)
             for i in range(0, len(keys), _PW_BLOCK):
-                kp = _dunkl_e(self.alpha, np.outer(vs[i:i + _PW_BLOCK], nodes[len(nodes) // 2:]))
+                # x alone, then both signs, then -x alone: each sign's rows
+                # are one slice (the values do not depend on the row order)
+                blk = sorted(keys[i:i + _PW_BLOCK], key=lambda k: (not items[k][1], items[k][2]))
+                n_pos = sum(items[k][1] for k in blk)
+                n_neg = sum(items[k][2] for k in blk)
+                vs = np.asarray([items[k][0] for k in blk])
+                kp = _dunkl_e(self.alpha, np.outer(vs, nodes[len(nodes) // 2:]))
                 kv = np.concatenate([np.conj(kp[:, ::-1]), kp], axis=1)
-                self._cache.update(zip(keys[i:i + _PW_BLOCK], (kv * wu).sum(axis=1).tolist()))
+                self._cache.update(zip(blk[:n_pos], (kv[:n_pos] * wu).sum(axis=1).tolist()))
+                neg = kv[len(blk) - n_neg:]
+                np.conj(neg, out=neg)
+                self._cache.update(zip([-k for k in blk[len(blk) - n_neg:]],
+                                       (neg * wu).sum(axis=1).tolist()))
 
     def eval(self, x):
         """f at one real x, or at every entry of an array of x (cached)."""
@@ -696,7 +711,7 @@ def st_gram_gegenbauer(beta: float, nmax: int) -> np.ndarray:
     the slowly decaying tail is extrapolated in K^{-1/2}.  The result
     should be the identity, the generic biorthogonality of the pair.
     """
-    xg, wg = gauss_jacobi(16, 0.0, 0.0)
+    xg, wg = _legendre16()
     cells, t_order = _ST_CELLS, _ST_T_ORDER
     tz, tw = gauss_jacobi(t_order, 0.0, 0.0)
     # C_m has parity (-1)^m and the rule is symmetric, so T_m sums over the
@@ -707,12 +722,18 @@ def st_gram_gegenbauer(beta: float, nmax: int) -> np.ndarray:
     gram = np.zeros((nmax + 1, nmax + 1), dtype=complex)
     ys = np.concatenate([0.5 * math.pi * xg + (k + 0.5) * math.pi
                          for k in range(cells)])
-    # T_m(y) = int_{-1}^1 C_m(t) e^{i t y} dt / sqrt(2 pi), vectorized: cos
-    # for even m, i sin for odd m, and T_m(-y) = conj T_m(y)
-    ty = np.outer(ys, th)                           # (Y, T/2)
-    tm = np.empty((len(ys), nmax + 1), dtype=complex)
-    tm[:, 0::2] = (np.cos(ty) * wh) @ pm[0::2].T / _SQ2PI
-    tm[:, 1::2] = 1j * ((np.sin(ty) * wh) @ pm[1::2].T / _SQ2PI)
+    # T_m(y) = int_{-1}^1 C_m(t) e^{i t y} dt / sqrt(2 pi), vectorized: the
+    # cos sum for even m, i times the sin sum for odd m, and T_m(-y) =
+    # conj T_m(y).  e^{i y t} is e^{i (k + 1/2) pi t}, one row per cell k,
+    # times e^{i pi x_g t / 2}, one row per Legendre node x_g.
+    cell = np.exp(1j * math.pi * (np.arange(cells) + 0.5)[:, None] * th) * wh
+    node = np.exp(0.5j * math.pi * xg[:, None] * th)
+    tm = np.empty((cells, len(xg), nmax + 1), dtype=complex)
+    for g, row in enumerate(node):
+        z = (cell * row) @ pm.T / _SQ2PI
+        tm[:, g, 0::2] = z.real[:, 0::2]
+        tm[:, g, 1::2] = 1j * z.imag[:, 1::2]
+    tm = tm.reshape(len(ys), nmax + 1)
     for n in range(nmax + 1):
         # gegenbauer_coeff(beta, n, y) on the whole y-grid; S_n(-y) = (-1)^n S_n(y)
         sn = _gegenbauer_coeff_pref(beta, n) * (_jratio_array(beta + n, ys) * ys ** n)

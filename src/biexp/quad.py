@@ -19,7 +19,7 @@ from typing import Callable, Literal
 import numpy as np
 
 from .orthopoly import _jacobi_rec
-from .specfun import _jratio_array, gamma, lgamma
+from .specfun import _jratio_array, bessel_zeros, gamma, lgamma
 
 __all__ = [
     "Measure",
@@ -78,19 +78,61 @@ def _jacobi_matrix_roots(n: int, a: float, b: float) -> np.ndarray:
     return np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
 
 
-def gauss_jacobi(n: int, a: float, b: float):
-    """Nodes/weights on [-1, 1] for the weight (1-x)^a (1+x)^b.
+# one table of Bessel zeros per (order, count) for the end starts
+_end_zero_cache: dict = {}
 
-    All n roots are polished at once by Newton from cosine initial guesses.
-    Where that does not converge to n distinct roots, they start from the
-    eigenvalues of the Jacobi matrix instead and get the same polish.
-    Returns (nodes ascending, weights).
+
+def _end_angles(n: int, a: float, b: float, m: int) -> np.ndarray:
+    """Angles theta of the m roots x = cos(theta) of P_n^{(a,b)} nearest
+    x = 1, ascending, from the zeros j_k of J_a: Gatteschi's Bessel formula
+    theta_k = j_k/v (1 - (4 - a^2 - 15 b^2)(j_k^2/2 + a^2 - 1)/(720 v^4)),
+    v^2 = rho^2 + (1 - a^2 - 3 b^2)/12 (Hale and Townsend, SIAM J. Sci.
+    Comput. 35, 2013, A652-A674)."""
+    key = (a, m)
+    if key not in _end_zero_cache:
+        _end_zero_cache[key] = np.asarray(bessel_zeros(a, m).zeros)
+    j = _end_zero_cache[key]
+    rho = n + 0.5 * (a + b + 1.0)
+    v2 = rho * rho + (1.0 - a * a - 3.0 * b * b) / 12.0
+    return j / math.sqrt(v2) * (1.0 - (4.0 - a * a - 15.0 * b * b)
+                                * (0.5 * j * j + a * a - 1.0) / (720.0 * v2 * v2))
+
+
+def _start_angles(n: int, a: float, b: float) -> np.ndarray:
+    """Newton starts for the roots x = cos(theta) of P_n^{(a,b)}, theta
+    ascending: the 10 + floor(a) roots nearest x = 1 from the Bessel zeros of
+    order a, the 10 + floor(b) nearest x = -1 likewise (by P_n^{(a,b)}(-x) =
+    (-1)^n P_n^{(b,a)}(x)), and the roots between from the interior formula
+    of Gatteschi and Pittaluga (1985).  Where the two end blocks would meet,
+    they split the n roots in proportion to their sizes."""
+    rho = n + 0.5 * (a + b + 1.0)
+    phi = math.pi * (np.arange(1, n + 1) + 0.5 * a - 0.25) / rho
+    h = np.tan(0.5 * phi)
+    theta = phi + ((0.25 - a * a) / h - (0.25 - b * b) * h) / (4.0 * rho * rho)
+    ma, mb = 10 + math.floor(a), 10 + math.floor(b)
+    if ma + mb > n:
+        ma = round(n * ma / (ma + mb))
+        mb = n - ma
+    if ma:
+        theta[:ma] = _end_angles(n, a, b, ma)
+    if mb:
+        theta[n - mb:] = math.pi - _end_angles(n, b, a, mb)[::-1]
+    return theta
+
+
+def gauss_jacobi(n: int, a: float, b: float):
+    """Nodes/weights on [-1, 1] for the weight (1-x)^a (1+x)^b, a, b > -1.
+
+    All n roots are polished at once by Newton from asymptotic starts
+    (_start_angles).  Where that does not converge to n distinct roots,
+    they start from the eigenvalues of the Jacobi matrix instead and get
+    the same polish.  Returns (nodes ascending, weights).
     """
     if n < 1:
         raise ValueError("rule order must be >= 1")
-    i = np.arange(1, n + 1, dtype=float)
-    theta = math.pi * (i + 0.5 * a - 0.25) / (n + 0.5 * (a + b + 1.0))
-    x, ok = _jacobi_newton(n, a, b, np.cos(theta), 100)
+    if not (a > -1.0 and b > -1.0):
+        raise ValueError("Jacobi exponents must exceed -1")
+    x, ok = _jacobi_newton(n, a, b, np.cos(_start_angles(n, a, b)), 100)
     if not ok:
         x, ok = _jacobi_newton(n, a, b, _jacobi_matrix_roots(n, a, b), 10)
     if not ok:

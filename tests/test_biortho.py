@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from biexp import biortho as bo
 from biexp import specfun as sf
+from biexp.cli import main
 from biexp.orthopoly import GenGegenbauerFamily, classical_gegenbauer
 from biexp.quad import (Measure, gauss_jacobi, integrate_bessel_product, integrate_interval,
                         rule_for_measure)
@@ -483,6 +484,45 @@ class TestMirrorSymmetry:
             nodes, wu = f._rule(order)
             ref = (bo._dunkl_e(al, np.outer(xs, nodes)) * wu).sum(axis=1)
             assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("al", [-0.5, 0.5, 30.0])
+    @pytest.mark.parametrize("u", [
+        lambda t: (1.0 - t * t) ** 2,
+        lambda t: (1.0 - t * t) * (0.3 + t),                       # not even
+        lambda t: (1.0 - t * t) * complex(0.3 + t, 0.5 - t * t),    # complex
+    ])
+    def test_pw_eval_mirrors_x(self, u, al):
+        # f(x) and f(-x) come from one kernel grid row on |x|: a batch over
+        # +-x reads both values as fresh one-value evaluations do, in every
+        # order bucket, and f(-x) as a grid on the nodes -x t.  A batch over
+        # x alone, -x alone and both signs does too where the Bessel values
+        # do not depend on the other grid rows (alpha <= 9)
+        xs = [0.0, 0.3, -2.5, 7.0, 17.0, -40.0, 60.0, 100.0, -500.0, 1300.0]
+        for x in xs:
+            pair = bo.PWFunction(u, al).eval(np.array([x, -x]))
+            assert pair[0] == bo.PWFunction(u, al).eval(x)
+            assert pair[1] == bo.PWFunction(u, al).eval(-x)
+        mixed = xs + [-0.3, 17.0, -17.0, 40.0, -100.0, -900.0, 500.0, -1300.0]
+        f = bo.PWFunction(u, al)
+        batched = f.eval(np.array(mixed))
+        if al <= 9.0:
+            for x, v in zip(mixed, batched):
+                assert v == bo.PWFunction(u, al).eval(x)
+        nodes, wu = f._rule(120)
+        small = [x for x in mixed if abs(x) <= 60.0]     # order 120
+        ref = (bo._dunkl_e(al, np.outer(small, nodes)) * wu).sum(axis=1)
+        assert np.array_equal(bo.PWFunction(u, al).eval(np.array(small)), ref)
+
+    def test_kernel_grid_nodes_of_dunkl_sampling(self, monkeypatch, capsys):
+        # a default pass builds one grid row per |x|: 265,336 nodes, where a
+        # row per signed x took 521,392
+        nodes = []
+        grid = bo.dunkl_kernel_grid
+        monkeypatch.setattr(bo, "dunkl_kernel_grid",
+                            lambda alpha, xs: nodes.append(len(xs)) or grid(alpha, xs))
+        assert main(["verify", "dunkl-sampling", "--format", "json"]) == 0
+        capsys.readouterr()
+        assert sum(nodes) == 265336
 
 
 class TestPWFunction:

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import special as sp
 
 from biexp import quad
+from biexp.cli import main
 from biexp.quad import (Measure, _jacobi_matrix_roots, accelerate, gauss_jacobi, gauss_jacobi01,
                         integrate_bessel_product, integrate_interval,
                         mcmahon_zero, rule_for_measure)
@@ -50,7 +51,7 @@ class TestRules:
                                    9.5, 10.65])
     def test_against_scipy_roots_jacobi(self, b):
         # at n = 24, a = 0 the b values from 5.8 on defeat Newton from the
-        # cosine guesses; the rule then comes from the Jacobi matrix
+        # cosine guesses (not from the asymptotic starts)
         for n in (3, 8, 16, 24, 40):
             for a in (-0.5, 0.0, 0.5, 1.7):
                 x, w = gauss_jacobi(n, a, b)
@@ -68,6 +69,71 @@ class TestRules:
     def test_order_floor(self):
         with pytest.raises(ValueError):
             rule_for_measure(Measure.mu_alpha(0.5), 4)
+
+
+def _forbid_restart(monkeypatch) -> list:
+    """Record every restart of a rule from the Jacobi-matrix eigenvalues."""
+    restarts = []
+    monkeypatch.setattr(quad, "_jacobi_matrix_roots", lambda *args: restarts.append(args) or
+                        _jacobi_matrix_roots(*args))
+    return restarts
+
+
+class TestAsymptoticStarts:
+    @pytest.mark.parametrize("a,b", [(0.0, 0.5), (0.0, 0.0), (0.2, 0.3), (0.0, 30.0)])
+    @pytest.mark.parametrize("n", [120, 480, 1344])
+    def test_same_rule_as_cosine_starts(self, monkeypatch, n, a, b):
+        # the same Newton polish from the cosine guesses (and, where they
+        # fail, as at b = 30, from the Jacobi matrix) reads the same nodes
+        # to 2 ulp of 1.  A weight is a function of its node alone, moved by
+        # 2 dx ((a+b+1) x - (b-a))/(1-x^2) relative at first order when the
+        # node moves by dx: one ulp next to an end node of order 1344 moves
+        # it by ~1e-12, so the 1e-13 holds beyond twice that
+        x, w = gauss_jacobi(n, a, b)
+        monkeypatch.setattr(quad, "_start_angles", lambda n, a, b: math.pi * (
+            np.arange(1, n + 1) + 0.5 * a - 0.25) / (n + 0.5 * (a + b + 1.0)))
+        rx, rw = gauss_jacobi(n, a, b)
+        assert np.max(np.abs(x - rx)) <= 2.0 * np.spacing(1.0)
+        move = 2.0 * np.abs(x - rx) * np.abs((a + b + 1.0) * x - (b - a)) / (1.0 - x * x)
+        assert np.all(np.abs(w / rw - 1.0) <= 1e-13 + 2.0 * move)
+        assert np.array_equal(w[x == rx], rw[x == rx])
+
+    @pytest.mark.parametrize("n", [120, 160, 240, 320, 480, 640, 960, 1344])
+    def test_three_recurrence_passes(self, monkeypatch, n):
+        # two Newton steps and the weights: the first step is below 1e-8
+        passes = []
+        rec = quad._jacobi_rec
+        monkeypatch.setattr(quad, "_jacobi_rec", lambda *args: passes.append(1) or rec(*args))
+        gauss_jacobi(n, 0.0, 0.5)
+        assert len(passes) <= 3
+
+    @pytest.mark.parametrize("n,b", [(n, b) for n in (1, 2, 8, 24, 80, 120)
+                                     for b in (-0.9, 0.5, 6.0, 30.0)]
+                             + [(80, 100.0), (120, 100.0)])
+    def test_end_blocks_that_meet(self, monkeypatch, n, b):
+        # 10 + floor(b) starts from the x = -1 end, 10 from the other: where
+        # they would overlap they split the roots, and no rule restarts
+        restarts = _forbid_restart(monkeypatch)
+        x, w = gauss_jacobi(n, 0.0, b)
+        assert restarts == []
+        assert np.max(np.abs(x - sp.roots_jacobi(n, 0.0, b)[0])) < 1e-13
+        assert np.all(w > 0)
+
+    def test_no_restart_in_the_real_suites(self, monkeypatch, capsys):
+        # every rule of the default float suites and of dunkl-sampling at
+        # alpha = 30 (exponents to 30, orders to 1344) converges from its starts
+        monkeypatch.setattr(quad, "_rule_cache", {})
+        monkeypatch.setattr(quad, "_leg16", None)
+        restarts = _forbid_restart(monkeypatch)
+        for args in (["planewave"], ["dunkl-sampling"], ["fourier-neumann"], ["hankel"],
+                     ["spectrum"], ["lemma71"], ["dunkl-sampling", "--alpha", "30"]):
+            assert main(["verify", *args, "--format", "json"]) == 0
+        capsys.readouterr()
+        assert restarts == []
+
+    def test_exponents_must_exceed_minus_one(self):
+        with pytest.raises(ValueError, match="exceed -1"):
+            gauss_jacobi(8, -1.0, 0.0)
 
 
 class TestMeasures:
