@@ -22,7 +22,7 @@ import numpy as np
 
 from .orthopoly import GenGegenbauerFamily, _jacobi_rows, classical_gegenbauer
 from .quad import (Measure, _first_cell_rule, _legendre16, _neville, accelerate,
-                   gauss_jacobi, mcmahon_zero, rule_for_measure)
+                   gauss_jacobi, rule_for_measure)
 from .specfun import (Params, ZeroTable, _jnorm_array, _jratio_array,
                       bessel_i_norm_imag, bessel_j_ratio, bessel_zeros,
                       dunkl_kernel, gamma)
@@ -609,49 +609,24 @@ def planewave_partial_sum(params: Params, x: float, t: float, N: int) -> complex
     return pref * acc
 
 
-# the line is cut at |t| = 40 for the Fourier-Neumann coefficients
-_FN_RADIUS = 40.0
-
-
 def fourier_neumann_coeffs(params: Params, f: PWFunction, N: int) -> TruncatedSeries:
-    """Expansion coefficients a_n(f) of a band-limited f over the Bessel
-    quotients (beta < 1), by cellwise quadrature on the truncated line:
+    """Expansion coefficients a_n(f), n < N, of f(x) = int u(t) E_a(ixt)
+    dmu_a(t) over the Bessel quotients (beta < 1).  The plane-wave expansion
+    (planewave_partial_sum) pairs them with the density on [-1, 1]:
 
-        a_n(f) = 2^{a+b+1} Gamma(a+b+1) int_R f(t) J_{a+b+n+1}(t)/t^{a+b+1}
-                 dmu_{a+b}(t)."""
-    a, b = params.alpha, params.beta
-    if not b < 1.0:
+        a_n(f) = 2^{a+b+1} Gamma(a+b+1) i^n int_{-1}^{1} u C_n^{(b+1/2,a+1/2)} dmu_a,
+
+    one sum over f's own rule (its endpoint weight folded in)."""
+    if not params.beta < 1.0:
         raise ValueError("Fourier-Neumann coefficients need beta < 1")
+    if f.alpha != params.alpha:
+        raise ValueError(f"f is built for alpha={f.alpha}, not the expansion's "
+                         f"alpha={params.alpha}")
     ab = params.ab
+    nodes, wu = f._rule(_RULE_ORDER)
+    pair = GenGegenbauerFamily(params).table(N - 1, nodes) @ wu
     pref = 2.0 ** (ab + 1.0) * gamma(ab + 1.0)
-    dnorm = 1.0 / (2.0 ** (ab + 1.0) * gamma(ab + 1.0))
-    xg, wg = _legendre16()
-    exp0 = 2.0 * ab + 1.0
-    u0, w0 = _first_cell_rule(exp0)
-    # shared cell edges from the zeros of the lowest-order factor; the
-    # radius caps the cell count but never truncates a cell (a ragged final
-    # cell would wreck the 1/k structure the extrapolation relies on)
-    edges = np.asarray([mcmahon_zero(ab + 1.0, k)
-                        for k in range(1, int(_FN_RADIUS / math.pi) + 3)])
-    edges = edges[edges < _FN_RADIUS + math.pi]
-    lo, hi = edges[:-1], edges[1:]
-    xc = 0.5 * (hi - lo)[:, None] * xg + 0.5 * (lo + hi)[:, None]   # (cell, node)
-    xs = np.concatenate([edges[0] * u0, xc.ravel()])
-    fx = f.eval(np.concatenate([xs, -xs]))
-    # folded smooth part f(x) J(x) + f(-x) J(-x), J = J_{ab+n+1}(x)/x^{ab+1}
-    # odd/even with n, for every n < N from the array path
-    jt = np.asarray([_jratio_array(ab + n + 1.0, xs) * xs ** n for n in range(N)])
-    g = jt * (fx[:len(xs)] + (-1.0) ** np.arange(N)[:, None] * fx[len(xs):])
-    first = edges[0] ** (exp0 + 1.0) * (g[:, :len(u0)] @ w0)
-    cells = 0.5 * (hi - lo) * ((g[:, len(u0):].reshape(N, len(lo), len(xg)) * xc ** exp0) @ wg)
-    partials = np.cumsum(np.concatenate([first[:, None], cells], axis=1), axis=1)
-
-    coeffs = []
-    for partial in partials:
-        val, err = accelerate(list(partial))
-        if not (err <= 1e-4 * max(1.0, abs(val))):
-            val = partial[-1]  # extrapolation unreliable; fall back to truncation
-        coeffs.append(pref * dnorm * complex(val))
+    coeffs = (pref * np.resize([1, 1j, -1, -1j], N) * pair).tolist()   # i^n exactly
     tail = abs(coeffs[-1]) if coeffs else 0.0
     return TruncatedSeries(coeffs=coeffs, order=N, tail_estimate=tail)
 

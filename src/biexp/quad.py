@@ -126,7 +126,8 @@ def gauss_jacobi(n: int, a: float, b: float):
     All n roots are polished at once by Newton from asymptotic starts
     (_start_angles).  Where that does not converge to n distinct roots,
     they start from the eigenvalues of the Jacobi matrix instead and get
-    the same polish.  Returns (nodes ascending, weights).
+    the same polish.  Returns (nodes ascending, weights); raises
+    OverflowError where a weight leaves the float64 range.
     """
     if n < 1:
         raise ValueError("rule order must be >= 1")
@@ -148,7 +149,14 @@ def gauss_jacobi(n: int, a: float, b: float):
         - lgamma(n + a + b + 1.0)
         - lgamma(n + 1.0)
     )
-    w = math.exp(lc) / ((1.0 - x * x) * dp * dp)
+    with np.errstate(over="ignore"):
+        w = math.exp(lc) / ((1.0 - x * x) * dp * dp)
+        big = ~np.isfinite(dp * dp)
+    # where dp^2 leaves the float range, the weight from logarithms; a dp
+    # or a weight past that range refuses the rule
+    w[big] = np.exp(lc - np.log1p(-x[big] ** 2) - 2.0 * np.log(np.abs(dp[big])))
+    if not np.all(w[big] > 0.0):
+        raise OverflowError(f"Gauss-Jacobi rule ({n}, {a}, {b}) leaves the float64 range")
     if np.any(np.diff(x) <= 0) or np.any(w <= 0) or not np.all(np.isfinite(w)):
         raise RuntimeError("Gauss-Jacobi construction failed (internal error)")
     return x, w

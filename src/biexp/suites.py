@@ -690,6 +690,14 @@ def _pw_term_bound(ctx: qs.QContext, P: Params, x: float, t: float, n: int) -> f
     return qp(Q, Q) / qp(Q ** (ab + 1.0), Q) * q ** (-m * b) * neumann * gegen
 
 
+def _pw_terms(ctx: qs.QContext, P: Params, x: float, t: float, n: int, tol: float) -> int:
+    """n terms, or as many as the bound on the next 20 (they fall
+    superexponentially) needs to put the truncation at (x, t) below tol / 2."""
+    while sum(_pw_term_bound(ctx, P, x, t, k) for k in range(n, n + 20)) >= 0.5 * tol:
+        n += 1
+    return n
+
+
 def suite_q_planewave(ov: Mapping) -> list:
     checks: list = []
     ctx = qs.QContext(ov["q"])
@@ -698,11 +706,13 @@ def suite_q_planewave(ov: Mapping) -> list:
     N = ov["terms"]
 
     def lemma_route():
+        # the term count of the largest point, x = 1, t = q, serves the grid
+        n = _pw_terms(ctx, P, 1.0, q, N, 1e-10)
         errs = []
         for mx in range(4):
             for mt in range(1, 5):
                 x, t = q ** mx, q ** mt
-                got = qs.q_planewave_partial_sum(ctx, P, x, t, N, route="lemma")
+                got = qs.q_planewave_partial_sum(ctx, P, x, t, n, route="lemma")
                 errs.append(abs(got - qs.q_dunkl_kernel(ctx, P.alpha, x * t)))
         return _worst(errs), 0.0
     _timed(checks, "q-planewave/expansion-with-ratio-factor", lemma_route, 1e-10)
@@ -716,13 +726,9 @@ def suite_q_planewave(ov: Mapping) -> list:
     _timed(checks, "q-planewave/ratio-factor-route-matches", route_report, 0.0)
 
     def smallest_grid():
-        # 5 terms, or as many as the bound on the next 20 (they fall
-        # superexponentially) needs to put the truncation below tol / 2
         x, t = q ** 8, q
-        N = 5
-        while sum(_pw_term_bound(ctx, P, x, t, n) for n in range(N, N + 20)) >= 0.5e-8:
-            N += 1
-        got = qs.q_planewave_partial_sum(ctx, P, x, t, N, route="lemma")
+        n = _pw_terms(ctx, P, x, t, 5, 1e-8)
+        got = qs.q_planewave_partial_sum(ctx, P, x, t, n, route="lemma")
         return got, qs.q_dunkl_kernel(ctx, P.alpha, x * t)
     _timed(checks, "q-planewave/small-argument-truncation", smallest_grid, 1e-8)
 
@@ -755,10 +761,11 @@ def suite_q_planewave(ov: Mapping) -> list:
         # q-exponential remark: alpha = -1/2 with beta shifted by -1/2
         be = 0.7
         P2 = Params(-0.5, be - 0.5)
+        n = _pw_terms(ctx, P2, 1.0, q, N, 1e-10)
         errs = []
         for (mx, mt) in ((0, 1), (1, 1), (2, 2)):
             x, t = q ** mx, q ** mt
-            got = qs.q_planewave_partial_sum(ctx, P2, x, t, N, route="lemma")
+            got = qs.q_planewave_partial_sum(ctx, P2, x, t, n, route="lemma")
             errs.append(abs(got - qs.q_dunkl_kernel(ctx, -0.5, x * t)))
         return _worst(errs), 0.0
     _timed(checks, "q-planewave/ultraspherical-specialization", ultraspherical, 1e-10)

@@ -303,6 +303,23 @@ class TestNeumannSystem:
                             for x in np.linspace(-5, 5, 11)))
         assert sups[1] < sups[0]
 
+    @pytest.mark.parametrize("alpha", [0.3, 1.0, 2.0, 5.0, 10.0, 30.0])
+    def test_reconstruction_at_large_alpha(self, alpha):
+        # the coefficients pair the density with C_n on [-1, 1], so no
+        # truncated line integral loses them as 2^{ab+1} Gamma(ab+1) grows
+        P = Params(alpha, 0.2)
+        f = bo.PWFunction(lambda t: (1.0 - t * t) * (0.3 + t), alpha)
+        ser = bo.fourier_neumann_coeffs(P, f, 12)
+        xs = np.linspace(-5.0, 5.0, 11)
+        fx = f.eval(xs)
+        err = max(abs(bo.neumann_partial_sum(P, ser, x) - v) for x, v in zip(xs, fx))
+        assert err < 1e-7 * np.max(np.abs(fx))
+
+    def test_requires_the_kernel_of_f(self):
+        f = bo.PWFunction(lambda t: 1.0, 0.5)
+        with pytest.raises(ValueError, match="alpha"):
+            bo.fourier_neumann_coeffs(self.P, f, 3)
+
     def test_forward_transform_identity(self):
         # transform of a Bessel quotient lands on the weighted polynomial
         P = self.P

@@ -131,6 +131,17 @@ class TestAsymptoticStarts:
         capsys.readouterr()
         assert restarts == []
 
+    def test_weights_past_the_square_root_of_the_float_range(self):
+        # at (1344, 0, 120) dp^2 overflows next to x = -1, so those weights
+        # come from logarithms; the zeroth moment is 2^121/121
+        x, w = gauss_jacobi(1344, 0.0, 120.0)
+        assert np.all(w > 0)
+        assert np.sum(w) == pytest.approx(2.0 ** 121 / 121.0, rel=1e-12, abs=0.0)
+
+    def test_weights_past_the_float_range_refused(self):
+        with pytest.raises(OverflowError, match=r"\(1344, 0.0, 150.0\)"):
+            gauss_jacobi(1344, 0.0, 150.0)
+
     def test_exponents_must_exceed_minus_one(self):
         with pytest.raises(ValueError, match="exceed -1"):
             gauss_jacobi(8, -1.0, 0.0)

@@ -250,6 +250,8 @@ class TestCLI:
         # the small-x end of the weighted q sums would pass its cap of 2 k_max
         (["verify", "q-core", "--alpha", "-0.8"], "take alpha >= -0.75"),
         (["verify", "all", "--alpha", "-0.9"], "take alpha >= -0.75"),
+        # the order-1344 Gauss-Jacobi weights next to x = -1 underflow
+        (["verify", "dunkl-sampling", "--alpha", "150"], "Gauss-Jacobi rule (1344, 0.0, 150.0)"),
     ])
     def test_domain_error_exit_2(self, argv, reason):
         proc = subprocess.run([sys.executable, "-m", "biexp.cli", *argv],
@@ -283,6 +285,19 @@ class TestCLI:
         assert main(["verify", "q-planewave", "--terms", "100", "--q", q, "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["pass"] and len(doc["checks"]) == 7
+
+    def test_q_planewave_q_095(self, capsys):
+        # the expansion rows take their term count from the bound at x = 1,
+        # t = q: 30 terms leave 1.8e-7 there
+        assert main(["verify", "q-planewave", "--q", "0.95", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["pass"] and doc["params"]["terms"] == 30
+
+    @pytest.mark.parametrize("alpha", ["1", "2", "5"])
+    def test_fourier_neumann_alpha(self, capsys, alpha):
+        assert main(["verify", "fourier-neumann", "--alpha", alpha, "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert len(doc["checks"]) == 8
 
     def test_dunkl_sampling_alpha_10(self, capsys):
         # the zeros of J_11 reach x ~ 1270; each node past the order-11
