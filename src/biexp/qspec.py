@@ -3,15 +3,14 @@ function, Jackson integrals, little q-Jacobi and q-Gegenbauer families, the
 q-deformed Dunkl kernel with its transform and Hankel companion, and the
 q-Weber-Schafheitlin evaluations.
 
-Everything lives on the geometric grid {+-q^k}.  The third Jackson q-Bessel
-decays superexponentially along the grid while its series terms peak
-superexponentially.  So the grid sums read it by grid exponent from one
-float table per (nu, q), a q-difference recurrence below x = 1 and the
-series above (_GridRatios).  The little q-Jacobi members at a grid point
-likewise come by degree from one float table per (a, b, q, m), a backward
-recurrence in the degree above the float sums that keep their bound
-(_JacobiGrid).  Off-grid arguments sum the series, at elevated precision
-(mpmath) where it cancels.  All other machinery is plain float.
+Everything lives on the geometric grid {+-q^k}, where the third Jackson
+q-Bessel decays superexponentially while its series terms peak the same
+way.  So the grid sums read it by exponent from one float table per
+(nu, q) (_GridRatios), and the little q-Jacobi members by degree from one
+per (a, b, q, m) (_JacobiGrid): float series, and one Miller sweep of a
+recurrence (_miller) where they fail.  Off-grid arguments sum the series,
+rerun at elevated precision (mpmath, _elevated) where it cancels.  All
+other machinery is plain float.
 """
 
 from __future__ import annotations
@@ -153,6 +152,66 @@ def phi21(a, b, c, q: float, z):
 
 
 # ---------------------------------------------------------------------------
+# Miller's algorithm and the elevated rerun, shared by the q tables
+# ---------------------------------------------------------------------------
+
+def _walk(n: int, step: int, rate: Callable[[int], float], budget: float,
+          lg: float = 0.0) -> int:
+    """The first n + i step at which lg plus the log2 rates rate(n + step),
+    ..., rate(n + i step) has fallen to -budget bits."""
+    while lg > -budget:
+        n += step
+        lg += rate(n)
+    return n
+
+
+def _miller(step: Callable, u: float, v: float, ns: range, what: str) -> dict:
+    """Miller's algorithm (Gautschi, SIAM Rev. 9, 1967) in float64: the
+    minimal solution of a three-term recurrence, up to one constant, from a
+    start so far past the values wanted that the dominant solution has died
+    out by them.  The state (u, v), u the value at n, steps as
+    step(n, u, v) over ns and is rescaled by a power of two per step, the
+    exponent kept apart, so the solution may fall past the float range.
+    Returns {n: (m, e)}, value(n) = m 2^e; OverflowError naming `what` where a step overflows."""
+    e, out = 0, {}
+    for n in ns:
+        u, v = step(n, u, v)
+        if not (math.isfinite(u) and math.isfinite(v)):
+            raise OverflowError(f"{what} leaves the float64 range")
+        ex = math.frexp(max(abs(u), abs(v)))[1]
+        e += ex
+        u, v = math.ldexp(u, -ex), math.ldexp(v, -ex)
+        out[n] = (u, e)
+    return out
+
+
+def _fit(swept: dict, anchors: dict) -> Callable[[int], float]:
+    """n -> the swept value at n, scaled to the anchors {n: value} by least
+    squares: near a zero of the solution a swept value is the remainder of
+    a cancellation, but two neighbours cannot both be, so the larger rules."""
+    top = max(swept[n][1] for n in anchors)
+    ms = {n: math.ldexp(swept[n][0], swept[n][1] - top) for n in anchors}
+    c = sum(v * ms[n] for n, v in anchors.items()) / sum(m * m for m in ms.values())
+    return lambda n: math.ldexp(swept[n][0] * c, swept[n][1] - top)
+
+
+def _elevated(value: Callable[[int], mp.mpf], mx, what: str) -> float:
+    """value(digits), an alternating sum with largest term mx summed at
+    `digits` decimal digits, rounded to float.  It keeps digits -
+    log10(mx/|v|) digits: it starts at 40 + 2.2 log10 mx, and reruns with
+    40 to spare until 20 survive; RuntimeError naming `what` after eight."""
+    digits = 40 + int(2.2 * math.log10(mx))
+    for _ in range(8):
+        with mp.workdps(digits):
+            v = value(digits)
+            lost = int(mp.ceil(mp.log10(mx / abs(v)))) if v else digits
+        if digits - lost >= 20:
+            return float(v)
+        digits = lost + 40
+    raise RuntimeError(f"{what} kept no 20 digits (internal error)")
+
+
+# ---------------------------------------------------------------------------
 # Third Jackson q-Bessel function
 # ---------------------------------------------------------------------------
 
@@ -237,43 +296,24 @@ def _qbessel_pref_mp(nu: float, Q: float):
 
 
 def _qbessel_ratio_mp(nu: float, x: float, Q: float, mx: float) -> float:
-    """The ratio series at elevated precision, given the largest term mx of
-    its float pass.
-
-    The alternating series cancels over ~2 log10(mx) digits; that
-    cancellation only happens if every q-power is an exact function of the
-    same binary nu, so the powers are built in mpf arithmetic (a per-term
-    float rounding of nu+1+k wrecks the sum entirely), each formed once and
-    stepped by Qm.  The sum keeps digits - log10(mx/|s|) digits; where that
-    falls below 20 (values far below 1/mx, as from order ~3 up), it reruns
-    with 40 to spare."""
-    digits = 40 + int(2.2 * math.log10(mx))
-    for _ in range(8):
-        with mp.workdps(digits):
-            Qm = mp.mpf(Q)
-            tol = mp.mpf(10) ** (-digits + 4)
-            t = mp.mpf(1)
-            s = mp.mpf(1)
-            x2 = mp.mpf(x) ** 2
-            qk = Qm                         # Q^(k+1)
-            qnk = Qm ** (mp.mpf(nu) + 1)    # Q^(nu+1+k)
-            k = 0
-            while True:
-                t = -t * qk * x2 / ((1 - qnk) * (1 - qk))
-                s += t
-                k += 1
-                if abs(t) < abs(s) * tol and k > 10:
-                    break
-                if k > 100000:
-                    raise RuntimeError("q-Bessel series did not converge (internal error)")
-                qk *= Qm
-                qnk *= Qm
-            v = _qbessel_pref_mp(nu, Q) * s
-            lost = int(mp.ceil(mp.log10(mx / abs(v)))) if v else digits
-            if digits - lost >= 20:
-                return float(v)
-        digits = lost + 40
-    raise RuntimeError("q-Bessel series kept no 20 digits (internal error)")
+    """The ratio series at elevated precision (_elevated), given the largest
+    term mx of its float pass.  It cancels only if every q-power is an exact
+    function of the same binary nu, so the powers are built in mpf
+    arithmetic (a per-term float rounding of nu+1+k wrecks the sum
+    entirely), each formed once and stepped by Qm."""
+    def value(digits: int):
+        Qm = mp.mpf(Q)
+        tol = mp.mpf(10) ** (-digits + 4)
+        t = s = mp.mpf(1)
+        x2 = mp.mpf(x) ** 2
+        qk, qnk = Qm, Qm ** (mp.mpf(nu) + 1)    # Q^(k+1), Q^(nu+1+k)
+        k = 0
+        while not (k > 10 and abs(t) < abs(s) * tol):
+            t = -t * qk * x2 / ((1 - qnk) * (1 - qk))
+            s += t
+            qk, qnk, k = qk * Qm, qnk * Qm, k + 1
+        return _qbessel_pref_mp(nu, Q) * s
+    return _elevated(value, mx, "q-Bessel series")
 
 
 def _check_domain(nu: float, x: float, Q: float) -> None:
@@ -300,13 +340,11 @@ def _ratio(nu: float, x: float, Q: float, elevate: bool = False) -> float:
 def qbessel3_ratio(nu: float, x: float, Q: float) -> float:
     """J_nu^{(3)}(x; Q) / x^nu, an even entire function of x, at any x.
 
-    Large arguments cancel catastrophically in float64 (the value decays
-    superexponentially along the grid while the largest term grows the
-    same way), so where the float series cancels by more than ~1e3 it is
-    recomputed at elevated precision; every value is cached.  The grid
-    sums below do not come here: they read _GridRatios by grid exponent,
-    since a float q**k rounded off the grid point moves the value by far
-    more than the value itself.
+    Large arguments cancel catastrophically in float64, so where the float
+    series cancels by more than ~1e3 it is rerun at elevated precision
+    (_qbessel_ratio_mp); every value is cached.  The grid sums read
+    _GridRatios by grid exponent instead, since a float q**k rounded off
+    the grid point moves the value by far more than the value itself.
     Raises ValueError outside the domain: finite x, finite order > -1 and
     Q in (0, 1); OverflowError where the float series overflows.
     """
@@ -328,19 +366,13 @@ class _GridRatios(dict):
 
         G(k) + (Q^{k+1} - 1 - Q^nu) G(k+1) + Q^nu G(k+2) = 0,    Q = q^2,
 
-    whose coefficients are integer powers of Q: no rounded x = q**k
-    enters.  Toward large x (k -> -inf) G is the minimal solution, falling
-    like Q^{k^2/2}; toward small x the second solution grows like x^{-2nu}.
-    So k > 0 reads the float series at q**k (the value qbessel3_ratio
-    gives), k = 0 the elevated series, and the first read below 0 runs
-    Miller's algorithm once (Gautschi 1967): a float sweep up from (0, 1),
-    each value keeping its own power-of-two exponent.  It starts ten steps
-    below k_floor, where the asymptotic ratio G(k)/G(k+1) ~ Q^{nu-k} has
-    taken G 1400 bits below G(0); every k below k_floor reads 0.0, under
-    the float range.  The sweep runs on to k = 1 and takes its scale from
-    the elevated series at k = 0 and 1 by least squares: a value near a
-    zero of G is the remainder of a cancellation in the sweep, but two
-    consecutive values cannot both be near zero, so the larger one rules.
+    with integer powers of Q for coefficients: no rounded x = q**k enters.
+    Toward large x G is the minimal solution, falling like Q^{k^2/2}.  So
+    k > 0 reads the float series at q**k, k = 0 the elevated series, and
+    k < 0 one Miller sweep (_miller) up in k, from ten steps below k_floor
+    to k = 1, anchored to the elevated series at k = 0 and 1.  At k_floor
+    the ratio G(k)/G(k+1) ~ Q^{nu-k} has taken G 1400 bits below G(0);
+    every k below it reads 0.0, under the float range.
     """
 
     __slots__ = ("nu", "q", "Q")
@@ -361,28 +393,14 @@ class _GridRatios(dict):
     def _sweep(self) -> None:
         nu, Q = self.nu, self.Q
         Qn = Q ** nu
-        lg, floor = 0.0, 0
-        while Qn and lg > -1400.0:
-            floor -= 1
-            lg += math.log2(Qn / max(Q ** (floor + 1) - 1.0 - Qn, 1.0 + Qn))
-        g0, g1, e = 0.0, 1.0, 0
-        vals = []
-        for j in range(floor - 10, 0):      # G(j+2) from G(j), G(j+1)
-            g = -(g0 + (Q ** (j + 1) - 1.0 - Qn) * g1) / Qn if Qn else math.inf
-            if not math.isfinite(g):
-                raise OverflowError(f"q-Bessel grid sweep at order {nu}, Q={Q} "
-                                    "leaves the float64 range")
-            m, ex = math.frexp(g)
-            e += ex
-            g0, g1 = math.ldexp(g1, -ex), m
-            vals.append((m, e))             # G(j+2) = m 2^e
-        (m0, e0), (m1, e1) = vals[-2:]      # G(0), G(1)
-        top = max(e0, e1)
-        m0, m1 = math.ldexp(m0, e0 - top), math.ldexp(m1, e1 - top)
-        r1 = _ratio(nu, self.q, Q, elevate=True)
-        c = (self[0] * m0 + r1 * m1) / (m0 * m0 + m1 * m1)
-        for k, (m, e) in zip(range(floor, 0), vals[8:]):
-            self[k] = math.ldexp(m * c, e - top)
+        floor = _walk(0, -1, lambda k: math.log2(Qn / max(Q ** (k + 1) - 1.0 - Qn, 1.0 + Qn)),
+                      1400.0) if Qn else 0
+        step = lambda k, g1, g0: (      # G(k), G(k-1) from G(k-1), G(k-2)
+            -(g0 + (Q ** (k - 1) - 1.0 - Qn) * g1) / Qn if Qn else math.inf, g1)
+        swept = _miller(step, 1.0, 0.0, range(floor - 8, 2),
+                        f"q-Bessel grid sweep at order {nu}, Q={Q}")
+        value = _fit(swept, {0: self[0], 1: _ratio(nu, self.q, Q, elevate=True)})
+        self.update((k, value(k)) for k in range(floor, 0))
 
 
 @functools.lru_cache(maxsize=None)
@@ -517,22 +535,15 @@ class _JacobiGrid:
         -x p_n = A_n p_{n+1} - (A_n + C_n) p_n + C_n p_{n-1},
 
     has p_n(Q^j) as its minimal solution past n ~ j, falling like
-    Q^{(n-j)^2/2}, while the float sum's terms grow the same way.  Below
-    that, where p_n ~ 1, the sum is accurate and a backward sweep is not:
-    there the second solution falls like Q^{an}, so a > 0 draws the sweep
-    off p.  So each degree keeps its float sum (at x = Q**j, within an ulp
-    of the mass point) where the sum's rounding bound holds.  While every
-    degree read does, the table is those sums.  Once one fails, the sums
-    run on to two failures in a row, and the other degrees come from
-    Miller's algorithm (Gautschi 1967): one float sweep down from (0, 1),
-    in differences so that x is not lost where p_n ~ 1, each value keeping
-    its own power-of-two exponent, scaled by least squares to the float
-    sums at the two highest degrees that kept them.  The sweep covers every
-    degree up to the floor, where the local decay of the recurrence has
-    taken p 1200 bits below those sums; past it every degree reads 0.0,
-    under the float range.  It starts where the local root ratio has taken
-    the unwanted solution 2^-64 below p at the floor.  So no value depends
-    on which degrees were read before it.
+    Q^{(n-j)^2/2} while the float sum's terms grow the same way; below
+    that the sum is accurate and a backward sweep is not (for a > 0 the
+    second solution falls like Q^{an}).  So each degree keeps its float sum
+    at x = Q**j where its rounding bound holds.  Once one fails, the sums
+    run on to two failures in a row, and the other degrees come from one
+    Miller sweep (_miller) down in n, in differences, anchored to the two
+    highest kept sums.  Its floor is where p has fallen 1200 bits below
+    them (past it every degree reads 0.0), and it starts where the root
+    ratio has taken the unwanted solution 64 bits below p at the floor.
     """
 
     __slots__ = ("a", "b", "Q", "j", "sums", "vals", "swept")
@@ -568,9 +579,8 @@ class _JacobiGrid:
         return an, cn, y, math.log2(cn / (an * big)), math.log2(cn / (an * big * big))
 
     def _fill(self, top: int) -> None:
-        """Float sums through degree top; where one of them fails its bound,
-        the whole table instead, so that no value depends on the reads
-        before it."""
+        """Float sums through degree top; the whole table once one fails its
+        bound, so that no value depends on the reads before it."""
         Q, x, sums = self.Q, self.Q ** self.j, self.sums
         while (len(sums) <= top or None in sums) and sums[-2:] != [None, None]:
             s, _, kept = _little_p_float(len(sums), self.a, self.b, Q, x)
@@ -579,35 +589,21 @@ class _JacobiGrid:
             self.vals = sums[:]
             return
         fit = [n for n, s in enumerate(sums) if s is not None][-2:]
-        low = min(fit[0], sums.index(None))
         roots = functools.lru_cache(maxsize=None)(self._roots)
-        # the floor, where p has fallen 1200 bits below the kept sums
-        n, lg = fit[-1], math.log2(max(abs(sums[k]) for k in fit))
-        while lg > -1200.0:
-            n += 1
-            lg += roots(n)[3]
-        floor, lg = n, 0.0
-        while lg > -64.0:
-            n += 1
-            lg += roots(n)[4]
+        floor = _walk(fit[-1], 1, lambda n: roots(n)[3], 1200.0,
+                      math.log2(max(abs(sums[k]) for k in fit)))
+        start = _walk(floor, 1, lambda n: roots(n)[4], 64.0)
         # in differences d_n = p_{n+1} - p_n, c_n d_{n-1} = a_n d_n + y_n p_n,
         # so y_n = Q^{j-n} is not lost against a_n + c_n where p_n ~ 1
-        p, d, e = 1.0, -1.0, 0              # p_n, d_n with p_{n+1} = 0, scaled by 2^-e
-        swept = {}
-        for n in range(n, low, -1):         # p_{n-1}, d_{n-1} from p_n, d_n
-            an, cn, y, _, _ = roots(n)
+        def step(n, p, d):      # p_n, d_n from p_{n+1}, d_{n+1}
+            an, cn, y, _, _ = roots(n + 1)
             d = (an * d + y * p) / cn
-            p -= d
-            ex = math.frexp(max(abs(p), abs(d)))[1]
-            e += ex
-            p, d = math.ldexp(p, -ex), math.ldexp(d, -ex)
-            swept[n - 1] = (p, e)
-        ms = [swept[k] for k in fit]
-        hi = max(e for _, e in ms)
-        ms = [math.ldexp(m, e - hi) for m, e in ms]
-        c = sum(sums[k] * m for k, m in zip(fit, ms)) / sum(m * m for m in ms)
-        self.vals = [sums[k] if k < len(sums) and sums[k] is not None
-                     else math.ldexp(swept[k][0] * c, swept[k][1] - hi) for k in range(floor + 1)]
+            return p - d, d
+        swept = _miller(step, 1.0, -1.0, range(start - 1, min(fit[0], sums.index(None)) - 1, -1),
+                        f"little q-Jacobi degree sweep at a={self.a}, b={self.b}, Q={Q}")
+        value = _fit(swept, {k: sums[k] for k in fit})
+        self.vals = [sums[k] if k < len(sums) and sums[k] is not None else value(k)
+                     for k in range(floor + 1)]
         self.swept = True
 
 
@@ -629,43 +625,24 @@ class QJacobiFamily:
     params: Params
 
     def little_p_raw(self, n: int, x: float, a: float | None = None) -> float:
-        """p_n(x; q^{2a}, q^{2b}; q^2), the terminating 2phi1 sum.
-
-        The q^{-2n}-type factors make the alternating terms peak around
-        q^{-(n-j)^2} for x = q^{2j}, far above the superexponentially small
-        values near the endpoint.  The float sum is kept only where its
-        rounding bound stays below 1e-14 of it (_little_p_float).  Otherwise
-        it reruns at elevated precision with all q-powers formed in exact
-        mpf arithmetic (per-term float rounding of the exponents would break
-        the cancellation).  This is the path for any float x; the grid
-        callers (qgegenbauer at t = +-q^m, m >= 0, and the I_-/I_+ closed
-        forms) read the mass point Q^m from its degree table instead
-        (_JacobiGrid), where a rounded x = t * t would follow the growing
-        solution of the recurrence.
-        """
+        """p_n(x; q^{2a}, q^{2b}; q^2), the terminating 2phi1 sum, at any
+        float x: the float sum (_little_p_float) where its rounding bound
+        stays below 1e-14 of it, else the elevated sum (_elevated) with its
+        q-powers in exact mpf arithmetic (_little_p_coeffs_mp).  The terms
+        peak around q^{-(n-j)^2} at x = q^{2j}, far above the values near
+        the endpoint.  The grid callers read the mass point Q^m from its
+        degree table instead (_JacobiGrid), where a rounded x = t * t would
+        follow the growing solution of the recurrence."""
         q2 = self.ctx.q2
         a = self.params.alpha if a is None else a
         b = self.params.beta
         s, mx, kept = _little_p_float(n, a, b, q2, x)
-        if not kept:
-            if mx == math.inf:    # size the terms by an mpf sum, as an int for log10
-                cs = _little_p_coeffs_mp(n, mp.mpf(a), mp.mpf(b), mp.mpf(q2))
-                mx = int(mp.polyval([abs(c) for c in cs], abs(x)))
-            # the sum keeps digits - log10(mx/|v|) digits; where that falls
-            # below 20 (values far below 1/mx), rerun with 40 to spare
-            digits = 40 + int(2.2 * math.log10(mx))
-            for _ in range(8):
-                with mp.workdps(digits):
-                    cs = _little_p_coeffs_mp(n, mp.mpf(a), mp.mpf(b), mp.mpf(q2))
-                    v = mp.polyval(cs, mp.mpf(x))
-                lost = int(mp.ceil(mp.log10(mx / abs(v)))) if v else digits
-                if digits - lost >= 20:
-                    break
-                digits = lost + 40
-            else:
-                raise RuntimeError("little q-Jacobi sum kept no 20 digits (internal error)")
-            s = float(v)
-        return s
+        if kept:
+            return s
+        cs = lambda: _little_p_coeffs_mp(n, mp.mpf(a), mp.mpf(b), mp.mpf(q2))
+        if mx == math.inf:    # size the terms by an mpf sum, as an int for log10
+            mx = int(mp.polyval([abs(c) for c in cs()], abs(x)))
+        return _elevated(lambda _: mp.polyval(cs(), mp.mpf(x)), mx, "little q-Jacobi sum")
 
     def little_p(self, n: int, x: float, a: float | None = None) -> float:
         """Normalized p_n^{(a,b)}(x; q^2), which tends to the classical
@@ -747,19 +724,23 @@ class QJacobiFamily:
         terms up to 8.8e13 at q = 0.3, 3.2e26 at q = 0.1, nmax 5), so the
         members are evaluated at the exact x_j^2 = Q^j, Q = q^2, at 40 + 2.2
         log10 M digits (M their largest term sum, at x = 1; at least 50), and
-        rounded once.  The sum does not cancel ((1-q) sum_j |terms| <=
-        1.33 at q in [0.1, 0.95], (a, b) in {(0.3, 0.2), (1.5, -0.3),
-        (-0.7, 0.9)}): it is a float pairwise sum, and w_j telescopes as
-        w_{j-1} (1 - Q^{b+j}) / (1 - Q^j).  With r = q^(2a+2) and M_j =
-        max_n sum_k |pref_n c_k| Q^(jk), the size of the members' terms, the
-        nodes from j on add at most r^j max(w_j, 1) M_j^2 / (1 - r) to an
-        entry (w tends monotonically to 1, M falls with j).  The sum stops
-        where that is below 2^-64; ValueError where that takes more than
-        ctx.small_end(2a+2) + 60 nodes.
+        rounded once.  The sum does not cancel ((1-q) sum_j |terms| <= 1.33
+        at q in [0.1, 0.95] for three (a, b)): it is a float pairwise sum,
+        and w_j telescopes as w_{j-1} (1 - Q^{b+j}) / (1 - Q^j).  With r =
+        q^(2a+2) and M_j = max_n sum_k |pref_n c_k| Q^(jk), the size of the
+        members' terms, the nodes from j on add at most r^j max(w_j, 1)
+        M_j^2 / (1 - r) to an entry.  The sum stops where that is below
+        2^-64; ValueError past ctx.small_end(2a+2) + 60 nodes, OverflowError
+        where the Gram leaves the float64 range.
         """
-        base, V = self._gram_nodes(nmax)
-        T = V.T
-        return ((1.0 - self.ctx.q) * (T[:, None] * T[None] * base).sum(axis=-1)).tolist()
+        try:
+            base, V = self._gram_nodes(nmax)
+            T = V.T
+            with np.errstate(over="raise", invalid="raise"):
+                return ((1.0 - self.ctx.q) * (T[:, None] * T[None] * base).sum(axis=-1)).tolist()
+        except (OverflowError, FloatingPointError):
+            raise OverflowError(f"q-Jacobi Gram at q={self.ctx.q}, alpha={self.params.alpha}, "
+                                f"beta={self.params.beta} leaves the float64 range") from None
 
     def _gram_nodes(self, nmax: int):
         """w(x_j) x_j^(2a+1) q^j and [p_n(x_j), n <= nmax] over gram_matrix_mp's nodes."""
@@ -876,7 +857,15 @@ def q_hankel(ctx: QContext, alpha: float, f: Callable[[float], float],
     q = ctx.q
     r = _along(ctx, alpha, x)
     e = 2.0 * alpha + 2.0
-    return _bilateral_sum(ctx, lambda k: r(k) * f(q ** k) * q ** (k * e), e)
+
+    def term(k: int) -> float:
+        v = r(k) * f(q ** k)
+        try:
+            return v * q ** (k * e)
+        except OverflowError:
+            raise OverflowError(f"q-Hankel summand of order {alpha} at x = q^{k}, q={q} "
+                                "leaves the float64 range") from None
+    return _bilateral_sum(ctx, term, e)
 
 
 # ---------------------------------------------------------------------------
@@ -892,9 +881,12 @@ def qweber_lhs(ctx: QContext, lam: float, mu: float, nu: float,
     rm, rn = _grid_table(mu, q), _grid_table(nu, q)
 
     def term(k: int) -> float:
-        x = q ** k
-        return (x ** (-lam) * rm[m + k] * (q ** m * x) ** mu
-                * rn[n + k] * (q ** n * x) ** nu)
+        x, gm, gn = q ** k, rm[m + k], rn[n + k]
+        try:
+            return x ** (-lam) * gm * (q ** m * x) ** mu * gn * (q ** n * x) ** nu
+        except OverflowError:
+            raise OverflowError(f"q-Weber-Schafheitlin summand at lam={lam}, mu={mu}, nu={nu}, "
+                                f"x = q^{k}, q={q} leaves the float64 range") from None
 
     # J_mu(y) ~ y^mu at small y: the summand falls like x^(1 - lam + mu + nu)
     return float(_halfline(ctx, term, 1.0 - lam + mu + nu))
@@ -925,11 +917,21 @@ def qweber_rhs(ctx: QContext, lam: float, mu: float, nu: float,
     return pref * float(complex(val).real)
 
 
+def _q_i(ctx: QContext, params: Params, n: int, m: int, lam: float) -> float:
+    """t^-a / (1 - q) times the Jackson integral of I_- (lam = b) or I_+
+    (lam = -b) at t = q^m; OverflowError where t^-a leaves the float64 range."""
+    a, b = params.alpha, params.beta
+    try:
+        scale = (ctx.q ** m) ** (-a) / (1.0 - ctx.q)
+    except OverflowError:
+        raise OverflowError(f"I_-/I_+ factor t^-alpha at alpha={a}, t = q^{m}, q={ctx.q} "
+                            "leaves the float64 range") from None
+    return scale * qweber_lhs(ctx, lam, a, a + b + 2.0 * n + 1.0, m, n)
+
+
 def q_i_minus(ctx: QContext, params: Params, n: int, m: int) -> float:
     """I_-(a, b, n)(t, q) at t = q^m by the Jackson integral."""
-    a, b = params.alpha, params.beta
-    t = ctx.q ** m
-    return t ** (-a) / (1.0 - ctx.q) * qweber_lhs(ctx, b, a, a + b + 2.0 * n + 1.0, m, n)
+    return _q_i(ctx, params, n, m, params.beta)
 
 
 def q_i_minus_closed(ctx: QContext, params: Params, n: int, m: int) -> float:
@@ -948,11 +950,9 @@ def q_i_minus_closed(ctx: QContext, params: Params, n: int, m: int) -> float:
 
 def q_i_plus(ctx: QContext, params: Params, n: int, m: int) -> float:
     """I_+(a, b, n)(t, q) at t = q^m (needs beta < 1)."""
-    a, b = params.alpha, params.beta
-    if not b < 1.0:
+    if not params.beta < 1.0:
         raise ValueError("I_+ needs beta < 1")
-    t = ctx.q ** m
-    return t ** (-a) / (1.0 - ctx.q) * qweber_lhs(ctx, -b, a, a + b + 2.0 * n + 1.0, m, n)
+    return _q_i(ctx, params, n, m, -params.beta)
 
 
 def q_i_plus_closed(ctx: QContext, params: Params, n: int, m: int) -> float:

@@ -302,6 +302,14 @@ class TestGridTable:
         assert qs._grid_table.cache_info().currsize > 10
 
 
+class TestSweepRange:
+    def test_sweep_refuses_past_the_float_range(self):
+        # Q^nu underflows to 0.0 at order 1000, Q = 0.25: the sweep's one
+        # OverflowError names the order and Q
+        with pytest.raises(OverflowError, match=r"order 1000\.0, Q=0\.25 leaves the float64 range"):
+            qs._GridRatios(1000.0, 0.5)[-1]
+
+
 class TestJackson:
     def test_geometric(self, ctx):
         assert qs.jackson_integral(ctx, lambda t: 1.0, "unit").real == pytest.approx(1.0)
@@ -765,8 +773,9 @@ class TestJacobiGrid:
                             or coeffs_fn(*args))
         run_suite("q-planewave")
         assert raw == [(3, 0.4)]
+        # little_p_raw forms the coefficients in a lambda, for its elevated rerun
         assert [(caller, n, float(Q)) for caller, (n, _, _, Q) in coeffs] == [
-            ("little_p_raw", 3, 0.999 ** 2)]
+            ("<lambda>", 3, 0.999 ** 2)]
         assert qs._jacobi_grid.cache_info().currsize > 10
         raw.clear()
         coeffs.clear()

@@ -252,6 +252,20 @@ class TestCLI:
         (["verify", "all", "--alpha", "-0.9"], "take alpha >= -0.75"),
         # the order-1344 Gauss-Jacobi weights next to x = -1 underflow
         (["verify", "dunkl-sampling", "--alpha", "150"], "Gauss-Jacobi rule (1344, 0.0, 150.0)"),
+        # q overrides that leave the float range: a q sum's summand, the
+        # q-plane-wave truncation bound, the q-Jacobi Gram or the q-Bessel
+        # grid sweep names itself, with no raw errno message and no warning
+        (["verify", "q-core", "--alpha", "30"], "q-Hankel summand of order 30.0"),
+        (["verify", "q-core", "--alpha", "25", "--q", "0.3"], "q-Hankel summand of order 25.0"),
+        (["verify", "q-planewave", "--alpha", "25", "--q", "0.3"],
+         "q-plane-wave term bound at alpha=25.0"),
+        (["verify", "q-planewave", "--beta", "30", "--q", "0.3"],
+         "q-plane-wave term bound at alpha=0.3, beta=30.0"),
+        (["verify", "q-planewave", "--alpha", "100"], "q-plane-wave term bound at alpha=100.0"),
+        (["verify", "q-weber", "--beta", "50"], "q-Weber-Schafheitlin summand at lam=50.0"),
+        (["verify", "all", "--alpha", "30"], "q-Hankel summand of order 30.0"),
+        (["verify", "q-core", "--alpha", "100"], "q-Jacobi Gram at q=0.3, alpha=100.0"),
+        (["verify", "q-weber", "--alpha", "1000"], "q-Bessel grid sweep at order 1001.2, Q=0.25"),
     ])
     def test_domain_error_exit_2(self, argv, reason):
         proc = subprocess.run([sys.executable, "-m", "biexp.cli", *argv],
