@@ -23,7 +23,7 @@ import numpy as np
 from .orthopoly import GenGegenbauerFamily, _jacobi_rows, classical_gegenbauer
 from .quad import (Measure, _first_cell_rule, _legendre16, _neville, accelerate,
                    gauss_jacobi, rule_for_measure)
-from .specfun import (Params, ZeroTable, _jnorm_array, _jratio_array,
+from .specfun import (Params, ZeroTable, _jnorm_array, _jratio_array, _jratio_orders,
                       bessel_i_norm_imag, bessel_j_ratio, bessel_zeros,
                       dunkl_kernel, gamma)
 
@@ -434,11 +434,10 @@ def classical_planewave(beta: float, x: float, t: float, N: int) -> complex:
     if not beta > 0.0:
         raise ValueError(f"classical plane wave needs beta > 0, got {beta}")
     acc = 0.0 + 0.0j
-    ax = abs(x)
     pref = gamma(beta) * 2.0 ** beta
-    for n, c in enumerate(classical_gegenbauer(N - 1, beta, t).tolist()):
-        jq = bessel_j_ratio(beta + n, ax) * x ** n
-        acc += (1j ** n) * (beta + n) * jq * c
+    for n, (c, j) in enumerate(zip(classical_gegenbauer(N - 1, beta, t).tolist(),
+                                   _jratio_orders(beta, abs(x), N).tolist())):
+        acc += (1j ** n) * (beta + n) * (j * x ** n) * c
     return pref * acc
 
 
@@ -604,8 +603,9 @@ def planewave_partial_sum(params: Params, x: float, t: float, N: int) -> complex
     fam = GenGegenbauerFamily(params)
     pref = 2.0 ** (ab + 1.0) * gamma(ab + 1.0)
     acc = 0.0 + 0.0j
-    for n, c in enumerate(fam.table(N - 1, t).tolist()):
-        acc += (1j ** n) * (ab + n + 1.0) * neumann_fn(ab, n, x) * c
+    for n, (c, j) in enumerate(zip(fam.table(N - 1, t).tolist(),
+                                   _jratio_orders(ab + 1.0, abs(x), N).tolist())):
+        acc += (1j ** n) * (ab + n + 1.0) * (j * x ** n) * c
     return pref * acc
 
 
@@ -634,8 +634,8 @@ def fourier_neumann_coeffs(params: Params, f: PWFunction, N: int) -> TruncatedSe
 def neumann_partial_sum(params: Params, series: TruncatedSeries, x: float) -> complex:
     """Reconstruction sum_n a_n(f) (a+b+n+1) J_{a+b+n+1}(x)/x^{a+b+1}."""
     ab = params.ab
-    return sum(c * (ab + n + 1.0) * neumann_fn(ab, n, x)
-               for n, c in enumerate(series.coeffs))
+    js = _jratio_orders(ab + 1.0, abs(x), len(series.coeffs)).tolist()
+    return sum(c * (ab + n + 1.0) * (j * x ** n) for n, (c, j) in enumerate(zip(series.coeffs, js)))
 
 
 def hankel_corollary_sum(params: Params, x: float, t: float, N: int) -> float:
@@ -648,12 +648,12 @@ def hankel_corollary_sum(params: Params, x: float, t: float, N: int) -> float:
         raise ValueError("N must be >= 1")
     if not (x > 0.0 and 0.0 < t < 1.0):
         raise ValueError("need x > 0 and t in (0,1)")
-    a, b = params.alpha, params.beta
-    ab = params.ab
+    a, b, ab = params.alpha, params.beta, params.ab
     acc = 0.0
-    for n, pn in enumerate(_jacobi_rows(N - 1, a, b, 1.0 - 2.0 * t * t)):
+    tab = _jratio_orders(ab + 1.0, x, 2 * N - 1)[::2].tolist()
+    for n, (pn, j) in enumerate(zip(_jacobi_rows(N - 1, a, b, 1.0 - 2.0 * t * t), tab)):
         coef = 2.0 ** (b + 1.0) * (ab + 2.0 * n + 1.0) * gamma(ab + n + 1.0) / gamma(a + n + 1.0)
-        acc += coef * neumann_fn(ab, 2 * n, x) * pn
+        acc += coef * (j * x ** (2 * n)) * pn
     return acc
 
 

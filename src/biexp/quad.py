@@ -42,23 +42,26 @@ def _jacobi_newton(n: int, a: float, b: float, x: np.ndarray, iters: int):
     """Newton on all n roots of P_n^{(a,b)} at once from x; the derivative
     comes from the standard first-order relation.
 
-    Returns (x ascending, ok).  ok means the steps fell below 1e-15 at n
-    distinct roots: none held at the clip by +-1, where the 1/(1-x^2) of
-    the derivative fakes a tiny step, and P_{n-1} alternating in sign over
-    them, as it does over the true roots, which it interlaces.
+    Returns (x ascending, dp, ok): x the last iterate that a Newton step
+    produced, once the next steps from it fall below 1e-15, and dp the
+    derivative there from the same recurrence pass, so the weights need no
+    pass of their own.  ok means that held at n distinct roots: none held
+    at the clip by +-1, where the 1/(1-x^2) of the derivative fakes a tiny
+    step, and P_{n-1} alternating in sign over them, as it does over the
+    true roots, which it interlaces.
     """
     c = 2.0 * n + a + b
-    for _ in range(iters):
+    for i in range(iters):
         pn, pn1 = _jacobi_rec(n, a, b, x)
         dp = (n * (a - b - c * x) * pn + 2.0 * (n + a) * (n + b) * pn1) / (c * (1.0 - x * x))
         dx = pn / dp
-        x = np.clip(x - dx, -1.0 + 1e-14, 1.0 - 1e-14)
-        if np.max(np.abs(dx)) < 1e-15:
+        if i and np.max(np.abs(dx)) < 1e-15:
             order = np.argsort(x)
             sign = np.sign(pn1[order])
-            return x[order], bool(np.all(np.abs(x) < 1.0 - 1e-14)
-                                  and np.all(sign[1:] * sign[:-1] < 0))
-    return np.sort(x), False
+            return x[order], dp[order], bool(np.all(np.abs(x) < 1.0 - 1e-14)
+                                             and np.all(sign[1:] * sign[:-1] < 0))
+        x = np.clip(x - dx, -1.0 + 1e-14, 1.0 - 1e-14)
+    return np.sort(x), None, False
 
 
 def _jacobi_matrix_roots(n: int, a: float, b: float) -> np.ndarray:
@@ -126,22 +129,21 @@ def gauss_jacobi(n: int, a: float, b: float):
     All n roots are polished at once by Newton from asymptotic starts
     (_start_angles).  Where that does not converge to n distinct roots,
     they start from the eigenvalues of the Jacobi matrix instead and get
-    the same polish.  Returns (nodes ascending, weights); raises
+    the same polish.  The weights take the derivative from the recurrence
+    pass that certified the nodes, so a default rule costs two passes.
+    Returns (nodes ascending, weights); raises
     OverflowError where a weight leaves the float64 range.
     """
     if n < 1:
         raise ValueError("rule order must be >= 1")
     if not (a > -1.0 and b > -1.0):
         raise ValueError("Jacobi exponents must exceed -1")
-    x, ok = _jacobi_newton(n, a, b, np.cos(_start_angles(n, a, b)), 100)
+    x, dp, ok = _jacobi_newton(n, a, b, np.cos(_start_angles(n, a, b)), 100)
     if not ok:
-        x, ok = _jacobi_newton(n, a, b, _jacobi_matrix_roots(n, a, b), 10)
+        x, dp, ok = _jacobi_newton(n, a, b, _jacobi_matrix_roots(n, a, b), 10)
     if not ok:
         raise RuntimeError(f"Gauss-Jacobi roots for ({n}, {a}, {b}) did not converge "
                            "(internal error)")
-    pn, pn1 = _jacobi_rec(n, a, b, x)
-    c = 2.0 * n + a + b
-    dp = (n * (a - b - c * x) * pn + 2.0 * (n + a) * (n + b) * pn1) / (c * (1.0 - x * x))
     lc = (
         (a + b + 1.0) * math.log(2.0)
         + lgamma(n + a + 1.0)

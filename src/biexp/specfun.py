@@ -252,6 +252,26 @@ def _jnorm(nu: float, x: float) -> float:
     return _miller(nu, x)[2]
 
 
+def _jratio_orders(nu: float, x: float, N: int) -> np.ndarray:
+    """J_{nu+n}(x)/x^{nu+n} for n < N at one x >= 0: one order table.
+
+    The normalized g_mu = _jnorm(mu, x) at the two top orders anchor the
+    downward recurrence g_{mu-1} = g_mu - x^2 g_{mu+1} / (4 mu (mu+1)), the
+    Bessel one in normalized form, stable downward (Gautschi, SIAM Rev. 9,
+    1967); the running product 1/(2^mu Gamma(mu+1)) turns g into the ratio.
+    """
+    g = [_jnorm(nu + n, x) for n in (N - 1, N - 2)[:N]]
+    x2 = 0.25 * x * x
+    for n in range(N - 2, 0, -1):
+        mu = nu + n
+        g.append(g[-1] - x2 * g[-2] / (mu * (mu + 1.0)))
+    g.reverse()
+    p = [_jratio_at_zero(nu)]
+    for n in range(1, N):
+        p.append(p[-1] / (2.0 * (nu + n)))
+    return np.multiply(g, p[:N])
+
+
 def bessel_j_ratio(nu: float, x: float) -> float:
     """J_nu(x)/x^nu, an even entire function of x; stable for all regimes.
 
@@ -284,18 +304,30 @@ def _series_norm_array(nu: float, x: np.ndarray) -> np.ndarray:
 def _miller_array(nu: float, x: np.ndarray):
     """_miller's (j0, j1) on every node: one start, above the turning point
     of ASYM_EDGE and of the largest node, and exact rescales node by node,
-    so a node up to ASYM_EDGE gets the values it would get alone."""
+    so a node up to ASYM_EDGE gets the values it would get alone.
+
+    The rescale tests run every `stride` loop steps, not every step.  One
+    step (two orders) takes max(|fp|, |fc|, |s|) up by at most the factor
+    grow = rho + (nu + m) rate^2, with rate = 1 + 2(nu + m)/min x bounding
+    each order's growth and rho the largest (nu + a)/k2 of the sum; so from the
+    2^900 that a test leaves, no value passes 2^1000 before the next one.
+    A rescale is a power of two, so its step does not change a value."""
     m = _miller_start(nu, max(ASYM_EDGE, float(np.max(x))))
+    rate = 1.0 + 2.0 * (nu + m) / float(np.min(x))
+    grow = max(1.0, 0.5 * (nu + 1.0)) + (nu + m) * rate * rate
+    stride = max(1, int((1000 - _SCALE_EXP) / math.log2(grow)))
     t = 2.0 / x
     fp, fc = np.zeros_like(x), np.ones_like(x)
     s, g, e = np.full_like(x, nu + m), np.ones_like(x), np.zeros(x.shape, dtype=int)
-    for k2 in range(m, 2, -2):
+    for i, k2 in enumerate(range(m, 2, -2), 1):
         a = nu + k2
         ta = t * a
         fp = ta * fc - fp
         fc = (ta - t) * fp - fc
         a -= 2.0
         s = s * ((nu + a) / k2) + a * fc * g
+        if i % stride:
+            continue
         big = fc > _BIG
         if big.any():
             r = np.where(big, _TINY, 1.0)

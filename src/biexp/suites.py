@@ -12,6 +12,7 @@ produce identical values and a report echoes the values in effect.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from collections.abc import Mapping
 from types import MappingProxyType
@@ -669,25 +670,39 @@ def suite_q_core(ov: Mapping) -> list:
     return checks
 
 
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
 def _pw_term_bound(ctx: qs.QContext, P: Params, x: float, t: float, n: int) -> float:
     """A bound on |term n| of q_planewave_partial_sum (route "lemma") at
     0 < x, t <= 1: the q-Neumann member by (-Q x^2; Q)_inf / (Q; Q)_inf x^n
     q^{m(a+b+n+1)}, m = n // 2 (Euler's sum bounds the q-Bessel series for
     orders >= 0), and the q-Gegenbauer by its prefactors times the sum of
-    the absolute terms of its 2phi1."""
-    q, Q, qp = ctx.q, ctx.q2, qs.qpochhammer
+    the absolute terms of its 2phi1.  Formed in logarithms, so that a
+    factor past the float range meets no other on the way (0 * inf).
+
+    OverflowError where the bound leaves the float range, or where term n
+    could not be formed: the sum forms q^(-m b) (the lemma route's
+    coefficient) and q^(-m (a+r+1)) (the little q-Jacobi scale) in float."""
+    q, Q, qp, log = ctx.q, ctx.q2, qs.qpochhammer, math.log
     a, b, ab = P.alpha, P.beta, P.ab
     m, r = divmod(n, 2)
     ap = a + r
-    s = c = 1.0
+    lq, lQ, lt = log(q), log(Q), log(t)
+    if -m * max(b, ap + 1.0) * lq > _LOG_FLOAT_MAX:
+        raise OverflowError(f"q^(-{m} max(b, a+r+1)) leaves the float64 range")
+    # the 2phi1's absolute terms c_k, from |1 - Q^(k-m)| = Q^(k-m) (1 - Q^(m-k))
+    lc = [0.0]
     for k in range(m):
-        c *= abs((1.0 - Q ** (k - m)) * (1.0 - Q ** (m + ap + b + 1.0 + k))
-                 / ((1.0 - Q ** (ap + 1.0 + k)) * (1.0 - Q ** (k + 1.0)))) * Q * t * t
-        s += c
-    neumann = qp(-Q * x * x, Q) / qp(Q, Q) * x ** n * q ** (m * (ab + n + 1.0))
-    gegen = (abs(qp(Q ** (ab + 1.0), Q, m + r) / qp(Q ** (a + 1.0), Q, m + r)) * t ** r
-             * q ** (-m * (ap + 1.0)) * abs(qp(Q ** (ap + 1.0), Q, m) / qp(Q, Q, m)) * s)
-    return qp(Q, Q) / qp(Q ** (ab + 1.0), Q) * q ** (-m * b) * neumann * gegen
+        lc.append(lc[-1] + (k - m + 1) * lQ + 2.0 * lt
+                  + math.log1p(-Q ** (m - k)) + math.log1p(-Q ** (m + ap + b + 1.0 + k))
+                  - math.log1p(-Q ** (ap + 1.0 + k)) - math.log1p(-Q ** (k + 1.0)))
+    top = max(lc)
+    ls = top + log(math.fsum(math.exp(v - top) for v in lc))
+    neumann = log(qp(-Q * x * x, Q) / qp(Q, Q)) + n * log(x) + m * (ab + n + 1.0) * lq
+    gegen = (log(abs(qp(Q ** (ab + 1.0), Q, m + r) / qp(Q ** (a + 1.0), Q, m + r))) + r * lt
+             - m * (ap + 1.0) * lq + log(abs(qp(Q ** (ap + 1.0), Q, m) / qp(Q, Q, m))) + ls)
+    return math.exp(log(qp(Q, Q) / qp(Q ** (ab + 1.0), Q)) - m * b * lq + neumann + gegen)
 
 
 def _pw_terms(ctx: qs.QContext, P: Params, x: float, t: float, n: int, tol: float) -> int:

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -71,6 +72,18 @@ class TestRules:
             rule_for_measure(Measure.mu_alpha(0.5), 4)
 
 
+def _decimal_jacobi(n, a, b, z):
+    """P_n^{(a,b)} and its derivative at an object array z of Decimals,
+    by the three-term recurrence in the current decimal context."""
+    p0, p1 = z * 0 + 1, (a - b) / 2 + (a + b + 2) / 2 * z
+    for k in range(2, n + 1):
+        c = 2 * k + a + b
+        p0, p1 = p1, (((c - 1) * (a * a - b * b) + (c - 1) * c * (c - 2) * z) * p1
+                      - 2 * (k + a - 1) * (k + b - 1) * c * p0) / (2 * k * (k + a + b) * (c - 2))
+    c = 2 * n + a + b
+    return p1, (n * (a - b - c * z) * p1 + 2 * (n + a) * (n + b) * p0) / (c * (1 - z * z))
+
+
 def _forbid_restart(monkeypatch) -> list:
     """Record every restart of a rule from the Jacobi-matrix eigenvalues."""
     restarts = []
@@ -100,12 +113,29 @@ class TestAsymptoticStarts:
 
     @pytest.mark.parametrize("n", [120, 160, 240, 320, 480, 640, 960, 1344])
     def test_three_recurrence_passes(self, monkeypatch, n):
-        # two Newton steps and the weights: the first step is below 1e-8
+        # one Newton step (below 1e-8) and the pass that certifies its
+        # iterate, whose derivative the weights reuse
         passes = []
         rec = quad._jacobi_rec
         monkeypatch.setattr(quad, "_jacobi_rec", lambda *args: passes.append(1) or rec(*args))
         gauss_jacobi(n, 0.0, 0.5)
-        assert len(passes) <= 3
+        assert len(passes) <= 2
+
+    def test_rule_against_40_digit_roots(self):
+        # Newton in 40-digit decimal arithmetic on all 480 roots at once,
+        # from the float nodes; at a = 0 the weight constant 2^(a+b+1)
+        # Gamma(n+a+1) Gamma(n+b+1) / (Gamma(n+a+b+1) n!) is 2^(b+1)
+        n, a, b = 480, 0, Decimal("0.5")
+        x, w = gauss_jacobi(n, 0.0, 0.5)
+        with localcontext() as ctx:
+            ctx.prec = 40
+            z = np.array([Decimal(v) for v in x.tolist()], dtype=object)
+            for _ in range(3):
+                pn, dp = _decimal_jacobi(n, a, b, z)
+                z = z - pn / dp
+            rw = 2 ** (b + 1) / ((1 - z * z) * dp * dp)
+            assert max(abs(Decimal(xi) - zi) for xi, zi in zip(x.tolist(), z)) <= Decimal("1.2e-16")
+            assert max(abs(Decimal(wi) / ri - 1) for wi, ri in zip(w.tolist(), rw)) <= Decimal("4.1e-12")
 
     @pytest.mark.parametrize("n,b", [(n, b) for n in (1, 2, 8, 24, 80, 120)
                                      for b in (-0.9, 0.5, 6.0, 30.0)]

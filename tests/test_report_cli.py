@@ -307,6 +307,16 @@ class TestCLI:
         doc = json.loads(capsys.readouterr().out)
         assert doc["pass"] and doc["params"]["terms"] == 30
 
+    @pytest.mark.parametrize("q, alpha, floor", [(0.3, 5.0, 8), (0.5, 20.0, 10)])
+    def test_q_planewave_term_bound_finite(self, q, alpha, floor):
+        # the q-Neumann factor falls below the float range and the 2phi1's
+        # term sum passes it, here from k = 46 and 49: in logarithms the
+        # bound stays finite, and gives the term counts of a 30-digit sum
+        ctx, P = suites.qs.QContext(q), suites.Params(alpha, 0.2)
+        assert all(math.isfinite(suites._pw_term_bound(ctx, P, 1.0, q, k)) for k in range(50))
+        assert suites._pw_terms(ctx, P, 1.0, q, 1, 1e-10) == floor
+        assert suites._pw_terms(ctx, P, 1.0, q, 30, 1e-10) == 30
+
     @pytest.mark.parametrize("alpha", ["1", "2", "5"])
     def test_fourier_neumann_alpha(self, capsys, alpha):
         assert main(["verify", "fourier-neumann", "--alpha", alpha, "--format", "json"]) == 0

@@ -183,6 +183,87 @@ class TestBessel:
         assert bessel_j_ratio(nu, -x) == bessel_j_ratio(nu, x)
 
 
+def _miller_every_step(nu, x, fired):
+    """_miller_array with its rescale tests at every loop step, as it was
+    built first; counts in fired the steps at which a rescale fires."""
+    m = specfun._miller_start(nu, max(specfun.ASYM_EDGE, float(np.max(x))))
+    big, tiny = specfun._BIG, specfun._TINY
+    t = 2.0 / x
+    fp, fc = np.zeros_like(x), np.ones_like(x)
+    s, g, e = np.full_like(x, nu + m), np.ones_like(x), np.zeros(x.shape, dtype=int)
+    for k2 in range(m, 2, -2):
+        a = nu + k2
+        ta = t * a
+        fp = ta * fc - fp
+        fc = (ta - t) * fp - fc
+        a -= 2.0
+        s = s * ((nu + a) / k2) + a * fc * g
+        hit = fc > big
+        if hit.any():
+            fired.append(k2)
+            r = np.where(hit, tiny, 1.0)
+            fp *= r
+            fc *= r
+            s *= r
+        hit = s > big
+        if hit.any():
+            fired.append(k2)
+            r = np.where(hit, tiny, 1.0)
+            s *= r
+            g *= r
+            e += hit
+    f1 = t * (nu + 2.0) * fc - fp
+    f0 = t * (nu + 1.0) * f1 - fc
+    s += f0 * g
+    e *= -specfun._SCALE_EXP
+    return np.ldexp(f0 / s, e), np.ldexp(2.0 * (nu + 1.0) / x * (f1 / s), e)
+
+
+class TestMillerStride:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("nu,lo,hi,fires", [(0.5, 9.0, 50.0, False),
+                                                (31.0, 11.2, 250.0, True),
+                                                (101.0, 20.2, 5000.0, True),
+                                                (1000.0, 64.0, 9000.0, True)])
+    def test_same_values_as_tests_at_every_step(self, nu, lo, hi, fires):
+        # the rescale tests every few steps give the values of tests at
+        # every step to the bit: on the Miller range of the default suites'
+        # orders, where no rescale fires, and on node sets where rescales
+        # fire; the lowest nodes grow the most between two tests
+        x = np.concatenate([np.linspace(hi, lo, 97, endpoint=False)[::-1],
+                            lo + np.geomspace(1e-3, 1.0, 23)])
+        fired = []
+        ref = _miller_every_step(nu, x, fired)
+        assert bool(fired) == fires
+        got = specfun._miller_array(nu, x)
+        assert got[0].tobytes() == ref[0].tobytes()
+        assert got[1].tobytes() == ref[1].tobytes()
+
+
+class TestOrderTable:
+    @pytest.mark.parametrize("nu", [0.5, 1.1, 3.3, 31.0])
+    def test_against_mpmath(self, nu):
+        # 40-digit values, within 1e-13 relative on every order whose value
+        # is above 1e-3 of the row's largest
+        with mp.workdps(40):
+            for N in (12, 40, 120):
+                for x in (0.0, 0.5, 2.0, 5.0, 9.0, 20.0, 50.0, 150.0):
+                    tab = specfun._jratio_orders(nu, x, N)
+                    ref = np.array([float(mp.besselj(nu + n, x) / mp.mpf(x) ** (nu + n)) if x
+                                    else float(1 / (mp.mpf(2) ** (nu + n) * mp.gamma(nu + n + 1)))
+                                    for n in range(N)])
+                    kept = np.abs(ref) > 1e-3 * np.max(np.abs(ref))
+                    assert tab.shape == (N,)
+                    assert np.max(np.abs(tab[kept] / ref[kept] - 1.0)) <= 1e-13
+
+    def test_short_tables(self):
+        # one and two orders are the anchors alone; none is empty
+        assert specfun._jratio_orders(0.5, 3.0, 0).shape == (0,)
+        assert specfun._jratio_orders(0.5, 3.0, 1).tolist() == [bessel_j_ratio(0.5, 3.0)]
+        assert specfun._jratio_orders(0.5, 3.0, 2).tolist() == pytest.approx(
+            [bessel_j_ratio(0.5, 3.0), bessel_j_ratio(1.5, 3.0)], rel=1e-15, abs=0.0)
+
+
 def _trial_converges(nu: float, x: float) -> bool:
     # the trial the regime predicate replaced: the cosine asymptotic beyond
     # 50 where its terms reach 1e-13 before they start growing
