@@ -26,6 +26,25 @@ def _near(got: float, ref, env) -> bool:
     return math.isfinite(got) and abs(mp.mpf(got) - ref) <= 1e-12 * env + 5e-324
 
 
+def _mp_zero(nu: float, k: int, x0: float):
+    """The k-th zero of J_nu at the working precision: besseljzero on the
+    orders where it is quick, else mp.findroot from x0 on besselj, or on
+    J_nu/J_{nu+1} past nu = 500, where besselj's series needs 7,000 bits
+    near a zero; the ratio comes from the backward recurrence
+    r_mu = 2(mu+1)/x - 1/r_{mu+1} started 200 orders above x."""
+    if 0.0 <= nu <= 140.0:
+        return mp.besseljzero(mp.mpf(nu), k)
+    if nu <= 500.0:
+        return mp.findroot(lambda x: mp.besselj(nu, x), mp.mpf(x0))
+
+    def ratio(x):
+        t = mp.mpf(0)
+        for i in range(int(x - nu) + 200, -1, -1):
+            t = 1 / (2 * (nu + i + 1) / x - t)
+        return 1 / t
+    return mp.findroot(ratio, mp.mpf(x0))
+
+
 class TestGamma:
     def test_factorial_base(self):
         assert gamma(1.0) == pytest.approx(1.0, rel=1e-14, abs=0.0)
@@ -392,20 +411,41 @@ class TestZeros:
         with pytest.raises(ValueError):
             bessel_zeros(-1.2, 3)
 
-    @pytest.mark.parametrize("nu", [0.05, 1.5, 3.9, 20.0, 140.0])
+    @pytest.mark.parametrize("nu", [-0.95, 0.05, 1.5, 3.9, 20.0, 140.0, 500.0, 1e4])
     def test_against_mpmath(self, nu):
-        # oracle: mpmath besseljzero at 30 digits; k <= 12 covers the
-        # eigenvalue seeds (k <= 10) and the extrapolated ones after them
+        # oracle: mpmath at 30 digits; k <= 12 covers the eigenvalue seeds
+        # (k <= 10) and the extrapolated ones after them.  besseljzero
+        # refuses negative orders and takes seconds a zero at nu = 500, so
+        # the two ends of the seed matrix take mp.findroot from our zero
         with mp.workdps(30):
             for k_max in (3, 12):
                 t = bessel_zeros(nu, k_max)
                 for k, z in enumerate(t.zeros, start=1):
-                    ref = float(mp.besseljzero(mp.mpf(nu), k))
+                    ref = float(_mp_zero(nu, k, z))
                     assert z == pytest.approx(ref, rel=1e-14, abs=0.0)
+            if nu in (-0.95, 500.0, 1e4):
+                return
             t = bessel_zeros(nu, 400)
             for k in (13, 50, 101, 250, 400):
                 ref = float(mp.besseljzero(mp.mpf(nu), k))
                 assert t.zeros[k - 1] == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("nu", [-0.99, -0.5, 0.05, 1.5, 3.9, 20.0, 140.0, 500.0,
+                                    2000.0, 1e4])
+    def test_one_polish_per_zero(self, nu, monkeypatch):
+        # the seed matrix is sized for the k-th zero, so every zero takes
+        # one Newton evaluation at both ends of the order range, and for
+        # nu <= 500 every seed already agrees with its polished zero to 1e-13
+        calls = []
+        pair = specfun._j_pair
+        monkeypatch.setattr(specfun, "_j_pair", lambda n, x: calls.append(x) or pair(n, x))
+        for k_max in range(1, 11):
+            calls.clear()
+            zeros = bessel_zeros(nu, k_max).zeros
+            assert len(calls) == k_max
+            if nu <= 500.0:
+                seeds = specfun._zero_seeds(nu, k_max)
+                assert np.max(np.abs(seeds / zeros - 1.0)) < 1e-13
 
     def test_negative_half_order(self):
         # J_{-1/2}(x) = sqrt(2/(pi x)) cos x
