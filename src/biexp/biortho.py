@@ -6,10 +6,12 @@ biorthonormal sequences (P_n, Q_n) on the interval.  The kernel then
 expands as K(x, t) = sum_n P_n(t) S_n(x) with S_n the inverse transform of
 the windowed conj(Q_n).
 
-Four concrete instantiations are provided: the classical sampling system
-(complex exponentials), the Gegenbauer plane-wave system, the Dunkl
-sampling system on zeros of J_{alpha+1}, and the Fourier-Neumann system of
-generalized Gegenbauer polynomials against Bessel quotients.
+Three concrete instantiations are provided: the classical sampling system
+(complex exponentials), the Dunkl sampling system on zeros of J_{alpha+1},
+and the Fourier-Neumann system of generalized Gegenbauer polynomials
+against Bessel quotients.  The Gegenbauer plane-wave pair enters through
+its closed-form coefficients: the partial sum classical_planewave and the
+Gram of its S/T pair on the line, st_gram_gegenbauer.
 """
 
 from __future__ import annotations
@@ -21,8 +23,7 @@ from typing import Callable, Literal, Sequence
 import numpy as np
 
 from .orthopoly import GenGegenbauerFamily, _jacobi_rows, classical_gegenbauer
-from .quad import (Measure, _first_cell_rule, _legendre16, _neville, accelerate,
-                   gauss_jacobi, rule_for_measure)
+from .quad import Measure, _legendre16, _neville, gauss_jacobi, rule_for_measure
 from .specfun import (Params, ZeroTable, _jnorm_array, _jratio_array, _jratio_orders,
                       bessel_i_norm_imag, bessel_j_ratio, bessel_zeros,
                       dunkl_kernel, gamma)
@@ -33,12 +34,10 @@ __all__ = [
     "BiorthSystem",
     "PWFunction",
     "fourier_system",
-    "gegenbauer_system",
     "dunkl_system",
     "neumann_system",
     "expand_kernel",
     "fourier_sampling_coeff",
-    "gegenbauer_coeff",
     "dunkl_sampling_coeff",
     "neumann_fn",
     "planewave_partial_sum",
@@ -59,17 +58,12 @@ __all__ = [
 
 @dataclass
 class TruncatedSeries:
-    """Ordered coefficient window with its truncation order and tail bound.
-
-    For Z-indexed systems coeffs run n = n_min .. n_min + len - 1 with
-    n_min = -order; for N-indexed ones n_min = 0.
+    """Ordered coefficient window: coeffs run n = n_min .. n_min + len - 1,
+    with n_min = -N for a Z-indexed window |n| <= N and 0 for N-indexed ones.
     """
 
     coeffs: list
-    order: int
-    tail_estimate: float
     n_min: int = 0
-    partial_sum: Callable | None = None
 
     def coeff(self, n: int):
         return self.coeffs[n - self.n_min]
@@ -205,14 +199,13 @@ class PWFunction:
 
 @dataclass(frozen=True)
 class KernelSystem:
-    """Kernel K(x, t) with its measure and the transform it induces.
+    """Kernel K(x, t) on R x [-1, 1] and its windowed inverse transform,
+    which gives the coefficients S_n of the bilinear expansion.
 
     kernel(x, t) takes real x and t, either one of them a node array.
     """
 
-    name: str
     kernel: Callable
-    measure: Measure
 
     def inverse_on_interval(self, g: Callable, x: float, measure: Measure):
         """int_{-1}^{1} g(t) K(x, t) dmeasure(t): the windowed inverse transform.
@@ -222,65 +215,6 @@ class KernelSystem:
         """
         nodes, w = rule_for_measure(measure, _RULE_ORDER)
         return g(nodes) @ (w * self.kernel(x, nodes))
-
-    def transform_line(self, f: Callable[[float], complex], t: float,
-                       radius: float = 40.0) -> complex:
-        """Kf(t) = int_R f(x) conj(K(x, t)) dmu(x), cellwise (cells of
-        pi/max(1, |t|)) to the radius, with the tail extrapolated from the
-        oscillatory cell sums."""
-        if self.measure.kind == "mu_beta_alpha":
-            raise ValueError("line transform needs a measure supported on the line")
-        cell = math.pi / max(1.0, abs(t))
-        xg, wg = _legendre16()
-        # first cell on each side handles the |x|^{2a+1} factor exactly
-        if self.measure.kind == "lebesgue":
-            exp0, norm0 = 0.0, 1.0
-        else:
-            exp0 = 2.0 * self.measure.a + 1.0
-            norm0 = 1.0 / (2.0 ** (self.measure.a + 1.0) * gamma(self.measure.a + 1.0))
-        u0, w0 = _first_cell_rule(exp0)
-        edges = [cell]
-        while edges[-1] < radius:
-            edges.append(edges[-1] + cell)
-        a, b = np.asarray(edges[:-1]), np.asarray(edges[1:])
-        xs = np.concatenate([cell * u0, (0.5 * (b - a)[:, None] * xg
-                                         + 0.5 * (a + b)[:, None]).ravel()])
-        # one kernel evaluation on every node of every cell, both signs
-        kern = np.conj(self.kernel(np.concatenate([xs, -xs]), t)).reshape(2, -1)
-        fx = np.asarray([f(x) for x in xs])
-        fmx = np.asarray([f(-x) for x in xs])
-        fold = fx * kern[0] + fmx * kern[1]
-        n0 = len(u0)
-        cells = (0.5 * (b - a) * ((fold[n0:] * self.measure.density(xs[n0:]))
-                                  .reshape(-1, len(xg)) @ wg))
-        first = cell ** (exp0 + 1.0) * complex(np.dot(w0, fold[:n0])) * norm0
-        partial = np.cumsum(np.concatenate([[first], cells])).tolist()
-        if len(partial) >= 8:
-            val, _ = accelerate(partial)
-            return complex(val)
-        return complex(partial[-1])
-
-    def multiplication_residual(self, f: Callable, g: Callable,
-                                radius: float = 12.0) -> float:
-        """|int (Kf) g dmu - int (Kg) f dmu| for decaying test functions."""
-        xg, wg = gauss_jacobi(24, 0.0, 0.0)
-        dens = self.measure.density
-        lhs = 0.0 + 0.0j
-        rhs = 0.0 + 0.0j
-        edge = 0.0
-        while edge < radius:
-            a, b = edge, edge + 1.0
-            xs = 0.5 * (b - a) * xg + 0.5 * (a + b)
-            v1 = np.asarray([(self.transform_line(f, x, radius) * g(x)
-                              + self.transform_line(f, -x, radius) * g(-x)) * dens(x)
-                             for x in xs])
-            v2 = np.asarray([(self.transform_line(g, x, radius) * f(x)
-                              + self.transform_line(g, -x, radius) * f(-x)) * dens(x)
-                             for x in xs])
-            lhs += 0.5 * (b - a) * complex(np.dot(wg, v1))
-            rhs += 0.5 * (b - a) * complex(np.dot(wg, v2))
-            edge = b
-        return abs(lhs - rhs)
 
 
 @dataclass(frozen=True)
@@ -294,7 +228,6 @@ class BiorthSystem:
     give the table of every index of ns (one row each) on a node array t.
     """
 
-    name: str
     index: Literal["Z", "N"]
     P: Callable[[Sequence[int], np.ndarray], np.ndarray]
     q_measure: Measure
@@ -317,21 +250,15 @@ def _window(index: str, N: int) -> list:
 def expand_kernel(sys: KernelSystem, bio: BiorthSystem, x: float, N: int) -> TruncatedSeries:
     """Coefficients S_n(x) of the bilinear expansion, by quadrature.
 
-    Returns the coefficient window (|n| <= N for Z-indexed systems, n < N
-    otherwise) together with the partial-sum callable t -> sum P_n(t) S_n(x).
+    Returns the coefficient window: |n| <= N for Z-indexed systems, n < N
+    otherwise.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     ns = _window(bio.index, N)
     coeffs = sys.inverse_on_interval(lambda t: bio.q_smooth(ns, t), x,
                                      bio.q_measure).tolist()
-    tail = max(abs(coeffs[0]), abs(coeffs[-1]))
-
-    def partial(t: float) -> complex:
-        return complex(np.dot(coeffs, bio.P(ns, np.array([t]))[:, 0]))
-
-    return TruncatedSeries(coeffs=coeffs, order=N, tail_estimate=tail,
-                           n_min=ns[0], partial_sum=partial)
+    return TruncatedSeries(coeffs=coeffs, n_min=ns[0])
 
 
 # ---------------------------------------------------------------------------
@@ -344,17 +271,12 @@ _SQ2PI = math.sqrt(2.0 * math.pi)
 def fourier_system():
     """Kernel e^{ixt}/sqrt(2 pi) with Lebesgue measure; P_n = Q_n the
     normalized exponentials, index set Z."""
-    ks = KernelSystem(
-        name="fourier",
-        kernel=lambda x, t: np.exp(1j * x * t) / _SQ2PI,
-        measure=Measure("lebesgue"),
-    )
+    ks = KernelSystem(kernel=lambda x, t: np.exp(1j * x * t) / _SQ2PI)
 
     def p(ns, t: np.ndarray) -> np.ndarray:
         return np.exp((1j * math.pi * np.asarray(ns))[:, None] * t) / math.sqrt(2.0)
 
     bio = BiorthSystem(
-        name="fourier",
         index="Z",
         P=p,
         q_measure=Measure("lebesgue"),
@@ -376,51 +298,9 @@ def fourier_sampling_coeff(n: int, x: float) -> float:
 # Instantiation: Gegenbauer plane wave
 # ---------------------------------------------------------------------------
 
-def _gegenbauer_h(beta: float, n: int) -> float:
-    """L2 norm of C_n^beta against (1-t^2)^{beta-1/2} dt."""
-    return (math.sqrt(math.pi) * gamma(beta + 0.5) * gamma(2.0 * beta + n)
-            / (gamma(beta) * gamma(2.0 * beta) * (n + beta) * gamma(n + 1.0)))
-
-
-def gegenbauer_system(beta: float):
-    """Plane-wave system: P_n the Gegenbauer polynomials of order beta > 0,
-    Q_n the same polynomials times the weight, over Lebesgue measure."""
-    if not beta > 0.0:
-        raise ValueError(f"gegenbauer system needs beta > 0, got {beta}")
-    ks = KernelSystem(
-        name="gegenbauer",
-        kernel=lambda x, t: np.exp(1j * x * t) / _SQ2PI,
-        measure=Measure("lebesgue"),
-    )
-
-    def p(ns, t: np.ndarray) -> np.ndarray:
-        return classical_gegenbauer(max(ns), beta, t)[list(ns)]
-
-    def q(ns, t: np.ndarray) -> np.ndarray:
-        return _SQ2PI * p(ns, t) / np.asarray([_gegenbauer_h(beta, n) for n in ns])[:, None]
-
-    bio = BiorthSystem(
-        name="gegenbauer",
-        index="N",
-        P=p,
-        q_measure=Measure.mu_beta_alpha(-0.5, beta - 0.5),
-        q_smooth=q,
-    )
-    return ks, bio
-
-
 def _gegenbauer_coeff_pref(beta: float, n: int) -> complex:
     """S_n(x) / (J_{beta+n}(x)/x^beta) for the Gegenbauer system."""
     return 2.0 ** (beta - 0.5) / math.sqrt(math.pi) * (1j ** n) * gamma(beta) * (beta + n)
-
-
-def gegenbauer_coeff(beta: float, n: int, x: float) -> complex:
-    """Closed form S_n(x) for the Gegenbauer system,
-
-        2^{beta-1/2} pi^{-1/2} i^n Gamma(beta) (beta+n) J_{beta+n}(x)/x^beta.
-    """
-    # J_{beta+n}(x) / x^beta
-    return _gegenbauer_coeff_pref(beta, n) * (bessel_j_ratio(beta + n, abs(x)) * x ** n)
 
 
 def classical_planewave(beta: float, x: float, t: float, N: int) -> complex:
@@ -470,13 +350,8 @@ def dunkl_system(alpha: float, n_max: int = 24):
     over the zeros s_n of J_{alpha+1}, index set Z."""
     table = bessel_zeros(alpha + 1.0, n_max)
     dss = DunklSamplingSystem(alpha=alpha, table=table)
-    ks = KernelSystem(
-        name="dunkl",
-        kernel=lambda x, t: _dunkl_e(alpha, x * t),
-        measure=Measure.mu_alpha(alpha),
-    )
+    ks = KernelSystem(kernel=lambda x, t: _dunkl_e(alpha, x * t))
     bio = BiorthSystem(
-        name="dunkl-sampling",
         index="Z",
         P=dss.e,
         q_measure=Measure.mu_alpha(alpha),
@@ -569,17 +444,12 @@ def neumann_system(params: Params):
     dmu_alpha; paired with the Dunkl kernel."""
     fam = GenGegenbauerFamily(params)
     a, b = params.alpha, params.beta
-    ks = KernelSystem(
-        name="neumann",
-        kernel=lambda x, t: _dunkl_e(a, x * t),
-        measure=Measure.mu_alpha(a),
-    )
+    ks = KernelSystem(kernel=lambda x, t: _dunkl_e(a, x * t))
 
     def p(ns, t: np.ndarray) -> np.ndarray:
         return fam.table(max(ns), t)[list(ns)]
 
     bio = BiorthSystem(
-        name="fourier-neumann",
         index="N",
         P=p,
         q_measure=Measure.mu_beta_alpha(a, b),
@@ -626,9 +496,8 @@ def fourier_neumann_coeffs(params: Params, f: PWFunction, N: int) -> TruncatedSe
     nodes, wu = f._rule(_RULE_ORDER)
     pair = GenGegenbauerFamily(params).table(N - 1, nodes) @ wu
     pref = 2.0 ** (ab + 1.0) * gamma(ab + 1.0)
-    coeffs = (pref * np.resize([1, 1j, -1, -1j], N) * pair).tolist()   # i^n exactly
-    tail = abs(coeffs[-1]) if coeffs else 0.0
-    return TruncatedSeries(coeffs=coeffs, order=N, tail_estimate=tail)
+    coeffs = pref * np.resize([1, 1j, -1, -1j], N) * pair   # i^n exactly
+    return TruncatedSeries(coeffs=coeffs.tolist())
 
 
 def neumann_partial_sum(params: Params, series: TruncatedSeries, x: float) -> complex:
@@ -710,7 +579,7 @@ def st_gram_gegenbauer(beta: float, nmax: int) -> np.ndarray:
         tm[:, g, 1::2] = 1j * z.imag[:, 1::2]
     tm = tm.reshape(len(ys), nmax + 1)
     for n in range(nmax + 1):
-        # gegenbauer_coeff(beta, n, y) on the whole y-grid; S_n(-y) = (-1)^n S_n(y)
+        # the closed form S_n(y) on the whole y-grid; S_n(-y) = (-1)^n S_n(y)
         sn = _gegenbauer_coeff_pref(beta, n) * (_jratio_array(beta + n, ys) * ys ** n)
         integ = sn[:, None] * (np.conj(tm) + (-1.0) ** n * tm)
         # cell sums and their running totals, one column per m

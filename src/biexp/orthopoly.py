@@ -19,7 +19,6 @@ from .specfun import Params, gamma, lgamma
 
 __all__ = [
     "GenGegenbauerFamily",
-    "ConnectionCoeffs",
     "jacobi_eval",
     "jacobi_u_coeffs",
     "classical_gegenbauer",
@@ -73,14 +72,6 @@ def jacobi_u_coeffs(n: int, a: float, b: float) -> list:
         term *= (-(n - k)) * (n + a + b + 1.0 + k) / ((a + 1.0 + k) * (k + 1.0))
         coeffs.append(term)
     return coeffs
-
-
-@dataclass(frozen=True)
-class ConnectionCoeffs:
-    """Coefficients A_n, B_n of the weight-raising three-term relation."""
-
-    A: float
-    B: float
 
 
 @dataclass(frozen=True)
@@ -181,28 +172,6 @@ class GenGegenbauerFamily:
     def raised(self) -> "GenGegenbauerFamily":
         """The companion family with beta raised by one (weight times 1-t^2)."""
         return GenGegenbauerFamily(Params(self.params.alpha, self.params.beta + 1.0))
-
-    def connection(self, n: int) -> ConnectionCoeffs:
-        """A_n, B_n with
-
-            (a+b+1)(1-r^2) C~_{n-1}(r) = A_n C_{n-1}(r) - B_n C_{n+1}(r),
-
-        where C~ is the raised family; closed forms split by parity of n.
-        """
-        if n < 1:
-            raise ValueError("connection needs n >= 1")
-        a, b = self.params.alpha, self.params.beta
-        if n % 2 == 1:
-            k = (n - 1) // 2
-            return ConnectionCoeffs(
-                A=(b + k + 1.0) * (a + b + k + 1.0) / (a + b + 2.0 * k + 2.0),
-                B=(k + 1.0) * (a + k + 1.0) / (a + b + 2.0 * k + 2.0),
-            )
-        k = n // 2
-        return ConnectionCoeffs(
-            A=(b + k) * (a + b + k + 1.0) / (a + b + 2.0 * k + 1.0),
-            B=k * (a + k + 1.0) / (a + b + 2.0 * k + 1.0),
-        )
 
 
 def classical_gegenbauer(N: int, lam: float, t) -> np.ndarray:

@@ -203,15 +203,6 @@ class Measure:
     def mu_beta_alpha(cls, alpha: float, beta: float) -> "Measure":
         return cls("mu_beta_alpha", alpha, beta)
 
-    def density(self, t):
-        """The density at t, a float or an array of nodes."""
-        if self.kind == "lebesgue":
-            return 1.0
-        d = abs(t) ** (2.0 * self.a + 1.0) / (2.0 ** (self.a + 1.0) * gamma(self.a + 1.0))
-        if self.kind == "mu_beta_alpha":
-            d *= (1.0 - t * t) ** self.b
-        return d
-
 
 _rule_cache: dict = {}
 
@@ -404,10 +395,19 @@ def _first_cell_rule(c: float):
     return _rule_cache[key]
 
 
+# the cell cap of integrate_bessel_product, and the absolute error it
+# accepts for values near zero
+_MAX_CELLS = 400
+_ATOL = 1e-9
+
+
+def _out_of_range(lam: float, mu: float, nu: float, t: float) -> OverflowError:
+    return OverflowError(f"Bessel-product integral at (lam, mu, nu, t) = ({lam}, {mu}, {nu}, {t}) "
+                         "leaves the float64 range")
+
+
 def integrate_bessel_product(lam: float, mu: float, nu: float, t: float,
-                             max_cells: int = 400, rtol: float = 1e-7,
-                             atol: float = 1e-9,
-                             allow_partial: bool = False) -> BesselProductResult:
+                             rtol: float = 1e-7) -> BesselProductResult:
     """Oscillatory integral  int_0^inf x^(-lam) J_mu(x) J_nu(x t) dx.
 
     Requires the convergence window -1 < lam < mu + nu + 1 and t > 0; the
@@ -416,9 +416,13 @@ def integrate_bessel_product(lam: float, mu: float, nu: float, t: float,
     the zeros of the faster-oscillating factor, each cell is integrated by
     a fixed 16-point Gauss rule, and the partial-sum sequence is
     extrapolated to infinity, every fourth cell from min_cells on.  The
-    cells up to the next extrapolation, or up to max_cells, are evaluated
+    cells up to the next extrapolation, or up to _MAX_CELLS, are evaluated
     in one array call and added one by one, so the result is that of one
     call per cell, and no cell past the last one added is evaluated.
+
+    Raises OverflowError where the first cell's factor x^(mu+nu-lam) or a
+    cell sum leaves the float64 range, and RuntimeError where the
+    extrapolation has not settled by _MAX_CELLS cells.
     """
     if not (-1.0 < lam < mu + nu + 1.0):
         raise ValueError(f"lam={lam} outside convergence window (-1, {mu + nu + 1})")
@@ -438,15 +442,17 @@ def integrate_bessel_product(lam: float, mu: float, nu: float, t: float,
 
     xg, wg = _legendre16()
     partial = []
-    total = 0.0
 
     # first cell [0, e1]: pull out the algebraic factor x^(mu+nu-lam)
     e1 = edges(1)
     c = mu + nu - lam
     u0, w0 = _first_cell_rule(c)
     xs = e1 * u0
-    vals = t ** nu * _jratio_array(mu, xs) * _jratio_array(nu, xs * t)
-    total += e1 ** (c + 1.0) * float(np.dot(w0, vals))
+    try:
+        vals = t ** nu * _jratio_array(mu, xs) * _jratio_array(nu, xs * t)
+        total = e1 ** (c + 1.0) * float(np.dot(w0, vals))
+    except OverflowError:
+        raise _out_of_range(lam, mu, nu, t) from None
     partial.append(total)
 
     # the (1 -+ t) beat must be sampled over a few full periods before the
@@ -455,39 +461,33 @@ def integrate_bessel_product(lam: float, mu: float, nu: float, t: float,
     if beat == 0.0:
         min_cells = 12
     else:
-        min_cells = min(max_cells // 2, max(12, int(math.ceil(6.0 / max(beat, 0.05)))))
+        min_cells = min(_MAX_CELLS // 2, max(12, int(math.ceil(6.0 / max(beat, 0.05)))))
 
-    best, best_err = total, float("inf")
     prev_val = None
     k = 1
-    while k < max_cells:
+    while k < _MAX_CELLS:
         # the cells up to the next acceleration test, or the cap, in one call
-        stop = min(max_cells, -(-max(min_cells, k + 1) // 4) * 4)
+        stop = min(_MAX_CELLS, -(-max(min_cells, k + 1) // 4) * 4)
         e = np.array([edges(i) for i in range(k, stop + 1)])
         h, mid = 0.5 * (e[1:] - e[:-1]), 0.5 * (e[:-1] + e[1:])
-        rows = integrand_arr(h[:, None] * xg + mid[:, None])
-        for hi, row in zip(h.tolist(), rows):
-            total += hi * float(np.dot(wg, row))
-            partial.append(total)
+        # a non-finite cell sum raises below, so numpy need not warn of it
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = integrand_arr(h[:, None] * xg + mid[:, None])
+            for hi, row in zip(h.tolist(), rows):
+                total += hi * float(np.dot(wg, row))
+                partial.append(total)
+        if not math.isfinite(total):
+            raise _out_of_range(lam, mu, nu, t)
         k = stop
         if k >= min_cells and k % 4 == 0:
             val, err = accelerate(partial)
-            if err < best_err:
-                best, best_err = val, err
             stable = prev_val is not None and \
-                abs(val - prev_val) <= max(rtol * abs(val), atol)
+                abs(val - prev_val) <= max(rtol * abs(val), _ATOL)
             prev_val = val
-            if stable and (err <= rtol * max(abs(val), 1.0e-30) or err <= atol):
+            if stable and (err <= rtol * max(abs(val), 1.0e-30) or err <= _ATOL):
                 return BesselProductResult(float(val.real if isinstance(val, complex) else val),
                                            True, k, float(err),
                                            (partial[-2], partial[-1]))
-    val, err = accelerate(partial)
-    if err < best_err:
-        best, best_err = val, err
-    res = BesselProductResult(float(best.real if isinstance(best, complex) else best),
-                              False, k, float(best_err), (partial[-2], partial[-1]))
-    if not allow_partial:
-        raise RuntimeError(
-            f"bessel-product acceleration did not converge after {k} cells; "
-            f"last partial sums {partial[-2]:.12e}, {partial[-1]:.12e}")
-    return res
+    raise RuntimeError(
+        f"bessel-product acceleration did not converge after {k} cells; "
+        f"last partial sums {partial[-2]:.12e}, {partial[-1]:.12e}")

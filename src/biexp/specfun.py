@@ -491,7 +491,7 @@ def _zero_seeds(nu: float, k: int) -> np.ndarray:
     """
     b = (k + 0.5 * nu - 0.25) * math.pi
     j = b - (4.0 * nu * nu - 1.0) / (8.0 * b)
-    if nu > 0.0:
+    if 0.5 * nu > 0.0:    # not nu > 0: the half of 5e-324 is 0
         t = 0.375 * math.pi * (4 * k - 1)
         a = t ** (2.0 / 3.0) * (1.0 + 5.0 / (48.0 * t * t))
         c = (0.5 * nu) ** (1.0 / 3.0)

@@ -53,9 +53,9 @@ def _worst(errs) -> float:
     return math.nan if any(math.isnan(e) for e in errs) else max(errs)
 
 
-def _flag(checks: list, cid: str, ok: bool, detail: float = 0.0) -> None:
+def _flag(checks: list, cid: str, ok: bool) -> None:
     # boolean-style check encoded in the numeric schema: lhs = 1 iff ok
-    checks.append(make_check(cid, 1.0 if ok else detail, 1.0, 0.0))
+    checks.append(make_check(cid, 1.0 if ok else 0.0, 1.0, 0.0))
 
 
 # ---------------------------------------------------------------------------

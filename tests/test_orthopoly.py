@@ -158,25 +158,6 @@ class TestGenGegenbauer:
             horner = horner * 0.3 + c
         assert horner == pytest.approx(fam.eval(3, 0.3), rel=1e-12, abs=0.0)
 
-    def test_connection_closed_forms(self):
-        # A_n, B_n per parity, against direct evaluation of both sides
-        for (al, be, n, r) in ((0.5, 0.25, 3, 0.6), (0.2, 0.1, 4, -0.33),
-                               (0.4, 0.1, 2, 0.8), (0.4, 0.1, 5, 0.15)):
-            f = GenGegenbauerFamily(Params(al, be))
-            up = f.raised()
-            cc = f.connection(n)
-            lhs = (al + be + 1.0) * (1.0 - r * r) * up.eval(n - 1, r)
-            rhs = cc.A * f.eval(n - 1, r) - cc.B * f.eval(n + 1, r)
-            assert lhs == pytest.approx(rhs, abs=1e-12)
-            assert cc.A > 0.0 and cc.B >= 0.0
-
-    def test_even_connection_values(self):
-        # closed forms at even index: A_{2k}, B_{2k}
-        al, be, k = 0.5, 0.25, 2
-        cc = GenGegenbauerFamily(Params(al, be)).connection(2 * k)
-        assert cc.A == pytest.approx((be + k) * (al + be + k + 1.0) / (al + be + 2 * k + 1.0))
-        assert cc.B == pytest.approx(k * (al + k + 1.0) / (al + be + 2 * k + 1.0))
-
     def test_inverse_connection(self):
         # the spectral module's change of basis on a unit vector e_n:
         # sum_m raised_from_base(e_n)[m] C~_m(t) = C_n(t), where C~ is the

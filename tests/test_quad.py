@@ -1,9 +1,10 @@
 import math
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import special as sp
 
 from biexp import quad
@@ -42,6 +43,7 @@ class TestRules:
             assert np.dot(w, u ** k) == pytest.approx(exact, rel=1e-13, abs=0.0)
 
     @given(st.floats(-0.9, 3.0), st.floats(-0.9, 3.0))
+    @example(0.0, 5e-324)    # half the exponent underflows in the zero seeds
     @settings(max_examples=25, deadline=None)
     def test_rule_positivity(self, a, b):
         x, w = gauss_jacobi(16, a, b)
@@ -222,12 +224,6 @@ class TestMeasures:
         with pytest.raises(ValueError):
             integrate_interval(lambda t: 1.0 / (t - t), Measure.mu_alpha(0.4), 10)
 
-    def test_density(self):
-        m = Measure.mu_beta_alpha(0.5, 0.25)
-        t = 0.3
-        expect = abs(t) ** 2.0 / (2.0 ** 1.5 * gamma(1.5)) * (1 - t * t) ** 0.25
-        assert m.density(t) == pytest.approx(expect, rel=1e-14, abs=0.0)
-
     def test_bad_exponents(self):
         with pytest.raises(ValueError):
             Measure.mu_beta_alpha(-1.5, 0.0)
@@ -266,18 +262,28 @@ class TestOscillatory:
         r2 = integrate_bessel_product(0.2, 3.5, 0.3, 0.4, rtol=1e-9)
         assert abs(r1.value - r2.value) <= 1e-6 * max(abs(r1.value), 1e-30)
 
-    def test_partial_report_on_failure(self):
-        # an impossibly tight tolerance with a tiny cell budget must raise
-        # with the last partial sums attached, or return flagged partials
-        res = integrate_bessel_product(0.2, 3.5, 0.3, 0.4, max_cells=14,
-                                       rtol=1e-30, allow_partial=True)
-        assert not res.converged
-        assert len(res.last_partials) == 2
+    def test_partial_report_on_failure(self, monkeypatch):
+        # an impossibly tight tolerance with a tiny cell budget raises, with
+        # the cell count and the last partial sums in the message
+        monkeypatch.setattr(quad, "_MAX_CELLS", 14)
+        with pytest.raises(RuntimeError, match="after 14 cells; last partial sums"):
+            integrate_bessel_product(0.2, 3.5, 0.3, 0.4, rtol=1e-30)
+
+    @pytest.mark.parametrize("args", [(0.2, 73.2, 70.0, 0.5), (0.2, 103.2, 100.0, 0.5)])
+    def test_float_range_named(self, args):
+        # x^(mu+nu-lam) leaves the float range in the cells (alpha = 70)
+        # or in the first cell's factor (alpha = 100): one OverflowError
+        # that names the integral, and no numpy warning before it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match=r"\(lam, mu, nu, t\) = \(0.2, "):
+                integrate_bessel_product(*args)
 
 
-def _per_cell_bessel_product(lam, mu, nu, t, max_cells=400, rtol=1e-7, atol=1e-9):
+def _per_cell_bessel_product(lam, mu, nu, t, rtol=1e-7):
     """integrate_bessel_product with one integrand call per cell, as a tuple
     (value, converged, cells, error_estimate, last_partials)."""
+    max_cells, atol = 400, 1e-9
     def integrand(x):
         return x ** (mu + nu - lam) * t ** nu * _jratio_array(mu, x) * _jratio_array(nu, x * t)
 
@@ -291,7 +297,7 @@ def _per_cell_bessel_product(lam, mu, nu, t, max_cells=400, rtol=1e-7, atol=1e-9
     beat = abs(1.0 - t)
     min_cells = 12 if beat == 0.0 else \
         min(max_cells // 2, max(12, int(math.ceil(6.0 / max(beat, 0.05)))))
-    best, best_err, prev_val, k = total, float("inf"), None, 1
+    prev_val, k = None, 1
     while k < max_cells:
         a, b = edges(k), edges(k + 1)
         xs = 0.5 * (b - a) * xg + 0.5 * (a + b)
@@ -300,16 +306,11 @@ def _per_cell_bessel_product(lam, mu, nu, t, max_cells=400, rtol=1e-7, atol=1e-9
         k += 1
         if k >= min_cells and k % 4 == 0:
             val, err = accelerate(partial)
-            if err < best_err:
-                best, best_err = val, err
             stable = prev_val is not None and abs(val - prev_val) <= max(rtol * abs(val), atol)
             prev_val = val
             if stable and (err <= rtol * max(abs(val), 1.0e-30) or err <= atol):
                 return complex(val).real, True, k, float(err), (partial[-2], partial[-1])
-    val, err = accelerate(partial)
-    if err < best_err:
-        best, best_err = val, err
-    return complex(best).real, False, k, float(best_err), (partial[-2], partial[-1])
+    raise RuntimeError(f"no convergence after {k} cells")
 
 
 # the (lam, mu, nu, t) of every integral in the real-line suites
@@ -337,7 +338,6 @@ class TestBlockedCells:
         monkeypatch.setattr(quad, "_jratio_array", counting)
         r = integrate_bessel_product(*args, **kw)
         monkeypatch.undo()
-        kw.pop("allow_partial", None)
         assert (r.value, r.converged, r.cells, r.error_estimate, r.last_partials) \
             == _per_cell_bessel_product(*args, **kw)
         # no cell past the last one the loop adds: 24 first-cell nodes and
@@ -352,9 +352,20 @@ class TestBlockedCells:
 
     @pytest.mark.parametrize("max_cells", [14, 30, 37])
     def test_partial_at_a_cap_off_the_test_cadence(self, monkeypatch, max_cells):
-        r = self._check(monkeypatch, (0.2, 3.5, 0.3, 0.4), max_cells=max_cells, rtol=1e-30,
-                        atol=0.0, allow_partial=True)
-        assert not r.converged and r.cells == max_cells
+        # a run that reaches the cap raises after exactly the capped cells,
+        # none evaluated past the last one it adds
+        nodes = []
+
+        def counting(nu, x):
+            nodes.append(np.size(x))
+            return _jratio_array(nu, x)
+
+        monkeypatch.setattr(quad, "_jratio_array", counting)
+        monkeypatch.setattr(quad, "_MAX_CELLS", max_cells)
+        monkeypatch.setattr(quad, "_ATOL", 0.0)
+        with pytest.raises(RuntimeError, match=f"after {max_cells} cells"):
+            integrate_bessel_product(0.2, 3.5, 0.3, 0.4, rtol=1e-30)
+        assert sum(nodes) == 2 * (24 + 16 * (max_cells - 1))
 
 
 class TestAccelerate:

@@ -266,6 +266,13 @@ class TestCLI:
         (["verify", "all", "--alpha", "30"], "q-Hankel summand of order 30.0"),
         (["verify", "q-core", "--alpha", "100"], "q-Jacobi Gram at q=0.3, alpha=100.0"),
         (["verify", "q-weber", "--alpha", "1000"], "q-Bessel grid sweep at order 1001.2, Q=0.25"),
+        # a Bessel-product integrand's factor x^(mu+nu-lam) leaves the float
+        # range in the cells (70) or in the first cell (100): a NaN partial
+        # sum and a raw errno message were printed
+        (["verify", "fourier-neumann", "--alpha", "70"],
+         "(lam, mu, nu, t) = (0.2, 73.2, 70.0, 0.5) leaves the float64 range"),
+        (["verify", "fourier-neumann", "--alpha", "100"],
+         "(lam, mu, nu, t) = (0.2, 103.2, 100.0, 0.5) leaves the float64 range"),
     ])
     def test_domain_error_exit_2(self, argv, reason):
         proc = subprocess.run([sys.executable, "-m", "biexp.cli", *argv],

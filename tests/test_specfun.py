@@ -447,6 +447,14 @@ class TestZeros:
                 seeds = specfun._zero_seeds(nu, k_max)
                 assert np.max(np.abs(seeds / zeros - 1.0)) < 1e-13
 
+    def test_smallest_positive_order(self):
+        # at nu = 5e-324 the seeds' nu/2 underflows to 0: the zeros are
+        # those of J_0, with no Airy estimate dividing by that half
+        for k_max in range(1, 13):
+            tiny = np.asarray(bessel_zeros(5e-324, k_max).zeros)
+            zero = np.asarray(bessel_zeros(0.0, k_max).zeros)
+            assert np.max(np.abs(tiny / zero - 1.0)) <= 1e-15
+
     def test_negative_half_order(self):
         # J_{-1/2}(x) = sqrt(2/(pi x)) cos x
         t = bessel_zeros(-0.5, 400)
