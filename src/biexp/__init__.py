@@ -8,13 +8,12 @@ identities at desk scale.
 
 from .specfun import (Params, ZeroTable, bessel_j, bessel_j_ratio,
                       bessel_zeros, dunkl_kernel, gamma, lommel_h)
-from .quad import (Measure, accelerate, gauss_jacobi,
-                   integrate_bessel_product, integrate_interval)
+from .quad import (accelerate, gauss_jacobi, integrate_bessel_product,
+                   integrate_interval)
 from .orthopoly import (GenGegenbauerFamily, classical_gegenbauer,
                         dunkl_apply_poly, jacobi_eval)
-from .biortho import (BiorthSystem, KernelSystem, PWFunction, TruncatedSeries,
-                      classical_planewave, dunkl_sampling_sum, dunkl_system,
-                      expand_kernel, fourier_neumann_coeffs, fourier_system,
+from .biortho import (BiorthSystem, PWFunction, classical_planewave, dunkl_sampling_sum,
+                      dunkl_system, expand_kernel, fourier_neumann_coeffs, fourier_system,
                       hankel_corollary_sum, kernel_norm_sq, neumann_fn,
                       neumann_partial_sum, neumann_system, planewave_partial_sum)
 from .spectrum import (SpectralProblem, apply_T, eigen_residual,

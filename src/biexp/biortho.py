@@ -1,10 +1,11 @@
 """Bilinear kernel expansions into biorthogonal systems.
 
-The abstract engine: a kernel K(x, t) on R x [-1, 1] with a weighted
-measure, a transform Kf(t) = int f(x) conj(K(x, t)) dmu(x), and a pair of
-biorthonormal sequences (P_n, Q_n) on the interval.  The kernel then
-expands as K(x, t) = sum_n P_n(t) S_n(x) with S_n the inverse transform of
-the windowed conj(Q_n).
+The engine is one type, BiorthSystem: a kernel K(x, t) on R x [-1, 1], a
+pair of biorthonormal sequences (P_n, Q_n) on the interval, and the
+measure of their pairing, given as the exponents (a, b) of
+|t|^{2a+1} (1-t^2)^b dt / (2^{a+1} Gamma(a+1)).  The kernel expands as
+K(x, t) = sum_n P_n(t) S_n(x) with S_n(x) = int K(x, t) conj(Q_n(t)) dmu(t),
+which expand_kernel sums on the node array of one rule.
 
 Three concrete instantiations are provided: the classical sampling system
 (complex exponentials), the Dunkl sampling system on zeros of J_{alpha+1},
@@ -23,14 +24,11 @@ from typing import Callable, Literal, Sequence
 import numpy as np
 
 from .orthopoly import GenGegenbauerFamily, _jacobi_rows, classical_gegenbauer
-from .quad import Measure, _legendre16, _neville, gauss_jacobi, rule_for_measure
+from .quad import _legendre16, _neville, gauss_jacobi, rule_for_measure
 from .specfun import (Params, ZeroTable, _jnorm_array, _jratio_array, _jratio_orders,
-                      bessel_i_norm_imag, bessel_j_ratio, bessel_zeros,
-                      dunkl_kernel, gamma)
+                      bessel_i_norm_imag, bessel_j_ratio, bessel_zeros, gamma)
 
 __all__ = [
-    "TruncatedSeries",
-    "KernelSystem",
     "BiorthSystem",
     "PWFunction",
     "fourier_system",
@@ -53,23 +51,6 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Series container
-# ---------------------------------------------------------------------------
-
-@dataclass
-class TruncatedSeries:
-    """Ordered coefficient window: coeffs run n = n_min .. n_min + len - 1,
-    with n_min = -N for a Z-indexed window |n| <= N and 0 for N-indexed ones.
-    """
-
-    coeffs: list
-    n_min: int = 0
-
-    def coeff(self, n: int):
-        return self.coeffs[n - self.n_min]
-
-
-# ---------------------------------------------------------------------------
 # Vectorized Dunkl kernel on a node grid
 # ---------------------------------------------------------------------------
 
@@ -84,11 +65,9 @@ def dunkl_kernel_grid(alpha: float, xs: np.ndarray) -> np.ndarray:
     return j0 + 1j * xs * (j1 / (2.0 * (alpha + 1.0)))
 
 
-def _dunkl_e(alpha: float, x):
-    """E_alpha(i x) at one real x (the scalar kernel) or on an array of any
-    shape (one kernel grid over its flattened nodes)."""
-    if np.ndim(x) == 0:
-        return dunkl_kernel(alpha, x)
+def _dunkl_e(alpha: float, x: np.ndarray) -> np.ndarray:
+    """E_alpha(i x) on an array of any shape (one kernel grid over its
+    flattened nodes)."""
     x = np.asarray(x, dtype=float)
     return dunkl_kernel_grid(alpha, x.ravel()).reshape(x.shape)
 
@@ -115,32 +94,28 @@ def _order_for(ax: float) -> int:
 class PWFunction:
     """Band-limited function f(x) = int_{-1}^{1} u(t) E_alpha(ixt) dmu_alpha(t).
 
-    The generating density u is the primary representation; every ground
-    truth evaluation goes through quadrature of the defining integral, with
-    the rule order scaled to resolve the oscillation at large |x|.
+    The generating density u, a function of a node array, is the primary
+    representation; every ground truth evaluation goes through quadrature
+    of the defining integral, with the rule order scaled to resolve the
+    oscillation at large |x|.
 
     A density of the form u(t) = (1-t^2)^w * smooth(t) should be passed as
     (smooth, weight_pow=w): folding the endpoint factor into the rule's
     weight keeps the quadrature spectrally accurate.
     """
 
-    u: Callable[[float], complex]
+    u: Callable[[np.ndarray], np.ndarray]
     alpha: float
     weight_pow: float = 0.0
     _cache: dict = field(default_factory=dict, repr=False)
     _rules: dict = field(default_factory=dict, repr=False)
 
-    def _measure(self) -> Measure:
-        if self.weight_pow == 0.0:
-            return Measure.mu_alpha(self.alpha)
-        return Measure.mu_beta_alpha(self.alpha, self.weight_pow)
-
     def _rule(self, order: int):
         """Nodes of the rule of this order and the weighted density w u on
-        them; u is called once per node and order."""
+        them; u is called once per order, on the node array."""
         if order not in self._rules:
-            nodes, w = rule_for_measure(self._measure(), order)
-            self._rules[order] = (nodes, w * np.asarray([self.u(t) for t in nodes]))
+            nodes, w = rule_for_measure(self.alpha, self.weight_pow, order)
+            self._rules[order] = (nodes, w * np.asarray(self.u(nodes)))
         return self._rules[order]
 
     def _fill(self, xs: list) -> None:
@@ -194,71 +169,49 @@ class PWFunction:
 
 
 # ---------------------------------------------------------------------------
-# Kernel systems and biorthogonal pairs
+# Kernels and their biorthogonal pairs
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class KernelSystem:
-    """Kernel K(x, t) on R x [-1, 1] and its windowed inverse transform,
-    which gives the coefficients S_n of the bilinear expansion.
-
-    kernel(x, t) takes real x and t, either one of them a node array.
-    """
-
-    kernel: Callable
-
-    def inverse_on_interval(self, g: Callable, x: float, measure: Measure):
-        """int_{-1}^{1} g(t) K(x, t) dmeasure(t): the windowed inverse transform.
-
-        g maps the node array to a table with one row per function: one
-        integral per row.
-        """
-        nodes, w = rule_for_measure(measure, _RULE_ORDER)
-        return g(nodes) @ (w * self.kernel(x, nodes))
-
-
-@dataclass(frozen=True)
 class BiorthSystem:
-    """Biorthonormal pair (P_n, Q_n) on [-1, 1] for a base measure.
+    """Kernel K(x, t) on R x [-1, 1] and a biorthonormal pair (P_n, Q_n) on
+    [-1, 1] for a base measure.
 
-    q_measure and q_smooth express conj(Q_n) times the base measure as a
-    smooth factor against a Gauss-exact weighted measure, so that Gram
-    matrices and S_n quadratures keep spectral accuracy even when Q carries
-    an endpoint weight like (1-t^2)^beta.  P(ns, t) and q_smooth(ns, t)
-    give the table of every index of ns (one row each) on a node array t.
+    kernel(x, t) takes a real x and a node array t.  q_measure, the
+    exponents (a, b) of rule_for_measure, and q_smooth express conj(Q_n)
+    times the base measure as a smooth factor against a Gauss-exact
+    weighted measure, so that Gram matrices and S_n quadratures keep
+    spectral accuracy even when Q carries an endpoint weight like
+    (1-t^2)^beta.  P(ns, t) and q_smooth(ns, t) give the table of every
+    index of ns (one row each) on a node array t.
     """
 
     index: Literal["Z", "N"]
+    kernel: Callable[[float, np.ndarray], np.ndarray]
     P: Callable[[Sequence[int], np.ndarray], np.ndarray]
-    q_measure: Measure
+    q_measure: tuple[float, float]
     q_smooth: Callable[[Sequence[int], np.ndarray], np.ndarray]
 
     def gram(self, ns, ms) -> np.ndarray:
         """Matrix of int_I P_n conj(Q_m) dmu_base over n in ns, m in ms, by
         the weight-absorbed rule: (P w) Q^T from one table per family."""
-        nodes, w = rule_for_measure(self.q_measure, _RULE_ORDER)
+        nodes, w = rule_for_measure(*self.q_measure, _RULE_ORDER)
         # a complex product for every system, real tables included
         return (self.P(ns, nodes) * w) @ self.q_smooth(ms, nodes).astype(complex).T
 
 
-def _window(index: str, N: int) -> list:
-    if index == "Z":
-        return list(range(-N, N + 1))
-    return list(range(N))
+def expand_kernel(bio: BiorthSystem, x: float, N: int) -> dict:
+    """Coefficients S_n(x) = int_{-1}^{1} K(x, t) conj(Q_n(t)) dmu_base(t)
+    of the bilinear expansion, by one quadrature for the whole window.
 
-
-def expand_kernel(sys: KernelSystem, bio: BiorthSystem, x: float, N: int) -> TruncatedSeries:
-    """Coefficients S_n(x) of the bilinear expansion, by quadrature.
-
-    Returns the coefficient window: |n| <= N for Z-indexed systems, n < N
+    Returns {n: S_n(x)} over |n| <= N for Z-indexed systems, n < N
     otherwise.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    ns = _window(bio.index, N)
-    coeffs = sys.inverse_on_interval(lambda t: bio.q_smooth(ns, t), x,
-                                     bio.q_measure).tolist()
-    return TruncatedSeries(coeffs=coeffs, n_min=ns[0])
+    ns = list(range(-N, N + 1)) if bio.index == "Z" else list(range(N))
+    nodes, w = rule_for_measure(*bio.q_measure, _RULE_ORDER)
+    return dict(zip(ns, (bio.q_smooth(ns, nodes) @ (w * bio.kernel(x, nodes))).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -268,21 +221,21 @@ def expand_kernel(sys: KernelSystem, bio: BiorthSystem, x: float, N: int) -> Tru
 _SQ2PI = math.sqrt(2.0 * math.pi)
 
 
-def fourier_system():
+def fourier_system() -> BiorthSystem:
     """Kernel e^{ixt}/sqrt(2 pi) with Lebesgue measure; P_n = Q_n the
-    normalized exponentials, index set Z."""
-    ks = KernelSystem(kernel=lambda x, t: np.exp(1j * x * t) / _SQ2PI)
+    normalized exponentials, index set Z.  The rule is that of (-1/2, 0),
+    dt/sqrt(2 pi), so q_smooth carries the factor sqrt(2 pi)."""
 
     def p(ns, t: np.ndarray) -> np.ndarray:
         return np.exp((1j * math.pi * np.asarray(ns))[:, None] * t) / math.sqrt(2.0)
 
-    bio = BiorthSystem(
+    return BiorthSystem(
         index="Z",
+        kernel=lambda x, t: np.exp(1j * x * t) / _SQ2PI,
         P=p,
-        q_measure=Measure("lebesgue"),
-        q_smooth=lambda ns, t: np.conj(p(ns, t)),
+        q_measure=(-0.5, 0.0),
+        q_smooth=lambda ns, t: _SQ2PI * np.conj(p(ns, t)),
     )
-    return ks, bio
 
 
 def fourier_sampling_coeff(n: int, x: float) -> float:
@@ -303,6 +256,16 @@ def _gegenbauer_coeff_pref(beta: float, n: int) -> complex:
     return 2.0 ** (beta - 0.5) / math.sqrt(math.pi) * (1j ** n) * gamma(beta) * (beta + n)
 
 
+def _planewave_sum(nu: float, x: float, cs: list) -> complex:
+    """2^nu Gamma(nu) sum_n i^n (nu+n) J_{nu+n}(x)/x^nu c_n over the
+    polynomial values cs = [c_0, ..., c_{N-1}]: the plane-wave partial sums
+    with nu = beta (Gegenbauer) and nu = a+b+1 (Dunkl)."""
+    acc = 0.0 + 0.0j
+    for n, (c, j) in enumerate(zip(cs, _jratio_orders(nu, abs(x), len(cs)).tolist())):
+        acc += (1j ** n) * (nu + n) * (j * x ** n) * c
+    return gamma(nu) * 2.0 ** nu * acc
+
+
 def classical_planewave(beta: float, x: float, t: float, N: int) -> complex:
     """Partial sum of the plane-wave expansion in Gegenbauer polynomials:
 
@@ -313,12 +276,7 @@ def classical_planewave(beta: float, x: float, t: float, N: int) -> complex:
         raise ValueError("N must be >= 1")
     if not beta > 0.0:
         raise ValueError(f"classical plane wave needs beta > 0, got {beta}")
-    acc = 0.0 + 0.0j
-    pref = gamma(beta) * 2.0 ** beta
-    for n, (c, j) in enumerate(zip(classical_gegenbauer(N - 1, beta, t).tolist(),
-                                   _jratio_orders(beta, abs(x), N).tolist())):
-        acc += (1j ** n) * (beta + n) * (j * x ** n) * c
-    return pref * acc
+    return _planewave_sum(beta, x, classical_gegenbauer(N - 1, beta, t).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -350,20 +308,24 @@ def dunkl_system(alpha: float, n_max: int = 24):
     over the zeros s_n of J_{alpha+1}, index set Z."""
     table = bessel_zeros(alpha + 1.0, n_max)
     dss = DunklSamplingSystem(alpha=alpha, table=table)
-    ks = KernelSystem(kernel=lambda x, t: _dunkl_e(alpha, x * t))
     bio = BiorthSystem(
         index="Z",
+        kernel=lambda x, t: _dunkl_e(alpha, x * t),
         P=dss.e,
-        q_measure=Measure.mu_alpha(alpha),
+        q_measure=(alpha, 0.0),
         q_smooth=lambda ns, t: np.conj(dss.e(ns, t)),
     )
-    return ks, bio, dss
+    return bio, dss
 
 
-def _x_i_alpha1_deriv(alpha: float, s: float) -> float:
-    """d/dx [x I_{alpha+1}(ix)] at a zero s of J_{alpha+1} (the first term
-    vanishes there)."""
-    return -s * s * bessel_i_norm_imag(alpha + 2.0, s) / (2.0 * (alpha + 2.0))
+def _x_i_alpha1_deriv(alpha: float, x: float, s: np.ndarray):
+    """The node rule of the sampling series at x: the mask of the nodes of
+    the array s within 1e-9 relative of x, where x I_{alpha+1}(ix)/(x - s)
+    is 0/0, and its limit at each of them, d/dx [x I_{alpha+1}(ix)] at a
+    zero s of J_{alpha+1} (the first term vanishes there)."""
+    at = np.abs(x - s) < 1e-9 * np.maximum(1.0, np.abs(s))
+    return at, np.asarray([-v * v * bessel_i_norm_imag(alpha + 2.0, v) / (2.0 * (alpha + 2.0))
+                           for v in s[at].tolist()])
 
 
 def dunkl_sampling_coeff(dss: DunklSamplingSystem, n: int, x: float) -> float:
@@ -373,9 +335,8 @@ def dunkl_sampling_coeff(dss: DunklSamplingSystem, n: int, x: float) -> float:
         return bessel_i_norm_imag(a + 1.0, x) / dss.d(0)
     s = dss.table.signed(n)
     c = dss.d(n) / (2.0 ** (a + 1.0) * gamma(a + 2.0)) * bessel_i_norm_imag(a, s)
-    if abs(x - s) < 1e-9 * max(1.0, abs(s)):
-        return c * _x_i_alpha1_deriv(a, s)
-    return c * x * bessel_i_norm_imag(a + 1.0, x) / (x - s)
+    at, dv = _x_i_alpha1_deriv(a, x, np.asarray([s]))
+    return c * float(dv[0]) if at[0] else c * x * bessel_i_norm_imag(a + 1.0, x) / (x - s)
 
 
 def dunkl_sampling_sum(alpha: float, f: PWFunction, x: float, N: int,
@@ -391,10 +352,9 @@ def dunkl_sampling_sum(alpha: float, f: PWFunction, x: float, N: int,
     fs = f.eval(np.concatenate([[0.0], sn]))
     i1x = bessel_i_norm_imag(alpha + 1.0, x)
     c = 2.0 * (alpha + 1.0) * np.tile(_jnorm_array(alpha, s), 2)
-    at = np.abs(x - sn) < 1e-9 * np.maximum(1.0, np.abs(sn))
+    at, dv = _x_i_alpha1_deriv(alpha, x, sn)
     terms = fs[1:] * x * i1x / (c * np.where(at, 1.0, x - sn))
-    for k in np.flatnonzero(at):
-        terms[k] = fs[1 + k] * _x_i_alpha1_deriv(alpha, sn[k]) / c[k]
+    terms[at] = fs[1:][at] * dv / c[at]
     return complex(fs[0] * i1x + terms.sum())
 
 
@@ -403,28 +363,36 @@ def sampling_even_sum(alpha: float, f: PWFunction, x: float, N: int,
     """Grouped form of the sampling series for even f:
 
         f(0) I_{a+1}(ix) + sum f(s_n) I_{a+1}(ix)/((a+1) I_a(i s_n))
-                                          * x^2/(x^2 - s_n^2)."""
+                                          * x^2/(x^2 - s_n^2),
+
+    whose m-th term at x = +-s_m is the full series' limit there."""
     if len(table) < N:
         raise ValueError(f"table holds {len(table)} zeros, fewer than N={N}")
     s = np.asarray(table.zeros[:N])
     fs = f.eval(np.concatenate([[0.0], s]))
     i1x = bessel_i_norm_imag(alpha + 1.0, x)
     i0 = _jnorm_array(alpha, s)
-    return complex(fs[0] * i1x
-                   + np.sum(fs[1:] * i1x / ((alpha + 1.0) * i0) * x * x / (x * x - s * s)))
+    at, dv = _x_i_alpha1_deriv(alpha, abs(x), s)
+    terms = fs[1:] * i1x / ((alpha + 1.0) * i0) * x * x / np.where(at, 1.0, x * x - s * s)
+    terms[at] = fs[1:][at] * dv / (2.0 * (alpha + 1.0) * i0[at])
+    return complex(fs[0] * i1x + np.sum(terms))
 
 
 def sampling_odd_sum(alpha: float, f: PWFunction, x: float, N: int,
                      table: ZeroTable) -> complex:
     """Grouped form for odd f; the algebraic factor is x s_n/(x^2 - s_n^2)
-    (pairing the two signed nodes of the full series and using oddness)."""
+    (pairing the two signed nodes of the full series and using oddness);
+    at x = +-s_m the m-th term is the full series' limit there."""
     if len(table) < N:
         raise ValueError(f"table holds {len(table)} zeros, fewer than N={N}")
     s = np.asarray(table.zeros[:N])
     fs = f.eval(s)
     i1x = bessel_i_norm_imag(alpha + 1.0, x)
     i0 = _jnorm_array(alpha, s)
-    return complex(np.sum(fs * i1x / ((alpha + 1.0) * i0) * x * s / (x * x - s * s)))
+    at, dv = _x_i_alpha1_deriv(alpha, abs(x), s)
+    terms = fs * i1x / ((alpha + 1.0) * i0) * x * s / np.where(at, 1.0, x * x - s * s)
+    terms[at] = math.copysign(1.0, x) * fs[at] * dv / (2.0 * (alpha + 1.0) * i0[at])
+    return complex(np.sum(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -438,24 +406,23 @@ def neumann_fn(nu: float, n: int, x: float) -> float:
     return bessel_j_ratio(nu + n + 1.0, ax) * x ** n
 
 
-def neumann_system(params: Params):
+def neumann_system(params: Params) -> BiorthSystem:
     """Fourier-Neumann biorthogonal pair: P_n the generalized Gegenbauer
     polynomials, Q_n the same against the (1-t^2)^beta weight, over
     dmu_alpha; paired with the Dunkl kernel."""
     fam = GenGegenbauerFamily(params)
     a, b = params.alpha, params.beta
-    ks = KernelSystem(kernel=lambda x, t: _dunkl_e(a, x * t))
 
     def p(ns, t: np.ndarray) -> np.ndarray:
         return fam.table(max(ns), t)[list(ns)]
 
-    bio = BiorthSystem(
+    return BiorthSystem(
         index="N",
+        kernel=lambda x, t: _dunkl_e(a, x * t),
         P=p,
-        q_measure=Measure.mu_beta_alpha(a, b),
+        q_measure=(a, b),
         q_smooth=lambda ns, t: p(ns, t) / np.asarray([fam.norm(n) for n in ns])[:, None],
     )
-    return ks, bio, fam
 
 
 def planewave_partial_sum(params: Params, x: float, t: float, N: int) -> complex:
@@ -469,20 +436,15 @@ def planewave_partial_sum(params: Params, x: float, t: float, N: int) -> complex
         raise ValueError("N must be >= 1")
     if abs(t) > 1.0:
         raise ValueError("|t| <= 1 required")
-    ab = params.ab
-    fam = GenGegenbauerFamily(params)
-    pref = 2.0 ** (ab + 1.0) * gamma(ab + 1.0)
-    acc = 0.0 + 0.0j
-    for n, (c, j) in enumerate(zip(fam.table(N - 1, t).tolist(),
-                                   _jratio_orders(ab + 1.0, abs(x), N).tolist())):
-        acc += (1j ** n) * (ab + n + 1.0) * (j * x ** n) * c
-    return pref * acc
+    cs = GenGegenbauerFamily(params).table(N - 1, t).tolist()
+    return _planewave_sum(params.ab + 1.0, x, cs)
 
 
-def fourier_neumann_coeffs(params: Params, f: PWFunction, N: int) -> TruncatedSeries:
+def fourier_neumann_coeffs(params: Params, f: PWFunction, N: int) -> np.ndarray:
     """Expansion coefficients a_n(f), n < N, of f(x) = int u(t) E_a(ixt)
-    dmu_a(t) over the Bessel quotients (beta < 1).  The plane-wave expansion
-    (planewave_partial_sum) pairs them with the density on [-1, 1]:
+    dmu_a(t) over the Bessel quotients (beta < 1), as a complex array.  The
+    plane-wave expansion (planewave_partial_sum) pairs them with the
+    density on [-1, 1]:
 
         a_n(f) = 2^{a+b+1} Gamma(a+b+1) i^n int_{-1}^{1} u C_n^{(b+1/2,a+1/2)} dmu_a,
 
@@ -495,16 +457,17 @@ def fourier_neumann_coeffs(params: Params, f: PWFunction, N: int) -> TruncatedSe
     ab = params.ab
     nodes, wu = f._rule(_RULE_ORDER)
     pair = GenGegenbauerFamily(params).table(N - 1, nodes) @ wu
-    pref = 2.0 ** (ab + 1.0) * gamma(ab + 1.0)
-    coeffs = pref * np.resize([1, 1j, -1, -1j], N) * pair   # i^n exactly
-    return TruncatedSeries(coeffs=coeffs.tolist())
+    # i^n exactly
+    return 2.0 ** (ab + 1.0) * gamma(ab + 1.0) * np.resize([1, 1j, -1, -1j], N) * pair
 
 
-def neumann_partial_sum(params: Params, series: TruncatedSeries, x: float) -> complex:
-    """Reconstruction sum_n a_n(f) (a+b+n+1) J_{a+b+n+1}(x)/x^{a+b+1}."""
+def neumann_partial_sum(params: Params, coeffs: np.ndarray, x: float) -> complex:
+    """Reconstruction sum_n a_n(f) (a+b+n+1) J_{a+b+n+1}(x)/x^{a+b+1} from
+    the array of fourier_neumann_coeffs."""
     ab = params.ab
-    js = _jratio_orders(ab + 1.0, abs(x), len(series.coeffs)).tolist()
-    return sum(c * (ab + n + 1.0) * (j * x ** n) for n, (c, j) in enumerate(zip(series.coeffs, js)))
+    js = _jratio_orders(ab + 1.0, abs(x), len(coeffs)).tolist()
+    return sum(c * (ab + n + 1.0) * (j * x ** n)
+               for n, (c, j) in enumerate(zip(coeffs.tolist(), js)))
 
 
 def hankel_corollary_sum(params: Params, x: float, t: float, N: int) -> float:

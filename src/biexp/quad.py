@@ -2,9 +2,9 @@
 
 Two families of tools live here:
 
-* Gauss rules for the weighted measures on [-1, 1] used by every expansion
-  (|t|^{2a+1} dt and |t|^{2a+1}(1-t^2)^b dt, normalized), built by Newton
-  iteration on the recurrence-defined Jacobi polynomials.
+* Gauss rules for the weighted measures |t|^{2a+1}(1-t^2)^b dt on [-1, 1]
+  (normalized) used by every expansion, built by Newton iteration on the
+  recurrence-defined Jacobi polynomials.
 * Semi-infinite oscillatory integrals of Bessel products, integrated cell
   by cell between zeros of the faster factor and extrapolated to infinity
   by sequence acceleration.
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Literal
+from typing import Callable
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from .orthopoly import _jacobi_rec
 from .specfun import _jratio_array, bessel_zeros, gamma, lgamma
 
 __all__ = [
-    "Measure",
     "gauss_jacobi",
     "gauss_jacobi01",
     "rule_for_measure",
@@ -172,77 +171,43 @@ def gauss_jacobi01(n: int, a: float, b: float):
 
 
 # ---------------------------------------------------------------------------
-# Measures on [-1, 1]
+# Rules for the measures on [-1, 1]
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Measure:
-    """Weighted measure on [-1, 1].
-
-    kind "mu_alpha":       |t|^{2a+1} dt / (2^{a+1} Gamma(a+1))
-    kind "mu_beta_alpha":  same times (1-t^2)^b
-    kind "lebesgue":       plain dt (used by the classical Fourier systems)
-
-    The exponents are raw floats (a, b > -1 for integrability); expansion
-    admissibility constraints live on Params, not here.
-    """
-
-    kind: Literal["mu_alpha", "mu_beta_alpha", "lebesgue"]
-    a: float = 0.0
-    b: float = 0.0
-
-    def __post_init__(self):
-        if self.kind != "lebesgue" and not (self.a > -1.0 and self.b > -1.0):
-            raise ValueError("measure exponents must exceed -1")
-
-    @classmethod
-    def mu_alpha(cls, alpha: float) -> "Measure":
-        return cls("mu_alpha", alpha, 0.0)
-
-    @classmethod
-    def mu_beta_alpha(cls, alpha: float, beta: float) -> "Measure":
-        return cls("mu_beta_alpha", alpha, beta)
-
 
 _rule_cache: dict = {}
 
 
-def rule_for_measure(measure: Measure, order: int):
-    """Symmetric rule on [-1, 1] exact for the measure's weight class, as
-    (nodes, weights) arrays, cached per measure and order and read-only,
-    since every caller shares them.
-
-    For the weighted kinds the nodes are the pair +-sqrt(u_i) of the even
-    rule mapped by u = t^2 onto the weight u^a (1-u)^b; odd integrands then
+def rule_for_measure(a: float, b: float, order: int):
+    """Symmetric rule on [-1, 1] for |t|^{2a+1} (1-t^2)^b dt / (2^{a+1}
+    Gamma(a+1)), a, b > -1 ((-1/2, 0) gives dt / sqrt(2 pi)), as read-only
+    (nodes, weights) arrays cached per (a, b, order), which every caller
+    shares.  The nodes are the pairs +-sqrt(u_i) of the rule of this order
+    mapped by u = t^2 onto the weight u^a (1-u)^b; odd integrands then
     cancel exactly and even ones inherit the Gauss exactness in u.
     """
     if order < 8:
         raise ValueError("order must be >= 8")
-    a = measure.a
-    b = measure.b if measure.kind == "mu_beta_alpha" else 0.0
-    key = (measure.kind, round(a, 14), round(b, 14), order)
+    key = (round(a, 14), round(b, 14), order)
     if key not in _rule_cache:
-        if measure.kind == "lebesgue":
-            rule = gauss_jacobi(order, 0.0, 0.0)
-        else:
-            u, w = gauss_jacobi01(order, a, b)
-            norm = 2.0 ** (a + 1.0) * gamma(a + 1.0)
-            t = np.sqrt(u)
-            rule = (np.concatenate([-t[::-1], t]), np.concatenate([w[::-1], w]) / (2.0 * norm))
+        u, w = gauss_jacobi01(order, a, b)
+        norm = 2.0 ** (a + 1.0) * gamma(a + 1.0)
+        t = np.sqrt(u)
+        rule = (np.concatenate([-t[::-1], t]), np.concatenate([w[::-1], w]) / (2.0 * norm))
         for arr in rule:
             arr.flags.writeable = False
         _rule_cache[key] = rule
     return _rule_cache[key]
 
 
-def integrate_interval(f: Callable, measure: Measure, order: int):
-    """Integrate f against the measure over [-1, 1] on its symmetric rule
-    (the odd part of f integrates to zero against the even density,
-    exactly); f is called once per node."""
-    x, w = rule_for_measure(measure, order)
+def integrate_interval(f: Callable, a: float, b: float, order: int):
+    """Integrate f against the measure of rule_for_measure(a, b, order)
+    over [-1, 1] (the odd part of f integrates to zero against the even
+    density, exactly); f is called once, on the node array, and returns
+    its values there (a constant broadcasts)."""
+    x, w = rule_for_measure(a, b, order)
     # a non-finite sample raises below, so numpy need not warn of it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        fx = np.asarray([f(t) for t in x])
+        fx = np.broadcast_to(f(x), x.shape)
     if not np.all(np.isfinite(np.abs(fx))):
         raise ValueError("integrand produced a non-finite sample")
     return complex(np.dot(w, fx)) if np.iscomplexobj(fx) else float(np.dot(w, fx))

@@ -188,10 +188,10 @@ def _norm_raised(raised: np.ndarray, hs: list) -> float:
     return math.sqrt(total)
 
 
-def eigen_residual(problem: SpectralProblem, k: int, sign: int, N: int,
+def eigen_residual(problem: SpectralProblem, k: int, sign: int,
                    lam: complex | None = None) -> float:
     """Relative residual ||T g - lam g|| / ||g|| in the raised-weight L2
-    space, computed in coefficient space.
+    space, computed in coefficient space over the problem's N terms.
 
     lam defaults to the exact eigenvalue sign * i / j_k, whose coefficients
     come from the stable Bessel-quotient route.  Passing any other lam runs
@@ -199,20 +199,20 @@ def eigen_residual(problem: SpectralProblem, k: int, sign: int, N: int,
     solution violates the summability condition and the truncated residual
     blows up, which is exactly the rejection signal.
     """
+    N = problem.N
     j = problem.zero(k)
-    sub = SpectralProblem(problem.params, N, problem.table)
     exact = complex(0.0, sign / j)
     if lam is None or lam == exact:
         lam = exact
-        a = eigen_coeffs(sub, k, sign, N)
+        a = eigen_coeffs(problem, k, sign, N)
     else:
-        a = recurrence_coeffs(sub, lam, N)
-    ta, _ = apply_T(sub, raised_from_base(sub, a))
+        a = recurrence_coeffs(problem, lam, N)
+    ta, _ = apply_T(problem, raised_from_base(problem, a))
     r = ta - lam * a
-    up = sub.family.raised()
+    up = problem.family.raised()
     hs = [up.norm(m) for m in range(N + 1)]
-    num = _norm_raised(raised_from_base(sub, r), hs)
-    den = _norm_raised(raised_from_base(sub, a), hs)
+    num = _norm_raised(raised_from_base(problem, r), hs)
+    den = _norm_raised(raised_from_base(problem, a), hs)
     return num / den
 
 

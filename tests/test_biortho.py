@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -9,24 +10,23 @@ from biexp import biortho as bo
 from biexp import specfun as sf
 from biexp.cli import main
 from biexp.orthopoly import GenGegenbauerFamily, classical_gegenbauer
-from biexp.quad import (Measure, gauss_jacobi, integrate_bessel_product, integrate_interval,
-                        rule_for_measure)
+from biexp.quad import gauss_jacobi, integrate_bessel_product, integrate_interval, rule_for_measure
 from biexp.specfun import Params, bessel_j_ratio, bessel_zeros, dunkl_kernel, gamma
 
 
 class TestFourierSystem:
     def test_coefficient_closed_form(self):
-        ks, bio = bo.fourier_system()
-        ser = bo.expand_kernel(ks, bio, 2.7, 4)
+        sn = bo.expand_kernel(bo.fourier_system(), 2.7, 4)
+        assert list(sn) == list(range(-4, 5))
         for n in range(-4, 5):
-            assert abs(ser.coeff(n) - bo.fourier_sampling_coeff(n, 2.7)) < 1e-12
+            assert abs(sn[n] - bo.fourier_sampling_coeff(n, 2.7)) < 1e-12
 
     def test_removable_singularity(self):
         assert bo.fourier_sampling_coeff(3, 3.0 * math.pi) == pytest.approx(
             1.0 / math.sqrt(math.pi), abs=1e-14)
 
     def test_gram_identity(self):
-        ks, bio = bo.fourier_system()
+        bio = bo.fourier_system()
         ns = range(-3, 4)
         assert np.max(np.abs(bio.gram(ns, ns) - np.eye(len(ns)))) < 1e-13
 
@@ -160,30 +160,29 @@ class TestDunklSampling:
         assert errs[1] < errs[0]
 
     def test_node_system_orthonormal(self):
-        ks, bio, dss = bo.dunkl_system(self.al, 8)
+        bio, dss = bo.dunkl_system(self.al, 8)
         ns = range(-4, 5)
         assert np.max(np.abs(bio.gram(ns, ns) - np.eye(len(ns)))) < 1e-8
 
     def test_normalization_constant(self):
-        ks, bio, dss = bo.dunkl_system(self.al, 4)
+        bio, dss = bo.dunkl_system(self.al, 4)
         d0 = 2.0 ** (0.5 * (self.al + 1.0)) * math.sqrt(gamma(self.al + 2.0))
         assert dss.d(0) == pytest.approx(d0, rel=1e-14, abs=0.0)
-        val = integrate_interval(lambda t: abs(dss.e([0], t)[0, 0]) ** 2,
-                                 Measure.mu_alpha(self.al), 60)
+        val = integrate_interval(lambda t: np.abs(dss.e([0], t)[0]) ** 2, self.al, 0.0, 60)
         assert val == pytest.approx(1.0, abs=1e-10)
 
     def test_coefficient_quadrature_vs_closed(self):
-        ks, bio, dss = bo.dunkl_system(0.5, 8)
-        ser = bo.expand_kernel(ks, bio, 1.3, 4)
-        assert abs(ser.coeff(2) - bo.dunkl_sampling_coeff(dss, 2, 1.3)) < 1e-8
+        bio, dss = bo.dunkl_system(0.5, 8)
+        sn = bo.expand_kernel(bio, 1.3, 4)
+        assert abs(sn[2] - bo.dunkl_sampling_coeff(dss, 2, 1.3)) < 1e-8
 
     def test_kernel_expansion_converges(self):
-        ks, bio, dss = bo.dunkl_system(0.5, 30)
+        bio, dss = bo.dunkl_system(0.5, 30)
         vals = []
         for N in (6, 24):
-            ser = bo.expand_kernel(ks, bio, 1.3, N)
-            ns = range(ser.n_min, ser.n_min + len(ser.coeffs))
-            got = complex(np.dot(ser.coeffs, bio.P(ns, np.array([0.55]))[:, 0]))
+            sn = bo.expand_kernel(bio, 1.3, N)
+            assert list(sn) == list(range(-N, N + 1))
+            got = complex(np.dot(list(sn.values()), bio.P(list(sn), np.array([0.55]))[:, 0]))
             vals.append(abs(got - dunkl_kernel(0.5, 1.3 * 0.55)))
         assert vals[1] < vals[0]
 
@@ -233,23 +232,39 @@ class TestDunklSampling:
             with pytest.raises(ValueError, match="fewer than N"):
                 grouped(self.al, f, x, 61, self.table)
 
+    def test_grouped_forms_at_nodes(self):
+        # at x = s_m the m-th grouped term is 0/0, as the full series' term
+        # is: all three sums take its limit there, with no numpy warning
+        feven = bo.PWFunction(lambda t: (1.0 - t * t) ** 2, self.al)
+        fodd = bo.PWFunction(lambda t: t * (1.0 - t * t) ** 2, self.al)
+        for m in (1, 3, -3):
+            x = self.table.signed(m)
+            for grouped, f in ((bo.sampling_even_sum, feven), (bo.sampling_odd_sum, fodd)):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = grouped(self.al, f, x, 40, self.table)
+                    full = bo.dunkl_sampling_sum(self.al, f, x, 40, self.table)
+                assert abs(got - full) < 1e-12
+                assert abs(full - f.eval(x)) < 1e-12
+
 
 class TestNeumannSystem:
     def setup_method(self):
         self.P = Params(0.3, 0.2)
 
     def test_gram(self):
-        ks, bio, fam = bo.neumann_system(self.P)
+        bio = bo.neumann_system(self.P)
         assert np.max(np.abs(bio.gram(range(6), range(6)) - np.eye(6))) < 1e-8
 
     def test_coefficients_delta_pattern(self):
         fam = GenGegenbauerFamily(self.P)
         f = bo.PWFunction(lambda t: fam.eval(0, t) / fam.norm(0), self.P.alpha,
                           weight_pow=self.P.beta)
-        ser = bo.fourier_neumann_coeffs(self.P, f, 4)
+        coeffs = bo.fourier_neumann_coeffs(self.P, f, 4)
         ab = self.P.ab
-        assert abs(ser.coeffs[0] - 2.0 ** (ab + 1.0) * gamma(ab + 1.0)) < 1e-6
-        assert max(abs(c) for c in ser.coeffs[1:]) < 1e-6
+        assert coeffs.shape == (4,) and coeffs.dtype == complex
+        assert abs(coeffs[0] - 2.0 ** (ab + 1.0) * gamma(ab + 1.0)) < 1e-6
+        assert np.max(np.abs(coeffs[1:])) < 1e-6
 
     def test_requires_beta_below_one(self):
         P = Params(0.3, 1.2)
@@ -261,8 +276,8 @@ class TestNeumannSystem:
         f = bo.PWFunction(lambda t: (1.0 - t * t) * (0.3 + t), self.P.alpha)
         sups = []
         for N in (6, 12):
-            ser = bo.fourier_neumann_coeffs(self.P, f, N)
-            sups.append(max(abs(bo.neumann_partial_sum(self.P, ser, x) - f.eval(x))
+            coeffs = bo.fourier_neumann_coeffs(self.P, f, N)
+            sups.append(max(abs(bo.neumann_partial_sum(self.P, coeffs, x) - f.eval(x))
                             for x in np.linspace(-5, 5, 11)))
         assert sups[1] < sups[0]
 
@@ -272,10 +287,10 @@ class TestNeumannSystem:
         # truncated line integral loses them as 2^{ab+1} Gamma(ab+1) grows
         P = Params(alpha, 0.2)
         f = bo.PWFunction(lambda t: (1.0 - t * t) * (0.3 + t), alpha)
-        ser = bo.fourier_neumann_coeffs(P, f, 12)
+        coeffs = bo.fourier_neumann_coeffs(P, f, 12)
         xs = np.linspace(-5.0, 5.0, 11)
         fx = f.eval(xs)
-        err = max(abs(bo.neumann_partial_sum(P, ser, x) - v) for x, v in zip(xs, fx))
+        err = max(abs(bo.neumann_partial_sum(P, coeffs, x) - v) for x, v in zip(xs, fx))
         assert err < 1e-7 * np.max(np.abs(fx))
 
     def test_requires_the_kernel_of_f(self):
@@ -308,16 +323,17 @@ class TestGramMatrix:
         # sum_t w P(n, t) q_smooth(m, t) entry by entry and node by node,
         # from scalar evaluations of each family
         if name == "fourier":
-            ks, bio = bo.fourier_system()
+            bio = bo.fourier_system()
             ns = range(-3, 4)
 
             def P(n, t):
                 return complex(math.cos(math.pi * n * t), math.sin(math.pi * n * t)) / math.sqrt(2.0)
 
             def Q(m, t):
-                return P(m, t).conjugate()
+                # conj(Q_m) dt against the rule of dt / sqrt(2 pi)
+                return math.sqrt(2.0 * math.pi) * P(m, t).conjugate()
         elif name == "dunkl":
-            ks, bio, dss = bo.dunkl_system(0.5, 8)
+            bio, dss = bo.dunkl_system(0.5, 8)
             ns = range(-6, 7)
 
             def P(n, t):
@@ -326,7 +342,8 @@ class TestGramMatrix:
             def Q(m, t):
                 return P(m, t).conjugate()
         else:
-            ks, bio, fam = bo.neumann_system(Params(0.3, 0.2))
+            bio = bo.neumann_system(Params(0.3, 0.2))
+            fam = GenGegenbauerFamily(Params(0.3, 0.2))
             ns = range(9)
 
             def P(n, t):
@@ -334,7 +351,7 @@ class TestGramMatrix:
 
             def Q(m, t):
                 return fam.eval(m, t) / fam.norm(m)
-        nodes, weights = rule_for_measure(bio.q_measure, bo._RULE_ORDER)
+        nodes, weights = rule_for_measure(*bio.q_measure, bo._RULE_ORDER)
         pv = [[P(n, t) for t in nodes] for n in ns]
         qv = [[Q(m, t) for t in nodes] for m in ns]
         ref = np.array([[sum(w * p * q for w, p, q in zip(weights, pn, qm))
@@ -368,8 +385,8 @@ class TestHankelSide:
 class TestKernelNorm:
     def test_against_quadrature(self):
         al, x = 0.5, 2.2
-        quad_val = integrate_interval(lambda r: abs(dunkl_kernel(al, x * r)) ** 2,
-                                      Measure.mu_alpha(al), 80)
+        quad_val = integrate_interval(lambda r: np.abs(bo.dunkl_kernel_grid(al, x * r)) ** 2,
+                                      al, 0.0, 80)
         assert bo.kernel_norm_sq(al, x) == pytest.approx(quad_val, abs=1e-9)
 
     def test_half_integer_constant(self):
@@ -458,7 +475,7 @@ class TestMirrorSymmetry:
     @pytest.mark.parametrize("u", [
         lambda t: (1.0 - t * t) ** 2,
         lambda t: (1.0 - t * t) * (0.3 + t),                       # not even
-        lambda t: (1.0 - t * t) * complex(0.3 + t, 0.5 - t * t),    # complex
+        lambda t: (1.0 - t * t) * ((0.3 + t) + 1j * (0.5 - t * t)),  # complex
     ])
     def test_pw_eval_mirrors_x(self, u, al):
         # f(x) and f(-x) come from one kernel grid row on |x|: a batch over
@@ -483,15 +500,16 @@ class TestMirrorSymmetry:
         assert np.array_equal(bo.PWFunction(u, al).eval(np.array(small)), ref)
 
     def test_kernel_grid_nodes_of_dunkl_sampling(self, monkeypatch, capsys):
-        # a default pass builds one grid row per |x|: 265,336 nodes, where a
-        # row per signed x took 521,392
+        # a default pass builds one grid row per |x|: 265,496 nodes, where a
+        # row per signed x took 521,552 (160 of them the nodes of the
+        # kernel-norm integrand's rule, one grid)
         nodes = []
         grid = bo.dunkl_kernel_grid
         monkeypatch.setattr(bo, "dunkl_kernel_grid",
                             lambda alpha, xs: nodes.append(len(xs)) or grid(alpha, xs))
         assert main(["verify", "dunkl-sampling", "--format", "json"]) == 0
         capsys.readouterr()
-        assert sum(nodes) == 265336
+        assert sum(nodes) == 265496
 
 
 class TestPWFunction:
@@ -501,6 +519,19 @@ class TestPWFunction:
         f = bo.PWFunction(lambda t: (1.0 - t * t) ** 2, 0.5)
         assert f.eval(0.3) == pytest.approx(0.060487869620824489241, abs=1e-14)
         assert f.eval(4.2) == pytest.approx(0.020416249497866858475, abs=1e-14)
+
+    def test_density_called_once_per_order(self):
+        # u takes the whole node array of each rule order, once
+        shapes = []
+
+        def u(t):
+            shapes.append(np.shape(t))
+            return (1.0 - t * t) ** 2
+        f = bo.PWFunction(u, 0.5)
+        f.eval(np.array([0.3, 100.0, -100.0, 1300.0]))
+        f.eval(0.7)
+        f.eval(-1300.0)
+        assert shapes == [(2 * order,) for order in (120, 160, 1344)]
 
     def test_cache(self):
         f = bo.PWFunction(lambda t: 1.0, 0.5)

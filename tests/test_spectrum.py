@@ -158,22 +158,22 @@ class TestEigen:
         for plus, minus in zip(spe.eigenfunction(prob, k, 1, t, 40),
                                spe.eigenfunction(prob, k, -1, t, 40)):
             assert minus == pytest.approx(plus.conjugate(), rel=1e-13, abs=1e-15)
-        assert spe.eigen_residual(prob, k, -1, 40) == pytest.approx(
-            spe.eigen_residual(prob, k, 1, 40), rel=1e-12, abs=1e-15)
+        assert spe.eigen_residual(prob, k, -1) == pytest.approx(
+            spe.eigen_residual(prob, k, 1), rel=1e-12, abs=1e-15)
 
     def test_residual_small_at_eigenvalue(self, problem):
         for k in (1, 2, 3):
             for sign in (1, -1):
-                assert spe.eigen_residual(problem, k, sign, 80) < 1e-6
+                assert spe.eigen_residual(problem, k, sign) < 1e-6
 
     def test_residual_grows_as_truncation_shrinks(self, problem):
         # residual must not increase with N
-        r40 = spe.eigen_residual(problem, 1, 1, 40)
-        r80 = spe.eigen_residual(problem, 1, 1, 80)
+        r40 = spe.eigen_residual(spe.SpectralProblem(problem.params, 40, problem.table), 1, 1)
+        r80 = spe.eigen_residual(problem, 1, 1)
         assert r80 <= r40 + 1e-12
 
     def test_perturbed_lambda_rejected(self, problem):
-        r = spe.eigen_residual(problem, 1, 1, 80, lam=1.01j / problem.zero(1))
+        r = spe.eigen_residual(problem, 1, 1, lam=1.01j / problem.zero(1))
         assert r >= 1e-2
 
     @pytest.mark.parametrize("N", [120, 160, 240, 400])
@@ -182,7 +182,8 @@ class TestEigen:
         # the squared coefficients of the norms may leave the float range
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            r = spe.eigen_residual(problem, 1, 1, N, lam=1.01j / problem.zero(1))
+            big = spe.SpectralProblem(problem.params, N, problem.table)
+            r = spe.eigen_residual(big, 1, 1, lam=1.01j / problem.zero(1))
             a = spe.recurrence_coeffs(problem, 1.01j / problem.zero(1), N)
         assert 1e-2 <= r < math.inf
         assert float(np.max(np.abs(a))) ** 2 < math.inf
