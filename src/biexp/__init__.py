@@ -15,7 +15,7 @@ from .orthopoly import (GenGegenbauerFamily, classical_gegenbauer,
 from .biortho import (BiorthSystem, PWFunction, classical_planewave, dunkl_sampling_sum,
                       dunkl_system, expand_kernel, fourier_neumann_coeffs, fourier_system,
                       hankel_corollary_sum, kernel_norm_sq, neumann_fn,
-                      neumann_partial_sum, neumann_system, planewave_partial_sum)
+                      neumann_partial_sum, neumann_system, planewave_partial_sum, sampling_nodes)
 from .spectrum import (SpectralProblem, apply_T, eigen_residual,
                        eigenfunction, eigenvalues, recurrence_coeffs)
 from .qspec import (QContext, QJacobiFamily, jackson_integral, phi21,

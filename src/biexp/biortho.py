@@ -7,12 +7,12 @@ measure of their pairing, given as the exponents (a, b) of
 K(x, t) = sum_n P_n(t) S_n(x) with S_n(x) = int K(x, t) conj(Q_n(t)) dmu(t),
 which expand_kernel sums on the node array of one rule.
 
-Three concrete instantiations are provided: the classical sampling system
-(complex exponentials), the Dunkl sampling system on zeros of J_{alpha+1},
-and the Fourier-Neumann system of generalized Gegenbauer polynomials
-against Bessel quotients.  The Gegenbauer plane-wave pair enters through
-its closed-form coefficients: the partial sum classical_planewave and the
-Gram of its S/T pair on the line, st_gram_gegenbauer.
+Three instantiations are provided: the classical sampling system (complex
+exponentials), the Dunkl sampling system on zeros of J_{alpha+1}, whose series
+take samples of f on sampling_nodes, and the Fourier-Neumann system of
+generalized Gegenbauer polynomials against Bessel quotients.  The Gegenbauer
+plane-wave pair enters by its closed forms: the partial sum classical_planewave
+and the Gram of its S/T pair on the line, st_gram_gegenbauer.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ __all__ = [
     "neumann_fn",
     "planewave_partial_sum",
     "classical_planewave",
+    "sampling_nodes",
     "dunkl_sampling_sum",
     "sampling_even_sum",
     "sampling_odd_sum",
@@ -107,7 +108,6 @@ class PWFunction:
     u: Callable[[np.ndarray], np.ndarray]
     alpha: float
     weight_pow: float = 0.0
-    _cache: dict = field(default_factory=dict, repr=False)
     _rules: dict = field(default_factory=dict, repr=False)
 
     def _rule(self, order: int):
@@ -118,54 +118,28 @@ class PWFunction:
             self._rules[order] = (nodes, w * np.asarray(self.u(nodes)))
         return self._rules[order]
 
-    def _fill(self, xs: list) -> None:
-        """Cache f at every x of xs not cached yet: per rule order, one
-        kernel grid on the (|x|, node) outer product for each block of
-        _PW_BLOCK values of |x|.  The grid gives each node the value it would
-        get alone, so a batched x reads the same as a single one (to rounding
-        past alpha = 9, where one Miller sweep takes nodes beyond 50).
-        E_alpha(-ixt) = conj E_alpha(ixt) to the bit, so the grid covers the
-        nodes t > 0 alone, and one grid row gives f(x) = sum kv wu and
-        f(-x) = sum conj(kv) wu, each only where it was asked."""
-        todo: dict = {}
-        for v in xs:
-            k = round(v, 14)
-            if k not in self._cache:
-                # per order, |x| -> [|x| as given, x asked, -x asked]
-                row = todo.setdefault(_order_for(abs(v)), {}).setdefault(
-                    abs(k), [abs(v), False, False])
-                row[1 if k >= 0 else 2] = True
-        for order, items in sorted(todo.items()):
-            nodes, wu = self._rule(order)
-            keys = list(items)
-            for i in range(0, len(keys), _PW_BLOCK):
-                # x alone, then both signs, then -x alone: each sign's rows
-                # are one slice (the values do not depend on the row order)
-                blk = sorted(keys[i:i + _PW_BLOCK], key=lambda k: (not items[k][1], items[k][2]))
-                n_pos = sum(items[k][1] for k in blk)
-                n_neg = sum(items[k][2] for k in blk)
-                vs = np.asarray([items[k][0] for k in blk])
-                kp = _dunkl_e(self.alpha, np.outer(vs, nodes[len(nodes) // 2:]))
-                kv = np.concatenate([np.conj(kp[:, ::-1]), kp], axis=1)
-                self._cache.update(zip(blk[:n_pos], (kv[:n_pos] * wu).sum(axis=1).tolist()))
-                neg = kv[len(blk) - n_neg:]
-                np.conj(neg, out=neg)
-                self._cache.update(zip([-k for k in blk[len(blk) - n_neg:]],
-                                       (neg * wu).sum(axis=1).tolist()))
-
     def eval(self, x):
-        """f at one real x, or at every entry of an array of x (cached)."""
-        if np.ndim(x) == 0:
-            x = float(x)
-            self._fill([x])
-            return self._cache[round(x, 14)]
+        """f at one real x, or at every entry of an array of x: per rule order,
+        one kernel grid on the nodes t > 0 for each block of _PW_BLOCK distinct
+        |x|, ascending.  E_alpha(-ixt) = conj E_alpha(ixt) to the bit, so one
+        grid row gives f(|x|) = sum kv wu and f(-|x|) = sum conj(kv) wu.  The
+        grid gives each node the value it would get alone, so a batched x reads
+        the same as a single one (to rounding past alpha = 9, where one Miller
+        sweep takes nodes beyond 50)."""
         xs = np.asarray(x, dtype=float)
-        flat = xs.ravel().tolist()
-        self._fill(flat)
-        return np.asarray([self._cache[round(v, 14)] for v in flat]).reshape(xs.shape)
-
-    def __call__(self, x):
-        return self.eval(x)
+        # the distinct |x|, ascending (np.unique would import numpy.ma, 0.5 MB)
+        ax = np.asarray(sorted(set(np.abs(xs).ravel().tolist())))
+        vals = np.empty((2, len(ax)), dtype=complex)   # f(|x|), f(-|x|)
+        orders = np.asarray([_order_for(v) for v in ax.tolist()])
+        for order in sorted(set(orders.tolist())):
+            nodes, wu = self._rule(order)
+            rows = np.flatnonzero(orders == order)
+            for blk in (rows[i:i + _PW_BLOCK] for i in range(0, len(rows), _PW_BLOCK)):
+                kp = _dunkl_e(self.alpha, np.outer(ax[blk], nodes[len(nodes) // 2:]))
+                kv = np.concatenate([np.conj(kp[:, ::-1]), kp], axis=1)
+                vals[:, blk] = (kv * wu).sum(axis=1), (np.conj(kv) * wu).sum(axis=1)
+        out = vals[(xs < 0.0).astype(int), np.searchsorted(ax, np.abs(xs))]
+        return complex(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -283,39 +257,31 @@ def classical_planewave(beta: float, x: float, t: float, N: int) -> complex:
 # Instantiation: Dunkl sampling on zeros of J_{alpha+1}
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DunklSamplingSystem:
-    alpha: float
-    table: ZeroTable
-
-    def d(self, n: int) -> float:
-        """Normalization making d_n E_alpha(i s_n t) orthonormal in dmu_alpha."""
-        a = self.alpha
-        if n == 0:
-            return 2.0 ** (0.5 * (a + 1.0)) * math.sqrt(gamma(a + 2.0))
-        s = self.table.signed(n)
-        return 2.0 ** (0.5 * a) * math.sqrt(gamma(a + 1.0)) / abs(bessel_i_norm_imag(a, s))
-
-    def e(self, ns, t) -> np.ndarray:
-        """d_n E_alpha(i s_n t) for every n of ns at a node or on a node
-        array t, one row per n, from one kernel grid on the (n, node) product."""
-        s = np.asarray([self.table.signed(n) for n in ns])
-        return np.asarray([self.d(n) for n in ns])[:, None] * _dunkl_e(self.alpha, np.outer(s, t))
+def _dunkl_d(alpha: float, s: float) -> float:
+    """d_n at the signed node s = s_n, making d_n E_alpha(i s_n t) orthonormal."""
+    if s == 0.0:
+        return 2.0 ** (0.5 * (alpha + 1.0)) * math.sqrt(gamma(alpha + 2.0))
+    return 2.0 ** (0.5 * alpha) * math.sqrt(gamma(alpha + 1.0)) / abs(bessel_i_norm_imag(alpha, s))
 
 
-def dunkl_system(alpha: float, n_max: int = 24):
+def dunkl_system(alpha: float, n_max: int) -> BiorthSystem:
     """Sampling system for the Dunkl kernel: P_n = Q_n = d_n E_alpha(i s_n t)
-    over the zeros s_n of J_{alpha+1}, index set Z."""
+    over the zeros s_n of J_{alpha+1}, |n| <= n_max, index set Z."""
     table = bessel_zeros(alpha + 1.0, n_max)
-    dss = DunklSamplingSystem(alpha=alpha, table=table)
-    bio = BiorthSystem(
+
+    def e(ns, t) -> np.ndarray:
+        # one kernel grid on the (n, node) product, one row per n
+        s = np.asarray([table.signed(n) for n in ns])
+        d = np.asarray([_dunkl_d(alpha, v) for v in s.tolist()])
+        return d[:, None] * _dunkl_e(alpha, np.outer(s, t))
+
+    return BiorthSystem(
         index="Z",
         kernel=lambda x, t: _dunkl_e(alpha, x * t),
-        P=dss.e,
+        P=e,
         q_measure=(alpha, 0.0),
-        q_smooth=lambda ns, t: np.conj(dss.e(ns, t)),
+        q_smooth=lambda ns, t: np.conj(e(ns, t)),
     )
-    return bio, dss
 
 
 def _x_i_alpha1_deriv(alpha: float, x: float, s: np.ndarray):
@@ -328,70 +294,79 @@ def _x_i_alpha1_deriv(alpha: float, x: float, s: np.ndarray):
                            for v in s[at].tolist()])
 
 
-def dunkl_sampling_coeff(dss: DunklSamplingSystem, n: int, x: float) -> float:
-    """Closed form S_n(x) for the Dunkl sampling system."""
-    a = dss.alpha
-    if n == 0:
-        return bessel_i_norm_imag(a + 1.0, x) / dss.d(0)
-    s = dss.table.signed(n)
-    c = dss.d(n) / (2.0 ** (a + 1.0) * gamma(a + 2.0)) * bessel_i_norm_imag(a, s)
+def dunkl_sampling_coeff(alpha: float, s: float, x: float) -> float:
+    """Closed form S_n(x) for the Dunkl sampling system at its signed node
+    s = s_n."""
+    if s == 0.0:
+        return bessel_i_norm_imag(alpha + 1.0, x) / _dunkl_d(alpha, 0.0)
+    a = alpha
+    c = _dunkl_d(a, s) / (2.0 ** (a + 1.0) * gamma(a + 2.0)) * bessel_i_norm_imag(a, s)
     at, dv = _x_i_alpha1_deriv(a, x, np.asarray([s]))
     return c * float(dv[0]) if at[0] else c * x * bessel_i_norm_imag(a + 1.0, x) / (x - s)
 
 
-def dunkl_sampling_sum(alpha: float, f: PWFunction, x: float, N: int,
-                       table: ZeroTable | None = None) -> complex:
-    """Truncated sampling series for a band-limited f from samples f(s_n),
-    |n| <= N; reproduces f(s_m) exactly at retained nodes."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if table is None or len(table) < N:
-        table = bessel_zeros(alpha + 1.0, N)
+def sampling_nodes(table: ZeroTable, N: int) -> np.ndarray:
+    """The signed nodes -s_N, ..., -s_1, 0, s_1, ..., s_N, ascending."""
+    if not 1 <= N <= len(table):
+        raise ValueError(f"need 1 <= N <= {len(table)}, the zeros the table holds; got N={N}")
     s = np.asarray(table.zeros[:N])
-    sn = np.concatenate([s, -s])
-    fs = f.eval(np.concatenate([[0.0], sn]))
+    return np.concatenate([-s[::-1], [0.0], s])
+
+
+def _samples(fs: np.ndarray, table: ZeroTable, N: int):
+    """s_1..s_N and f(0), f(s_n), f(-s_n), n = 1..N, from the centre window
+    of fs, the values of f on sampling_nodes(table, M) for some M >= N."""
+    s = sampling_nodes(table, N)[N + 1:]
+    fs = np.asarray(fs)
+    if fs.ndim != 1 or fs.size % 2 == 0 or fs.size < 2 * N + 1:
+        raise ValueError(f"need an odd count of samples, at least {2 * N + 1}; got {fs.size}")
+    c = fs.size // 2
+    return s, fs[c], fs[c + 1:c + N + 1], fs[c - N:c][::-1]
+
+
+def dunkl_sampling_sum(alpha: float, fs: np.ndarray, x: float, N: int,
+                       table: ZeroTable) -> complex:
+    """Truncated sampling series, |n| <= N, of a band-limited f from its
+    samples fs on sampling_nodes(table, M), M >= N; reproduces f(s_m) exactly
+    at retained nodes."""
+    s, f0, fp, fm = _samples(fs, table, N)
+    sn, fsn = np.concatenate([s, -s]), np.concatenate([fp, fm])
     i1x = bessel_i_norm_imag(alpha + 1.0, x)
     c = 2.0 * (alpha + 1.0) * np.tile(_jnorm_array(alpha, s), 2)
     at, dv = _x_i_alpha1_deriv(alpha, x, sn)
-    terms = fs[1:] * x * i1x / (c * np.where(at, 1.0, x - sn))
-    terms[at] = fs[1:][at] * dv / c[at]
-    return complex(fs[0] * i1x + terms.sum())
+    terms = fsn * x * i1x / (c * np.where(at, 1.0, x - sn))
+    terms[at] = fsn[at] * dv / c[at]
+    return complex(f0 * i1x + terms.sum())
 
 
-def sampling_even_sum(alpha: float, f: PWFunction, x: float, N: int,
+def sampling_even_sum(alpha: float, fs: np.ndarray, x: float, N: int,
                       table: ZeroTable) -> complex:
-    """Grouped form of the sampling series for even f:
+    """Grouped form of the sampling series for even f, from its samples fs:
 
         f(0) I_{a+1}(ix) + sum f(s_n) I_{a+1}(ix)/((a+1) I_a(i s_n))
                                           * x^2/(x^2 - s_n^2),
 
     whose m-th term at x = +-s_m is the full series' limit there."""
-    if len(table) < N:
-        raise ValueError(f"table holds {len(table)} zeros, fewer than N={N}")
-    s = np.asarray(table.zeros[:N])
-    fs = f.eval(np.concatenate([[0.0], s]))
+    s, f0, fp, _ = _samples(fs, table, N)
     i1x = bessel_i_norm_imag(alpha + 1.0, x)
     i0 = _jnorm_array(alpha, s)
     at, dv = _x_i_alpha1_deriv(alpha, abs(x), s)
-    terms = fs[1:] * i1x / ((alpha + 1.0) * i0) * x * x / np.where(at, 1.0, x * x - s * s)
-    terms[at] = fs[1:][at] * dv / (2.0 * (alpha + 1.0) * i0[at])
-    return complex(fs[0] * i1x + np.sum(terms))
+    terms = fp * i1x / ((alpha + 1.0) * i0) * x * x / np.where(at, 1.0, x * x - s * s)
+    terms[at] = fp[at] * dv / (2.0 * (alpha + 1.0) * i0[at])
+    return complex(f0 * i1x + np.sum(terms))
 
 
-def sampling_odd_sum(alpha: float, f: PWFunction, x: float, N: int,
+def sampling_odd_sum(alpha: float, fs: np.ndarray, x: float, N: int,
                      table: ZeroTable) -> complex:
-    """Grouped form for odd f; the algebraic factor is x s_n/(x^2 - s_n^2)
-    (pairing the two signed nodes of the full series and using oddness);
-    at x = +-s_m the m-th term is the full series' limit there."""
-    if len(table) < N:
-        raise ValueError(f"table holds {len(table)} zeros, fewer than N={N}")
-    s = np.asarray(table.zeros[:N])
-    fs = f.eval(s)
+    """Grouped form for odd f, from its samples fs; the algebraic factor is
+    x s_n/(x^2 - s_n^2) (pairing the two signed nodes of the full series and
+    using oddness); at x = +-s_m the m-th term is the full series' limit."""
+    s, _, fp, _ = _samples(fs, table, N)
     i1x = bessel_i_norm_imag(alpha + 1.0, x)
     i0 = _jnorm_array(alpha, s)
     at, dv = _x_i_alpha1_deriv(alpha, abs(x), s)
-    terms = fs * i1x / ((alpha + 1.0) * i0) * x * s / np.where(at, 1.0, x * x - s * s)
-    terms[at] = math.copysign(1.0, x) * fs[at] * dv / (2.0 * (alpha + 1.0) * i0[at])
+    terms = fp * i1x / ((alpha + 1.0) * i0) * x * s / np.where(at, 1.0, x * x - s * s)
+    terms[at] = math.copysign(1.0, x) * fp[at] * dv / (2.0 * (alpha + 1.0) * i0[at])
     return complex(np.sum(terms))
 
 

@@ -70,20 +70,16 @@ def raised_from_base(problem: SpectralProblem, a: np.ndarray) -> np.ndarray:
     return out
 
 
-def apply_T(problem: SpectralProblem, g: np.ndarray) -> tuple:
+def apply_T(problem: SpectralProblem, g: np.ndarray) -> np.ndarray:
     """Apply the right inverse in coefficient space to g, coefficients over
     the raised family C_m^{(b+3/2,a+1/2)} (slots 0..N; raised_from_base
     converts from the base family).
 
-    The operator shifts g_{n-1}/(2(a+b+1)) into slot n of the base family.
-    Returns (result coefficients, dropped mass beyond the window).
+    The operator shifts g_{n-1}/(2(a+b+1)) into slot n of the base family;
+    returns its coefficients, slots 0..N (g_N falls beyond the window).
     """
-    ab = problem.params.ab
-    N = problem.N
     g = np.asarray(g, dtype=complex)
-    out = np.zeros(N + 1, dtype=complex)
-    out[1:] = g[:N] / (2.0 * (ab + 1.0))
-    return out, abs(g[N]) / (2.0 * (ab + 1.0))
+    return np.concatenate([[0.0], g[:problem.N] / (2.0 * (problem.params.ab + 1.0))])
 
 
 def recurrence_coeffs(problem: SpectralProblem, lam: complex, N: int) -> np.ndarray:
@@ -207,7 +203,7 @@ def eigen_residual(problem: SpectralProblem, k: int, sign: int,
         a = eigen_coeffs(problem, k, sign, N)
     else:
         a = recurrence_coeffs(problem, lam, N)
-    ta, _ = apply_T(problem, raised_from_base(problem, a))
+    ta = apply_T(problem, raised_from_base(problem, a))
     r = ta - lam * a
     up = problem.family.raised()
     hs = [up.norm(m) for m in range(N + 1)]

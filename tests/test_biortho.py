@@ -132,8 +132,10 @@ class TestDunklSampling:
 
     def test_interpolation_property(self):
         f = bo.PWFunction(lambda t: 1.0, self.al)
+        fs = f.eval(bo.sampling_nodes(self.table, 40))
         s3 = self.table.signed(3)
-        got = bo.dunkl_sampling_sum(self.al, f, s3, 40, self.table)
+        assert fs[43] == f.eval(s3)
+        got = bo.dunkl_sampling_sum(self.al, fs, s3, 40, self.table)
         assert abs(got - f.eval(s3)) < 1e-12
 
     @given(st.floats(-0.9, 3.0), st.integers(1, 30), st.sampled_from([1, -1]),
@@ -145,39 +147,42 @@ class TestDunklSampling:
              lambda t: t * (1.0 - t * t) ** 2)[which]
         f = bo.PWFunction(u, al)
         table = bessel_zeros(al + 1.0, 30)
+        fs = f.eval(bo.sampling_nodes(table, 30))
         x = table.signed(sign * n)
-        got = bo.dunkl_sampling_sum(al, f, x, 30, table)
-        scale = max(abs(f.eval(v)) for v in [0.0] + list(table.zeros))
+        got = bo.dunkl_sampling_sum(al, fs, x, 30, table)
+        scale = np.max(np.abs(fs[30:]))     # f at 0 and at the positive zeros
         assert abs(got - f.eval(x)) <= 1e-12 * scale
 
     def test_convergence_ladder(self):
         f = bo.PWFunction(lambda t: (1.0 - t * t) ** 2, self.al)
+        fs = f.eval(bo.sampling_nodes(self.table, 50))
         errs = []
         for N in (25, 50):
-            e = max(abs(bo.dunkl_sampling_sum(self.al, f, x, N, self.table) - f.eval(x))
+            e = max(abs(bo.dunkl_sampling_sum(self.al, fs, x, N, self.table) - f.eval(x))
                     for x in (0.3, 1.7, 4.2))
             errs.append(e)
         assert errs[1] < errs[0]
 
     def test_node_system_orthonormal(self):
-        bio, dss = bo.dunkl_system(self.al, 8)
+        bio = bo.dunkl_system(self.al, 8)
         ns = range(-4, 5)
         assert np.max(np.abs(bio.gram(ns, ns) - np.eye(len(ns)))) < 1e-8
 
     def test_normalization_constant(self):
-        bio, dss = bo.dunkl_system(self.al, 4)
+        bio = bo.dunkl_system(self.al, 4)
         d0 = 2.0 ** (0.5 * (self.al + 1.0)) * math.sqrt(gamma(self.al + 2.0))
-        assert dss.d(0) == pytest.approx(d0, rel=1e-14, abs=0.0)
-        val = integrate_interval(lambda t: np.abs(dss.e([0], t)[0]) ** 2, self.al, 0.0, 60)
+        assert bo._dunkl_d(self.al, 0.0) == pytest.approx(d0, rel=1e-14, abs=0.0)
+        val = integrate_interval(lambda t: np.abs(bio.P([0], t)[0]) ** 2, self.al, 0.0, 60)
         assert val == pytest.approx(1.0, abs=1e-10)
 
     def test_coefficient_quadrature_vs_closed(self):
-        bio, dss = bo.dunkl_system(0.5, 8)
+        bio = bo.dunkl_system(0.5, 8)
         sn = bo.expand_kernel(bio, 1.3, 4)
-        assert abs(sn[2] - bo.dunkl_sampling_coeff(dss, 2, 1.3)) < 1e-8
+        s2 = bessel_zeros(1.5, 8).signed(2)
+        assert abs(sn[2] - bo.dunkl_sampling_coeff(0.5, s2, 1.3)) < 1e-8
 
     def test_kernel_expansion_converges(self):
-        bio, dss = bo.dunkl_system(0.5, 30)
+        bio = bo.dunkl_system(0.5, 30)
         vals = []
         for N in (6, 24):
             sn = bo.expand_kernel(bio, 1.3, N)
@@ -215,35 +220,47 @@ class TestDunklSampling:
             s = self.table.signed(n)
             i0 = bessel_i_norm_imag(al, s)
             wrong += f.eval(s) * i1x / ((al + 1.0) * i0) * s * s / (x * x - s * s)
-        good = bo.sampling_odd_sum(al, f, x, 40, self.table)
+        good = bo.sampling_odd_sum(al, f.eval(bo.sampling_nodes(self.table, 40)), x, 40,
+                                   self.table)
         fx = f.eval(x)
         assert abs(good - fx) < 1e-6
         assert abs(wrong - fx) > 1e-3
 
     def test_grouped_forms(self):
-        feven = bo.PWFunction(lambda t: (1.0 - t * t) ** 2, self.al)
-        fodd = bo.PWFunction(lambda t: t * (1.0 - t * t) ** 2, self.al)
+        nodes = bo.sampling_nodes(self.table, 60)
+        feven = bo.PWFunction(lambda t: (1.0 - t * t) ** 2, self.al).eval(nodes)
+        fodd = bo.PWFunction(lambda t: t * (1.0 - t * t) ** 2, self.al).eval(nodes)
         x = 1.9
         full_e = bo.dunkl_sampling_sum(self.al, feven, x, 40, self.table)
         full_o = bo.dunkl_sampling_sum(self.al, fodd, x, 40, self.table)
         assert abs(bo.sampling_even_sum(self.al, feven, x, 40, self.table) - full_e) < 1e-12
         assert abs(bo.sampling_odd_sum(self.al, fodd, x, 40, self.table) - full_o) < 1e-12
-        for grouped, f in ((bo.sampling_even_sum, feven), (bo.sampling_odd_sum, fodd)):
-            with pytest.raises(ValueError, match="fewer than N"):
-                grouped(self.al, f, x, 61, self.table)
+        # one contract for all three sums: no fewer zeros or samples than N
+        # terms, and an odd sample count centred on f(0)
+        with pytest.raises(ValueError, match="zeros the table holds"):
+            bo.sampling_nodes(self.table, 61)
+        for series, fs in ((bo.sampling_even_sum, feven), (bo.sampling_odd_sum, fodd),
+                           (bo.dunkl_sampling_sum, feven)):
+            with pytest.raises(ValueError, match="zeros the table holds"):
+                series(self.al, np.zeros(2 * 61 + 1), x, 61, self.table)
+            for bad, N in ((fs[20:-20], 41), (fs[:-1], 10)):
+                with pytest.raises(ValueError, match="odd count of samples"):
+                    series(self.al, bad, x, N, self.table)
 
     def test_grouped_forms_at_nodes(self):
         # at x = s_m the m-th grouped term is 0/0, as the full series' term
         # is: all three sums take its limit there, with no numpy warning
+        nodes = bo.sampling_nodes(self.table, 40)
         feven = bo.PWFunction(lambda t: (1.0 - t * t) ** 2, self.al)
         fodd = bo.PWFunction(lambda t: t * (1.0 - t * t) ** 2, self.al)
         for m in (1, 3, -3):
             x = self.table.signed(m)
             for grouped, f in ((bo.sampling_even_sum, feven), (bo.sampling_odd_sum, fodd)):
+                fs = f.eval(nodes)
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
-                    got = grouped(self.al, f, x, 40, self.table)
-                    full = bo.dunkl_sampling_sum(self.al, f, x, 40, self.table)
+                    got = grouped(self.al, fs, x, 40, self.table)
+                    full = bo.dunkl_sampling_sum(self.al, fs, x, 40, self.table)
                 assert abs(got - full) < 1e-12
                 assert abs(full - f.eval(x)) < 1e-12
 
@@ -333,11 +350,13 @@ class TestGramMatrix:
                 # conj(Q_m) dt against the rule of dt / sqrt(2 pi)
                 return math.sqrt(2.0 * math.pi) * P(m, t).conjugate()
         elif name == "dunkl":
-            bio, dss = bo.dunkl_system(0.5, 8)
+            bio = bo.dunkl_system(0.5, 8)
+            table = bessel_zeros(1.5, 8)
             ns = range(-6, 7)
 
             def P(n, t):
-                return dss.d(n) * dunkl_kernel(0.5, dss.table.signed(n) * t)
+                s = table.signed(n)
+                return bo._dunkl_d(0.5, s) * dunkl_kernel(0.5, s * t)
 
             def Q(m, t):
                 return P(m, t).conjugate()
@@ -499,17 +518,25 @@ class TestMirrorSymmetry:
         ref = (bo._dunkl_e(al, np.outer(small, nodes)) * wu).sum(axis=1)
         assert np.array_equal(bo.PWFunction(u, al).eval(np.array(small)), ref)
 
-    def test_kernel_grid_nodes_of_dunkl_sampling(self, monkeypatch, capsys):
-        # a default pass builds one grid row per |x|: 265,496 nodes, where a
-        # row per signed x took 521,552 (160 of them the nodes of the
+    @pytest.mark.parametrize("suite, count", [
+        # a row per signed x took 521,552 (160 of them the nodes of the
         # kernel-norm integrand's rule, one grid)
+        ("dunkl-sampling", 265496),
+        # f at 101, 101 and 401 sampling nodes, one call each: a second
+        # row for -x asked in a later call than x took 102,400
+        ("hankel", 87240),
+        # f once over the 11 reconstruction points, 6 values of |x|
+        ("fourier-neumann", 720),
+    ])
+    def test_kernel_grid_nodes_per_suite(self, suite, count, monkeypatch, capsys):
+        # a default pass builds one grid row per distinct |x| of each eval
         nodes = []
         grid = bo.dunkl_kernel_grid
         monkeypatch.setattr(bo, "dunkl_kernel_grid",
                             lambda alpha, xs: nodes.append(len(xs)) or grid(alpha, xs))
-        assert main(["verify", "dunkl-sampling", "--format", "json"]) == 0
+        assert main(["verify", suite, "--format", "json"]) == 0
         capsys.readouterr()
-        assert sum(nodes) == 265496
+        assert sum(nodes) == count
 
 
 class TestPWFunction:
