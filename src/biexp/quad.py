@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .orthopoly import _jacobi_rec
-from .specfun import _jratio_array, bessel_zeros, gamma, lgamma
+from .specfun import _jratio_array, _mcmahon, bessel_zeros, gamma, lgamma
 
 __all__ = [
     "gauss_jacobi",
@@ -223,10 +223,7 @@ def mcmahon_zero(nu: float, k: int) -> float:
     Used only to place integration cell edges, so two correction terms are
     plenty; accuracy is ~1e-4 already at k = 3 for desk-scale orders.
     """
-    mu = 4.0 * nu * nu
-    b = (k + 0.5 * nu - 0.25) * math.pi
-    z = b - (mu - 1.0) / (8.0 * b) - 4.0 * (mu - 1.0) * (7.0 * mu - 31.0) / (3.0 * (8.0 * b) ** 3)
-    return z
+    return _mcmahon(nu, k, 3)
 
 
 def _wynn_eps(seq: list):

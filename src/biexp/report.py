@@ -6,8 +6,9 @@ pass flag (error at or below tolerance, absolutely or relatively).  Suites
 aggregate reports; emitters render JSON, CSV, or an aligned text table.
 
 The emitted check rows are deterministic byte for byte across runs; the
-JSON envelope additionally carries the wall-clock runtime_ms field, which
-is the one volatile entry (CSV carries no timing at all).
+JSON envelope additionally carries the suite's wall-clock runtime_ms and a
+timing block of each check's runtime_ms keyed by check id, the volatile
+entries (CSV and text carry no per-check timing).
 """
 
 from __future__ import annotations
@@ -95,6 +96,7 @@ def emit_json(result: SuiteResult, out: IO[str]) -> None:
         "checks": [_check_row(c) for c in result.checks],
         "pass": result.passed,
         "runtime_ms": round(result.runtime_ms, 3),
+        "timing": {c.id: round(c.runtime_ms, 3) for c in result.checks},
     }
     json.dump(doc, out, indent=2, sort_keys=False)
     out.write("\n")

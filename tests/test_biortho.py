@@ -457,9 +457,12 @@ class TestMirrorSymmetry:
     # the kernel on the nonnegative rule nodes alone
     @pytest.mark.parametrize("al", [-0.5, 0.5, 19.5, 30.0])
     def test_jnorm_pair_even_in_x(self, al):
+        # x = 30 and 49.99 take the asymptotic at the low orders, Miller's
+        # recurrence at 19.5 and 30
+        moved = [30.0, 49.99]
         regimes = {"series": np.array([1e-3, 0.5, 3.0, 8.99]),
-                   "miller": np.array([12.0, 30.0, 49.99]),
-                   "asymptotic": np.array([700.0, 2000.0])}
+                   "miller": np.array([12.0, 15.0, 19.4] + (moved if al > 1.0 else [])),
+                   "asymptotic": np.array((moved if al < 1.0 else []) + [700.0, 2000.0])}
         assert np.all(sf._in_series_regime(al, regimes["series"]))
         assert not np.any(sf._in_series_regime(al, regimes["miller"]))
         for o in (al, al + 1.0):

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import mpmath as mp
 import numpy as np
@@ -6,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import special as sp
 
-from biexp import quad
-from biexp.orthopoly import (GenGegenbauerFamily, classical_gegenbauer,
+from biexp import biortho, quad
+from biexp.cli import main
+from biexp.orthopoly import (GenGegenbauerFamily, _jacobi_rows, classical_gegenbauer,
                              dunkl_apply_poly, jacobi_eval)
 from biexp.quad import integrate_interval
 from biexp.specfun import Params, bessel_zeros, gamma
@@ -205,19 +207,41 @@ class TestClassicalGegenbauer:
                 assert got[n] == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 
-def _two_row_jacobi(n, a, b, x):
-    """P_n and P_{n-1} by a plain two-row loop: the recurrence the Gauss
-    rules were built from before it became a row generator."""
-    p0 = x ** 0
-    p1 = 0.5 * (a - b) + 0.5 * (a + b + 2.0) * x
-    for k in range(2, n + 1):
-        c = 2.0 * k + a + b
-        a1 = 2.0 * k * (k + a + b) * (c - 2.0)
-        a2 = (c - 1.0) * (a * a - b * b)
-        a3 = (c - 1.0) * c * (c - 2.0)
-        a4 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * c
-        p0, p1 = p1, ((a2 + a3 * x) * p1 - a4 * p0) / a1
-    return p1, p0
+def _decimal_rule(n, a, b, x):
+    """Gauss-Jacobi nodes and weights for (1-x)^a (1+x)^b at 40 digits:
+    two Newton steps in Decimal arithmetic on all n roots from the float
+    nodes x, with a, b the floats taken exactly.  The weights take P_n'
+    of the second pass, at most 1e-30 from the root, and the constant
+    2^(a+b+1) Gamma(n+a+1) Gamma(n+b+1) / (Gamma(n+a+b+1) n!) from mpmath."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        da, db = Decimal(a), Decimal(b)
+        z = np.array([Decimal(v) for v in x.tolist()], dtype=object)
+        for _ in range(2):
+            p0, p1 = z * 0 + 1, (da - db) / 2 + (da + db + 2) / 2 * z
+            for k in range(2, n + 1):
+                c = 2 * k + da + db
+                p0, p1 = p1, (((c - 1) * (da * da - db * db) + (c - 1) * c * (c - 2) * z) * p1
+                              - 2 * (k + da - 1) * (k + db - 1) * c * p0) / (2 * k * (k + da + db) * (c - 2))
+            c = 2 * n + da + db
+            dp = (n * (da - db - c * z) * p1 + 2 * (n + da) * (n + db) * p0) / (c * (1 - z * z))
+            z = z - p1 / dp
+        with mp.workdps(40):
+            ma, mb = mp.mpf(a), mp.mpf(b)
+            lc = Decimal(mp.nstr(2 ** (ma + mb + 1) * mp.gamma(n + ma + 1) * mp.gamma(n + mb + 1)
+                                 / (mp.gamma(n + ma + mb + 1) * mp.factorial(n)), 40))
+        return z, lc / ((1 - z * z) * dp * dp)
+
+
+class TestRows:
+    def test_array_rows_are_float_rows_to_the_bit(self):
+        # the in-place array step rounds as the float step does
+        nodes = np.linspace(-1.0, 1.0, 11)
+        for a, b in ((0.3, -0.2), (-0.5, 0.5), (2.5, 6.0)):
+            arr = [r.copy() for r in _jacobi_rows(60, a, b, nodes)]
+            for i, x in enumerate(nodes.tolist()):
+                col = list(_jacobi_rows(60, a, b, x))
+                assert np.array([r[i] for r in arr]).tobytes() == np.array(col).tobytes()
 
 
 class TestTable:
@@ -254,13 +278,40 @@ class TestTable:
             assert tab[:, i].tobytes() == classical_gegenbauer(12, 1.3, float(t)).tobytes()
 
     @pytest.mark.parametrize("measure", [(0.3, 0.0), (0.4, 1.1), (-0.5, 0.5), (-0.5, 0.0)])
-    def test_rules_unchanged(self, measure, monkeypatch):
-        # the same Gauss rules, to the bit, as from the two-row loop
+    def test_rules_against_40_digits(self, measure):
+        # the Gauss-Jacobi rules of four measures against 40-digit rules:
+        # nodes within 2 ulp of 1, weights within 1e-12 relative (the
+        # unnormalized two-row loop read 1.0e-15 and 7.6e-13 at worst here)
+        a, b = measure
         for order in (8, 60, 120):
-            nodes, w = quad.rule_for_measure(*measure, order)
-            with monkeypatch.context() as m:
-                m.setattr(quad, "_jacobi_rec", _two_row_jacobi)
-                m.setattr(quad, "_rule_cache", {})
-                ref_nodes, ref_w = quad.rule_for_measure(*measure, order)
-            assert nodes.tobytes() == ref_nodes.tobytes()
-            assert w.tobytes() == ref_w.tobytes()
+            x, w = quad.gauss_jacobi(order, b, a)   # as rule_for_measure builds it
+            z, rw = _decimal_rule(order, b, a, x)
+            assert max(abs(Decimal(xi) - zi) for xi, zi in zip(x.tolist(), z)) <= Decimal("4.5e-16")
+            assert max(abs(Decimal(wi) / ri - 1) for wi, ri in zip(w.tolist(), rw)) <= Decimal("1e-12")
+
+    def test_default_rules_take_two_passes(self, monkeypatch, capsys):
+        # every Gauss-Jacobi rule of order 60 and up in the default float
+        # suites takes two recurrence passes: the Newton step and the pass
+        # that certifies it.  The twelve rules of order 16 and 24 (the cell
+        # rules of the Bessel-product integrals) take three, as they did
+        # with the unnormalized recurrence.
+        monkeypatch.setattr(quad, "_rule_cache", {})
+        monkeypatch.setattr(quad, "_leg16", None)
+        passes, counts = [], {}
+        rec, gj = quad._jacobi_rec, quad.gauss_jacobi
+
+        def counted(n, a, b):
+            passes.clear()
+            rule = gj(n, a, b)
+            counts[(n, a, b)] = len(passes)
+            return rule
+
+        monkeypatch.setattr(quad, "_jacobi_rec", lambda *args: passes.append(1) or rec(*args))
+        monkeypatch.setattr(quad, "gauss_jacobi", counted)
+        monkeypatch.setattr(biortho, "gauss_jacobi", counted)
+        for suite in ("planewave", "dunkl-sampling", "fourier-neumann", "hankel", "spectrum",
+                      "lemma71"):
+            assert main(["verify", suite, "--format", "json"]) == 0
+        capsys.readouterr()
+        assert len(counts) == 27
+        assert all(v == (2 if n >= 60 else 3) for (n, a, b), v in counts.items())

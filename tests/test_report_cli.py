@@ -61,6 +61,32 @@ class TestEmitters:
             assert row["abs_err"] == c.abs_err and row["rel_err"] == c.rel_err
             assert row["tol"] == c.tol
 
+    def test_json_timing_block(self):
+        # each check's runtime_ms, keyed by check id in row order, beside
+        # rows that carry no timing of their own
+        checks = [make_check("a/b", 1.0, 1.0, 1e-9, runtime_ms=0.25),
+                  make_check("c", 0.5, 0.25, 1e-9, runtime_ms=3.14159)]
+        r = SuiteResult(suite="demo", params={}, checks=checks, runtime_ms=4.0)
+        buf = io.StringIO()
+        emit_json(r, buf)
+        doc = json.loads(buf.getvalue())
+        assert list(doc) == ["suite", "params", "checks", "pass", "runtime_ms", "timing"]
+        assert list(doc["timing"].items()) == [("a/b", 0.25), ("c", 3.142)]
+        assert all("runtime_ms" not in row for row in doc["checks"])
+
+    def test_json_timing_from_a_suite(self, tmp_path):
+        # the timing block names every check of a run, and the rows are
+        # those of the CSV report
+        out, csv_out = tmp_path / "r.json", tmp_path / "r.csv"
+        assert main(["verify", "q-weber", "--format", "json", "--out", str(out)]) == 0
+        assert main(["verify", "q-weber", "--format", "csv", "--out", str(csv_out)]) == 0
+        doc = json.loads(out.read_text())
+        ids = [row["id"] for row in doc["checks"]]
+        assert list(doc["timing"]) == ids
+        assert all(v >= 0.0 for v in doc["timing"].values())
+        rows = csv_out.read_text().splitlines()[1:]
+        assert [line.split(",")[0] for line in rows] == ids
+
     def test_empty_report_is_vacuous_pass(self):
         r = SuiteResult(suite="demo", params={}, checks=[], runtime_ms=0.0)
         buf = io.StringIO()
@@ -458,8 +484,9 @@ class TestCLI:
         assert main(["verify", "q-weber", "--format", "json", "--out", str(p2)]) == 0
         d1 = json.loads(p1.read_text())
         d2 = json.loads(p2.read_text())
-        d1.pop("runtime_ms")
-        d2.pop("runtime_ms")
+        for d in (d1, d2):
+            d.pop("runtime_ms")
+            d.pop("timing")
         assert d1 == d2
 
     def test_config_file(self, tmp_path, capsys):

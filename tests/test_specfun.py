@@ -259,6 +259,23 @@ class TestMillerStride:
         assert got[1].tobytes() == ref[1].tobytes()
 
 
+class TestSeriesStride:
+    @pytest.mark.parametrize("nu", [-0.99, -0.5, 0.5, 3.3, 30.0, 140.0])
+    def test_same_sums_as_a_test_every_term(self, nu):
+        # the stop tested every fourth term reads the sums of a test at
+        # every term to the bit: past the first stop, terms no longer move them
+        x = np.concatenate([np.linspace(0.0, 9.0, 37), [1e-3, 2.0 * math.sqrt(nu + 1.0)]])
+        mx2 = -0.25 * x * x
+        t = np.ones_like(x)
+        ref = t.copy()
+        for k in range(1, specfun.SERIES_CAP):
+            t *= mx2 / (k * (nu + k))
+            ref += t
+            if np.all(np.abs(t) < specfun.SERIES_TOL * np.abs(ref)):
+                break
+        assert specfun._series_norm_array(nu, x).tobytes() == ref.tobytes()
+
+
 class TestOrderTable:
     @pytest.mark.parametrize("nu", [0.5, 1.1, 3.3, 31.0])
     def test_against_mpmath(self, nu):
@@ -322,6 +339,66 @@ class TestAsymRegime:
         for v, a, b in zip(both, specfun._jnorm_array(10.0, near, pair=True),
                            specfun._jnorm_array(10.0, far, pair=True)):
             assert np.array_equal(v, np.concatenate([a, b]))
+
+
+    def test_moved_band_against_mpmath(self):
+        # x in [19.5, 50], the band the asymptotic took over from Miller's
+        # recurrence (which keeps it where 8x < 4 nu^2 - 1): _jnorm,
+        # _jnorm_array and its pair hold the 1e-13 envelope against 40-digit
+        # values, and each node reads the same alone as among series,
+        # Miller and asymptotic nodes
+        mixed = np.array([0.5, 5.0, 12.0, 15.0, 75.0, 300.0])
+        with mp.workdps(40):
+            for nu in np.linspace(-0.99, 9.9, 12).tolist():
+                for x in np.linspace(19.5, 50.0, 14).tolist():
+                    ref, env = [], []
+                    for o in (nu, nu + 1.0):
+                        j, sc = mp.besselj(o, x), mp.gamma(o + 1) * (2 / mp.mpf(x)) ** o
+                        ref.append(sc * j)
+                        env.append(sc * max(abs(j), 0.3 * mp.sqrt(2 / (mp.pi * x))))
+                    alone = specfun._jnorm_array(nu, np.array([x]))
+                    pair = specfun._jnorm_array(nu, np.array([x]), pair=True)
+                    got = [specfun._jnorm(nu, x), alone[0], pair[0][0]]
+                    assert all(abs(g - ref[0]) <= 1e-13 * env[0] for g in got)
+                    assert abs(pair[1][0] - ref[1]) <= 1e-13 * env[1]
+                    xs = np.append(mixed, x)
+                    assert specfun._jnorm_array(nu, xs)[-1] == alone[0]
+                    for v, a in zip(specfun._jnorm_array(nu, xs, pair=True), pair):
+                        assert v[-1] == a[0]
+
+
+class TestMillerStart:
+    # the start from the error bound, against 40-digit values where the
+    # recurrence runs longest: order 101 (dunkl-sampling at alpha = 100)
+    # up to x = 5100, and the zero order cap 1e4.  The worst reading,
+    # 1.04e-12 of the envelope for J_102(5100), is the rounding of the
+    # 2,600-step sweep: the start from x + 15 x^(1/3) + 25 read 1.1e-12
+    def test_order_101_against_mpmath(self):
+        xs = np.array([21.0, 50.0, 150.0, 500.0, 2000.0, 4000.7, 5100.0])
+        arr = specfun._jnorm_array(101.0, xs, pair=True)
+        with mp.workdps(40):
+            for i, x in enumerate(xs.tolist()):
+                m = specfun._miller_start(101.0, x)
+                top = max(x, 101.0)
+                assert m % 2 == 0 and m < top + 15.0 * top ** (1.0 / 3.0) + 25.0
+                scalar = specfun._miller(101.0, x)[2:]
+                for o, got in zip((101, 102), zip(scalar, (a[i] for a in arr))):
+                    j = mp.besselj(o, x)
+                    sc = mp.gamma(o + 1) * (2 / mp.mpf(x)) ** o
+                    env = sc * max(abs(j), 0.3 * mp.sqrt(2 / (mp.pi * x)))
+                    assert all(abs(g - sc * j) <= 2e-12 * env for g in got)
+
+    def test_zero_cap_ratio_against_40_digits(self):
+        # Newton on the zeros reads J_nu/J_{nu+1} = f0/f1; at nu = 1e4 the
+        # reference is the backward continued fraction from 400 orders up
+        nu = 1e4
+        with mp.workdps(40):
+            for x in (10040.0, 10100.0, 10300.0, 12000.0):
+                t = mp.mpf(0)
+                for i in range(int(x - nu) + 400, -1, -1):
+                    t = 1 / (2 * (nu + i + 1) / mp.mpf(x) - t)
+                f0, f1 = specfun._miller(nu, x)[:2]
+                assert abs(f0 / f1 - 1 / t) <= 1e-12 * max(abs(1 / t), 1)
 
 
 class TestDunklKernel:
@@ -430,12 +507,14 @@ class TestZeros:
                 ref = float(mp.besseljzero(mp.mpf(nu), k))
                 assert t.zeros[k - 1] == pytest.approx(ref, rel=1e-14, abs=0.0)
 
-    @pytest.mark.parametrize("nu", [-0.99, -0.5, 0.05, 1.5, 3.9, 20.0, 140.0, 500.0,
-                                    2000.0, 1e4])
+    @pytest.mark.parametrize("nu", [-0.99, -0.5, 0.05, 1.5, 3.9, 20.0, 30.0, 101.0, 140.0,
+                                    500.0, 2000.0, 1e4])
     def test_one_polish_per_zero(self, nu, monkeypatch):
         # the seed matrix is sized for the k-th zero, so every zero takes
         # one Newton evaluation at both ends of the order range, and for
-        # nu <= 500 every seed already agrees with its polished zero to 1e-13
+        # nu <= 500 every seed already agrees with its polished zero to
+        # 1e-13.  Past the seeds, McMahon's zero shifted by the error of the
+        # zero before keeps it one evaluation a zero through k = 400
         calls = []
         pair = specfun._j_pair
         monkeypatch.setattr(specfun, "_j_pair", lambda n, x: calls.append(x) or pair(n, x))
@@ -446,6 +525,10 @@ class TestZeros:
             if nu <= 500.0:
                 seeds = specfun._zero_seeds(nu, k_max)
                 assert np.max(np.abs(seeds / zeros - 1.0)) < 1e-13
+        if nu in (0.05, 1.5, 30.0, 101.0):
+            calls.clear()
+            assert len(bessel_zeros(nu, 400).zeros) == 400
+            assert len(calls) == 400
 
     def test_smallest_positive_order(self):
         # at nu = 5e-324 the seeds' nu/2 underflows to 0: the zeros are
