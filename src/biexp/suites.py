@@ -855,9 +855,8 @@ _PARAM_TYPES = {"alpha": float, "beta": float, "q": float, "tol": float,
 # each suite with the keys it reads and their defaults; a None default
 # (planewave's tol) leaves the suite its own per-row tolerances
 _Q_DEFAULTS = {"q": 0.5, "alpha": 0.3, "beta": 0.2}
-# below this alpha the q suites' sums with the weight |x|^(2 alpha + 1) d_q x
-# pass qspec's cap on the small-x end (2 k_max); the three suites pass at
-# alpha = -0.75, -0.7, -0.6, -0.55 and -0.5
+# the q suites' measured domain: the three suites pass at alpha = -0.75,
+# -0.7, -0.6, -0.55 and -0.5
 _Q_ALPHA_MIN = -0.75
 _REGISTRY = {
     "planewave": (suite_planewave, {"alpha": 0.3, "beta": 0.2, "terms": 40, "tol": None}),
