@@ -250,6 +250,8 @@ def classical_planewave(beta: float, x: float, t: float, N: int) -> complex:
         raise ValueError("N must be >= 1")
     if not beta > 0.0:
         raise ValueError(f"classical plane wave needs beta > 0, got {beta}")
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     return _planewave_sum(beta, x, classical_gegenbauer(N - 1, beta, t).tolist())
 
 
@@ -409,8 +411,8 @@ def planewave_partial_sum(params: Params, x: float, t: float, N: int) -> complex
     which converges super-exponentially in N for fixed x."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    if abs(t) > 1.0:
-        raise ValueError("|t| <= 1 required")
+    if not abs(t) <= 1.0:
+        raise ValueError(f"|t| <= 1 required, got {t}")
     cs = GenGegenbauerFamily(params).table(N - 1, t).tolist()
     return _planewave_sum(params.ab + 1.0, x, cs)
 

@@ -263,10 +263,13 @@ def _little_p_coeffs_mp(n: int, am, bm, Qm) -> list:
 def _qbessel_pref_mp(nu: float, Q: float):
     """(Q^{nu+1}; Q)_inf / (Q; Q)_inf as a 40-digit mpf, formed once per
     (nu, Q).  Every factor lies in (0, 1], so nothing cancels and 40 digits
-    serve every working precision of the series."""
+    serve every working precision of the series.  The Euler function
+    (Q; Q)_inf comes from mpmath's qp, by Euler's pentagonal-number series:
+    about 120 terms at Q = 0.99^2, where the product takes about 5,000
+    factors."""
     with mp.workdps(40):
         Qm = mp.mpf(Q)
-        return _qpoch_inf_mp(Qm ** (mp.mpf(nu) + 1), Qm, 40) / _qpoch_inf_mp(Qm, Qm, 40)
+        return _qpoch_inf_mp(Qm ** (mp.mpf(nu) + 1), Qm, 40) / mp.qp(Qm)
 
 
 def _qbessel_ratio_mp(nu: float, x: float, Q: float, mx: float) -> float:

@@ -12,6 +12,7 @@ Two families of tools live here:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -80,8 +81,10 @@ def _jacobi_matrix_roots(n: int, a: float, b: float) -> np.ndarray:
     return np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
 
 
-# one table of Bessel zeros per (order, count) for the end starts
-_end_zero_cache: dict = {}
+@functools.cache
+def _end_zeros(a: float, m: int) -> np.ndarray:
+    """The first m zeros of J_a, one table per (order, count) for the end starts."""
+    return np.asarray(bessel_zeros(a, m).zeros)
 
 
 def _end_angles(n: int, a: float, b: float, m: int) -> np.ndarray:
@@ -90,10 +93,7 @@ def _end_angles(n: int, a: float, b: float, m: int) -> np.ndarray:
     theta_k = j_k/v (1 - (4 - a^2 - 15 b^2)(j_k^2/2 + a^2 - 1)/(720 v^4)),
     v^2 = rho^2 + (1 - a^2 - 3 b^2)/12 (Hale and Townsend, SIAM J. Sci.
     Comput. 35, 2013, A652-A674)."""
-    key = (a, m)
-    if key not in _end_zero_cache:
-        _end_zero_cache[key] = np.asarray(bessel_zeros(a, m).zeros)
-    j = _end_zero_cache[key]
+    j = _end_zeros(a, m)
     rho = n + 0.5 * (a + b + 1.0)
     v2 = rho * rho + (1.0 - a * a - 3.0 * b * b) / 12.0
     return j / math.sqrt(v2) * (1.0 - (4.0 - a * a - 15.0 * b * b)
@@ -338,14 +338,9 @@ class BesselProductResult:
     last_partials: tuple
 
 
-_leg16 = None
-
-
+@functools.cache
 def _legendre16():
-    global _leg16
-    if _leg16 is None:
-        _leg16 = gauss_jacobi(16, 0.0, 0.0)
-    return _leg16
+    return gauss_jacobi(16, 0.0, 0.0)
 
 
 def _first_cell_rule(c: float):

@@ -364,7 +364,10 @@ def _jratio_orders(nu: float, x: float, N: int) -> np.ndarray:
     downward recurrence g_{mu-1} = g_mu - x^2 g_{mu+1} / (4 mu (mu+1)), the
     Bessel one in normalized form, stable downward (Gautschi, SIAM Rev. 9,
     1967); the running product 1/(2^mu Gamma(mu+1)) turns g into the ratio.
+    ValueError for a non-finite x, which the Miller start cannot place.
     """
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x}")
     g = [_jnorm(nu + n, x) for n in (N - 1, N - 2)[:N]]
     x2 = 0.25 * x * x
     for n in range(N - 2, 0, -1):

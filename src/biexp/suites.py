@@ -7,10 +7,15 @@ function with the keys it reads and their defaults; `run_suite` refuses a
 key the suite does not declare, lays the overrides over the defaults and
 hands the suite that read-only mapping, so two runs of the same suite
 produce identical values and a report echoes the values in effect.
+
+Every row is built in one place, `_timed`, which times the callable that
+gives the row's two sides; `_flag` makes a yes/no row (lhs 1.0 where its
+predicate holds, 0.0 where not, against rhs 1.0 at tol 0.0) through it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 import time
@@ -53,9 +58,9 @@ def _worst(errs) -> float:
     return math.nan if any(math.isnan(e) for e in errs) else max(errs)
 
 
-def _flag(checks: list, cid: str, ok: bool) -> None:
-    # boolean-style check encoded in the numeric schema: lhs = 1 iff ok
-    checks.append(make_check(cid, 1.0 if ok else 0.0, 1.0, 0.0))
+def _flag(checks: list, cid: str, pred: Callable[[], bool]) -> None:
+    # boolean-style check encoded in the numeric schema: lhs = 1 iff pred()
+    _timed(checks, cid, lambda: (1.0 if pred() else 0.0, 1.0), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -120,16 +125,15 @@ def suite_dunkl_sampling(ov: Mapping) -> list:
 
     errs = {}
     for Ns in (50, 100, 200, 400):
-        t0 = time.perf_counter()
-        errs[Ns] = _worst(abs(bo.dunkl_sampling_sum(al, fs, x, Ns, table) - fx[x]) for x in xs)
-        ms = (time.perf_counter() - t0) * 1000.0
-        checks.append(make_check(f"dunkl-sampling/sup-error/N={Ns}", errs[Ns], 0.0, 1e-9,
-                                 runtime_ms=ms))
+        def sup_error(Ns=Ns):
+            errs[Ns] = _worst(abs(bo.dunkl_sampling_sum(al, fs, x, Ns, table) - fx[x]) for x in xs)
+            return errs[Ns], 0.0
+        _timed(checks, f"dunkl-sampling/sup-error/N={Ns}", sup_error, 1e-9)
     _flag(checks, "dunkl-sampling/error-strictly-decreasing",
-          errs[50] > errs[100] > errs[200] > errs[400])
-    _flag(checks, "dunkl-sampling/N400-quarter-of-N100", errs[400] < 0.25 * errs[100])
-    checks.append(make_check("dunkl-sampling/N400-threshold", errs[400], 0.0,
-                             SAMPLING_N400_THRESHOLD))
+          lambda: errs[50] > errs[100] > errs[200] > errs[400])
+    _flag(checks, "dunkl-sampling/N400-quarter-of-N100", lambda: errs[400] < 0.25 * errs[100])
+    _timed(checks, "dunkl-sampling/N400-threshold", lambda: (errs[400], 0.0),
+           SAMPLING_N400_THRESHOLD)
 
     def gram():
         bio = bo.dunkl_system(al, 8)
@@ -225,8 +229,8 @@ def suite_fourier_neumann(ov: Mapping) -> list:
             coeffs = bo.fourier_neumann_coeffs(P, f2, Ns)
             sups.append(_worst(abs(bo.neumann_partial_sum(P, coeffs, x) - v)
                                for x, v in zip(xs, fx)))
-        return (1.0 if sups[1] < sups[0] else 0.0), 1.0
-    _timed(checks, "fourier-neumann/reconstruction-error-decreasing", recon, 0.0)
+        return sups[1] < sups[0]
+    _flag(checks, "fourier-neumann/reconstruction-error-decreasing", recon)
 
     def st_gram():
         g = bo.st_gram_gegenbauer(1.0, 4)
@@ -351,8 +355,8 @@ def suite_spectrum(ov: Mapping) -> list:
         dec_ok = all(mags[i] > mags[i + 1] for i in range(k_max - 1))
         conj_ok = all(vals[2 * i] == vals[2 * i + 1].conjugate()
                       for i in range(k_max))
-        return (1.0 if (real_ok and dec_ok and conj_ok) else 0.0), 1.0
-    _timed(checks, "spectrum/eigenvalues-imaginary-decreasing", eigvals, 0.0)
+        return real_ok and dec_ok and conj_ok
+    _flag(checks, "spectrum/eigenvalues-imaginary-decreasing", eigvals)
 
     def lam_zero():
         return _worst((abs(lommel_h(5, ab + 2.0, 0.0) - 0.0),
@@ -460,8 +464,8 @@ def suite_spectrum(ov: Mapping) -> list:
             ntg = math.sqrt(sum(abs(out[n]) ** 2 * hs[n] for n in range(N + 1)))
             ng = math.sqrt(sum(abs(g[n]) ** 2 * hs_up[n] for n in range(N + 1)))
             ok = ok and (ntg <= M * ng * (1.0 + 1e-12))
-        return (1.0 if ok else 0.0), 1.0
-    _timed(checks, "spectrum/right-inverse-norm-bound", bound, 0.0)
+        return ok
+    _flag(checks, "spectrum/right-inverse-norm-bound", bound)
 
     def hratio():
         errs = []
@@ -482,14 +486,10 @@ def suite_spectrum(ov: Mapping) -> list:
 # lemma71
 # ---------------------------------------------------------------------------
 
-def _i_minus(al: float, be: float, n: int, t: float):
-    r = integrate_bessel_product(be, al + be + 2.0 * n + 1.0, al, t)
-    return t ** (-al) * r.value, r
-
-
-def _i_plus(al: float, be: float, n: int, t: float):
-    r = integrate_bessel_product(-be, al + be + 2.0 * n + 1.0, al, t)
-    return t ** (-al) * r.value, r
+def _lemma71_integral(lam: float, al: float, be: float, n: int, t: float, **kw) -> float:
+    """t^-a int_0^inf x^-lam J_{a+b+2n+1}(x) J_a(xt) dx: Lemma 7.1's I-minus
+    at lam = b, its I-plus at lam = -b; kw goes to integrate_bessel_product."""
+    return t ** (-al) * integrate_bessel_product(lam, al + be + 2.0 * n + 1.0, al, t, **kw).value
 
 
 def suite_lemma71(ov: Mapping) -> list:
@@ -498,22 +498,21 @@ def suite_lemma71(ov: Mapping) -> list:
     for (al, be, n) in ((0.3, 0.2, 0), (0.3, 0.2, 1), (0.5, -0.1, 2)):
         for t in (0.4, 0.7):
             def minus(al=al, be=be, n=n, t=t):
-                got, _ = _i_minus(al, be, n, t)
+                got = _lemma71_integral(be, al, be, n, t)
                 exact = (2.0 ** (-be) * gamma(n + 1.0) / gamma(be + n + 1.0)
                          * (1.0 - t * t) ** be * jacobi_eval(n, al, be, 1.0 - 2.0 * t * t))
                 return got, exact
             _timed(checks, f"lemma71/I-minus/a={al}/b={be}/n={n}/t={t}", minus, tol)
 
             def plus(al=al, be=be, n=n, t=t):
-                got, _ = _i_plus(al, be, n, t)
+                got = _lemma71_integral(-be, al, be, n, t)
                 exact = (2.0 ** be * gamma(al + be + n + 1.0) / gamma(al + n + 1.0)
                          * jacobi_eval(n, al, be, 1.0 - 2.0 * t * t))
                 return got, exact
             _timed(checks, f"lemma71/I-plus/a={al}/b={be}/n={n}/t={t}", plus, tol)
 
     def vanishing():
-        got, _ = _i_minus(0.3, 0.2, 1, 1.5)
-        return got, 0.0
+        return _lemma71_integral(0.2, 0.3, 0.2, 1, 1.5), 0.0
     _timed(checks, "lemma71/I-minus-vanishes-outside", vanishing, 1e-5)
 
     def squared():
@@ -535,10 +534,8 @@ def suite_lemma71(ov: Mapping) -> list:
     _timed(checks, "lemma71/crossed-over-x-generic", crossed_generic, 1e-6)
 
     def doubling():
-        got1, r1 = _i_minus(0.3, 0.2, 1, 0.4)
-        r2 = integrate_bessel_product(0.2, 0.3 + 0.2 + 3.0, 0.3, 0.4,
-                                      rtol=1e-9)
-        got2 = 0.4 ** (-0.3) * r2.value
+        got1 = _lemma71_integral(0.2, 0.3, 0.2, 1, 0.4)
+        got2 = _lemma71_integral(0.2, 0.3, 0.2, 1, 0.4, rtol=1e-9)
         return abs(got1 - got2) / max(abs(got1), 1e-30), 0.0
     _timed(checks, "lemma71/refinement-stability", doubling, 1e-6)
     return checks
@@ -547,22 +544,6 @@ def suite_lemma71(ov: Mapping) -> list:
 # ---------------------------------------------------------------------------
 # q suites
 # ---------------------------------------------------------------------------
-
-def _grid_memo(q: float, fn: Callable[[float], complex]) -> Callable[[float], complex]:
-    """fn on the grid {+-q^k}, evaluated once per exponent k and sign; an
-    argument off the grid is passed through."""
-    cache: dict = {}
-
-    def memo(y: float):
-        j = qs._grid_exponent(q, y)
-        if j is None:
-            return fn(y)
-        key = (j, y > 0)
-        if key not in cache:
-            cache[key] = fn(y)
-        return cache[key]
-    return memo
-
 
 def suite_q_core(ov: Mapping) -> list:
     checks: list = []
@@ -621,7 +602,7 @@ def suite_q_core(ov: Mapping) -> list:
     def hankel_inv():
         al = P.alpha
         fgrid = lambda y: math.exp(-math.log(y) ** 2) if y > 0 else 0.0
-        hf = _grid_memo(q, lambda y: qs.q_hankel(ctx, al, fgrid, y))
+        hf = functools.cache(lambda y: qs.q_hankel(ctx, al, fgrid, y))
         return _worst(abs(qs.q_hankel(ctx, al, hf, q ** n) - fgrid(q ** n))
                       for n in range(-2, 5)), 0.0
     _timed(checks, "q-core/hankel-double-transform", hankel_inv, 1e-11)
@@ -630,8 +611,8 @@ def suite_q_core(ov: Mapping) -> list:
         al = P.alpha
         u = lambda x: math.exp(-math.log(abs(x)) ** 2) if x != 0 else 0.0
         v = lambda x: abs(x) * math.exp(-math.log(abs(x)) ** 2) if x != 0 else 0.0
-        fu = _grid_memo(q, lambda y: qs.q_transform(ctx, al, u, y))
-        fv = _grid_memo(q, lambda y: qs.q_transform(ctx, al, v, y))
+        fu = functools.cache(lambda y: qs.q_transform(ctx, al, u, y))
+        fv = functools.cache(lambda y: qs.q_transform(ctx, al, v, y))
         cq = qs.qpochhammer(ctx.q2 ** (al + 1.0), ctx.q2) / qs.qpochhammer(ctx.q2, ctx.q2)
 
         def msum(g):
@@ -662,8 +643,8 @@ def suite_q_core(ov: Mapping) -> list:
         c2 = qs.QContext(q, tol=5e-19)
         v1 = qs.jackson_integral(c1, lambda t: t ** 0.7, "unit").real
         v2 = qs.jackson_integral(c2, lambda t: t ** 0.7, "unit").real
-        return (1.0 if abs(v1 - v2) < 10.0 * 1e-18 else 0.0), 1.0
-    _timed(checks, "q-core/tolerance-stability", tol_stability, 0.0)
+        return abs(v1 - v2) < 10.0 * 1e-18
+    _flag(checks, "q-core/tolerance-stability", tol_stability)
     return checks
 
 
@@ -676,7 +657,9 @@ def _pw_term_bound(ctx: qs.QContext, P: Params, x: float, t: float, n: int) -> f
     q^{m(a+b+n+1)}, m = n // 2 (Euler's sum bounds the q-Bessel series for
     orders >= 0), and the q-Gegenbauer by its prefactors times the sum of
     the absolute terms of its 2phi1.  Formed in logarithms, so that a
-    factor past the float range meets no other on the way (0 * inf).
+    factor past the float range meets no other on the way (0 * inf); the
+    two infinite-product quotients, the same for every n, are read from
+    qspec's cache.
 
     OverflowError where the bound leaves the float range, or where term n
     could not be formed: the sum forms q^(-m b) (the lemma route's
@@ -696,10 +679,10 @@ def _pw_term_bound(ctx: qs.QContext, P: Params, x: float, t: float, n: int) -> f
                   - math.log1p(-Q ** (ap + 1.0 + k)) - math.log1p(-Q ** (k + 1.0)))
     top = max(lc)
     ls = top + log(math.fsum(math.exp(v - top) for v in lc))
-    neumann = log(qp(-Q * x * x, Q) / qp(Q, Q)) + n * log(x) + m * (ab + n + 1.0) * lq
+    neumann = log(qs._qpoch_ratio(-Q * x * x, Q, Q)) + n * log(x) + m * (ab + n + 1.0) * lq
     gegen = (log(abs(qp(Q ** (ab + 1.0), Q, m + r) / qp(Q ** (a + 1.0), Q, m + r))) + r * lt
              - m * (ap + 1.0) * lq + log(abs(qp(Q ** (ap + 1.0), Q, m) / qp(Q, Q, m))) + ls)
-    return math.exp(log(qp(Q, Q) / qp(Q ** (ab + 1.0), Q)) - m * b * lq + neumann + gegen)
+    return math.exp(log(qs._qpoch_ratio(Q, Q ** (ab + 1.0), Q)) - m * b * lq + neumann + gegen)
 
 
 def _pw_terms(ctx: qs.QContext, P: Params, x: float, t: float, n: int, tol: float) -> int:
@@ -739,8 +722,8 @@ def suite_q_planewave(ov: Mapping) -> list:
         ker = qs.q_dunkl_kernel(ctx, P.alpha, x * t)
         plain = abs(qs.q_planewave_partial_sum(ctx, P, x, t, N, route="plain") - ker)
         lemma = abs(qs.q_planewave_partial_sum(ctx, P, x, t, N, route="lemma") - ker)
-        return (1.0 if lemma < plain else 0.0), 1.0
-    _timed(checks, "q-planewave/ratio-factor-route-matches", route_report, 0.0)
+        return lemma < plain
+    _flag(checks, "q-planewave/ratio-factor-route-matches", route_report)
 
     def smallest_grid():
         x, t = q ** 8, q
@@ -756,9 +739,8 @@ def suite_q_planewave(ov: Mapping) -> list:
         # |s35 - s30| < q^{N(N-1)/4} in logarithms: the bound underflows
         # past N = 66, where the two sums agree to the bit
         diff = abs(s35 - s30)
-        ok = diff == 0.0 or math.log(diff) < N * (N - 1) / 4.0 * math.log(q)
-        return (1.0 if ok else 0.0), 1.0
-    _timed(checks, "q-planewave/partial-sums-cauchy", cauchy, 0.0)
+        return diff == 0.0 or math.log(diff) < N * (N - 1) / 4.0 * math.log(q)
+    _flag(checks, "q-planewave/partial-sums-cauchy", cauchy)
 
     def forward_lemma():
         ab = P.ab

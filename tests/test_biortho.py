@@ -1,4 +1,5 @@
 import math
+import signal
 import warnings
 
 import mpmath as mp
@@ -123,6 +124,37 @@ class TestPlaneWave:
             bo.planewave_partial_sum(P, 1.0, 1.2, 10)
         with pytest.raises(ValueError):
             bo.planewave_partial_sum(P, 1.0, 0.5, 0)
+
+    @staticmethod
+    def _refused_in_time(call, match):
+        # a non-finite argument once sent Miller's start search into an
+        # endless loop: the alarm turns a hang into a failure
+        def hang(signum, frame):
+            raise TimeoutError("no answer within 5 s")
+        old = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(5)
+        try:
+            with pytest.raises(ValueError, match=match):
+                call()
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old)
+
+    _SUMS = {
+        "planewave_partial_sum": lambda x, t: bo.planewave_partial_sum(Params(0.3, 0.2), x, t, 10),
+        "classical_planewave": lambda x, t: bo.classical_planewave(0.5, x, t, 10),
+        "neumann_partial_sum": lambda x, t: bo.neumann_partial_sum(
+            Params(0.3, 0.2), np.ones(5, dtype=complex), x),
+    }
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", list(_SUMS))
+    def test_non_finite_x_refused(self, name, x):
+        self._refused_in_time(lambda: self._SUMS[name](x, 0.3), "x must be finite")
+
+    @pytest.mark.parametrize("name", ["planewave_partial_sum", "classical_planewave"])
+    def test_nan_t_refused(self, name):
+        self._refused_in_time(lambda: self._SUMS[name](1.0, math.nan), "got nan")
 
 
 class TestDunklSampling:

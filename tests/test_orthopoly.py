@@ -296,7 +296,7 @@ class TestTable:
         # rules of the Bessel-product integrals) take three, as they did
         # with the unnormalized recurrence.
         monkeypatch.setattr(quad, "_rule_cache", {})
-        monkeypatch.setattr(quad, "_leg16", None)
+        quad._legendre16.cache_clear()
         passes, counts = [], {}
         rec, gj = quad._jacobi_rec, quad.gauss_jacobi
 

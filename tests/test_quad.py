@@ -155,7 +155,7 @@ class TestAsymptoticStarts:
         # every rule of the default float suites and of dunkl-sampling at
         # alpha = 30 (exponents to 30, orders to 1344) converges from its starts
         monkeypatch.setattr(quad, "_rule_cache", {})
-        monkeypatch.setattr(quad, "_leg16", None)
+        quad._legendre16.cache_clear()
         restarts = _forbid_restart(monkeypatch)
         for args in (["planewave"], ["dunkl-sampling"], ["fourier-neumann"], ["hankel"],
                      ["spectrum"], ["lemma71"], ["dunkl-sampling", "--alpha", "30"]):

@@ -143,6 +143,29 @@ class TestSuiteRegistry:
         ids = [c.id for c in run_suite(name).checks]
         assert ids and all(i.startswith(name + "/") for i in ids)
 
+    def test_every_row_timed_and_flags_boolean(self, monkeypatch):
+        # every row is made by _timed, so each carries its own runtime; a
+        # _flag row reads 1.0 or 0.0 against 1.0 at tol 0.0
+        flags, real = [], suites._flag
+
+        def recording(checks, cid, pred):
+            flags.append(cid)
+            real(checks, cid, pred)
+        monkeypatch.setattr(suites, "_flag", recording)
+        rows = {c.id: c for c in run_suite("all").checks}
+        assert all(c.runtime_ms > 0.0 for c in rows.values())
+        assert len(flags) == 8
+        for cid in flags:
+            c = rows[cid]
+            assert c.lhs in (1.0, 0.0) and c.rhs == 1.0 and c.tol == 0.0
+
+    def test_flag_reports_a_false_predicate(self):
+        checks = []
+        suites._flag(checks, "demo/no", lambda: False)
+        suites._flag(checks, "demo/yes", lambda: True)
+        assert [(c.lhs, c.passed) for c in checks] == [(0.0, False), (1.0, True)]
+        assert all(c.runtime_ms > 0.0 for c in checks)
+
     def test_worst_keeps_nan(self):
         assert _worst([0.1, 0.3, 0.2]) == 0.3
         assert math.isnan(_worst([0.1, math.nan, 0.2]))
@@ -349,6 +372,22 @@ class TestCLI:
         assert all(math.isfinite(suites._pw_term_bound(ctx, P, 1.0, q, k)) for k in range(50))
         assert suites._pw_terms(ctx, P, 1.0, q, 1, 1e-10) == floor
         assert suites._pw_terms(ctx, P, 1.0, q, 30, 1e-10) == 30
+
+    def test_q_planewave_term_bound_reads_cached_products(self, monkeypatch):
+        # the bound's two infinite-product quotients are the same for every
+        # term: a term count forms each once, not once per bound (20 or more)
+        qs, calls = suites.qs, []
+        real = qs.qpochhammer
+
+        def counted(a, q, n=None):
+            if n is None:
+                calls.append(a)
+            return real(a, q, n)
+        monkeypatch.setattr(qs, "qpochhammer", counted)
+        qs._qpoch_ratio.cache_clear()
+        q = 0.5
+        assert suites._pw_terms(qs.QContext(q), suites.Params(0.3, 0.2), 1.0, q, 30, 1e-10) == 30
+        assert 0 < len(calls) <= 4
 
     @pytest.mark.parametrize("alpha", ["1", "2", "5"])
     def test_fourier_neumann_alpha(self, capsys, alpha):
