@@ -315,9 +315,12 @@ def sampling_nodes(table: ZeroTable, N: int) -> np.ndarray:
     return np.concatenate([-s[::-1], [0.0], s])
 
 
-def _samples(fs: np.ndarray, table: ZeroTable, N: int):
+def _samples(alpha: float, fs: np.ndarray, table: ZeroTable, N: int):
     """s_1..s_N and f(0), f(s_n), f(-s_n), n = 1..N, from the centre window
-    of fs, the values of f on sampling_nodes(table, M) for some M >= N."""
+    of fs, the values of f on sampling_nodes(table, M) for some M >= N;
+    the table must hold zeros of J_{alpha+1}."""
+    if table.nu != alpha + 1.0:
+        raise ValueError(f"zero table is of J_{table.nu}; alpha={alpha} samples on J_{alpha + 1.0}")
     s = sampling_nodes(table, N)[N + 1:]
     fs = np.asarray(fs)
     if fs.ndim != 1 or fs.size % 2 == 0 or fs.size < 2 * N + 1:
@@ -331,7 +334,7 @@ def dunkl_sampling_sum(alpha: float, fs: np.ndarray, x: float, N: int,
     """Truncated sampling series, |n| <= N, of a band-limited f from its
     samples fs on sampling_nodes(table, M), M >= N; reproduces f(s_m) exactly
     at retained nodes."""
-    s, f0, fp, fm = _samples(fs, table, N)
+    s, f0, fp, fm = _samples(alpha, fs, table, N)
     sn, fsn = np.concatenate([s, -s]), np.concatenate([fp, fm])
     i1x = bessel_i_norm_imag(alpha + 1.0, x)
     c = 2.0 * (alpha + 1.0) * np.tile(_jnorm_array(alpha, s), 2)
@@ -349,7 +352,7 @@ def sampling_even_sum(alpha: float, fs: np.ndarray, x: float, N: int,
                                           * x^2/(x^2 - s_n^2),
 
     whose m-th term at x = +-s_m is the full series' limit there."""
-    s, f0, fp, _ = _samples(fs, table, N)
+    s, f0, fp, _ = _samples(alpha, fs, table, N)
     i1x = bessel_i_norm_imag(alpha + 1.0, x)
     i0 = _jnorm_array(alpha, s)
     at, dv = _x_i_alpha1_deriv(alpha, abs(x), s)
@@ -363,7 +366,7 @@ def sampling_odd_sum(alpha: float, fs: np.ndarray, x: float, N: int,
     """Grouped form for odd f, from its samples fs; the algebraic factor is
     x s_n/(x^2 - s_n^2) (pairing the two signed nodes of the full series and
     using oddness); at x = +-s_m the m-th term is the full series' limit."""
-    s, _, fp, _ = _samples(fs, table, N)
+    s, _, fp, _ = _samples(alpha, fs, table, N)
     i1x = bessel_i_norm_imag(alpha + 1.0, x)
     i0 = _jnorm_array(alpha, s)
     at, dv = _x_i_alpha1_deriv(alpha, abs(x), s)

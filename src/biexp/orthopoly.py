@@ -25,41 +25,26 @@ __all__ = [
     "dunkl_apply_poly",
 ]
 
-def _jacobi_abc(k, a: float, b: float):
-    """(A_k, B_k, C_k) of P_k = (A_k + B_k x) P_{k-1} - C_k P_{k-2}, the
-    three-term recurrence normalized by its leading factor, at an int k or
-    an array of k."""
-    c = 2.0 * k + a + b
-    a1 = 2.0 * k * (k + a + b) * (c - 2.0)
-    return ((c - 1.0) * (a * a - b * b) / a1, (c - 1.0) * c * (c - 2.0) / a1,
-            2.0 * (k + a - 1.0) * (k + b - 1.0) * c / a1)
-
-
 def _jacobi_rows(n: int, a: float, b: float, x):
     """P_0^{(a,b)}(x), ..., P_n^{(a,b)}(x) at a float or an array x, one row
-    at a time: the one code that steps the three-term recurrence.
+    at a time: the one loop, for floats and arrays alike, that steps
+    P_k = (A_k + B_k x) P_{k-1} - C_k P_{k-2}, its coefficients inline.
 
-    On an array the coefficients come once per pass, as arrays.  A step
-    scales the row two below in place, so only the last two rows drawn
-    hold their values."""
+    On an array a step scales the row two below in place, so only the last
+    two rows drawn hold their values."""
     p0 = x ** 0                       # 1 in the type and shape of x
     yield p0
     if n == 0:
         return
     p1 = 0.5 * (a - b) + 0.5 * (a + b + 2.0) * x
     yield p1
-    if not isinstance(x, np.ndarray):
-        for k in range(2, n + 1):
-            ak, bk, ck = _jacobi_abc(k, a, b)
-            p0, p1 = p1, (x * bk + ak) * p1 - p0 * ck
-            yield p1
-        return
-    # the same roundings as the float step, in place
-    for ak, bk, ck in zip(*(c.tolist() for c in _jacobi_abc(np.arange(2.0, n + 1), a, b))):
-        t = x * bk
-        t += ak
+    for k in range(2, n + 1):
+        c = 2.0 * k + a + b
+        a1 = 2.0 * k * (k + a + b) * (c - 2.0)
+        t = x * ((c - 1.0) * c * (c - 2.0) / a1)
+        t += (c - 1.0) * (a * a - b * b) / a1
         t *= p1
-        p0 *= ck
+        p0 *= 2.0 * (k + a - 1.0) * (k + b - 1.0) * c / a1
         t -= p0
         p0, p1 = p1, t
         yield p1

@@ -353,17 +353,27 @@ class _GridRatios(dict):
     k < 0 one Miller sweep (_miller) up in k, from ten steps below k_floor
     to k = 1, anchored to the elevated series at k = 0 and 1.  At k_floor
     the ratio G(k)/G(k+1) ~ Q^{nu-k} has taken G 1400 bits below G(0);
-    every k below it reads 0.0, under the float range.
+    every k below it reads 0.0, under the float range.  From k = settled
+    on, the series' first term Q x^2/((1-Q^{nu+1})(1-Q)) lies below 2^-54,
+    so its float sum is exactly 1.0 and the value the prefactor, which is
+    returned there without being stored.
     """
 
-    __slots__ = ("nu", "q", "Q")
+    __slots__ = ("nu", "q", "Q", "settled")
 
     def __init__(self, nu: float, q: float):
         super().__init__()
         _check_domain(nu, 1.0, q * q)
         self.nu, self.q, self.Q = nu, q, q * q
+        c = (1.0 - self.Q ** (nu + 1.0)) * (1.0 - self.Q)
+        k = 1
+        while self.Q * (q ** k * q ** k) / c >= 2.0 ** -54:
+            k += 1
+        self.settled = k
 
     def __missing__(self, k: int) -> float:
+        if k >= self.settled:
+            return _qpoch_ratio(self.Q ** (self.nu + 1.0), self.Q, self.Q)
         if k >= 0:
             v = self[k] = _ratio(self.nu, self.q ** k, self.Q, elevate=k == 0)
             return v

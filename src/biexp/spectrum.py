@@ -42,6 +42,9 @@ class SpectralProblem:
     def __post_init__(self):
         if self.N < 10:
             raise ValueError("basis truncation must be >= 10")
+        if self.table.nu != self.params.ab + 1.0:
+            raise ValueError(f"zero table is of J_{self.table.nu}; "
+                             f"the spectrum needs J_{self.params.ab + 1.0}")
 
     @property
     def family(self) -> GenGegenbauerFamily:
@@ -61,12 +64,10 @@ def raised_from_base(problem: SpectralProblem, a: np.ndarray) -> np.ndarray:
     """
     ab = problem.params.ab
     N = problem.N
+    c = a[1:N + 1] * (ab + 1.0) / (ab + np.arange(1, N + 1) + 1.0)
     out = np.zeros(N + 1, dtype=complex)
-    for n in range(1, N + 1):
-        c = a[n] * (ab + 1.0) / (ab + n + 1.0)
-        out[n] += c
-        if n >= 2:
-            out[n - 2] -= c
+    out[1:] = c
+    out[:N - 1] -= c[1:]
     return out
 
 
@@ -178,10 +179,7 @@ def eigenfunction(problem: SpectralProblem, k: int, sign: int, t: float,
 def _norm_raised(raised: np.ndarray, hs: list) -> float:
     """L2 norm against the raised-weight measure from raised coefficients
     and the raised family's squared norms hs."""
-    total = 0.0
-    for c, h in zip(raised, hs):
-        total += abs(c) ** 2 * h
-    return math.sqrt(total)
+    return math.sqrt(sum(abs(c) ** 2 * h for c, h in zip(raised, hs)))
 
 
 def eigen_residual(problem: SpectralProblem, k: int, sign: int,

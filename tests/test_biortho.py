@@ -185,6 +185,17 @@ class TestDunklSampling:
         scale = np.max(np.abs(fs[30:]))     # f at 0 and at the positive zeros
         assert abs(got - f.eval(x)) <= 1e-12 * scale
 
+    @pytest.mark.parametrize("name", ["dunkl_sampling_sum", "sampling_even_sum",
+                                      "sampling_odd_sum"])
+    def test_zero_table_of_the_wrong_order_refused(self, name):
+        # samples on the zeros of J_{5/2} summed as if they were those of
+        # J_{3/2}: the full series read 0.04587 at x = 1.9, f(1.9) = 0.04955
+        wrong = bessel_zeros(2.5, 60)
+        f = bo.PWFunction(lambda t: (1.0 - t * t) ** 2, self.al)
+        fs = f.eval(bo.sampling_nodes(wrong, 50))
+        with pytest.raises(ValueError, match=r"zero table is of J_2.5; alpha=0.5 samples on J_1.5"):
+            getattr(bo, name)(self.al, fs, 1.9, 50, wrong)
+
     def test_convergence_ladder(self):
         f = bo.PWFunction(lambda t: (1.0 - t * t) ** 2, self.al)
         fs = f.eval(bo.sampling_nodes(self.table, 50))

@@ -235,9 +235,12 @@ def _decimal_rule(n, a, b, x):
 
 class TestRows:
     def test_array_rows_are_float_rows_to_the_bit(self):
-        # the in-place array step rounds as the float step does
+        # the in-place array step rounds as the float step does, out to the
+        # exponents the harness reaches: b up to 120 (the alpha = 120 rules)
+        # and a + b next to -1
         nodes = np.linspace(-1.0, 1.0, 11)
-        for a, b in ((0.3, -0.2), (-0.5, 0.5), (2.5, 6.0)):
+        for a, b in ((0.3, -0.2), (-0.5, 0.5), (2.5, 6.0), (0.5, 120.0), (120.5, 120.0),
+                     (-0.5, -0.4999), (-0.9, -0.0999)):
             arr = [r.copy() for r in _jacobi_rows(60, a, b, nodes)]
             for i, x in enumerate(nodes.tolist()):
                 col = list(_jacobi_rows(60, a, b, x))

@@ -235,6 +235,29 @@ class TestGridTable:
             for k in range(1, 60):
                 assert tab[k] == qs.qbessel3_ratio(nu, q ** k, q * q), (nu, k)
 
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.9, 0.99])
+    def test_settled_exponents_read_the_prefactor(self, q):
+        # from the settled exponent on the series' first term is below
+        # 2^-54, so its float sum is 1.0: the table returns the series'
+        # value to the bit without storing it
+        for nu in (-0.9, -0.5, 0.3, 5.0):
+            tab = qs._GridRatios(nu, q)
+            S = tab.settled
+            x = q ** (S - 1)
+            assert q * q * (x * x) / ((1.0 - (q * q) ** (nu + 1.0)) * (1.0 - q * q)) >= 2.0 ** -54
+            for k in itertools.chain(range(1, S + 40), (S + 1000, S + 10 ** 6)):
+                assert tab[k] == qs._ratio(nu, q ** k, q * q), (nu, k)
+            assert max(tab) < S
+
+    def test_refused_sum_leaves_no_settled_entry(self):
+        # the walk toward x = 0 ran 70,622 steps and stored a series value
+        # at each before it was refused
+        qs._grid_table.cache_clear()
+        with pytest.raises(qs.DecayError, match="small-x end"):
+            qs.q_hankel(qs.QContext(0.99), -0.5, lambda x: 1.0 / abs(x), 1.0)
+        tab = qs._grid_table(-0.5, 0.99)
+        assert 0 < max(tab) < tab.settled < 3000
+
     @staticmethod
     def _check_sweep(nu, q):
         # the exact grid point x^2 = Q^k of the same float Q, with digits

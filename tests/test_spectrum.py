@@ -206,3 +206,9 @@ class TestEigen:
     def test_zero_table_shortfall(self, problem):
         with pytest.raises(ValueError):
             spe.eigenvalues(problem, 99)
+
+    def test_zero_table_of_the_wrong_order_refused(self):
+        # zeros of J_{1/2} in place of J_{a+b+1} = J_{3/2} gave the
+        # eigenvalues +-0.3183i in place of +-0.2225i
+        with pytest.raises(ValueError, match=r"zero table is of J_0.5; the spectrum needs J_1.5"):
+            spe.SpectralProblem(Params(0.4, 0.1), 80, bessel_zeros(0.5, 8))
