@@ -55,22 +55,27 @@ __all__ = [
 # Vectorized Dunkl kernel on a node grid
 # ---------------------------------------------------------------------------
 
-def dunkl_kernel_grid(alpha: float, xs: np.ndarray) -> np.ndarray:
+def dunkl_kernel_grid(alpha: float, xs: np.ndarray, parts=(True, True)) -> np.ndarray:
     """E_alpha(i x) on an array of real arguments, j_a(x) + i x j_{a+1}(x)
     / (2(a+1)) from specfun's array path for the normalized Bessel values
     j_nu(x) = Gamma(nu+1) (2/x)^nu J_nu(x): both orders from one call, in
     the regime of order a, as the scalar dunkl_kernel takes them (two
-    series, two asymptotic values or one Miller sweep)."""
+    series, two asymptotic values or one Miller sweep).  parts = (even,
+    odd) names the terms to form: a term left out reads 0, and its Bessel
+    order is not computed; a term kept reads what it reads in the whole."""
     xs = np.asarray(xs, dtype=float)
-    j0, j1 = _jnorm_array(alpha, xs, pair=True)
-    return j0 + 1j * xs * (j1 / (2.0 * (alpha + 1.0)))
+    j0, j1 = _jnorm_array(alpha, xs, pair=tuple(parts))
+    e = np.zeros(xs.shape, dtype=complex) if j0 is None else j0 + 0j
+    if j1 is not None:
+        e += 1j * xs * (j1 / (2.0 * (alpha + 1.0)))
+    return e
 
 
-def _dunkl_e(alpha: float, x: np.ndarray) -> np.ndarray:
+def _dunkl_e(alpha: float, x: np.ndarray, parts=(True, True)) -> np.ndarray:
     """E_alpha(i x) on an array of any shape (one kernel grid over its
-    flattened nodes)."""
+    flattened nodes), the terms of dunkl_kernel_grid's parts."""
     x = np.asarray(x, dtype=float)
-    return dunkl_kernel_grid(alpha, x.ravel()).reshape(x.shape)
+    return dunkl_kernel_grid(alpha, x.ravel(), parts).reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -110,19 +115,31 @@ class PWFunction:
     weight_pow: float = 0.0
     _rules: dict = field(default_factory=dict, repr=False)
 
-    def _rule(self, order: int):
-        """Nodes of the rule of this order and the weighted density w u on
-        them; u is called once per order, on the node array."""
-        if order not in self._rules:
-            nodes, w = rule_for_measure(self.alpha, self.weight_pow, order)
-            self._rules[order] = (nodes, w * np.asarray(self.u(nodes)))
-        return self._rules[order]
+    def _rules_for(self, orders: list) -> list:
+        """Per rule order: its nodes, the weighted density w u on them, and
+        which parts of w u are not 0 on every node, (even, odd), with the
+        even part w u(t) + w u(-t) and the odd part w u(t) - w u(-t).  The
+        rules f lacks come from one rule_for_measure call, and u is called
+        once per order, on the node array."""
+        new = [o for o in orders if o not in self._rules]
+        if new:
+            for order, (nodes, w) in zip(new, rule_for_measure(self.alpha, self.weight_pow, new)):
+                wu = w * np.asarray(self.u(nodes))
+                h = len(nodes) // 2
+                pos, neg = wu[h:], wu[h - 1::-1]
+                self._rules[order] = (nodes, wu, (bool(np.any(pos + neg)), bool(np.any(pos - neg))))
+        return [self._rules[o] for o in orders]
 
     def eval(self, x):
         """f at one real x, or at every entry of an array of x: per rule order,
         one kernel grid on the nodes t > 0 for each block of _PW_BLOCK distinct
         |x|, ascending.  E_alpha(-ixt) = conj E_alpha(ixt) to the bit, so one
-        grid row gives f(|x|) = sum kv wu and f(-|x|) = sum conj(kv) wu.  The
+        grid row, mirrored onto every node, gives f(|x|) = sum kv wu and
+        f(-|x|) = sum conj(kv) wu; where w u is real, f(-|x|) = conj f(|x|).
+        A part of w u that is 0 on every node takes no Bessel order: the grid
+        is j_alpha alone for an even w u and x t j_{alpha+1} alone for an odd
+        one.  The sum over the mirrored grid stays complex and pairwise,
+        which keeps the real part of f to the bit of the whole kernel.  The
         grid gives each node the value it would get alone, so a batched x reads
         the same as a single one (to rounding past alpha = 9, where one Miller
         sweep takes nodes beyond 50)."""
@@ -131,13 +148,15 @@ class PWFunction:
         ax = np.asarray(sorted(set(np.abs(xs).ravel().tolist())))
         vals = np.empty((2, len(ax)), dtype=complex)   # f(|x|), f(-|x|)
         orders = np.asarray([_order_for(v) for v in ax.tolist()])
-        for order in sorted(set(orders.tolist())):
-            nodes, wu = self._rule(order)
+        used = sorted(set(orders.tolist()))
+        for order, (nodes, wu, parts) in zip(used, self._rules_for(used)):
+            real = not np.iscomplexobj(wu)
             rows = np.flatnonzero(orders == order)
             for blk in (rows[i:i + _PW_BLOCK] for i in range(0, len(rows), _PW_BLOCK)):
-                kp = _dunkl_e(self.alpha, np.outer(ax[blk], nodes[len(nodes) // 2:]))
+                kp = _dunkl_e(self.alpha, np.outer(ax[blk], nodes[len(nodes) // 2:]), parts)
                 kv = np.concatenate([np.conj(kp[:, ::-1]), kp], axis=1)
-                vals[:, blk] = (kv * wu).sum(axis=1), (np.conj(kv) * wu).sum(axis=1)
+                vals[0, blk] = (kv * wu).sum(axis=1)
+                vals[1, blk] = np.conj(vals[0, blk]) if real else (np.conj(kv) * wu).sum(axis=1)
         out = vals[(xs < 0.0).astype(int), np.searchsorted(ax, np.abs(xs))]
         return complex(out) if out.ndim == 0 else out
 
@@ -435,7 +454,7 @@ def fourier_neumann_coeffs(params: Params, f: PWFunction, N: int) -> np.ndarray:
         raise ValueError(f"f is built for alpha={f.alpha}, not the expansion's "
                          f"alpha={params.alpha}")
     ab = params.ab
-    nodes, wu = f._rule(_RULE_ORDER)
+    nodes, wu, _ = f._rules_for([_RULE_ORDER])[0]
     pair = GenGegenbauerFamily(params).table(N - 1, nodes) @ wu
     # i^n exactly
     return 2.0 ** (ab + 1.0) * gamma(ab + 1.0) * np.resize([1, 1j, -1, -1j], N) * pair

@@ -50,10 +50,23 @@ def _jacobi_rows(n: int, a: float, b: float, x):
         yield p1
 
 
-def _jacobi_rec(n: int, a: float, b: float, x):
-    """P_n^{(a,b)} and P_{n-1}^{(a,b)} at x, n >= 1: the last two rows."""
-    pm, pn = deque(_jacobi_rows(n, a, b, x), maxlen=2)
-    return pn, pm
+def _jacobi_rec(ns, a: float, b: float, xs) -> list:
+    """(P_n^{(a,b)}, P_{n-1}^{(a,b)}) at the node array of xs of each order
+    n >= 1 of ns, from one _jacobi_rows sweep over the concatenated nodes to
+    the largest order: rows n - 1 and n are read for each order, so each
+    gets the values of a sweep of its own, to the bit."""
+    cut = np.cumsum([0] + [len(x) for x in xs]).tolist()
+    at: dict = {}
+    for i, n in enumerate(ns):
+        at.setdefault(n, []).append(i)
+    out: list = [None] * len(ns)
+    prev = None
+    for k, row in enumerate(_jacobi_rows(max(ns), a, b, np.concatenate(xs))):
+        # copies: the sweep scales the row two below in place
+        for i in at.get(k, ()):
+            out[i] = row[cut[i]:cut[i + 1]].copy(), prev[cut[i]:cut[i + 1]].copy()
+        prev = row
+    return out
 
 
 def jacobi_eval(n: int, a: float, b: float, y):

@@ -260,16 +260,33 @@ def _little_p_coeffs_mp(n: int, am, bm, Qm) -> list:
 
 
 @functools.lru_cache(maxsize=None)
+def _qbessel_base_mp(f: float, Q: float):
+    """(Q^{f+1}; Q)_inf / (Q; Q)_inf as a 40-digit mpf, formed once per
+    (f, Q): the numerator a product of about 5,000 factors at Q = 0.99^2,
+    the Euler function (Q; Q)_inf from mpmath's qp, by Euler's
+    pentagonal-number series (about 120 terms there)."""
+    with mp.workdps(40):
+        Qm = mp.mpf(Q)
+        return _qpoch_inf_mp(Qm ** (mp.mpf(f) + 1), Qm, 40) / mp.qp(Qm)
+
+
+@functools.lru_cache(maxsize=None)
 def _qbessel_pref_mp(nu: float, Q: float):
     """(Q^{nu+1}; Q)_inf / (Q; Q)_inf as a 40-digit mpf, formed once per
     (nu, Q).  Every factor lies in (0, 1], so nothing cancels and 40 digits
-    serve every working precision of the series.  The Euler function
-    (Q; Q)_inf comes from mpmath's qp, by Euler's pentagonal-number series:
-    about 120 terms at Q = 0.99^2, where the product takes about 5,000
-    factors."""
+    serve every working precision of the series.  For nu >= 0 it is the
+    base of nu's fractional part f (_qbessel_base_mp) over the k = floor(nu)
+    factors (Q^{f+1}; Q)_k, so orders an integer apart share one product."""
     with mp.workdps(40):
         Qm = mp.mpf(Q)
-        return _qpoch_inf_mp(Qm ** (mp.mpf(nu) + 1), Qm, 40) / mp.qp(Qm)
+        if nu < 0.0:
+            return _qpoch_inf_mp(Qm ** (mp.mpf(nu) + 1), Qm, 40) / mp.qp(Qm)
+        k = math.floor(nu)
+        qa, head = Qm ** (mp.mpf(nu - k) + 1), mp.mpf(1)
+        for _ in range(k):
+            head *= 1 - qa
+            qa *= Qm
+        return _qbessel_base_mp(nu - k, Q) / head
 
 
 def _qbessel_ratio_mp(nu: float, x: float, Q: float, mx: float) -> float:

@@ -38,30 +38,46 @@ __all__ = [
 # Gauss-Jacobi rules
 # ---------------------------------------------------------------------------
 
-def _jacobi_newton(n: int, a: float, b: float, x: np.ndarray, iters: int):
-    """Newton on all n roots of P_n^{(a,b)} at once from x; the derivative
-    comes from the standard first-order relation.
+def _jacobi_newton(ns, a: float, b: float, xs, iters: int) -> list:
+    """Newton on all n roots of P_n^{(a,b)} at once from the start x of xs,
+    for each order n of ns, every live order's pass in one shared
+    _jacobi_rec sweep; the derivative comes from the standard first-order
+    relation.  Each order keeps its own stop test, so it reads what it
+    reads alone.
 
-    Returns (x ascending, dp, ok): x the last iterate that a Newton step
-    produced, once the next steps from it fall below 1e-15, and dp the
-    derivative there from the same recurrence pass, so the weights need no
-    pass of their own.  ok means that held at n distinct roots: none held
-    at the clip by +-1, where the 1/(1-x^2) of the derivative fakes a tiny
-    step, and P_{n-1} alternating in sign over them, as it does over the
-    true roots, which it interlaces.
+    Returns (x ascending, dp, ok) per order: x the last iterate that a
+    Newton step produced, once the next steps from it fall below 1e-15, and
+    dp the derivative there from the same recurrence pass, so the weights
+    need no pass of their own.  ok means that held at n distinct roots:
+    none held at the clip by +-1, where the 1/(1-x^2) of the derivative
+    fakes a tiny step, and P_{n-1} alternating in sign over them, as it
+    does over the true roots, which it interlaces.
     """
-    c = 2.0 * n + a + b
+    xs = list(xs)
+    out: list = [None] * len(ns)
+    live = list(range(len(ns)))
     for i in range(iters):
-        pn, pn1 = _jacobi_rec(n, a, b, x)
-        dp = (n * (a - b - c * x) * pn + 2.0 * (n + a) * (n + b) * pn1) / (c * (1.0 - x * x))
-        dx = pn / dp
-        if i and np.max(np.abs(dx)) < 1e-15:
-            order = np.argsort(x)
-            sign = np.sign(pn1[order])
-            return x[order], dp[order], bool(np.all(np.abs(x) < 1.0 - 1e-14)
-                                             and np.all(sign[1:] * sign[:-1] < 0))
-        x = np.clip(x - dx, -1.0 + 1e-14, 1.0 - 1e-14)
-    return np.sort(x), None, False
+        if not live:
+            break
+        rows = _jacobi_rec([ns[j] for j in live], a, b, [xs[j] for j in live])
+        still = []
+        for j, (pn, pn1) in zip(live, rows):
+            n, x = ns[j], xs[j]
+            c = 2.0 * n + a + b
+            dp = (n * (a - b - c * x) * pn + 2.0 * (n + a) * (n + b) * pn1) / (c * (1.0 - x * x))
+            dx = pn / dp
+            if i and np.max(np.abs(dx)) < 1e-15:
+                order = np.argsort(x)
+                sign = np.sign(pn1[order])
+                out[j] = (x[order], dp[order], bool(np.all(np.abs(x) < 1.0 - 1e-14)
+                                                    and np.all(sign[1:] * sign[:-1] < 0)))
+            else:
+                xs[j] = np.clip(x - dx, -1.0 + 1e-14, 1.0 - 1e-14)
+                still.append(j)
+        live = still
+    for j in live:
+        out[j] = (np.sort(xs[j]), None, False)
+    return out
 
 
 def _jacobi_matrix_roots(n: int, a: float, b: float) -> np.ndarray:
@@ -122,24 +138,28 @@ def _start_angles(n: int, a: float, b: float) -> np.ndarray:
     return theta
 
 
-def gauss_jacobi(n: int, a: float, b: float):
-    """Nodes/weights on [-1, 1] for the weight (1-x)^a (1+x)^b, a, b > -1.
-
-    All n roots are polished at once by Newton from asymptotic starts
-    (_start_angles).  Where that does not converge to n distinct roots,
-    they start from the eigenvalues of the Jacobi matrix instead and get
-    the same polish.  The weights take the derivative from the recurrence
-    pass that certified the nodes, so a default rule costs two passes.
-    Returns (nodes ascending, weights); raises
-    OverflowError where a weight leaves the float64 range.
-    """
-    if n < 1:
+def _gauss_jacobi_rules(ns, a: float, b: float) -> list:
+    """gauss_jacobi's rule for each order n of ns, their Newton passes in
+    shared sweeps (_jacobi_newton): every rule is the one built alone, to
+    the bit.  An order whose asymptotic starts fail restarts from its
+    Jacobi matrix, apart from the others."""
+    if min(ns) < 1:
         raise ValueError("rule order must be >= 1")
     if not (a > -1.0 and b > -1.0):
         raise ValueError("Jacobi exponents must exceed -1")
-    x, dp, ok = _jacobi_newton(n, a, b, np.cos(_start_angles(n, a, b)), 100)
-    if not ok:
-        x, dp, ok = _jacobi_newton(n, a, b, _jacobi_matrix_roots(n, a, b), 10)
+    ns = list(ns)
+    found = _jacobi_newton(ns, a, b, [np.cos(_start_angles(n, a, b)) for n in ns], 100)
+    redo = [j for j, (_, _, ok) in enumerate(found) if not ok]
+    if redo:
+        again = _jacobi_newton([ns[j] for j in redo], a, b,
+                               [_jacobi_matrix_roots(ns[j], a, b) for j in redo], 10)
+        for j, r in zip(redo, again):
+            found[j] = r
+    return [_jacobi_weights(n, a, b, *r) for n, r in zip(ns, found)]
+
+
+def _jacobi_weights(n: int, a: float, b: float, x: np.ndarray, dp, ok: bool):
+    """(x, w) of the order-n rule from its certified nodes and derivative."""
     if not ok:
         raise RuntimeError(f"Gauss-Jacobi roots for ({n}, {a}, {b}) did not converge "
                            "(internal error)")
@@ -163,11 +183,29 @@ def gauss_jacobi(n: int, a: float, b: float):
     return x, w
 
 
+def gauss_jacobi(n: int, a: float, b: float):
+    """Nodes/weights on [-1, 1] for the weight (1-x)^a (1+x)^b, a, b > -1.
+
+    All n roots are polished at once by Newton from asymptotic starts
+    (_start_angles).  Where that does not converge to n distinct roots,
+    they start from the eigenvalues of the Jacobi matrix instead and get
+    the same polish.  The weights take the derivative from the recurrence
+    pass that certified the nodes, so a default rule costs two passes.
+    Returns (nodes ascending, weights); raises
+    OverflowError where a weight leaves the float64 range.
+    """
+    return _gauss_jacobi_rules([n], a, b)[0]
+
+
+def _on_unit(z: np.ndarray, w: np.ndarray, a: float, b: float):
+    """The rule (z, w) of (1-z)^b (1+z)^a on [-1, 1] moved to (0, 1), where
+    its weight is u^a (1-u)^b."""
+    return 0.5 * (1.0 + z), w * 2.0 ** (-a - b - 1.0)
+
+
 def gauss_jacobi01(n: int, a: float, b: float):
     """Nodes/weights on (0, 1) for the weight u^a (1-u)^b."""
-    z, w = gauss_jacobi(n, b, a)     # (1-z)^b (1+z)^a on [-1,1]
-    u = 0.5 * (1.0 + z)
-    return u, w * 2.0 ** (-a - b - 1.0)
+    return _on_unit(*gauss_jacobi(n, b, a), a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -177,26 +215,36 @@ def gauss_jacobi01(n: int, a: float, b: float):
 _rule_cache: dict = {}
 
 
-def rule_for_measure(a: float, b: float, order: int):
+def rule_for_measure(a: float, b: float, order):
     """Symmetric rule on [-1, 1] for |t|^{2a+1} (1-t^2)^b dt / (2^{a+1}
     Gamma(a+1)), a, b > -1 ((-1/2, 0) gives dt / sqrt(2 pi)), as read-only
     (nodes, weights) arrays cached per (a, b, order), which every caller
     shares.  The nodes are the pairs +-sqrt(u_i) of the rule of this order
     mapped by u = t^2 onto the weight u^a (1-u)^b; odd integrands then
     cancel exactly and even ones inherit the Gauss exactness in u.
+
+    Given a sequence of orders, returns the list of their rules; the rules
+    missing from the cache are built together, their Newton passes in
+    shared recurrence sweeps (each rule the one built alone, to the bit).
     """
-    if order < 8:
+    single = np.ndim(order) == 0
+    orders = [order] if single else list(order)
+    if min(orders) < 8:
         raise ValueError("order must be >= 8")
-    key = (round(a, 14), round(b, 14), order)
-    if key not in _rule_cache:
-        u, w = gauss_jacobi01(order, a, b)
+    ka, kb = round(a, 14), round(b, 14)
+    new = sorted({n for n in orders if (ka, kb, n) not in _rule_cache})
+    if new:
+        built = _gauss_jacobi_rules(new, b, a)
         norm = 2.0 ** (a + 1.0) * gamma(a + 1.0)
-        t = np.sqrt(u)
-        rule = (np.concatenate([-t[::-1], t]), np.concatenate([w[::-1], w]) / (2.0 * norm))
-        for arr in rule:
-            arr.flags.writeable = False
-        _rule_cache[key] = rule
-    return _rule_cache[key]
+        for n, zw in zip(new, built):
+            u, w = _on_unit(*zw, a, b)
+            t = np.sqrt(u)
+            rule = (np.concatenate([-t[::-1], t]), np.concatenate([w[::-1], w]) / (2.0 * norm))
+            for arr in rule:
+                arr.flags.writeable = False
+            _rule_cache[(ka, kb, n)] = rule
+    rules = [_rule_cache[(ka, kb, n)] for n in orders]
+    return rules[0] if single else rules
 
 
 def integrate_interval(f: Callable, a: float, b: float, order: int):

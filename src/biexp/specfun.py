@@ -458,17 +458,21 @@ def _miller_array(nu: float, x: np.ndarray):
     return np.ldexp(f0 / s, e), np.ldexp(2.0 * (nu + 1.0) / x * (f1 / s), e)
 
 
-def _jnorm_array(nu: float, x: np.ndarray, pair: bool = False):
+def _jnorm_array(nu: float, x: np.ndarray, pair=False):
     """_jnorm on an array of real x, the regime judged node by node.  With
     pair, orders nu and nu + 1 both in the regime of order nu, as dunkl_kernel
-    takes them: two series, two asymptotic values or one Miller sweep."""
+    takes them: two series, two asymptotic values or one Miller sweep.  A
+    pair (keep_nu, keep_nu1) names the orders to form in those regimes, each
+    to the bit as in the pair; an order left out reads None."""
     x = np.abs(np.asarray(x, dtype=float))
     orders = (nu, nu + 1.0) if pair else (nu,)
-    v = [np.empty_like(x) for _ in orders]
+    keep = pair if isinstance(pair, tuple) else (True, True)
+    v = [np.empty_like(x) if k else None for k, _ in zip(keep, orders)]
     series = _in_series_regime(nu, x)
     xs = x[series]
     for vi, o in zip(v, orders):
-        vi[series] = _series_norm_array(o, xs)
+        if vi is not None:
+            vi[series] = _series_norm_array(o, xs)
     far = ~series
     for o in orders:
         far &= _in_asym_regime(o, x)
@@ -479,6 +483,8 @@ def _jnorm_array(nu: float, x: np.ndarray, pair: bool = False):
         xb = x[band]
         lx, cx, sx = np.log(0.5 * xb), np.cos(xb), np.sin(xb)
         for vi, o in zip(v, orders):
+            if vi is None:
+                continue
             # sqrt(2/(pi x)) Gamma(o+1) (2/x)^o in one exponential
             scale = lx * -(o + 0.5)
             scale += lgamma(o + 1.0) - 0.5 * math.log(math.pi)
@@ -488,7 +494,8 @@ def _jnorm_array(nu: float, x: np.ndarray, pair: bool = False):
     miller = ~(series | far)
     if miller.any():
         for vi, j in zip(v, _miller_array(nu, x[miller])):
-            vi[miller] = j
+            if vi is not None:
+                vi[miller] = j
     return tuple(v) if pair else v[0]
 
 

@@ -519,6 +519,13 @@ class TestMirrorSymmetry:
                 assert np.array_equal(p, n)
                 assert np.array_equal(b, np.concatenate([p[::-1], p]))
 
+    @staticmethod
+    def _parts(u) -> tuple:
+        """(even, odd): which parts of the density u are not 0, read off
+        u(t) +- u(-t) on a grid apart from any rule's nodes."""
+        t = np.linspace(0.05, 0.95, 7)
+        return bool(np.any(u(t) + u(-t))), bool(np.any(u(t) - u(-t)))
+
     @pytest.mark.parametrize("u, al, w", [
         (lambda t: (1.0 - t * t) ** 2, 0.5, 0.0),        # the dunkl-sampling density
         (lambda t: (1.0 - t * t) * (0.3 + t), 0.3, 0.0),
@@ -527,14 +534,26 @@ class TestMirrorSymmetry:
     ])
     def test_pw_eval_matches_full_node_grid(self, u, al, w):
         # orders 120 and 1344, one kernel grid on every node of the rule
+        # without the Bessel order of a part of w u that is 0 on every node.
+        # The whole kernel still gives the real part of an even w u and the
+        # imaginary part of an odd one to the bit, and the other part is 0
         f = bo.PWFunction(u, al, weight_pow=w)
+        parts = self._parts(u)
         for order, xs in ((120, [0.0, 0.3, -2.5, 17.0, -60.0]),
                           (1344, [1250.0, -1300.0, 1500.0])):
             assert {bo._order_for(abs(x)) for x in xs} == {order}
             got = f.eval(np.array(xs))
-            nodes, wu = f._rule(order)
-            ref = (bo._dunkl_e(al, np.outer(xs, nodes)) * wu).sum(axis=1)
+            (nodes, wu, found), = f._rules_for([order])
+            assert found == parts
+            ref = (bo._dunkl_e(al, np.outer(xs, nodes), parts) * wu).sum(axis=1)
             assert np.array_equal(got, ref)
+            whole = (bo._dunkl_e(al, np.outer(xs, nodes)) * wu).sum(axis=1)
+            if parts == (True, True):
+                assert np.array_equal(got, whole)
+            elif parts[0]:
+                assert np.array_equal(got.real, whole.real) and not np.any(got.imag)
+            else:
+                assert np.array_equal(got.imag, whole.imag) and not np.any(got.real)
 
     @pytest.mark.parametrize("al", [-0.5, 0.5, 30.0])
     @pytest.mark.parametrize("u", [
@@ -559,9 +578,11 @@ class TestMirrorSymmetry:
         if al <= 9.0:
             for x, v in zip(mixed, batched):
                 assert v == bo.PWFunction(u, al).eval(x)
-        nodes, wu = f._rule(120)
+        (nodes, wu, found), = f._rules_for([120])
         small = [x for x in mixed if abs(x) <= 60.0]     # order 120
-        ref = (bo._dunkl_e(al, np.outer(small, nodes)) * wu).sum(axis=1)
+        # the even density's grid leaves out j_{alpha+1}, as eval does
+        assert found == self._parts(u)
+        ref = (bo._dunkl_e(al, np.outer(small, nodes), found) * wu).sum(axis=1)
         assert np.array_equal(bo.PWFunction(u, al).eval(np.array(small)), ref)
 
     @pytest.mark.parametrize("suite, count", [
@@ -579,7 +600,7 @@ class TestMirrorSymmetry:
         nodes = []
         grid = bo.dunkl_kernel_grid
         monkeypatch.setattr(bo, "dunkl_kernel_grid",
-                            lambda alpha, xs: nodes.append(len(xs)) or grid(alpha, xs))
+                            lambda alpha, xs, *parts: nodes.append(len(xs)) or grid(alpha, xs, *parts))
         assert main(["verify", suite, "--format", "json"]) == 0
         capsys.readouterr()
         assert sum(nodes) == count
@@ -592,6 +613,31 @@ class TestPWFunction:
         f = bo.PWFunction(lambda t: (1.0 - t * t) ** 2, 0.5)
         assert f.eval(0.3) == pytest.approx(0.060487869620824489241, abs=1e-14)
         assert f.eval(4.2) == pytest.approx(0.020416249497866858475, abs=1e-14)
+
+    @pytest.mark.parametrize("al, bound", [
+        # about twice the largest error measured over these points: 1.8e-10,
+        # 3.6e-14, 1.5e-15, 1.6e-24 and 1.2e-59.  At alpha = -0.9 it is the
+        # mass of the Gauss-Jacobi rules, 9.2e-13 low at order 120 and 2.3e-10
+        # at order 1344, where |f| is 1.1e-10
+        (-0.9, 4e-10), (-0.5, 8e-14), (0.5, 4e-15), (8.0, 4e-24), (30.0, 3e-59)])
+    def test_against_sonine_closed_form(self, al, bound):
+        # u = (1-t^2)^2: Sonine's first finite integral gives f(x) =
+        # 8 x^(-alpha-3) J_(alpha+3)(x) and f(0) = 8 / (2^(alpha+3) Gamma(alpha+4)),
+        # here at x = 0, 0.3 and +-s_n, the first and last zero of J_(alpha+1)
+        # in every order bucket
+        zeros = np.asarray(bessel_zeros(al + 1.0, 420).zeros)
+        orders = np.array([bo._order_for(s) for s in zeros])
+        xs = [0.0, 0.3]
+        for b in bo._PW_BUCKETS:
+            hit = zeros[orders == b]
+            assert len(hit) > 0
+            xs += [hit[0], -hit[0], hit[-1], -hit[-1]]
+        got = bo.PWFunction(lambda t: (1.0 - t * t) ** 2, al).eval(np.array(xs))
+        with mp.workdps(40):
+            ref = [8 / (mp.mpf(2) ** (al + 3) * mp.gamma(al + 4)) if x == 0.0
+                   else 8 * mp.mpf(abs(x)) ** (-al - 3) * mp.besselj(al + 3, abs(x)) for x in xs]
+            err = max(abs(complex(g) - complex(r)) for g, r in zip(got.tolist(), ref))
+        assert err <= bound
 
     def test_density_called_once_per_order(self):
         # u takes the whole node array of each rule order, once

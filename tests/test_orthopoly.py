@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import special as sp
 
-from biexp import biortho, quad
+from biexp import quad
 from biexp.cli import main
 from biexp.orthopoly import (GenGegenbauerFamily, _jacobi_rows, classical_gegenbauer,
                              dunkl_apply_poly, jacobi_eval)
@@ -297,21 +297,26 @@ class TestTable:
         # suites takes two recurrence passes: the Newton step and the pass
         # that certifies it.  The twelve rules of order 16 and 24 (the cell
         # rules of the Bessel-product integrals) take three, as they did
-        # with the unnormalized recurrence.
+        # with the unnormalized recurrence.  Rules built together share
+        # their sweeps; a pass is counted for each order a sweep reads
         monkeypatch.setattr(quad, "_rule_cache", {})
         quad._legendre16.cache_clear()
-        passes, counts = [], {}
-        rec, gj = quad._jacobi_rec, quad.gauss_jacobi
+        passes, counts = {}, {}
+        rec, build = quad._jacobi_rec, quad._gauss_jacobi_rules
 
-        def counted(n, a, b):
+        def swept(ns, a, b, xs):
+            for n in ns:
+                passes[n] = passes.get(n, 0) + 1
+            return rec(ns, a, b, xs)
+
+        def counted(ns, a, b):
             passes.clear()
-            rule = gj(n, a, b)
-            counts[(n, a, b)] = len(passes)
-            return rule
+            rules = build(ns, a, b)
+            counts.update(((n, a, b), passes[n]) for n in ns)
+            return rules
 
-        monkeypatch.setattr(quad, "_jacobi_rec", lambda *args: passes.append(1) or rec(*args))
-        monkeypatch.setattr(quad, "gauss_jacobi", counted)
-        monkeypatch.setattr(biortho, "gauss_jacobi", counted)
+        monkeypatch.setattr(quad, "_jacobi_rec", swept)
+        monkeypatch.setattr(quad, "_gauss_jacobi_rules", counted)
         for suite in ("planewave", "dunkl-sampling", "fourier-neumann", "hankel", "spectrum",
                       "lemma71"):
             assert main(["verify", suite, "--format", "json"]) == 0

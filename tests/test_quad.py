@@ -17,11 +17,12 @@ from biexp.specfun import _jratio_array, gamma
 
 def _spy_gauss_jacobi(monkeypatch) -> list:
     """Empty the rule cache and record the (n, a, b) of each Gauss-Jacobi
-    rule built from then on."""
+    rule built from then on, alone or beside other orders of its pair."""
     monkeypatch.setattr(quad, "_rule_cache", {})
     calls = []
-    build = quad.gauss_jacobi
-    monkeypatch.setattr(quad, "gauss_jacobi", lambda n, a, b: calls.append((n, a, b)) or build(n, a, b))
+    build = quad._gauss_jacobi_rules
+    monkeypatch.setattr(quad, "_gauss_jacobi_rules",
+                        lambda ns, a, b: calls.extend((n, a, b) for n in ns) or build(ns, a, b))
     return calls
 
 
@@ -122,6 +123,56 @@ class TestAsymptoticStarts:
         monkeypatch.setattr(quad, "_jacobi_rec", lambda *args: passes.append(1) or rec(*args))
         gauss_jacobi(n, 0.0, 0.5)
         assert len(passes) <= 2
+
+    @staticmethod
+    def _count_passes(monkeypatch) -> dict:
+        """Count, per order, the recurrence sweeps that read its rows."""
+        passes = {}
+        rec = quad._jacobi_rec
+
+        def swept(ns, a, b, xs):
+            for n in ns:
+                passes[n] = passes.get(n, 0) + 1
+            return rec(ns, a, b, xs)
+        monkeypatch.setattr(quad, "_jacobi_rec", swept)
+        return passes
+
+    @pytest.mark.parametrize("ns", [(60, 120, 160, 1344), (120, 703)])
+    @pytest.mark.parametrize("a, b", [(0.0, 0.5), (0.5, 0.0), (-0.9, 0.3), (30.0, 0.2), (0.2, 30.0)])
+    def test_rules_built_together_are_built_alone(self, monkeypatch, a, b, ns):
+        # rules built together share each Newton pass's recurrence sweep,
+        # and each keeps its own stop test: the rule built alone, to the
+        # bit, after as many passes (two, or up to four at an exponent of 30)
+        passes = self._count_passes(monkeypatch)
+        together = quad._gauss_jacobi_rules(list(ns), a, b)
+        shared = dict(passes)
+        for n, (x, w) in zip(ns, together):
+            passes.clear()
+            rx, rw = gauss_jacobi(n, a, b)
+            assert x.tobytes() == rx.tobytes() and w.tobytes() == rw.tobytes()
+            assert shared[n] == passes[n]
+
+    def test_matrix_fallback_leaves_the_other_orders(self, monkeypatch):
+        # at (a, b) = (100, 0) the asymptotic starts of orders 8 to 24 do not
+        # converge to n distinct roots; order 8 restarts from its Jacobi
+        # matrix beside orders 60 and 120, which do not, and every rule and
+        # pass count is that of the rule built alone
+        a, b, ns = 100.0, 0.0, [8, 60, 120]
+        first = quad._jacobi_newton(ns, a, b, [np.cos(quad._start_angles(n, a, b)) for n in ns], 100)
+        assert [ok for _, _, ok in first] == [False, True, True]
+        matrix = []
+        roots = quad._jacobi_matrix_roots
+        monkeypatch.setattr(quad, "_jacobi_matrix_roots",
+                            lambda n, a, b: matrix.append(n) or roots(n, a, b))
+        passes = self._count_passes(monkeypatch)
+        together = quad._gauss_jacobi_rules(ns, a, b)
+        shared = dict(passes)
+        assert matrix == [8]
+        for n, (x, w) in zip(ns, together):
+            passes.clear()
+            rx, rw = gauss_jacobi(n, a, b)
+            assert x.tobytes() == rx.tobytes() and w.tobytes() == rw.tobytes()
+            assert shared[n] == passes[n]
 
     def test_rule_against_40_digit_roots(self):
         # Newton in 40-digit decimal arithmetic on all 480 roots at once,
