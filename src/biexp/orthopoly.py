@@ -25,46 +25,60 @@ __all__ = [
     "dunkl_apply_poly",
 ]
 
-def _jacobi_rows(n: int, a: float, b: float, x):
+def _jacobi_rows(n: int, a: float, b: float, x, keep=None):
     """P_0^{(a,b)}(x), ..., P_n^{(a,b)}(x) at a float or an array x, one row
     at a time: the one loop, for floats and arrays alike, that steps
     P_k = (A_k + B_k x) P_{k-1} - C_k P_{k-2}, its coefficients inline.
 
     On an array a step scales the row two below in place, so only the last
-    two rows drawn hold their values."""
+    two rows drawn hold their values.  keep holds (row, m) pairs, rows
+    ascending and the last one row n: the loop runs to each row in turn and
+    then steps only the first m nodes (all of them where m is 0).  Without
+    it the loop runs to row n at once, so a float pays for it once a call."""
     p0 = x ** 0                       # 1 in the type and shape of x
     yield p0
     if n == 0:
         return
     p1 = 0.5 * (a - b) + 0.5 * (a + b + 2.0) * x
     yield p1
-    for k in range(2, n + 1):
-        c = 2.0 * k + a + b
-        a1 = 2.0 * k * (k + a + b) * (c - 2.0)
-        t = x * ((c - 1.0) * c * (c - 2.0) / a1)
-        t += (c - 1.0) * (a * a - b * b) / a1
-        t *= p1
-        p0 *= 2.0 * (k + a - 1.0) * (k + b - 1.0) * c / a1
-        t -= p0
-        p0, p1 = p1, t
-        yield p1
+    k = 2
+    for stop, m in keep or ((n, 0),):
+        while k <= stop:
+            c = 2.0 * k + a + b
+            a1 = 2.0 * k * (k + a + b) * (c - 2.0)
+            t = x * ((c - 1.0) * c * (c - 2.0) / a1)
+            t += (c - 1.0) * (a * a - b * b) / a1
+            t *= p1
+            p0 *= 2.0 * (k + a - 1.0) * (k + b - 1.0) * c / a1
+            t -= p0
+            p0, p1 = p1, t
+            k += 1
+            yield p1
+        if m:
+            x, p0, p1 = x[:m], p0[:m], p1[:m]
 
 
 def _jacobi_rec(ns, a: float, b: float, xs) -> list:
     """(P_n^{(a,b)}, P_{n-1}^{(a,b)}) at the node array of xs of each order
-    n >= 1 of ns, from one _jacobi_rows sweep over the concatenated nodes to
-    the largest order: rows n - 1 and n are read for each order, so each
-    gets the values of a sweep of its own, to the bit."""
-    cut = np.cumsum([0] + [len(x) for x in xs]).tolist()
+    n >= 1 of ns, from one _jacobi_rows sweep over the concatenated nodes,
+    largest order first, to the largest order: rows n - 1 and n are read
+    for each order and its nodes dropped after row n, so each gets the
+    values of a sweep of its own, to the bit, and no node steps past its
+    order."""
+    order = sorted(range(len(ns)), key=lambda i: -ns[i])
+    cut = np.cumsum([0] + [len(xs[i]) for i in order]).tolist()
     at: dict = {}
-    for i, n in enumerate(ns):
-        at.setdefault(n, []).append(i)
+    for j, i in enumerate(order):
+        at.setdefault(ns[i], []).append((j, i))
+    top = ns[order[0]]
     out: list = [None] * len(ns)
     prev = None
-    for k, row in enumerate(_jacobi_rows(max(ns), a, b, np.concatenate(xs))):
+    rows = _jacobi_rows(top, a, b, np.concatenate([xs[i] for i in order]),
+                        sorted((n, cut[js[0][0]] if n < top else 0) for n, js in at.items()))
+    for k, row in enumerate(rows):
         # copies: the sweep scales the row two below in place
-        for i in at.get(k, ()):
-            out[i] = row[cut[i]:cut[i + 1]].copy(), prev[cut[i]:cut[i + 1]].copy()
+        for j, i in at.get(k, ()):
+            out[i] = row[cut[j]:cut[j + 1]].copy(), prev[cut[j]:cut[j + 1]].copy()
         prev = row
     return out
 

@@ -9,8 +9,9 @@ way.  So the grid sums read it by exponent from one float table per
 (nu, q) (_GridRatios), and the little q-Jacobi members by degree from one
 per (a, b, q, m) (_JacobiGrid): float series, and one Miller sweep of a
 recurrence (_miller) where they fail.  Off-grid arguments sum the series,
-rerun at elevated precision (mpmath, _elevated) where it cancels.  All
-other machinery is plain float.
+rerun at elevated precision (_elevated) where it cancels: in binary fixed
+point on Python integers, with mpmath only for the non-integer powers of Q
+and the Euler function.  All other machinery is plain float.
 """
 
 from __future__ import annotations
@@ -172,20 +173,73 @@ def _fit(swept: dict, anchors: dict) -> Callable[[int], float]:
     return lambda n: math.ldexp(swept[n][0] * c, swept[n][1] - top)
 
 
-def _elevated(value: Callable[[int], mp.mpf], mx, what: str) -> float:
-    """value(digits), an alternating sum with largest term mx summed at
-    `digits` decimal digits, rounded to float.  It keeps digits -
-    log10(mx/|v|) digits: it starts at 40 + 2.2 log10 mx, and reruns with
-    40 to spare until 20 survive; RuntimeError naming `what` after eight."""
+# Fixed point at P bits holds a value v as the integer v 2^P, rounded down.
+# Q, x and every float input is an exact dyadic rational n / 2^s, so a
+# product with one is an exact integer multiply and a shift: one rounding
+# per step, as an mpf product at P bits has, at a fraction of its cost.
+
+def _bits(digits: int) -> int:
+    """P for `digits` decimal digits: mpmath's working precision at that
+    many, so 2^-P holds a sum of terms of size 1 as an mpf sum would."""
+    return mp.libmp.dps_to_prec(digits)
+
+
+def _dyadic(v) -> tuple:
+    """(n, s), v = n / 2^s exactly, for a float or an mpf v."""
+    if isinstance(v, float):
+        n, d = v.as_integer_ratio()
+        return n, d.bit_length() - 1
+    sign, man, exp, _ = v._mpf_
+    return -man if sign else man, -exp
+
+
+def _fix(v, P: int) -> int:
+    """v (a float or an mpf) in fixed point at P bits, rounded down."""
+    n, s = _dyadic(v)
+    return n << (P - s) if P >= s else n >> (s - P)
+
+
+def _to_float(n: int, s: int) -> float:
+    """n / 2^s correctly rounded to float: inf past the float range, 0.0 or
+    a subnormal below it."""
+    try:
+        return n / (1 << s) if s >= 0 else float(n << -s)
+    except OverflowError:
+        return math.inf if n > 0 else -math.inf
+
+
+def _elevated(value: Callable[[int], tuple], mx, what: str) -> float:
+    """value(digits) = (n, s), an alternating sum with largest term mx
+    carried at `digits` decimal digits (_bits) and held as the exact n / 2^s,
+    rounded once to float.  It keeps digits - log10(mx/|v|) digits: it
+    starts at 40 + 2.2 log10 mx, and reruns with 40 to spare until 20
+    survive; RuntimeError naming `what` after eight."""
     digits = 40 + int(2.2 * math.log10(mx))
     for _ in range(8):
-        with mp.workdps(digits):
-            v = value(digits)
-            lost = int(mp.ceil(mp.log10(mx / abs(v)))) if v else digits
+        n, s = value(digits)
+        lost = math.ceil(math.log10(mx) - math.log10(abs(n)) + s * math.log10(2.0)) if n else digits
         if digits - lost >= 20:
-            return float(v)
+            return _to_float(n, s)
         digits = lost + 40
     raise RuntimeError(f"{what} kept no 20 digits (internal error)")
+
+
+def _qpoch(a, Q: float, digits: int, n: int = -1):
+    """(a; Q)_n for an mpf a in [0, 1), n = -1 the infinite product, as an
+    mpf, truncated once the factor a Q^k falls below 10^(-digits-5).  The
+    factors step in fixed point at _bits(digits + 5), and the product keeps
+    a mantissa of as many bits with its own binary exponent, one rounding
+    per factor: every factor lies in (0, 1], so nothing cancels."""
+    P = _bits(digits + 5)
+    one, (qn, qs) = 1 << P, _dyadic(Q)
+    f, cut = _fix(a, P), one // 10 ** (digits + 5)
+    m, e, k = one, -P, 0
+    while f > cut and k != n:
+        m *= one - f
+        sh = m.bit_length() - P
+        m, e, k = m >> sh, e + sh - P, k + 1
+        f = f * qn >> qs
+    return mp.mpf((m, e))
 
 
 # ---------------------------------------------------------------------------
@@ -223,51 +277,51 @@ def _qbessel_ratio_float(nu: float, x: float, Q: float):
     return pref * s, pref * mx
 
 
-def _qpoch_inf_mp(a, Qm, digits: int):
-    """(a; Qm)_inf in the working mpmath precision, truncated once the
-    factor a Qm^k falls below 10^(-digits-5)."""
-    cutoff = mp.mpf(10) ** (-digits - 5)
-    p = mp.mpf(1)
-    f = a
-    while abs(f) > cutoff:
-        p *= 1 - f
-        f *= Qm
-    return p
-
-
-def _little_p_coeffs_mp(n: int, am, bm, Qm) -> list:
-    """Coefficients of p_n(x; Qm^am, Qm^bm; Qm) as a polynomial in x,
-    highest degree first as mp.polyval (Horner's rule) takes them: the
-    terms of the terminating 2phi1 without their x^k, in the working
-    mpmath precision.  am, bm and Qm are mpf; each q-power is formed once
-    from the one binary exponent and then stepped by Qm, one rounding per
-    step (none at Qm = 1/4) instead of an exp and a log per term."""
-    t = mp.mpf(1)
+def _little_p_coeffs(n: int, qa: int, qab: int, Q: float, P: int) -> list:
+    """Coefficients of p_n(x; Q^a, Q^b; Q) as a polynomial in x, highest
+    degree first as _horner takes them: the terms of the terminating 2phi1
+    without their x^k, in fixed point at P bits.  qa = Q^(a+1) and qab =
+    Q^(a+b+1) come in at P bits; every other q-power steps by the exact Q,
+    one rounding per step, instead of an exp and a log per term."""
+    one, (qn, qs) = 1 << P, _dyadic(Q)
+    qk = _fix(Q, P)                             # Q^(k+1)
+    qm = (one << qs * n) // qn ** n             # Q^(k-n)
+    qab = qab * qn ** n >> qs * n               # Q^(n+k+1+a+b)
+    t = one
     cs = [t]
-    qn = Qm ** -n                   # Qm^(k-n)
-    qab = Qm ** (n + 1 + am + bm)   # Qm^(n+k+1+am+bm)
-    qa = Qm ** (1 + am)             # Qm^(k+1+am)
-    qk = Qm                         # Qm^(k+1)
     for _ in range(n):
-        t *= (1 - qn) * (1 - qab) / ((1 - qa) * (1 - qk))
-        t *= Qm
+        t = t * (one - qm) * (one - qab) // ((one - qa) * (one - qk)) * qn >> qs
         cs.append(t)
-        qn *= Qm
-        qab *= Qm
-        qa *= Qm
-        qk *= Qm
+        qm, qab, qa, qk = qm * qn >> qs, qab * qn >> qs, qa * qn >> qs, qk * qn >> qs
     return cs[::-1]
+
+
+def _jacobi_powers(a: float, b: float, Q: float, P: int) -> tuple:
+    """Q^(a+1) and Q^(a+b+1) in fixed point at P bits, from mpmath: the
+    non-integer powers of _little_p_coeffs."""
+    with mp.workprec(P):
+        Qm, a1 = mp.mpf(Q), mp.mpf(a) + 1
+        return _fix(Qm ** a1, P), _fix(Qm ** (a1 + b), P)
+
+
+def _horner(cs: list, xn: int, xs: int) -> int:
+    """sum_k c_k x^k from fixed-point coefficients cs, highest degree first,
+    at x = xn / 2^xs exactly: one rounding per step."""
+    v = 0
+    for c in cs:
+        v = (v * xn >> xs) + c
+    return v
 
 
 @functools.lru_cache(maxsize=None)
 def _qbessel_base_mp(f: float, Q: float):
     """(Q^{f+1}; Q)_inf / (Q; Q)_inf as a 40-digit mpf, formed once per
-    (f, Q): the numerator a product of about 5,000 factors at Q = 0.99^2,
-    the Euler function (Q; Q)_inf from mpmath's qp, by Euler's
+    (f, Q): the numerator a product of about 5,000 factors at Q = 0.99^2
+    (_qpoch), the Euler function (Q; Q)_inf from mpmath's qp, by Euler's
     pentagonal-number series (about 120 terms there)."""
     with mp.workdps(40):
         Qm = mp.mpf(Q)
-        return _qpoch_inf_mp(Qm ** (mp.mpf(f) + 1), Qm, 40) / mp.qp(Qm)
+        return _qpoch(Qm ** (mp.mpf(f) + 1), Q, 40) / mp.qp(Qm)
 
 
 @functools.lru_cache(maxsize=None)
@@ -280,33 +334,36 @@ def _qbessel_pref_mp(nu: float, Q: float):
     with mp.workdps(40):
         Qm = mp.mpf(Q)
         if nu < 0.0:
-            return _qpoch_inf_mp(Qm ** (mp.mpf(nu) + 1), Qm, 40) / mp.qp(Qm)
+            return _qpoch(Qm ** (mp.mpf(nu) + 1), Q, 40) / mp.qp(Qm)
         k = math.floor(nu)
-        qa, head = Qm ** (mp.mpf(nu - k) + 1), mp.mpf(1)
-        for _ in range(k):
-            head *= 1 - qa
-            qa *= Qm
-        return _qbessel_base_mp(nu - k, Q) / head
+        return _qbessel_base_mp(nu - k, Q) / _qpoch(Qm ** (mp.mpf(nu - k) + 1), Q, 40, k)
 
 
 def _qbessel_ratio_mp(nu: float, x: float, Q: float, mx: float) -> float:
     """The ratio series at elevated precision (_elevated), given the largest
-    term mx of its float pass.  It cancels only if every q-power is an exact
-    function of the same binary nu, so the powers are built in mpf
-    arithmetic (a per-term float rounding of nu+1+k wrecks the sum
-    entirely), each formed once and stepped by Qm."""
-    def value(digits: int):
-        Qm = mp.mpf(Q)
-        tol = mp.mpf(10) ** (-digits + 4)
-        t = s = mp.mpf(1)
-        x2 = mp.mpf(x) ** 2
-        qk, qnk = Qm, Qm ** (mp.mpf(nu) + 1)    # Q^(k+1), Q^(nu+1+k)
+    term mx of its float pass, in fixed point at P bits.  It cancels only if
+    every q-power is an exact function of the same binary nu (a per-term
+    float rounding of nu+1+k wrecks the sum entirely): Q^(nu+1) is formed
+    once in mpmath, and the powers step from it and from Q by the exact Q.
+    x^2 enters exactly, inside y = Q^(k+1) x^2, so a large x costs no bits
+    of a small Q^(k+1)."""
+    (qn, qs), (xn, xs) = _dyadic(Q), _dyadic(x)
+    pm, ps = _dyadic(_qbessel_pref_mp(nu, Q))
+
+    def value(digits: int) -> tuple:
+        P = _bits(digits)
+        one, lim = 1 << P, 10 ** (digits - 4)          # stop at |t| < |s| / lim
+        with mp.workprec(P):
+            qnk = _fix(mp.mpf(Q) ** (mp.mpf(nu) + 1), P)    # Q^(nu+1+k)
+        qk = _fix(Q, P)                                     # Q^(k+1)
+        y = _fix(Q, P) * xn * xn >> 2 * xs                   # Q^(k+1) x^2
+        t = s = one
         k = 0
-        while not (k > 10 and abs(t) < abs(s) * tol):
-            t = -t * qk * x2 / ((1 - qnk) * (1 - qk))
+        while k <= 10 or t and abs(t) * lim >= abs(s):
+            t = -(t * y << P) // ((one - qnk) * (one - qk))
             s += t
-            qk, qnk, k = qk * Qm, qnk * Qm, k + 1
-        return _qbessel_pref_mp(nu, Q) * s
+            qk, qnk, y, k = qk * qn >> qs, qnk * qn >> qs, y * qn >> qs, k + 1
+        return s * pm, P + ps
     return _elevated(value, mx, "q-Bessel series")
 
 
@@ -651,22 +708,29 @@ class QJacobiFamily:
     def little_p_raw(self, n: int, x: float, a: float | None = None) -> float:
         """p_n(x; q^{2a}, q^{2b}; q^2), the terminating 2phi1 sum, at any
         float x: the float sum (_little_p_float) where its rounding bound
-        stays below 1e-14 of it, else the elevated sum (_elevated) with its
-        q-powers in exact mpf arithmetic (_little_p_coeffs_mp).  The terms
-        peak around q^{-(n-j)^2} at x = q^{2j}, far above the values near
-        the endpoint.  The grid callers read the mass point Q^m from its
-        degree table instead (_JacobiGrid), where a rounded x = t * t would
-        follow the growing solution of the recurrence."""
+        stays below 1e-14 of it, else the elevated sum (_elevated), its
+        coefficients in fixed point (_little_p_coeffs) and summed by Horner's
+        rule at the exact x.  The terms peak around q^{-(n-j)^2} at x =
+        q^{2j}, far above the values near the endpoint.  The grid callers
+        read the mass point Q^m from its degree table instead (_JacobiGrid),
+        where a rounded x = t * t would follow the growing solution of the
+        recurrence."""
         q2 = self.ctx.q2
         a = self.params.alpha if a is None else a
         b = self.params.beta
         s, mx, kept = _little_p_float(n, a, b, q2, x)
         if kept:
             return s
-        cs = lambda: _little_p_coeffs_mp(n, mp.mpf(a), mp.mpf(b), mp.mpf(q2))
-        if mx == math.inf:    # size the terms by an mpf sum, as an int for log10
-            mx = int(mp.polyval([abs(c) for c in cs()], abs(x)))
-        return _elevated(lambda _: mp.polyval(cs(), mp.mpf(x)), mx, "little q-Jacobi sum")
+        cs = lambda P: _little_p_coeffs(n, *_jacobi_powers(a, b, q2, P), q2, P)
+        xn, xs = _dyadic(x)
+        if mx == math.inf:    # size the terms by the sum of their moduli, as an int for log10
+            P = _bits(15)
+            mx = _horner([abs(c) for c in cs(P)], abs(xn), xs) >> P
+
+        def value(digits: int) -> tuple:
+            P = _bits(digits)
+            return _horner(cs(P), xn, xs), P
+        return _elevated(value, mx, "little q-Jacobi sum")
 
     def little_p(self, n: int, x: float, a: float | None = None) -> float:
         """Normalized p_n^{(a,b)}(x; q^2), which tends to the classical
@@ -767,40 +831,48 @@ class QJacobiFamily:
                                 f"beta={self.params.beta} leaves the float64 range") from None
 
     def _gram_nodes(self, nmax: int):
-        """w(x_j) x_j^(2a+1) q^j and [p_n(x_j), n <= nmax] over gram_matrix_mp's nodes."""
+        """w(x_j) x_j^(2a+1) q^j and [p_n(x_j), n <= nmax] over gram_matrix_mp's
+        nodes.  The members' coefficients are built once, in fixed point at
+        the working precision; a float pass of the same products sizes them
+        for that precision and for the tail bound."""
         Q = self.ctx.q2
         a, b = self.params.alpha, self.params.beta
-        Qm, am, bm = mp.mpf(Q), mp.mpf(a), mp.mpf(b)
-
-        def coeffs():
-            # q^{-k(a+1)} (Q^{a+1}; Q)_k / (Q; Q)_k times the coefficients of p_k
-            members, pref = [], mp.mpf(1)
-            for k in range(nmax + 1):
-                members.append([pref * c for c in _little_p_coeffs_mp(k, am, bm, Qm)])
-                pref *= (1 - Qm ** (am + 1 + k)) / ((1 - Qm ** (k + 1)) * Qm ** ((am + 1) / 2))
-            return members
-        with mp.workdps(50):
-            sizes = [[float(abs(c)) for c in cs] for cs in coeffs()]
+        # |q^{-k(a+1)} (Q^{a+1}; Q)_k / (Q; Q)_k c| for the coefficients c of p_k
+        sizes, pref = [], 1.0
+        for k in range(nmax + 1):
+            t, cs = pref, [pref]
+            for i in range(k):
+                t *= ((1.0 - Q ** (i - k)) * (1.0 - Q ** (k + i + 1.0 + a + b))
+                      / ((1.0 - Q ** (i + 1.0 + a)) * (1.0 - Q ** (i + 1))) * Q)
+                cs.append(abs(t))
+            sizes.append(cs[::-1])
+            pref *= (1.0 - Q ** (a + 1.0 + k)) / ((1.0 - Q ** (k + 1)) * Q ** ((a + 1.0) / 2.0))
         # Horner near x = 1 cancels over ~2 log10 M digits, M the largest term sum
-        with mp.workdps(max(50, 40 + int(2.2 * math.log10(max(map(sum, sizes)))))):
-            members = coeffs()
-            # w_0 = (Q; Q)_inf / (Q^{b+1}; Q)_inf by fsum of logs: a product drifts 1e-15
-            w = math.exp(math.fsum(math.log1p(-Q ** k) - math.log1p(-Q ** (b + k))
-                                   for k in range(1, math.ceil(math.log(1e-18, Q)) + 1)))
-            r = Qm ** (am + 1)              # q^(2a+2)
-            x, xf, rj, Qb = mp.mpf(1), 1.0, mp.mpf(1), Q ** b
-            tail = 2.0 ** -64 * (1.0 - float(r))
-            base, vals = [], []
-            while True:
-                m = max(functools.reduce(lambda v, c: v * xf + c, s) for s in sizes)
-                if float(rj) * m * m * max(w, 1.0) < tail:
-                    break
-                vals.append([float(functools.reduce(lambda v, c: v * x + c, cs)) for cs in members])
-                base.append(w * float(rj))
-                x *= Qm
-                rj *= r
-                xf = float(x)
-                w *= (1.0 - Qb * xf) / (1.0 - xf)
+        P = _bits(max(50, 40 + int(2.2 * math.log10(max(map(sum, sizes))))))
+        one, (qn, qs) = 1 << P, _dyadic(Q)
+        r, qab = _jacobi_powers(a, b, Q, P)             # r = Q^(a+1) = q^(2a+2)
+        with mp.workprec(P):
+            h = _fix(mp.mpf(Q) ** ((mp.mpf(a) + 1) / 2), P)
+        members, pref, qa, qk = [], one, r, _fix(Q, P)
+        for k in range(nmax + 1):
+            members.append([pref * c >> P for c in _little_p_coeffs(k, r, qab, Q, P)])
+            pref = (pref * (one - qa) << P) // ((one - qk) * h)
+            qa, qk = qa * qn >> qs, qk * qn >> qs
+        # w_0 = (Q; Q)_inf / (Q^{b+1}; Q)_inf by fsum of logs: a product drifts 1e-15
+        w = math.exp(math.fsum(math.log1p(-Q ** k) - math.log1p(-Q ** (b + k))
+                               for k in range(1, math.ceil(math.log(1e-18, Q)) + 1)))
+        x, xf, rj, Qb = one, 1.0, one, Q ** b
+        tail = 2.0 ** -64 * (1.0 - r / one)
+        base, vals = [], []
+        while True:
+            m = max(functools.reduce(lambda v, c: v * xf + c, s) for s in sizes)
+            if rj / one * m * m * max(w, 1.0) < tail:
+                break
+            vals.append([_horner(cs, x, P) / one for cs in members])
+            base.append(w * (rj / one))
+            x, rj = x * qn >> qs, rj * r >> P
+            xf = x / one
+            w *= (1.0 - Qb * xf) / (1.0 - xf)
         return np.array(base), np.array(vals)
 
     def norm_quadrature(self, n: int) -> float:

@@ -44,11 +44,22 @@ def _ratio_ref(nu, Q, digits, x=None, k=None):
     return _pref_ref(nu, Q) * s
 
 
+def _qpoch_ref(a, Qm):
+    """(a; Qm)_inf as a product in the working mpmath precision, to the
+    first factor a Qm^k below 10^-(dps+5)."""
+    cut = mp.mpf(10) ** (-mp.mp.dps - 5)
+    p = mp.mpf(1)
+    while a > cut:
+        p *= 1 - a
+        a *= Qm
+    return p
+
+
 @functools.lru_cache(maxsize=None)
-def _pref_ref(nu, Q):
-    with mp.workdps(50):
+def _pref_ref(nu, Q, digits=50):
+    with mp.workdps(digits):
         Qm = mp.mpf(Q)
-        return qs._qpoch_inf_mp(Qm ** (mp.mpf(nu) + 1), Qm, 50) / qs._qpoch_inf_mp(Qm, Qm, 50)
+        return _qpoch_ref(Qm ** (mp.mpf(nu) + 1), Qm) / _qpoch_ref(Qm, Qm)
 
 
 class TestQPochhammer:
@@ -147,15 +158,16 @@ class TestQBessel:
         got = qs.qbessel3(1.3, 0.5 ** (-12), 0.25)
         assert got == pytest.approx(3.201290695e-52, rel=1e-8)
 
-    @pytest.mark.parametrize("nu", [3.2, 5.0, 8.0])
+    @pytest.mark.parametrize("nu", [-0.5, 3.2, 5.0, 8.0])
     @pytest.mark.parametrize("x", [2.0 ** 16, 2.0 ** 20])
     def test_elevated_keeps_twenty_digits(self, nu, x):
         # from order ~3 up the value falls far below 1/(largest term), and
         # 40 + 2.2 log10(largest term) digits kept none of it: order 5 at
-        # x = 2^20 read 7.8e-149 against 4.2e-157
+        # x = 2^20 read 7.8e-149 against 4.2e-157; the rerun rounds to the
+        # float of a 700-digit sum
         qs._cached_ratio.cache_clear()
         ref = _ratio_ref(nu, 0.25, 700, x=x)
-        assert qs.qbessel3_ratio(nu, x, 0.25) == pytest.approx(float(ref), rel=1e-14, abs=0.0)
+        assert qs.qbessel3_ratio(nu, x, 0.25) == float(ref)
 
     @pytest.mark.parametrize("nu,x", [(2.3, 1.0), (2.1, 0.9)])
     def test_cancellation_is_measured_on_the_series(self, nu, x):
@@ -199,19 +211,27 @@ class TestQBessel:
                 b = qs.q_neumann(ctx, 0.5, n, x)
                 assert a == pytest.approx((-1.0) ** n * b, rel=1e-13, abs=1e-300)
 
-    @pytest.mark.parametrize("q", [0.3, 0.5, 0.7, 0.9])
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.7, 0.9, 0.99])
     def test_elevated_matches_per_term_powers(self, q):
-        # the elevated series steps its q-powers by Q and takes a 40-digit
-        # prefactor; a twin that forms every power and the prefactor anew at
-        # twice the digits gives the same values on the grid
+        # the elevated series steps its q-powers by Q in fixed point and
+        # takes a 40-digit prefactor; a twin that forms every power and the
+        # prefactor anew in mpmath, the series at twice the digits (at least
+        # 100) and the prefactor, which does not cancel, at 100, rounds to
+        # the same float, at orders below and above 0, at the grid
+        # anchors x = 1 and q (elevated however little they cancel) and
+        # where the float series cancels
         qs._cached_ratio.cache_clear()
         Q = q * q
-        for nu in (0.3, 1.3):
-            for k in (-4, -8, -12, -16):
+        for nu in (-0.5, 0.3, 1.3):
+            for k in (1, 0, -4, -8, -12, -16):
                 x = q ** k
                 val, mx = qs._qbessel_ratio_float(nu, x, Q)
-                assert mx > 1e3 * max(abs(val), 1e-270), "expected the elevated path"
-                digits = 2 * (40 + int(2.2 * math.log10(mx)))
+                if k < 0:
+                    assert mx > 1e3 * max(abs(val), 1e-270), "expected the elevated path"
+                    got = qs.qbessel3_ratio(nu, x, Q)
+                else:
+                    got = qs._ratio(nu, x, Q, elevate=True)
+                digits = max(100, 2 * (40 + int(2.2 * math.log10(mx))))
                 with mp.workdps(digits):
                     Qm, nu1 = mp.mpf(Q), mp.mpf(nu) + 1
                     t = s = mp.mpf(1)
@@ -221,10 +241,8 @@ class TestQBessel:
                         t = -t * Qm ** (j + 1) * x2 / ((1 - Qm ** (nu1 + j)) * (1 - Qm ** (j + 1)))
                         s += t
                         j += 1
-                    ref = (qs._qpoch_inf_mp(Qm ** nu1, Qm, digits)
-                           / qs._qpoch_inf_mp(Qm, Qm, digits) * s)
-                got = qs.qbessel3_ratio(nu, x, Q)
-                assert got == pytest.approx(float(ref), rel=1e-14, abs=0.0), (nu, k)
+                    ref = _pref_ref(nu, Q, 100) * s
+                assert got == float(ref), (nu, k)
 
 
 class TestGridTable:
@@ -596,8 +614,7 @@ class TestQJacobiFamily:
             for j in itertools.count():
                 x = qm ** j
                 x2 = x * x
-                w = (qs._qpoch_inf_mp(Qm * x2, Qm, digits)
-                     / qs._qpoch_inf_mp(Qm ** (bm + 1) * x2, Qm, digits))
+                w = _qpoch_ref(Qm * x2, Qm) / _qpoch_ref(Qm ** (bm + 1) * x2, Qm)
                 base = w * x ** (2 * am + 1) * qm ** j
                 vals = [lp(k, x2) for k in range(nmax + 1)]
                 for n in range(nmax + 1):
@@ -623,6 +640,32 @@ class TestQJacobiFamily:
                 assert gram[m][n] == gram[n][m]
 
     @pytest.mark.parametrize("alpha, beta", _GRAM_PAIRS)
+    @pytest.mark.parametrize("q", [0.1, 0.3, 0.5, 0.99])
+    def test_gram_members_round_like_a_60_digit_sum(self, q, alpha, beta):
+        # the Gram's member values, by Horner's rule in fixed point at the
+        # exact Q^j, are the floats of the members summed in mpmath with 60
+        # digits past their cancellation (term sums up to 3.2e26 at q = 0.1):
+        # at every node up to j = 60, where they cancel, and every 50th past
+        # it (at q = 0.99 the sum runs over 1,000 to 8,200 nodes)
+        nmax = 5
+        vals = qs.QJacobiFamily(qs.QContext(q), Params(alpha, beta))._gram_nodes(nmax)[1]
+        prefs, factors = _member_ref(q, alpha, beta, nmax, 30)
+        size = max(abs(p) * sum(abs(mp.fprod(f[:i])) for i in range(len(f) + 1))
+                   for p, f in zip(prefs, factors))
+        digits = 60 + int(2.2 * mp.log10(size))
+        prefs, factors = _member_ref(q, alpha, beta, nmax, digits)
+        with mp.workdps(digits):
+            Qm = mp.mpf(q * q)
+            for j in sorted({*range(min(60, len(vals))), *range(0, len(vals), 50), len(vals) - 1}):
+                x2 = Qm ** j
+                for k in range(nmax + 1):
+                    t = s = mp.mpf(1)
+                    for f in factors[k]:
+                        t *= f * x2
+                        s += t
+                    assert vals[j][k] == float(prefs[k] * s), (j, k)
+
+    @pytest.mark.parametrize("alpha, beta", _GRAM_PAIRS)
     @pytest.mark.parametrize("q", _GRAM_QS)
     def test_gram_stop_leaves_no_tail(self, q, alpha, beta):
         # the 50 nodes past the stop, summed at 80 digits, move no entry
@@ -634,8 +677,8 @@ class TestQJacobiFamily:
     @pytest.mark.parametrize("q", [0.3, 0.5, 0.8])
     def test_little_p_raw_elevated_matches_terminating_sum(self, monkeypatch, q, n):
         calls = []
-        coeffs = qs._little_p_coeffs_mp
-        monkeypatch.setattr(qs, "_little_p_coeffs_mp",
+        coeffs = qs._little_p_coeffs
+        monkeypatch.setattr(qs, "_little_p_coeffs",
                             lambda *args: calls.append(args) or coeffs(*args))
         fam = qs.QJacobiFamily(qs.QContext(q), self.P)
         Q = fam.ctx.q2
@@ -656,8 +699,8 @@ class TestQJacobiFamily:
         # 1 - q^(2m) cancel themselves; whichever branch a point takes, it
         # holds 1e-14 of the 80-digit sum, and the float branch is taken
         calls = []
-        coeffs = qs._little_p_coeffs_mp
-        monkeypatch.setattr(qs, "_little_p_coeffs_mp",
+        coeffs = qs._little_p_coeffs
+        monkeypatch.setattr(qs, "_little_p_coeffs",
                             lambda *args: calls.append(args) or coeffs(*args))
         kept = 0
         for q in (0.3, 0.8, 0.99, 0.999):
@@ -701,10 +744,11 @@ class TestQJacobiFamily:
 
     @pytest.mark.parametrize("q", [0.3, 0.5, 0.7, 0.9])
     def test_little_p_coeffs_match_per_term_powers(self, q):
-        # coefficients built from running q-powers keep the cancellation of
-        # the sum at grid points: at 40 digits past what it loses, Horner's
-        # rule on them matches a twin that forms every non-integer power
-        # anew at twice the digits
+        # coefficients built in fixed point from running q-powers keep the
+        # cancellation of the sum at grid points: at 40 digits past what it
+        # loses, Horner's rule on them at the exact x = Q^j matches a twin
+        # that forms every non-integer power anew in mpmath at twice the
+        # digits
         Q = q * q
         a, b = self.P.alpha, self.P.beta
 
@@ -726,9 +770,10 @@ class TestQJacobiFamily:
                 val, size = twin(n, x, 60 + int(2.5 * n * n * math.log10(1.0 / q)))
                 digits = 40 + int(mp.ceil(mp.log10(size / abs(val))))
                 ref = twin(n, x, 2 * digits)[0]
+                P = qs._bits(digits)
+                cs = qs._little_p_coeffs(n, *qs._jacobi_powers(a, b, Q, P), Q, P)
                 with mp.workdps(digits):
-                    cs = qs._little_p_coeffs_mp(n, mp.mpf(a), mp.mpf(b), mp.mpf(Q))
-                    got = mp.polyval(cs, mp.mpf(x))
+                    got = mp.mpf((qs._horner(cs, *qs._dyadic(x)), -P))
                 assert abs(got - ref) <= 1e-14 * abs(ref), (n, j)
 
     def test_little_p_raw_small_q_sweep(self):
@@ -850,23 +895,23 @@ class TestJacobiGrid:
         # elevates only there; q-core sums none, and elevates only its Grams
         monkeypatch.setattr(qs, "_jacobi_grid", functools.lru_cache(maxsize=None)(qs._JacobiGrid))
         raw, coeffs = [], []
-        raw_fn, coeffs_fn = qs.QJacobiFamily.little_p_raw, qs._little_p_coeffs_mp
+        raw_fn, coeffs_fn = qs.QJacobiFamily.little_p_raw, qs._little_p_coeffs
         monkeypatch.setattr(qs.QJacobiFamily, "little_p_raw",
                             lambda self, n, x, a=None: raw.append((n, x)) or raw_fn(self, n, x, a))
-        monkeypatch.setattr(qs, "_little_p_coeffs_mp",
+        monkeypatch.setattr(qs, "_little_p_coeffs",
                             lambda *args: coeffs.append((sys._getframe(1).f_code.co_name, args))
                             or coeffs_fn(*args))
         run_suite("q-planewave")
         assert raw == [(3, 0.4)]
         # little_p_raw forms the coefficients in a lambda, for its elevated rerun
-        assert [(caller, n, float(Q)) for caller, (n, _, _, Q) in coeffs] == [
+        assert [(caller, n, Q) for caller, (n, _, _, Q, _) in coeffs] == [
             ("<lambda>", 3, 0.999 ** 2)]
         assert qs._jacobi_grid.cache_info().currsize > 10
         raw.clear()
         coeffs.clear()
         run_suite("q-core")
         assert raw == []
-        assert coeffs and {caller for caller, _ in coeffs} == {"coeffs"}
+        assert coeffs and {caller for caller, _ in coeffs} == {"_gram_nodes"}
 
 
 class TestQKernelTransforms:
