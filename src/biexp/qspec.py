@@ -6,12 +6,12 @@ q-Weber-Schafheitlin evaluations.
 Everything lives on the geometric grid {+-q^k}, where the third Jackson
 q-Bessel decays superexponentially while its series terms peak the same
 way.  So the grid sums read it by exponent from one float table per
-(nu, q) (_GridRatios), and the little q-Jacobi members by degree from one
-per (a, b, q, m) (_JacobiGrid): float series, and one Miller sweep of a
-recurrence (_miller) where they fail.  Off-grid arguments sum the series,
-rerun at elevated precision (_elevated) where it cancels: in binary fixed
-point on Python integers, with mpmath only for the non-integer powers of Q
-and the Euler function.  All other machinery is plain float.
+(nu, q) (_GridRatios): float series, and one Miller sweep of a recurrence
+(_miller) where they fail.  The little q-Jacobi members at a mass point
+Q^m are their exact sum there (_mass_point).  Off-grid arguments sum the
+series, rerun at elevated precision (_elevated) where it cancels: in binary
+fixed point on Python integers, with mpmath only for the non-integer powers
+of Q and the Euler function.  All other machinery is plain float.
 """
 
 from __future__ import annotations
@@ -70,6 +70,8 @@ class QContext:
     def __post_init__(self):
         if not (0.0 < self.q < 1.0):
             raise ValueError("q must lie in (0, 1)")
+        if not self.q2:
+            raise ValueError(f"q^2 underflows to 0 at q={self.q}")
 
     @property
     def q2(self) -> float:
@@ -152,14 +154,17 @@ def _miller(step: Callable, u: float, v: float, ns: range, what: str) -> dict:
     exponent kept apart, so the solution may fall past the float range.
     Returns {n: (m, e)}, value(n) = m 2^e; OverflowError naming `what` where a step overflows."""
     e, out = 0, {}
-    for n in ns:
-        u, v = step(n, u, v)
-        if not (math.isfinite(u) and math.isfinite(v)):
-            raise OverflowError(f"{what} leaves the float64 range")
-        ex = math.frexp(max(abs(u), abs(v)))[1]
-        e += ex
-        u, v = math.ldexp(u, -ex), math.ldexp(v, -ex)
-        out[n] = (u, e)
+    try:
+        for n in ns:
+            u, v = step(n, u, v)
+            if not (math.isfinite(u) and math.isfinite(v)):
+                raise OverflowError
+            ex = math.frexp(max(abs(u), abs(v)))[1]
+            e += ex
+            u, v = math.ldexp(u, -ex), math.ldexp(v, -ex)
+            out[n] = (u, e)
+    except OverflowError:
+        raise OverflowError(f"{what} leaves the float64 range") from None
     return out
 
 
@@ -212,15 +217,16 @@ def _elevated(value: Callable[[int], tuple], mx, what: str) -> float:
     """value(digits) = (n, s), an alternating sum with largest term mx
     carried at `digits` decimal digits (_bits) and held as the exact n / 2^s,
     rounded once to float.  It keeps digits - log10(mx/|v|) digits: it
-    starts at 40 + 2.2 log10 mx, and reruns with 40 to spare until 20
-    survive; RuntimeError naming `what` after eight."""
+    starts at 40 + 2.2 log10 mx, and reruns with 40 to spare, at least
+    twice the digits, until 20 survive; RuntimeError naming `what` after
+    eight."""
     digits = 40 + int(2.2 * math.log10(mx))
     for _ in range(8):
         n, s = value(digits)
         lost = math.ceil(math.log10(mx) - math.log10(abs(n)) + s * math.log10(2.0)) if n else digits
         if digits - lost >= 20:
             return _to_float(n, s)
-        digits = lost + 40
+        digits = max(lost + 40, 2 * digits)
     raise RuntimeError(f"{what} kept no 20 digits (internal error)")
 
 
@@ -277,33 +283,6 @@ def _qbessel_ratio_float(nu: float, x: float, Q: float):
     return pref * s, pref * mx
 
 
-def _little_p_coeffs(n: int, qa: int, qab: int, Q: float, P: int) -> list:
-    """Coefficients of p_n(x; Q^a, Q^b; Q) as a polynomial in x, highest
-    degree first as _horner takes them: the terms of the terminating 2phi1
-    without their x^k, in fixed point at P bits.  qa = Q^(a+1) and qab =
-    Q^(a+b+1) come in at P bits; every other q-power steps by the exact Q,
-    one rounding per step, instead of an exp and a log per term."""
-    one, (qn, qs) = 1 << P, _dyadic(Q)
-    qk = _fix(Q, P)                             # Q^(k+1)
-    qm = (one << qs * n) // qn ** n             # Q^(k-n)
-    qab = qab * qn ** n >> qs * n               # Q^(n+k+1+a+b)
-    t = one
-    cs = [t]
-    for _ in range(n):
-        t = t * (one - qm) * (one - qab) // ((one - qa) * (one - qk)) * qn >> qs
-        cs.append(t)
-        qm, qab, qa, qk = qm * qn >> qs, qab * qn >> qs, qa * qn >> qs, qk * qn >> qs
-    return cs[::-1]
-
-
-def _jacobi_powers(a: float, b: float, Q: float, P: int) -> tuple:
-    """Q^(a+1) and Q^(a+b+1) in fixed point at P bits, from mpmath: the
-    non-integer powers of _little_p_coeffs."""
-    with mp.workprec(P):
-        Qm, a1 = mp.mpf(Q), mp.mpf(a) + 1
-        return _fix(Qm ** a1, P), _fix(Qm ** (a1 + b), P)
-
-
 def _horner(cs: list, xn: int, xs: int) -> int:
     """sum_k c_k x^k from fixed-point coefficients cs, highest degree first,
     at x = xn / 2^xs exactly: one rounding per step."""
@@ -314,14 +293,21 @@ def _horner(cs: list, xn: int, xs: int) -> int:
 
 
 @functools.lru_cache(maxsize=None)
+def _euler_mp(Q: float):
+    """The Euler function (Q; Q)_inf as a 40-digit mpf, formed once per Q
+    by mpmath's qp, from Euler's pentagonal-number series (about 120 terms
+    at Q = 0.99^2)."""
+    with mp.workdps(40):
+        return mp.qp(mp.mpf(Q))
+
+
+@functools.lru_cache(maxsize=None)
 def _qbessel_base_mp(f: float, Q: float):
     """(Q^{f+1}; Q)_inf / (Q; Q)_inf as a 40-digit mpf, formed once per
     (f, Q): the numerator a product of about 5,000 factors at Q = 0.99^2
-    (_qpoch), the Euler function (Q; Q)_inf from mpmath's qp, by Euler's
-    pentagonal-number series (about 120 terms there)."""
+    (_qpoch), over the Euler function (_euler_mp)."""
     with mp.workdps(40):
-        Qm = mp.mpf(Q)
-        return _qpoch(Qm ** (mp.mpf(f) + 1), Q, 40) / mp.qp(Qm)
+        return _qpoch(mp.mpf(Q) ** (mp.mpf(f) + 1), Q, 40) / _euler_mp(Q)
 
 
 @functools.lru_cache(maxsize=None)
@@ -334,7 +320,7 @@ def _qbessel_pref_mp(nu: float, Q: float):
     with mp.workdps(40):
         Qm = mp.mpf(Q)
         if nu < 0.0:
-            return _qpoch(Qm ** (mp.mpf(nu) + 1), Q, 40) / mp.qp(Qm)
+            return _qpoch(Qm ** (mp.mpf(nu) + 1), Q, 40) / _euler_mp(Q)
         k = math.floor(nu)
         return _qbessel_base_mp(nu - k, Q) / _qpoch(Qm ** (mp.mpf(nu - k) + 1), Q, 40, k)
 
@@ -457,13 +443,15 @@ class _GridRatios(dict):
 
     def _sweep(self) -> None:
         nu, Q = self.nu, self.Q
-        Qn = Q ** nu
-        floor = _walk(0, -1, lambda k: math.log2(Qn / max(Q ** (k + 1) - 1.0 - Qn, 1.0 + Qn)),
-                      1400.0) if Qn else 0
+        Qn, what = Q ** nu, f"q-Bessel grid sweep at order {nu}, Q={Q}"
+        try:    # Q^(k+1) or the ratio may leave the float range first
+            floor = _walk(0, -1, lambda k: math.log2(Qn / max(Q ** (k + 1) - 1.0 - Qn, 1.0 + Qn)),
+                          1400.0) if Qn else 0
+        except (OverflowError, ValueError):
+            raise OverflowError(f"{what} leaves the float64 range") from None
         step = lambda k, g1, g0: (      # G(k), G(k-1) from G(k-1), G(k-2)
             -(g0 + (Q ** (k - 1) - 1.0 - Qn) * g1) / Qn if Qn else math.inf, g1)
-        swept = _miller(step, 1.0, 0.0, range(floor - 8, 2),
-                        f"q-Bessel grid sweep at order {nu}, Q={Q}")
+        swept = _miller(step, 1.0, 0.0, range(floor - 8, 2), what)
         value = _fit(swept, {0: self[0], 1: _ratio(nu, self.q, Q, elevate=True)})
         self.update((k, value(k)) for k in range(floor, 0))
 
@@ -473,8 +461,10 @@ def _grid_table(nu: float, q: float) -> _GridRatios:
     return _GridRatios(nu, q)
 
 
+@functools.lru_cache(maxsize=1024)
 def _grid_exponent(q: float, x: float) -> int | None:
-    """j where x is the grid point +-q**j (that float), else None."""
+    """j where x is the grid point +-q**j (that float), else None; the
+    last 1024 points are cached (a verify-q pass reads 69, 1,860 times)."""
     ax = abs(x)
     if not 0.0 < ax < math.inf:
         return None
@@ -543,7 +533,7 @@ def _grid_sum(ctx: QContext, term: Callable[[int], complex], ks: range, acc=0.0)
         else:
             small = 0
     end = "small-x" if ks.step > 0 else "large-x"
-    raise DecayError(f"Jackson sum did not decay at the {end} end")
+    raise DecayError(f"Jackson sum at q={ctx.q} did not decay at the {end} end")
 
 
 def _bilateral_sum(ctx: QContext, term: Callable[[int], complex]):
@@ -606,91 +596,83 @@ def _little_p_float(n: int, a: float, b: float, Q: float, x: float):
     return s, mx, 2.0 ** -53 * err <= 1e-14 * abs(s)
 
 
-class _JacobiGrid:
-    """p_n(Q^j; Q^a, Q^b; Q) by degree n, Q = q^2, one table per (a, b, q, j)
-    with j >= 0, filled as it is read.
+@functools.lru_cache(maxsize=None)
+def _powers_at(a: float, b: float, Q: float, W: int) -> tuple:
+    with mp.workprec(W):
+        Qm, a1 = mp.mpf(Q), mp.mpf(a) + 1
+        return _fix(Qm ** a1, W), _fix(Qm ** (a1 + b), W)
 
-    On a mass point x = Q^j the little q-Jacobi recurrence (Koekoek, Lesky &
-    Swarttouw 2010, 14.12.3), with A = Q^a, B = Q^b,
 
-        -x p_n = A_n p_{n+1} - (A_n + C_n) p_n + C_n p_{n-1},
-
-    has p_n(Q^j) as its minimal solution past n ~ j, falling like
-    Q^{(n-j)^2/2} while the float sum's terms grow the same way; below
-    that the sum is accurate and a backward sweep is not (for a > 0 the
-    second solution falls like Q^{an}).  So each degree keeps its float sum
-    at x = Q**j where its rounding bound holds.  Once one fails, the sums
-    run on to two failures in a row, and the other degrees come from one
-    Miller sweep (_miller) down in n, in differences, anchored to the two
-    highest kept sums.  Its floor is where p has fallen 1200 bits below
-    them (past it every degree reads 0.0), and it starts where the root
-    ratio has taken the unwanted solution 64 bits below p at the floor.
-    """
-
-    __slots__ = ("a", "b", "Q", "j", "sums", "vals", "swept")
-
-    def __init__(self, a: float, b: float, q: float, j: int):
-        self.a, self.b, self.Q, self.j = a, b, q * q, j
-        self.sums: list = []    # float sums where kept, None where the bound fails
-        self.vals: list = []
-        self.swept = False
-
-    def __getitem__(self, n: int) -> float:
-        if n >= len(self.vals) and not self.swept:
-            self._fill(max(n, 2 * len(self.vals)))
-        return self.vals[n] if n < len(self.vals) else 0.0
-
-    def _roots(self, n: int):
-        """(a_n, c_n, y_n, log2 |small root|, log2 root ratio) of the
-        recurrence a_n p_{n+1} - (a_n + c_n - y_n) p_n + c_n p_{n-1} = 0,
-        the one above divided by Q^n (y_n = Q^{j-n})."""
-        Q, a, b = self.Q, self.a, self.b
-        lq = math.log(Q)
-
-        def om(e):      # 1 - Q^e, without the cancellation of 1 - Q**e
-            return -math.expm1(e * lq)
-        an = om(a + n + 1) * om(a + b + n + 1) / (om(a + b + 2 * n + 1) * om(a + b + 2 * n + 2))
-        cn = Q ** a * om(n) * om(b + n) / (om(a + b + 2 * n) * om(a + b + 2 * n + 1))
-        y = Q ** (self.j - n)
-        sn = an + cn - y
-        disc = sn * sn - 4.0 * an * cn
-        if disc <= 0.0:     # complex pair: equal moduli
-            return an, cn, y, 0.5 * math.log2(cn / an), 0.0
-        big = (abs(sn) + math.sqrt(disc)) / (2.0 * an)
-        return an, cn, y, math.log2(cn / (an * big)), math.log2(cn / (an * big * big))
-
-    def _fill(self, top: int) -> None:
-        """Float sums through degree top; the whole table once one fails its
-        bound, so that no value depends on the reads before it."""
-        Q, x, sums = self.Q, self.Q ** self.j, self.sums
-        while (len(sums) <= top or None in sums) and sums[-2:] != [None, None]:
-            s, _, kept = _little_p_float(len(sums), self.a, self.b, Q, x)
-            sums.append(s if kept else None)
-        if None not in sums:
-            self.vals = sums[:]
-            return
-        fit = [n for n, s in enumerate(sums) if s is not None][-2:]
-        roots = functools.lru_cache(maxsize=None)(self._roots)
-        floor = _walk(fit[-1], 1, lambda n: roots(n)[3], 1200.0,
-                      math.log2(max(abs(sums[k]) for k in fit)))
-        start = _walk(floor, 1, lambda n: roots(n)[4], 64.0)
-        # in differences d_n = p_{n+1} - p_n, c_n d_{n-1} = a_n d_n + y_n p_n,
-        # so y_n = Q^{j-n} is not lost against a_n + c_n where p_n ~ 1
-        def step(n, p, d):      # p_n, d_n from p_{n+1}, d_{n+1}
-            an, cn, y, _, _ = roots(n + 1)
-            d = (an * d + y * p) / cn
-            return p - d, d
-        swept = _miller(step, 1.0, -1.0, range(start - 1, min(fit[0], sums.index(None)) - 1, -1),
-                        f"little q-Jacobi degree sweep at a={self.a}, b={self.b}, Q={Q}")
-        value = _fit(swept, {k: sums[k] for k in fit})
-        self.vals = [sums[k] if k < len(sums) and sums[k] is not None else value(k)
-                     for k in range(floor + 1)]
-        self.swept = True
+def _jacobi_powers(a: float, b: float, Q: float, P: int) -> tuple:
+    """Q^(a+1) and Q^(a+b+1) in fixed point at P bits, the non-integer
+    powers of _little_p_coeffs: formed by mpmath once per (a, b, Q) at the
+    power of two W >= P, and floored from there."""
+    W = 1 << (P - 1).bit_length()
+    return tuple(v >> W - P for v in _powers_at(a, b, Q, W))
 
 
 @functools.lru_cache(maxsize=None)
-def _jacobi_grid(a: float, b: float, q: float, j: int) -> _JacobiGrid:
-    return _JacobiGrid(a, b, q, j)
+def _little_p_coeffs(n: int, a: float, b: float, Q: float, P: int) -> list:
+    """Coefficients of p_n(x; Q^a, Q^b; Q) as a polynomial in x, highest
+    degree first as _horner takes them: the terms of the terminating 2phi1
+    without their x^k, in fixed point at P bits, formed once per
+    (n, a, b, Q, P).  Q^(a+1) and Q^(a+b+1) come from _jacobi_powers; every
+    other q-power steps by the exact Q, one rounding per step, instead of
+    an exp and a log per term."""
+    one, (qn, qs) = 1 << P, _dyadic(Q)
+    qa, qab = _jacobi_powers(a, b, Q, P)
+    qk = _fix(Q, P)                             # Q^(k+1)
+    qm = (one << qs * n) // qn ** n             # Q^(k-n)
+    qab = qab * qn ** n >> qs * n               # Q^(n+k+1+a+b)
+    t = one
+    cs = [t]
+    for _ in range(n):
+        t = t * (one - qm) * (one - qab) // ((one - qa) * (one - qk)) * qn >> qs
+        cs.append(t)
+        qm, qab, qa, qk = qm * qn >> qs, qab * qn >> qs, qa * qn >> qs, qk * qn >> qs
+    return cs[::-1]
+
+
+def _term_size(n: int, a: float, b: float, Q: float, xn: int, xs: int) -> int:
+    """The sum of the moduli of p_n's terms at x = xn / 2^xs, xn >= 0, as
+    an int (for log10 past the float range)."""
+    P = _bits(15)
+    return _horner([abs(c) for c in _little_p_coeffs(n, a, b, Q, P)], xn, xs) >> P
+
+
+def _little_p_sum(n: int, a: float, b: float, Q: float, xn: int, xs: int, mx) -> float:
+    """p_n(x; Q^a, Q^b; Q) at x = xn / 2^xs exactly, by Horner's rule on
+    the fixed-point coefficients, rounded once (_elevated); mx bounds its
+    largest term."""
+    def value(digits: int) -> tuple:
+        P = _bits(digits)
+        return _horner(_little_p_coeffs(n, a, b, Q, P), xn, xs), P
+    return _elevated(value, mx, "little q-Jacobi sum")
+
+
+@functools.lru_cache(maxsize=None)
+def _mass_point(n: int, a: float, b: float, Q: float, m: int) -> float:
+    """p_n(Q^m; Q^a, Q^b; Q), m >= 0, at the exact mass point Q^m.  The
+    terms there peak around Q^{-(n-m)^2/2} while p_n falls like
+    Q^{(n-m)^2/2} past n ~ m, so no float sum or recurrence holds it: the
+    elevated sum does, sized by the terms at x = 1, which bound those at
+    every mass point."""
+    qn, qs = _dyadic(Q)
+    return _little_p_sum(n, a, b, Q, qn ** m, qs * m, _term_size(n, a, b, Q, 1, 0))
+
+
+@functools.lru_cache(maxsize=None)
+def _little_p_scale(n: int, a: float, q: float) -> float:
+    """The factor of the normalized member: q^{-n(a+1)} (Q^{a+1}; Q)_n / (Q; Q)_n."""
+    q2 = q * q
+    return (q ** (-n * (a + 1.0))
+            * qpochhammer(q2 ** (a + 1.0), q2, n) / qpochhammer(q2, q2, n))
+
+
+@functools.lru_cache(maxsize=None)
+def _gegen_ratio(k: int, a: float, b: float, Q: float) -> float:
+    """(Q^{a+b+1}; Q)_k / (Q^{a+1}; Q)_k, the q-Gegenbauer prefactor."""
+    return qpochhammer(Q ** (a + b + 1.0), Q, k) / qpochhammer(Q ** (a + 1.0), Q, k)
 
 
 @dataclass(frozen=True)
@@ -698,9 +680,9 @@ class QJacobiFamily:
     """Little q-Jacobi machinery for an index pair, base q^2.
 
     Members on the q-grid, qgegenbauer at t = +-q^m (m >= 0) and the closed
-    forms of I_-/I_+, read p_n(Q^m) by degree from one table per (a, b, q, m)
-    (_JacobiGrid); little_p and little_p_raw take any float x, at elevated
-    precision where the float sum cancels."""
+    forms of I_-/I_+, read p_n at the exact mass point Q^m (_mass_point);
+    little_p and little_p_raw take any float x, at elevated precision where
+    the float sum cancels."""
 
     ctx: QContext
     params: Params
@@ -708,61 +690,46 @@ class QJacobiFamily:
     def little_p_raw(self, n: int, x: float, a: float | None = None) -> float:
         """p_n(x; q^{2a}, q^{2b}; q^2), the terminating 2phi1 sum, at any
         float x: the float sum (_little_p_float) where its rounding bound
-        stays below 1e-14 of it, else the elevated sum (_elevated), its
-        coefficients in fixed point (_little_p_coeffs) and summed by Horner's
-        rule at the exact x.  The terms peak around q^{-(n-j)^2} at x =
-        q^{2j}, far above the values near the endpoint.  The grid callers
-        read the mass point Q^m from its degree table instead (_JacobiGrid),
-        where a rounded x = t * t would follow the growing solution of the
-        recurrence."""
+        stays below 1e-14 of it, else the elevated sum (_little_p_sum), its
+        coefficients in fixed point and summed by Horner's rule at the exact
+        x.  The terms peak around q^{-(n-j)^2} at x = q^{2j}, far above the
+        values near the endpoint.  The grid callers read the mass point Q^m
+        from _mass_point instead, where a rounded x = t * t is not Q^m."""
         q2 = self.ctx.q2
         a = self.params.alpha if a is None else a
         b = self.params.beta
         s, mx, kept = _little_p_float(n, a, b, q2, x)
         if kept:
             return s
-        cs = lambda P: _little_p_coeffs(n, *_jacobi_powers(a, b, q2, P), q2, P)
         xn, xs = _dyadic(x)
-        if mx == math.inf:    # size the terms by the sum of their moduli, as an int for log10
-            P = _bits(15)
-            mx = _horner([abs(c) for c in cs(P)], abs(xn), xs) >> P
-
-        def value(digits: int) -> tuple:
-            P = _bits(digits)
-            return _horner(cs(P), xn, xs), P
-        return _elevated(value, mx, "little q-Jacobi sum")
+        if mx == math.inf:    # size the terms by the sum of their moduli
+            mx = _term_size(n, a, b, q2, abs(xn), xs)
+        return _little_p_sum(n, a, b, q2, xn, xs, mx)
 
     def little_p(self, n: int, x: float, a: float | None = None) -> float:
         """Normalized p_n^{(a,b)}(x; q^2), which tends to the classical
         Jacobi polynomial P_n^{(a,b)}(1-2x) as q -> 1."""
         a = self.params.alpha if a is None else a
-        return self._little_p_scale(n, a) * self.little_p_raw(n, x, a)
-
-    def _little_p_scale(self, n: int, a: float) -> float:
-        q = self.ctx.q
-        q2 = self.ctx.q2
-        return (q ** (-n * (a + 1.0))
-                * qpochhammer(q2 ** (a + 1.0), q2, n) / qpochhammer(q2, q2, n))
+        return _little_p_scale(n, a, self.ctx.q) * self.little_p_raw(n, x, a)
 
     def _little_p_sq(self, n: int, t: float, a: float) -> float:
-        """little_p(n, t * t, a), read by degree from the grid table where t
-        is a grid point +-q**m, m >= 0."""
-        m = _grid_exponent(self.ctx.q, t)
+        """little_p(n, t * t, a), at the exact mass point Q^m where t is a
+        grid point +-q**m, m >= 0."""
+        q = self.ctx.q
+        m = _grid_exponent(q, t)
         if m is None or m < 0:
             return self.little_p(n, t * t, a)
-        return self._little_p_scale(n, a) * _jacobi_grid(a, self.params.beta, self.ctx.q, m)[n]
+        return _little_p_scale(n, a, q) * _mass_point(n, a, self.params.beta, self.ctx.q2, m)
 
     def qgegenbauer(self, n: int, t: float) -> float:
         """Generalized little q-Gegenbauer C_n^{(b+1/2,a+1/2)}(t; q^2).
 
         At a grid point t = +-q^m, m >= 0, the little q-Jacobi member is
-        read at the mass point q^{2m} from its degree table, so values past
-        the float range read 0.0; elsewhere it is the float-x sum at t * t."""
-        q2 = self.ctx.q2
+        read at the mass point q^{2m} (_mass_point), so values past the
+        float range read 0.0; elsewhere it is the float-x sum at t * t."""
         a, b = self.params.alpha, self.params.beta
         m, r = divmod(n, 2)
-        pref = ((-1.0) ** m * qpochhammer(q2 ** (a + b + 1.0), q2, m + r)
-                / qpochhammer(q2 ** (a + 1.0), q2, m + r))
+        pref = (-1.0) ** m * _gegen_ratio(m + r, a, b, self.ctx.q2)
         return pref * t ** r * self._little_p_sq(m, t, a + r)
 
     def weight(self, t: float) -> float:
@@ -788,8 +755,7 @@ class QJacobiFamily:
         q2 = self.ctx.q2
         a, b = self.params.alpha, self.params.beta
         m, r = divmod(n, 2)
-        rn = (qpochhammer(q2 ** (a + b + 1.0), q2, m + r)
-              / qpochhammer(q2 ** (a + 1.0), q2, m + r))
+        rn = _gegen_ratio(m + r, a, b, q2)
         if r == 0:
             return (rn / (1.0 - q2 ** (2.0 * m + a + b + 1.0))
                     * qpochhammer(q2 ** (m + 1.0), q2)
@@ -850,12 +816,12 @@ class QJacobiFamily:
         # Horner near x = 1 cancels over ~2 log10 M digits, M the largest term sum
         P = _bits(max(50, 40 + int(2.2 * math.log10(max(map(sum, sizes))))))
         one, (qn, qs) = 1 << P, _dyadic(Q)
-        r, qab = _jacobi_powers(a, b, Q, P)             # r = Q^(a+1) = q^(2a+2)
+        r = _jacobi_powers(a, b, Q, P)[0]               # r = Q^(a+1) = q^(2a+2)
         with mp.workprec(P):
             h = _fix(mp.mpf(Q) ** ((mp.mpf(a) + 1) / 2), P)
         members, pref, qa, qk = [], one, r, _fix(Q, P)
         for k in range(nmax + 1):
-            members.append([pref * c >> P for c in _little_p_coeffs(k, r, qab, Q, P)])
+            members.append([pref * c >> P for c in _little_p_coeffs(k, a, b, Q, P)])
             pref = (pref * (one - qa) << P) // ((one - qk) * h)
             qa, qk = qa * qn >> qs, qk * qn >> qs
         # w_0 = (Q; Q)_inf / (Q^{b+1}; Q)_inf by fsum of logs: a product drifts 1e-15

@@ -688,10 +688,13 @@ def _pw_term_bound(ctx: qs.QContext, P: Params, x: float, t: float, n: int) -> f
 def _pw_terms(ctx: qs.QContext, P: Params, x: float, t: float, n: int, tol: float) -> int:
     """n terms, or as many as the bound on the next 20 (they fall
     superexponentially) needs to put the truncation at (x, t) below tol / 2.
-    OverflowError where a power in the bound leaves the float64 range."""
+    Each term's bound is formed once.  OverflowError where a power in the
+    bound leaves the float64 range."""
     try:
-        while sum(_pw_term_bound(ctx, P, x, t, k) for k in range(n, n + 20)) >= 0.5 * tol:
+        bounds = [_pw_term_bound(ctx, P, x, t, k) for k in range(n, n + 20)]
+        while sum(bounds[-20:]) >= 0.5 * tol:
             n += 1
+            bounds.append(_pw_term_bound(ctx, P, x, t, n + 19))
     except OverflowError:
         raise OverflowError(f"q-plane-wave term bound at alpha={P.alpha}, beta={P.beta}, "
                             f"q={ctx.q}, n={n} leaves the float64 range") from None

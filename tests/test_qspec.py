@@ -742,6 +742,13 @@ class TestQJacobiFamily:
             for t in (0.5, -0.5, 0.9, Q ** 2):
                 assert not math.isnan(self.fam.qgegenbauer(n, t)), (n, t)
 
+    def test_little_p_raw_far_below_float_range(self):
+        # p_11(1) at q = 0.3, a = 30 lies far below the least subnormal: each
+        # rerun of the elevated sum at least doubles its digits, so eight of
+        # them reach it ("kept no 20 digits" was raised) and it reads a zero
+        fam = qs.QJacobiFamily(qs.QContext(0.3), Params(30.0, 0.2))
+        assert fam.little_p_raw(11, 1.0) == 0.0
+
     @pytest.mark.parametrize("q", [0.3, 0.5, 0.7, 0.9])
     def test_little_p_coeffs_match_per_term_powers(self, q):
         # coefficients built in fixed point from running q-powers keep the
@@ -771,7 +778,7 @@ class TestQJacobiFamily:
                 digits = 40 + int(mp.ceil(mp.log10(size / abs(val))))
                 ref = twin(n, x, 2 * digits)[0]
                 P = qs._bits(digits)
-                cs = qs._little_p_coeffs(n, *qs._jacobi_powers(a, b, Q, P), Q, P)
+                cs = qs._little_p_coeffs(n, a, b, Q, P)
                 with mp.workdps(digits):
                     got = mp.mpf((qs._horner(cs, *qs._dyadic(x)), -P))
                 assert abs(got - ref) <= 1e-14 * abs(ref), (n, j)
@@ -866,52 +873,52 @@ def _mass_point_refs(a, b, Q, js, nmax):
 class TestJacobiGrid:
     @pytest.mark.parametrize("q", [0.3, 0.5, 0.7, 0.9])
     def test_table_matches_mass_point_sums(self, q):
-        # every degree read from the table, float sum or scaled sweep, holds
-        # 1e-14 of its largest neighbour at the exact mass point, j >= 10
-        # (where p_n ~ 1 below n ~ j) among them; values under the float
-        # range read their rounding
-        js, nmax = (0, 1, 2, 4, 10, 30), 60
-        for a, b in ((0.3, 0.2), (1.3, 0.2), (-0.7, 0.9)):
-            refs = _mass_point_refs(a, b, q * q, js, nmax + 1)
+        # every member read at a mass point Q^j is the float of its sum
+        # there, j >= 10 (where p_n ~ 1 below n ~ j) among them, and values
+        # under the float range read their rounding; at q = 0.5 and 0.9 also
+        # a = 10, 20 and 30, where a downward sweep over degrees followed
+        # the second solution (2.9e-4 relative at a = 30, q = 0.9, j = 6)
+        Q = q * q
+        cases = [((0.3, 0.2), (0, 1, 2, 4, 10, 30), 60), ((1.3, 0.2), (0, 1, 2, 4, 10, 30), 60),
+                 ((-0.7, 0.9), (0, 1, 2, 4, 10, 30), 60)]
+        if q in (0.5, 0.9):
+            cases += [((a, 0.2), (0, 3, 6), 30) for a in (10.0, 20.0, 30.0)]
+        for (a, b), js, nmax in cases:
+            refs = _mass_point_refs(a, b, Q, js, nmax)
             for j in js:
-                tab, r = qs._JacobiGrid(a, b, q, j), refs[j]
                 for n in range(nmax + 1):
-                    scale = max(abs(r[k]) for k in (max(n - 1, 0), n, n + 1))
-                    assert abs(tab[n] - r[n]) <= max(1e-14 * scale, mp.mpf(2) ** -1074), (a, b, j, n)
+                    assert qs._mass_point(n, a, b, Q, j) == float(refs[j][n]), (a, b, j, n)
 
     @pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
     def test_values_independent_of_read_order(self, q):
-        # a table read low degrees first holds the same values as one read
-        # from the top down: suite rows must not depend on suite order
+        # members read low degrees first hold the same values as members
+        # read from the top down, each from empty caches: suite rows must
+        # not depend on suite order
+        def read(fam, a, t, ns):
+            for cache in (qs._mass_point, qs._little_p_coeffs, qs._powers_at):
+                cache.cache_clear()
+            return {n: fam._little_p_sq(n, t, a) for n in ns}
+
         for a, b, j in ((0.3, 0.2, 1), (1.3, 0.2, 0), (-0.7, 0.9, 4), (0.3, 0.2, 30)):
-            up, down = qs._JacobiGrid(a, b, q, j), qs._JacobiGrid(a, b, q, j)
-            first = [up[n] for n in range(4)]
-            top = [down[n] for n in range(80, -1, -1)][::-1]
-            assert [up[n] for n in range(81)] == top and top[:4] == first, (a, b, j)
+            fam = qs.QJacobiFamily(qs.QContext(q), Params(a, b))
+            up, down = read(fam, a, q ** j, range(41)), read(fam, a, q ** j, range(40, -1, -1))
+            assert up == down, (a, b, j)
 
     def test_grid_reads_skip_the_elevated_sum(self, monkeypatch):
         # a default q-planewave pass sums one member at a float x, the
-        # classical limit's off-grid point (n = 3, x = 0.4 at q = 0.999), and
-        # elevates only there; q-core sums none, and elevates only its Grams
-        monkeypatch.setattr(qs, "_jacobi_grid", functools.lru_cache(maxsize=None)(qs._JacobiGrid))
-        raw, coeffs = [], []
-        raw_fn, coeffs_fn = qs.QJacobiFamily.little_p_raw, qs._little_p_coeffs
+        # classical limit's off-grid point (n = 3, x = 0.4 at q = 0.999);
+        # q-core sums none.  Every other member read is a mass point.
+        monkeypatch.setattr(qs, "_mass_point",
+                            functools.lru_cache(maxsize=None)(qs._mass_point.__wrapped__))
+        raw, raw_fn = [], qs.QJacobiFamily.little_p_raw
         monkeypatch.setattr(qs.QJacobiFamily, "little_p_raw",
                             lambda self, n, x, a=None: raw.append((n, x)) or raw_fn(self, n, x, a))
-        monkeypatch.setattr(qs, "_little_p_coeffs",
-                            lambda *args: coeffs.append((sys._getframe(1).f_code.co_name, args))
-                            or coeffs_fn(*args))
         run_suite("q-planewave")
         assert raw == [(3, 0.4)]
-        # little_p_raw forms the coefficients in a lambda, for its elevated rerun
-        assert [(caller, n, Q) for caller, (n, _, _, Q, _) in coeffs] == [
-            ("<lambda>", 3, 0.999 ** 2)]
-        assert qs._jacobi_grid.cache_info().currsize > 10
+        assert qs._mass_point.cache_info().currsize > 10
         raw.clear()
-        coeffs.clear()
         run_suite("q-core")
         assert raw == []
-        assert coeffs and {caller for caller, _ in coeffs} == {"_gram_nodes"}
 
 
 class TestQKernelTransforms:

@@ -330,6 +330,18 @@ class TestCLI:
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1 and reason in lines[0]
 
+    @pytest.mark.parametrize("q", ["1e-20", "1e-100", "1e-300"])
+    @pytest.mark.parametrize("suite", ["q-core", "q-planewave", "q-weber"])
+    def test_q_near_zero_refusal_names_itself(self, capsys, suite, q):
+        # q^2 underflowing to 0, a q-Bessel grid sweep or its floor walk
+        # leaving the float range: "math domain error" and the errno tuple
+        # "(34, 'Numerical result out of range')" were printed
+        assert main(["verify", suite, "--q", q, "--format", "csv"]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("biexp: "), lines
+        assert "math domain error" not in lines[0] and "(34, " not in lines[0]
+        assert "q=" in lines[0] or "Q=" in lines[0]
+
     @pytest.mark.parametrize("n, ref", [
         # mpmath values; each Pochhammer product of the prefactor alone
         # leaves the float range at n = 400
@@ -388,6 +400,17 @@ class TestCLI:
         q = 0.5
         assert suites._pw_terms(qs.QContext(q), suites.Params(0.3, 0.2), 1.0, q, 30, 1e-10) == 30
         assert 0 < len(calls) <= 4
+
+    @pytest.mark.parametrize("q, alpha, floor", [(0.3, 5.0, 8), (0.5, 20.0, 10)])
+    def test_q_planewave_term_bounds_formed_once(self, monkeypatch, q, alpha, floor):
+        # the 20-term window slides by one term a step: a count from n0 to n
+        # forms the n - n0 + 20 bounds it reads, each once
+        calls, real = [], suites._pw_term_bound
+        monkeypatch.setattr(suites, "_pw_term_bound",
+                            lambda *args: calls.append(args[-1]) or real(*args))
+        ctx, P = suites.qs.QContext(q), suites.Params(alpha, 0.2)
+        assert suites._pw_terms(ctx, P, 1.0, q, 1, 1e-10) == floor
+        assert calls == list(range(1, floor + 20))
 
     @pytest.mark.parametrize("alpha", ["1", "2", "5"])
     def test_fourier_neumann_alpha(self, capsys, alpha):
