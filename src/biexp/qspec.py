@@ -132,18 +132,8 @@ def phi21(a, b, c, q: float, z):
 
 
 # ---------------------------------------------------------------------------
-# Miller's algorithm and the elevated rerun, shared by the q tables
+# Miller's algorithm for the q-Bessel grid table, and the elevated rerun
 # ---------------------------------------------------------------------------
-
-def _walk(n: int, step: int, rate: Callable[[int], float], budget: float,
-          lg: float = 0.0) -> int:
-    """The first n + i step at which lg plus the log2 rates rate(n + step),
-    ..., rate(n + i step) has fallen to -budget bits."""
-    while lg > -budget:
-        n += step
-        lg += rate(n)
-    return n
-
 
 def _miller(step: Callable, u: float, v: float, ns: range, what: str) -> dict:
     """Miller's algorithm (Gautschi, SIAM Rev. 9, 1967) in float64: the
@@ -283,7 +273,7 @@ def _qbessel_ratio_float(nu: float, x: float, Q: float):
     return pref * s, pref * mx
 
 
-def _horner(cs: list, xn: int, xs: int) -> int:
+def _horner(cs: tuple | list, xn: int, xs: int) -> int:
     """sum_k c_k x^k from fixed-point coefficients cs, highest degree first,
     at x = xn / 2^xs exactly: one rounding per step."""
     v = 0
@@ -444,9 +434,11 @@ class _GridRatios(dict):
     def _sweep(self) -> None:
         nu, Q = self.nu, self.Q
         Qn, what = Q ** nu, f"q-Bessel grid sweep at order {nu}, Q={Q}"
+        floor, lg = 0, 0.0      # the first k at which G has fallen 1400 bits
         try:    # Q^(k+1) or the ratio may leave the float range first
-            floor = _walk(0, -1, lambda k: math.log2(Qn / max(Q ** (k + 1) - 1.0 - Qn, 1.0 + Qn)),
-                          1400.0) if Qn else 0
+            while Qn and lg > -1400.0:
+                floor -= 1
+                lg += math.log2(Qn / max(Q ** (floor + 1) - 1.0 - Qn, 1.0 + Qn))
         except (OverflowError, ValueError):
             raise OverflowError(f"{what} leaves the float64 range") from None
         step = lambda k, g1, g0: (      # G(k), G(k-1) from G(k-1), G(k-2)
@@ -612,7 +604,7 @@ def _jacobi_powers(a: float, b: float, Q: float, P: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=None)
-def _little_p_coeffs(n: int, a: float, b: float, Q: float, P: int) -> list:
+def _little_p_coeffs(n: int, a: float, b: float, Q: float, P: int) -> tuple:
     """Coefficients of p_n(x; Q^a, Q^b; Q) as a polynomial in x, highest
     degree first as _horner takes them: the terms of the terminating 2phi1
     without their x^k, in fixed point at P bits, formed once per
@@ -630,7 +622,7 @@ def _little_p_coeffs(n: int, a: float, b: float, Q: float, P: int) -> list:
         t = t * (one - qm) * (one - qab) // ((one - qa) * (one - qk)) * qn >> qs
         cs.append(t)
         qm, qab, qa, qk = qm * qn >> qs, qab * qn >> qs, qa * qn >> qs, qk * qn >> qs
-    return cs[::-1]
+    return tuple(cs[::-1])
 
 
 def _term_size(n: int, a: float, b: float, Q: float, xn: int, xs: int) -> int:
@@ -650,15 +642,52 @@ def _little_p_sum(n: int, a: float, b: float, Q: float, xn: int, xs: int, mx) ->
     return _elevated(value, mx, "little q-Jacobi sum")
 
 
+def _mass_point_zero(n: int, a: float, b: float, Q: float, m: int) -> float | None:
+    """+-0.0, the float p_n(Q^m; Q^a, Q^b; Q) rounds to, where a bound in
+    logs shows it lies below the float range; else None.  The q-Taylor
+    expansion about x = 1 (D_Q p_n is a multiple of p_{n-1} at (a+1, b+1),
+    p_N(1) a q-Chu-Vandermonde product) leaves k + 1 = min(m, n) + 1 terms,
+    N = n - j, of sign (-1)^(n+j):
+
+        t_j = prod_{i<j} (1 - Q^(i-n)) (1 - Q^(n+1+a+b+i)) Q (Q^m - Q^i)
+                         / ((1 - Q^(a+1+i)) (1 - Q^(i+1)))
+              * (-1)^N Q^(N(N+1)/2 + N(a+j)) (Q^(b+j+1); Q)_N / (Q^(a+j+1); Q)_N.
+
+    p_n rounds to zero of t_k's sign where t_k outweighs the rest tenfold
+    and lies below e^-760 (the float range ends at 2^-1075 = e^-745.1)."""
+    lq, k = math.log(Q), min(m, n)
+
+    def l1(e: float) -> float:                  # log(1 - Q^e), e > 0
+        return math.log(-math.expm1(e * lq))
+    us, ws = sum(l1(i + b) for i in range(1, n + 1)), sum(l1(a + 1 + i) for i in range(n))
+    lt, ls = 0.0, []
+    for j in range(k + 1):
+        N = n - j
+        ls.append(lt + (N * (N + 1) / 2 + N * (a + j)) * lq + us - ws)
+        if j < k:
+            lt += ((2 * j + 1 - n) * lq + l1(n - j) + l1(n + 1 + a + b + j) + l1(m - j)
+                   - l1(a + 1 + j) - l1(j + 1))
+            us, ws = us - l1(j + 1 + b), ws - l1(a + 1 + j)
+    rest = max(ls[:-1]) + math.log(k) if k else -math.inf
+    if ls[-1] < -760.0 and rest < ls[-1] - math.log(10.0):
+        return -0.0 if (n + k) % 2 else 0.0
+    return None
+
+
 @functools.lru_cache(maxsize=None)
 def _mass_point(n: int, a: float, b: float, Q: float, m: int) -> float:
     """p_n(Q^m; Q^a, Q^b; Q), m >= 0, at the exact mass point Q^m.  The
     terms there peak around Q^{-(n-m)^2/2} while p_n falls like
     Q^{(n-m)^2/2} past n ~ m, so no float sum or recurrence holds it: the
     elevated sum does, sized by the terms at x = 1, which bound those at
-    every mass point."""
+    every mass point.  Where that sum would carry 260 digits or more, a
+    member that rounds to zero is settled from its bound in logs first
+    (_mass_point_zero)."""
     qn, qs = _dyadic(Q)
-    return _little_p_sum(n, a, b, Q, qn ** m, qs * m, _term_size(n, a, b, Q, 1, 0))
+    mx = _term_size(n, a, b, Q, 1, 0)
+    if mx.bit_length() > 332 and (z := _mass_point_zero(n, a, b, Q, m)) is not None:
+        return z
+    return _little_p_sum(n, a, b, Q, qn ** m, qs * m, mx)
 
 
 @functools.lru_cache(maxsize=None)

@@ -892,17 +892,50 @@ class TestJacobiGrid:
     @pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
     def test_values_independent_of_read_order(self, q):
         # members read low degrees first hold the same values as members
-        # read from the top down, each from empty caches: suite rows must
-        # not depend on suite order
+        # read from the top down, and the first four read before any other
+        # the same again, each from empty caches: suite rows must not
+        # depend on suite order
         def read(fam, a, t, ns):
             for cache in (qs._mass_point, qs._little_p_coeffs, qs._powers_at):
                 cache.cache_clear()
-            return {n: fam._little_p_sq(n, t, a) for n in ns}
+            return [fam._little_p_sq(n, t, a) for n in ns]
 
         for a, b, j in ((0.3, 0.2, 1), (1.3, 0.2, 0), (-0.7, 0.9, 4), (0.3, 0.2, 30)):
             fam = qs.QJacobiFamily(qs.QContext(q), Params(a, b))
-            up, down = read(fam, a, q ** j, range(41)), read(fam, a, q ** j, range(40, -1, -1))
-            assert up == down, (a, b, j)
+            first = read(fam, a, q ** j, range(4))
+            up = read(fam, a, q ** j, range(81))
+            top = read(fam, a, q ** j, range(80, -1, -1))[::-1]
+            assert up == top and top[:4] == first, (a, b, j)
+
+    @pytest.mark.parametrize("q", [0.1, 0.3])
+    def test_zero_bound_matches_the_exact_sum(self, q):
+        # a member the bound in logs settles as zero is the float of the
+        # exact elevated sum, sign included, and the bound settles most of
+        # the members that round to zero
+        Q = q * q
+        qn, qsh = qs._dyadic(Q)
+        settled = zeros = 0
+        for a, b in ((0.3, 0.2), (1.3, 0.9), (-0.7, 0.9), (30.0, 0.2)):
+            for m in (0, 1, 3, 6):
+                for n in range(16, 33, 4):
+                    z = qs._mass_point_zero(n, a, b, Q, m)
+                    v = qs._little_p_sum(n, a, b, Q, qn ** m, qsh * m, qs._term_size(n, a, b, Q, 1, 0))
+                    zeros += v == 0.0
+                    if z is not None:
+                        settled += 1
+                        assert math.copysign(1.0, z) == math.copysign(1.0, v) and v == 0.0, (a, b, m, n)
+        assert settled >= 0.9 * zeros > 0
+
+    def test_small_q_terms_sum_no_far_zero_member(self, monkeypatch, capsys):
+        # at q = 0.1, --terms 100 reads members down to 1e-2000, all zero in
+        # float: none is summed, so no coefficient set passes 1,200 digits
+        # (the sums took 5,900 digits and 6 s without the bound)
+        precisions, real = [], qs._little_p_coeffs
+        monkeypatch.setattr(qs, "_little_p_coeffs",
+                            lambda n, a, b, Q, P: precisions.append(P) or real(n, a, b, Q, P))
+        assert main(["verify", "q-planewave", "--terms", "100", "--q", "0.1", "--format", "csv"]) == 0
+        capsys.readouterr()
+        assert 0 < max(precisions) <= qs._bits(1200)
 
     def test_grid_reads_skip_the_elevated_sum(self, monkeypatch):
         # a default q-planewave pass sums one member at a float x, the
