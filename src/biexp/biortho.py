@@ -12,7 +12,8 @@ exponentials), the Dunkl sampling system on zeros of J_{alpha+1}, whose series
 take samples of f on sampling_nodes, and the Fourier-Neumann system of
 generalized Gegenbauer polynomials against Bessel quotients.  The Gegenbauer
 plane-wave pair enters by its closed forms: the partial sum classical_planewave
-and the Gram of its S/T pair on the line, st_gram_gegenbauer.
+and the Gram of its S/T pair on the line, st_gram_gegenbauer, whose T_m sums
+C_m's Legendre coefficients against the spherical Bessel values j_l.
 """
 
 from __future__ import annotations
@@ -502,50 +503,41 @@ def _neville_halfpow(partial: list):
     return _neville(partial, idx, 1.0 / np.sqrt(np.asarray(idx, dtype=float)))
 
 
-# the S/T Gram's cells of width pi along the line, and the Legendre order
-# of T_m that resolves the largest |y| there
+# the S/T Gram's cells of width pi along the line
 _ST_CELLS = 256
-_ST_T_ORDER = int(0.8 * _ST_CELLS * math.pi) + 60
+
+
+def _st_transform(beta: float, nmax: int, ys: np.ndarray) -> np.ndarray:
+    """T_m(y) = int_{-1}^1 C_m(t) e^{ity} dt / sqrt(2 pi), one column per
+    m <= nmax: sum_l c_ml i^l y^l J_{l+1/2}(y)/y^{l+1/2} over C_m's Legendre
+    coefficients c_ml, exact on the (nmax+1)-point rule, by the plane-wave
+    expansion int_{-1}^1 P_l(t) e^{ity} dt = 2 i^l j_l(y)."""
+    tz, tw = gauss_jacobi(nmax + 1, 0.0, 0.0)
+    ls = np.arange(nmax + 1)
+    coef = (classical_gegenbauer(nmax, beta, tz) * tw) @ classical_gegenbauer(nmax, 0.5, tz).T
+    jl = np.stack([1j ** l * (_jratio_array(l + 0.5, ys) * ys ** l) for l in ls], axis=1)
+    return jl @ (coef * (ls + 0.5)).T
 
 
 def st_gram_gegenbauer(beta: float, nmax: int) -> np.ndarray:
     """Gram matrix int_R S_n conj(T_m) dx for the Gegenbauer system.
 
-    S_n comes from its closed form; T_m = conj of the transform of the
-    windowed polynomial, evaluated by interval quadrature on a shared cell
-    grid along the line (rule order scaled to resolve the largest |y|);
-    the slowly decaying tail is extrapolated in K^{-1/2}.  The result
-    should be the identity, the generic biorthogonality of the pair.
+    S_n comes from its closed form (Gegenbauer's formula), T_m from the
+    Legendre expansion of C_m (_st_transform), with T_m(-y) = conj T_m(y);
+    both read the Bessel core on a shared cell grid along the line, and the
+    slowly decaying tail is extrapolated in K^{-1/2}.  The result should be
+    the identity, the generic biorthogonality of the pair.
     """
     xg, wg = _legendre16()
-    cells, t_order = _ST_CELLS, _ST_T_ORDER
-    tz, tw = gauss_jacobi(t_order, 0.0, 0.0)
-    # C_m has parity (-1)^m and the rule is symmetric, so T_m sums over the
-    # nodes t >= 0 with doubled weights (not that of an odd rule's t = 0)
-    th, wh = tz[t_order // 2:], 2.0 * tw[t_order // 2:]
-    wh[0] /= 1 + t_order % 2
-    pm = classical_gegenbauer(nmax, beta, th)
+    ys = np.concatenate([0.5 * math.pi * xg + (k + 0.5) * math.pi for k in range(_ST_CELLS)])
+    tm = _st_transform(beta, nmax, ys)
     gram = np.zeros((nmax + 1, nmax + 1), dtype=complex)
-    ys = np.concatenate([0.5 * math.pi * xg + (k + 0.5) * math.pi
-                         for k in range(cells)])
-    # T_m(y) = int_{-1}^1 C_m(t) e^{i t y} dt / sqrt(2 pi), vectorized: the
-    # cos sum for even m, i times the sin sum for odd m, and T_m(-y) =
-    # conj T_m(y).  e^{i y t} is e^{i (k + 1/2) pi t}, one row per cell k,
-    # times e^{i pi x_g t / 2}, one row per Legendre node x_g.
-    cell = np.exp(1j * math.pi * (np.arange(cells) + 0.5)[:, None] * th) * wh
-    node = np.exp(0.5j * math.pi * xg[:, None] * th)
-    tm = np.empty((cells, len(xg), nmax + 1), dtype=complex)
-    for g, row in enumerate(node):
-        z = (cell * row) @ pm.T / _SQ2PI
-        tm[:, g, 0::2] = z.real[:, 0::2]
-        tm[:, g, 1::2] = 1j * z.imag[:, 1::2]
-    tm = tm.reshape(len(ys), nmax + 1)
     for n in range(nmax + 1):
         # the closed form S_n(y) on the whole y-grid; S_n(-y) = (-1)^n S_n(y)
         sn = _gegenbauer_coeff_pref(beta, n) * (_jratio_array(beta + n, ys) * ys ** n)
         integ = sn[:, None] * (np.conj(tm) + (-1.0) ** n * tm)
         # cell sums and their running totals, one column per m
-        partial = np.cumsum(0.5 * math.pi * (wg @ integ.reshape(cells, 16, nmax + 1)), axis=0)
+        partial = np.cumsum(0.5 * math.pi * (wg @ integ.reshape(_ST_CELLS, 16, nmax + 1)), axis=0)
         for m in range(nmax + 1):
             gram[n, m], _ = _neville_halfpow(partial[:, m])
     return gram

@@ -603,14 +603,12 @@ def _jacobi_powers(a: float, b: float, Q: float, P: int) -> tuple:
     return tuple(v >> W - P for v in _powers_at(a, b, Q, W))
 
 
-@functools.lru_cache(maxsize=None)
-def _little_p_coeffs(n: int, a: float, b: float, Q: float, P: int) -> tuple:
+def _little_p_terms(n: int, a: float, b: float, Q: float, P: int) -> tuple:
     """Coefficients of p_n(x; Q^a, Q^b; Q) as a polynomial in x, highest
     degree first as _horner takes them: the terms of the terminating 2phi1
-    without their x^k, in fixed point at P bits, formed once per
-    (n, a, b, Q, P).  Q^(a+1) and Q^(a+b+1) come from _jacobi_powers; every
-    other q-power steps by the exact Q, one rounding per step, instead of
-    an exp and a log per term."""
+    without their x^k, in fixed point at P bits.  Q^(a+1) and Q^(a+b+1)
+    come from _jacobi_powers; every other q-power steps by the exact Q, one
+    rounding per step, instead of an exp and a log per term."""
     one, (qn, qs) = 1 << P, _dyadic(Q)
     qa, qab = _jacobi_powers(a, b, Q, P)
     qk = _fix(Q, P)                             # Q^(k+1)
@@ -625,11 +623,18 @@ def _little_p_coeffs(n: int, a: float, b: float, Q: float, P: int) -> tuple:
     return tuple(cs[::-1])
 
 
+# the sets that are summed, kept for the last 1,024: a default q pass forms 84,
+# and q-planewave at q = 0.99 forms 637 and reads each again within them
+_little_p_coeffs = functools.lru_cache(maxsize=1024)(_little_p_terms)
+
+
+@functools.lru_cache(maxsize=1024)
 def _term_size(n: int, a: float, b: float, Q: float, xn: int, xs: int) -> int:
     """The sum of the moduli of p_n's terms at x = xn / 2^xs, xn >= 0, as
-    an int (for log10 past the float range)."""
+    an int (for log10 past the float range), from a 15-digit set that no
+    sum reads and no cache keeps."""
     P = _bits(15)
-    return _horner([abs(c) for c in _little_p_coeffs(n, a, b, Q, P)], xn, xs) >> P
+    return _horner([abs(c) for c in _little_p_terms(n, a, b, Q, P)], xn, xs) >> P
 
 
 def _little_p_sum(n: int, a: float, b: float, Q: float, xn: int, xs: int, mx) -> float:

@@ -51,8 +51,8 @@ class SpectralProblem:
         return GenGegenbauerFamily(self.params)
 
     def zero(self, k: int) -> float:
-        if k > len(self.table):
-            raise ValueError(f"zero table holds {len(self.table)} zeros, asked for {k}")
+        if not 1 <= k <= len(self.table):
+            raise ValueError(f"zero table holds zeros 1..{len(self.table)}, asked for k={k}")
         return self.table.zeros[k - 1]
 
 

@@ -581,6 +581,8 @@ def suite_q_core(ov: Mapping) -> list:
     _timed(checks, "q-core/jackson-linear", jackson_t, 1e-14)
 
     def substitution():
+        if not ctx.q2 * ctx.q2:
+            raise ValueError(f"q^4 (base-change-substitution's Q^2) underflows to 0 at q={q}")
         ctx2 = qs.QContext(ctx.q2)
         lhs = qs.jackson_integral(ctx2, lambda u: u * u, "unit").real
         rhs = (1.0 + q) * qs.jackson_integral(ctx, lambda x: x ** 5, "unit").real

@@ -42,10 +42,12 @@ class TestGegenbauerSystem:
         g = bo.st_gram_gegenbauer(1.0, 4)
         assert np.max(np.abs(g - np.eye(5))) < 1e-6
 
-    def test_st_gram_matches_full_complex_product(self):
-        # T_m(+-y) as complex products over every node of the Legendre
-        # rule, where the Gram takes the nonnegative half by parity
-        beta, nmax, cells = 1.0, 4, 256
+    @pytest.mark.parametrize("beta, nmax", [(1.0, 4), (0.2, 4), (2.5, 8)])
+    def test_st_gram_matches_full_complex_product(self, beta, nmax):
+        # T_m(+-y) as complex products over every node of a 703-node
+        # Legendre rule in t, where the Gram reads T_m from C_m's Legendre
+        # coefficients and T_m(-y) = conj T_m(y)
+        cells = 256
         xg, wg = gauss_jacobi(16, 0.0, 0.0)
         tz, tw = gauss_jacobi(int(0.8 * cells * math.pi) + 60, 0.0, 0.0)
         pm = np.asarray([classical_gegenbauer(nmax, beta, t) for t in tz]).T
@@ -61,6 +63,35 @@ class TestGegenbauerSystem:
             for m in range(nmax + 1):
                 ref[n, m], _ = bo._neville_halfpow(partial[:, m])
         assert np.max(np.abs(bo.st_gram_gegenbauer(beta, nmax) - ref)) < 1e-12
+
+    @pytest.mark.parametrize("beta", [0.2, 1.0, 2.5])
+    def test_st_transform_matches_30_digit_quadrature(self, beta):
+        # T_m(y) = int C_m(t) e^{ity} dt / sqrt(2 pi), m <= 8, at the first,
+        # a middle and the last y of the Gram's cell grid, against a
+        # composite 96-point Gauss-Legendre sum on 32 panels at 30 digits
+        # (its error is below 1e-30 up to y = 805); within 1e-14 of
+        # max|C_m| = C_m(1)
+        xg, _ = gauss_jacobi(16, 0.0, 0.0)
+        ys = np.concatenate([0.5 * math.pi * xg + (k + 0.5) * math.pi for k in range(bo._ST_CELLS)])
+        ys = ys[[0, len(ys) // 2, -1]]
+        got = bo._st_transform(beta, 8, ys)
+        with mp.workdps(30):
+            b, panels = mp.mpf(beta), 32
+            base = mp.calculus.quadrature.GaussLegendre(mp.mp).calc_nodes(6, mp.mp.prec)
+            nodes = [(mp.mpf(2 * j + 1) / panels - 1 + x / panels, w / panels)
+                     for j in range(panels) for x, w in base]
+            rows = []
+            for t, w in nodes:
+                c = [mp.mpf(1), 2 * b * t]
+                for k in range(2, 9):
+                    c.append((2 * t * (k + b - 1) * c[-1] - (k + 2 * b - 2) * c[-2]) / k)
+                rows.append([w * ck for ck in c])
+            for i, y in enumerate(ys):
+                e = [mp.expj(t * mp.mpf(float(y))) for t, _ in nodes]
+                for m in range(9):
+                    ref = complex(mp.fsum(r[m] * ej for r, ej in zip(rows, e)) / mp.sqrt(2 * mp.pi))
+                    cmax = float(mp.gamma(m + 2 * b) / (mp.factorial(m) * mp.gamma(2 * b)))
+                    assert abs(got[i, m] - ref) <= 1e-14 * cmax, (beta, m, y)
 
 
 class TestPlaneWave:

@@ -926,6 +926,26 @@ class TestJacobiGrid:
                         assert math.copysign(1.0, z) == math.copysign(1.0, v) and v == 0.0, (a, b, m, n)
         assert settled >= 0.9 * zeros > 0
 
+    def test_coefficient_cache_is_bounded_past_a_default_pass(self):
+        # a default pass of the q suites forms every coefficient set once
+        # and evicts none; past the bound the oldest sets go (q-planewave at
+        # q = 0.99 left 1,273 sets, 11.8 MB, in an unbounded cache)
+        for cache in (qs._mass_point, qs._little_p_coeffs):
+            cache.cache_clear()
+        for suite in ("q-core", "q-planewave", "q-weber"):
+            run_suite(suite)
+        info = qs._little_p_coeffs.cache_info()
+        assert info.maxsize is not None and 0 < info.currsize == info.misses < info.maxsize
+        for P in range(64, 64 + info.maxsize + 10):
+            qs._little_p_coeffs(2, 0.3, 0.2, 0.25, P)
+        assert qs._little_p_coeffs.cache_info().currsize == info.maxsize
+        # a mass point keeps the set it sums, not the 15-digit one that
+        # sized the sum (636 of the 1,273 sets at q = 0.99)
+        for cache in (qs._mass_point, qs._little_p_coeffs, qs._term_size):
+            cache.cache_clear()
+        qs._mass_point(5, 0.3, 0.2, 0.25, 2)
+        assert qs._little_p_coeffs.cache_info().currsize == 1
+
     def test_small_q_terms_sum_no_far_zero_member(self, monkeypatch, capsys):
         # at q = 0.1, --terms 100 reads members down to 1e-2000, all zero in
         # float: none is summed, so no coefficient set passes 1,200 digits

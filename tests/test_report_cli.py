@@ -3,6 +3,7 @@ import io
 import json
 import math
 import pathlib
+import re
 import shlex
 import subprocess
 import sys
@@ -341,6 +342,11 @@ class TestCLI:
         assert len(lines) == 1 and lines[0].startswith("biexp: "), lines
         assert "math domain error" not in lines[0] and "(34, " not in lines[0]
         assert "q=" in lines[0] or "Q=" in lines[0]
+        # q= names the q given, Q= its square (q-core at 1e-100 named the
+        # q^2 of base-change-substitution's own context as q=1e-200)
+        for name, want in (("q", float(q)), ("Q", float(q) * float(q))):
+            for got in re.findall(rf"\b{name}=(\d[\d.e+-]*\d)", lines[0]):
+                assert float(got) == want, lines[0]
 
     @pytest.mark.parametrize("n, ref", [
         # mpmath values; each Pochhammer product of the prefactor alone

@@ -207,6 +207,16 @@ class TestEigen:
         with pytest.raises(ValueError):
             spe.eigenvalues(problem, 99)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_zero_index_below_one_refused(self, problem, k):
+        # k = 0 and -1 read the 8th and 7th zeros from the end of the table
+        with pytest.raises(ValueError, match=rf"holds zeros 1\.\.8, asked for k={k}"):
+            problem.zero(k)
+        with pytest.raises(ValueError, match=rf"asked for k={k}"):
+            spe.eigen_residual(problem, k, 1)
+        with pytest.raises(ValueError, match=rf"asked for k={k}"):
+            spe.eigenfunction(problem, k, 1, 0.3, 40)
+
     def test_zero_table_of_the_wrong_order_refused(self):
         # zeros of J_{1/2} in place of J_{a+b+1} = J_{3/2} gave the
         # eigenvalues +-0.3183i in place of +-0.2225i
