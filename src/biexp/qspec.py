@@ -567,27 +567,6 @@ def jackson_integral(ctx: QContext, f: Callable[[float], complex],
 # Little q-Jacobi and generalized little q-Gegenbauer families
 # ---------------------------------------------------------------------------
 
-def _little_p_float(n: int, a: float, b: float, Q: float, x: float):
-    """The float sum of p_n(x; Q^a, Q^b; Q): (sum, largest term, whether its
-    rounding bound stays below 1e-14 of it).  With u = 2^-53, each factor
-    1 - p costs u |p/(1-p)| relative (p is one rounding off), and each
-    product and addition about u more; the bound fails where terms overflow."""
-    term = 1.0
-    s = 1.0
-    mx = 1.0
-    rel = 0.0   # relative rounding error of term, in units of 2^-53
-    err = 0.0   # rounding error bound of s, in the same units
-    for k in range(n):
-        ps = (Q ** (k - n), Q ** (n + a + b + 1.0 + k), Q ** (a + 1.0 + k), Q ** (k + 1))
-        term *= ((1.0 - ps[0]) * (1.0 - ps[1]) / ((1.0 - ps[2]) * (1.0 - ps[3])))
-        term *= Q * x
-        rel += 8.0 + sum(abs(p / (1.0 - p)) for p in ps)
-        s += term
-        mx = max(mx, abs(term))
-        err += (rel + n) * abs(term)
-    return s, mx, 2.0 ** -53 * err <= 1e-14 * abs(s)
-
-
 @functools.lru_cache(maxsize=None)
 def _powers_at(a: float, b: float, Q: float, W: int) -> tuple:
     with mp.workprec(W):
@@ -715,30 +694,23 @@ class QJacobiFamily:
 
     Members on the q-grid, qgegenbauer at t = +-q^m (m >= 0) and the closed
     forms of I_-/I_+, read p_n at the exact mass point Q^m (_mass_point);
-    little_p and little_p_raw take any float x, at elevated precision where
-    the float sum cancels."""
+    little_p and little_p_raw take any float x, the same exact sum there."""
 
     ctx: QContext
     params: Params
 
     def little_p_raw(self, n: int, x: float, a: float | None = None) -> float:
         """p_n(x; q^{2a}, q^{2b}; q^2), the terminating 2phi1 sum, at any
-        float x: the float sum (_little_p_float) where its rounding bound
-        stays below 1e-14 of it, else the elevated sum (_little_p_sum), its
-        coefficients in fixed point and summed by Horner's rule at the exact
-        x.  The terms peak around q^{-(n-j)^2} at x = q^{2j}, far above the
-        values near the endpoint.  The grid callers read the mass point Q^m
-        from _mass_point instead, where a rounded x = t * t is not Q^m."""
+        float x: the elevated sum (_little_p_sum) by Horner's rule at the
+        exact x, sized by the sum of the terms' moduli.  The terms peak around
+        q^{-(n-j)^2} at x = q^{2j}, far above the values near the endpoint.
+        The grid callers read the mass point Q^m from _mass_point instead,
+        where a rounded x = t * t is not Q^m."""
         q2 = self.ctx.q2
         a = self.params.alpha if a is None else a
         b = self.params.beta
-        s, mx, kept = _little_p_float(n, a, b, q2, x)
-        if kept:
-            return s
         xn, xs = _dyadic(x)
-        if mx == math.inf:    # size the terms by the sum of their moduli
-            mx = _term_size(n, a, b, q2, abs(xn), xs)
-        return _little_p_sum(n, a, b, q2, xn, xs, mx)
+        return _little_p_sum(n, a, b, q2, xn, xs, _term_size(n, a, b, q2, abs(xn), xs))
 
     def little_p(self, n: int, x: float, a: float | None = None) -> float:
         """Normalized p_n^{(a,b)}(x; q^2), which tends to the classical
@@ -760,7 +732,7 @@ class QJacobiFamily:
 
         At a grid point t = +-q^m, m >= 0, the little q-Jacobi member is
         read at the mass point q^{2m} (_mass_point), so values past the
-        float range read 0.0; elsewhere it is the float-x sum at t * t."""
+        float range read 0.0; elsewhere it is the sum at the float x = t * t."""
         a, b = self.params.alpha, self.params.beta
         m, r = divmod(n, 2)
         pref = (-1.0) ** m * _gegen_ratio(m + r, a, b, self.ctx.q2)

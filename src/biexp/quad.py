@@ -24,13 +24,11 @@ from .specfun import _jratio_array, _mcmahon, bessel_zeros, gamma, lgamma
 
 __all__ = [
     "gauss_jacobi",
-    "gauss_jacobi01",
     "rule_for_measure",
     "integrate_interval",
     "integrate_bessel_product",
     "BesselProductResult",
     "accelerate",
-    "mcmahon_zero",
 ]
 
 
@@ -203,11 +201,6 @@ def _on_unit(z: np.ndarray, w: np.ndarray, a: float, b: float):
     return 0.5 * (1.0 + z), w * 2.0 ** (-a - b - 1.0)
 
 
-def gauss_jacobi01(n: int, a: float, b: float):
-    """Nodes/weights on (0, 1) for the weight u^a (1-u)^b."""
-    return _on_unit(*gauss_jacobi(n, b, a), a, b)
-
-
 # ---------------------------------------------------------------------------
 # Rules for the measures on [-1, 1]
 # ---------------------------------------------------------------------------
@@ -264,15 +257,6 @@ def integrate_interval(f: Callable, a: float, b: float, order: int):
 # ---------------------------------------------------------------------------
 # Oscillatory Bessel-product integrals on (0, inf)
 # ---------------------------------------------------------------------------
-
-def mcmahon_zero(nu: float, k: int) -> float:
-    """McMahon approximation to the k-th positive zero of J_nu.
-
-    Used only to place integration cell edges, so two correction terms are
-    plenty; accuracy is ~1e-4 already at k = 3 for desk-scale orders.
-    """
-    return _mcmahon(nu, k, 3)
-
 
 def _wynn_eps(seq: list):
     """Wynn's epsilon algorithm (the systematic iterated-Aitken scheme).
@@ -391,13 +375,11 @@ def _legendre16():
     return gauss_jacobi(16, 0.0, 0.0)
 
 
+@functools.cache
 def _first_cell_rule(c: float):
-    """24-point rule on (0, 1) for the weight u^c (cached): the first cell
-    of an integral whose integrand carries the factor x^c."""
-    key = ("cell0", round(c, 14))
-    if key not in _rule_cache:
-        _rule_cache[key] = gauss_jacobi01(24, c, 0.0)
-    return _rule_cache[key]
+    """24-point rule on (0, 1) for the weight u^c: the first cell of an
+    integral whose integrand carries the factor x^c."""
+    return _on_unit(*gauss_jacobi(24, 0.0, c), c, 0.0)
 
 
 # the cell cap of integrate_bessel_product, and the absolute error it
@@ -439,11 +421,13 @@ def integrate_bessel_product(lam: float, mu: float, nu: float, t: float,
     def integrand_arr(x: np.ndarray) -> np.ndarray:
         return x ** (mu + nu - lam) * t ** nu * _jratio_array(mu, x) * _jratio_array(nu, x * t)
 
-    # cell edges at (approximate) zeros of the faster factor
+    # cell edges at McMahon's approximate zeros of the faster factor: they
+    # only place the cells, so two correction terms are plenty (~1e-4 from
+    # k = 3 at desk-scale orders)
     if t >= 1.0:
-        edges = lambda k: mcmahon_zero(nu, k) / t
+        edges = lambda k: _mcmahon(nu, k, 3) / t
     else:
-        edges = lambda k: mcmahon_zero(mu, k)
+        edges = lambda k: _mcmahon(mu, k, 3)
 
     xg, wg = _legendre16()
     partial = []

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import random
 import sys
 import time
 from collections.abc import Mapping
@@ -454,12 +455,12 @@ def suite_spectrum(ov: Mapping) -> list:
 
     def bound():
         M = spe.bound_constant(prob)
-        rng = np.random.default_rng(12345)
+        rng = random.Random(12345)
         hs = [fam.norm(n) for n in range(N + 1)]
         hs_up = [up.norm(n) for n in range(N + 1)]
         ok = True
         for _ in range(20):
-            g = rng.standard_normal(N + 1) + 1j * rng.standard_normal(N + 1)
+            g = [complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for _ in range(N + 1)]
             out = spe.apply_T(prob, g)
             ntg = math.sqrt(sum(abs(out[n]) ** 2 * hs[n] for n in range(N + 1)))
             ng = math.sqrt(sum(abs(g[n]) ** 2 * hs_up[n] for n in range(N + 1)))

@@ -301,6 +301,7 @@ class TestTable:
         # their sweeps; a pass is counted for each order a sweep reads
         monkeypatch.setattr(quad, "_rule_cache", {})
         quad._legendre16.cache_clear()
+        quad._first_cell_rule.cache_clear()
         passes, counts = {}, {}
         rec, build = quad._jacobi_rec, quad._gauss_jacobi_rules
 

@@ -694,15 +694,14 @@ class TestQJacobiFamily:
             assert len(calls) == 1, "expected the elevated-precision branch"
             calls.clear()
 
-    def test_little_p_raw_within_1e14_where_float_kept(self, monkeypatch):
+    def test_little_p_raw_within_1e14_on_and_off_the_grid(self, monkeypatch):
         # points on and off the q-grid, q up to 0.999 where the factors
-        # 1 - q^(2m) cancel themselves; whichever branch a point takes, it
-        # holds 1e-14 of the 80-digit sum, and the float branch is taken
+        # 1 - q^(2m) cancel themselves; every point is the elevated sum of
+        # the fixed-point coefficients, and holds 1e-14 of the 80-digit sum
         calls = []
         coeffs = qs._little_p_coeffs
         monkeypatch.setattr(qs, "_little_p_coeffs",
                             lambda *args: calls.append(args) or coeffs(*args))
-        kept = 0
         for q in (0.3, 0.8, 0.99, 0.999):
             for a, b in ((0.3, 0.2), (2.0, -0.9), (-0.5, 0.7)):
                 fam = qs.QJacobiFamily(qs.QContext(q), Params(a, b))
@@ -710,7 +709,7 @@ class TestQJacobiFamily:
                 for n in range(1, 7):
                     for x in (1.0, Q, Q ** 3, 0.9, 0.37, 0.05):
                         got = fam.little_p_raw(n, x)
-                        kept += not calls
+                        assert calls, (q, a, b, n, x)
                         calls.clear()
                         with mp.workdps(80):
                             Qm, am, bm = mp.mpf(Q), mp.mpf(a), mp.mpf(b)
@@ -719,7 +718,6 @@ class TestQJacobiFamily:
                                           / (mp.qp(Qm ** (am + 1), Qm, k) * mp.qp(Qm, Qm, k))
                                           * (Qm * x) ** k for k in range(n + 1))
                         assert got == pytest.approx(float(ref), rel=1e-14, abs=0.0), (q, a, b, n, x)
-        assert kept >= 50
 
     def test_little_p_raw_past_float_range(self):
         # qgegenbauer(n, t) for n = 66..100 takes p_{n//2} at t^2; there the
@@ -925,6 +923,19 @@ class TestJacobiGrid:
                         settled += 1
                         assert math.copysign(1.0, z) == math.copysign(1.0, v) and v == 0.0, (a, b, m, n)
         assert settled >= 0.9 * zeros > 0
+
+    def test_little_p_raw_reads_the_mass_point_value(self):
+        # at q = 0.5 every Q^m = 4^-m is exact, so a member read at the
+        # float x = Q^m is the mass-point member, to the bit: one member,
+        # one value
+        q = 0.5
+        Q = q * q
+        for a, b in ((0.3, 0.2), (1.3, 0.2), (2.0, -0.9), (-0.5, 0.7), (20.0, 0.2)):
+            fam = qs.QJacobiFamily(qs.QContext(q), Params(a, b))
+            for m in range(12):
+                for n in range(31):
+                    got, ref = fam.little_p_raw(n, Q ** m), qs._mass_point(n, a, b, Q, m)
+                    assert got.hex() == ref.hex(), (a, b, m, n)
 
     def test_coefficient_cache_is_bounded_past_a_default_pass(self):
         # a default pass of the q suites forms every coefficient set once

@@ -9,10 +9,9 @@ from scipy import special as sp
 
 from biexp import quad
 from biexp.cli import main
-from biexp.quad import (_jacobi_matrix_roots, accelerate, gauss_jacobi, gauss_jacobi01,
-                        integrate_bessel_product, integrate_interval,
-                        mcmahon_zero, rule_for_measure)
-from biexp.specfun import _jratio_array, gamma
+from biexp.quad import (_jacobi_matrix_roots, _on_unit, accelerate, gauss_jacobi,
+                        integrate_bessel_product, integrate_interval, rule_for_measure)
+from biexp.specfun import _jratio_array, _mcmahon, gamma
 
 
 def _spy_gauss_jacobi(monkeypatch) -> list:
@@ -38,7 +37,7 @@ class TestRules:
             assert np.dot(w, x ** k) == pytest.approx(exact, abs=5e-14)
 
     def test_jacobi01_moments(self):
-        u, w = gauss_jacobi01(10, 0.4, 0.25)
+        u, w = _on_unit(*gauss_jacobi(10, 0.25, 0.4), 0.4, 0.25)
         for k in range(0, 19):
             exact = beta_fn(0.4 + k + 1.0, 1.25)
             assert np.dot(w, u ** k) == pytest.approx(exact, rel=1e-13, abs=0.0)
@@ -207,6 +206,7 @@ class TestAsymptoticStarts:
         # alpha = 30 (exponents to 30, orders to 1344) converges from its starts
         monkeypatch.setattr(quad, "_rule_cache", {})
         quad._legendre16.cache_clear()
+        quad._first_cell_rule.cache_clear()
         restarts = _forbid_restart(monkeypatch)
         for args in (["planewave"], ["dunkl-sampling"], ["fourier-neumann"], ["hankel"],
                      ["spectrum"], ["lemma71"], ["dunkl-sampling", "--alpha", "30"]):
@@ -293,7 +293,7 @@ class TestOscillatory:
     def test_mcmahon_close_to_true_zeros(self):
         z = sp.jn_zeros(2, 25)
         for k in (5, 15, 25):
-            assert mcmahon_zero(2.0, k) == pytest.approx(z[k - 1], abs=2e-4)
+            assert _mcmahon(2.0, k, 3) == pytest.approx(z[k - 1], abs=2e-4)
 
     def test_squared_over_x(self):
         a = 1.7
@@ -347,7 +347,7 @@ def _per_cell_bessel_product(lam, mu, nu, t, rtol=1e-7):
     def integrand(x):
         return x ** (mu + nu - lam) * t ** nu * _jratio_array(mu, x) * _jratio_array(nu, x * t)
 
-    edges = (lambda k: mcmahon_zero(nu, k) / t) if t >= 1.0 else (lambda k: mcmahon_zero(mu, k))
+    edges = (lambda k: _mcmahon(nu, k, 3) / t) if t >= 1.0 else (lambda k: _mcmahon(mu, k, 3))
     xg, wg = quad._legendre16()
     e1, c = edges(1), mu + nu - lam
     u0, w0 = quad._first_cell_rule(c)

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -222,3 +224,16 @@ class TestEigen:
         # eigenvalues +-0.3183i in place of +-0.2225i
         with pytest.raises(ValueError, match=r"zero table is of J_0.5; the spectrum needs J_1.5"):
             spe.SpectralProblem(Params(0.4, 0.1), 80, bessel_zeros(0.5, 8))
+
+
+def test_verify_all_loads_no_numpy_random():
+    # right-inverse-norm-bound, the one check that draws random data, takes
+    # it from the standard library's seeded generator: numpy.random alone
+    # costs a verify process about 12 ms and 5 MB to load
+    script = ("import sys\n"
+              "from biexp.suites import run_suite\n"
+              "rows = {c.id: c.passed for c in run_suite('all').checks}\n"
+              "print(rows['spectrum/right-inverse-norm-bound'], 'numpy.random' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", script], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["True", "False"]
