@@ -11,7 +11,7 @@ way.  So the grid sums read it by exponent from one float table per
 Q^m are their exact sum there (_mass_point).  Off-grid arguments sum the
 series, rerun at elevated precision (_elevated) where it cancels: in binary
 fixed point on Python integers, with mpmath only for the non-integer powers
-of Q and the Euler function.  All other machinery is plain float.
+of Q.  All other machinery is plain float.
 """
 
 from __future__ import annotations
@@ -283,36 +283,24 @@ def _horner(cs: tuple | list, xn: int, xs: int) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _euler_mp(Q: float):
-    """The Euler function (Q; Q)_inf as a 40-digit mpf, formed once per Q
-    by mpmath's qp, from Euler's pentagonal-number series (about 120 terms
-    at Q = 0.99^2)."""
-    with mp.workdps(40):
-        return mp.qp(mp.mpf(Q))
-
-
-@functools.lru_cache(maxsize=None)
 def _qbessel_base_mp(f: float, Q: float):
     """(Q^{f+1}; Q)_inf / (Q; Q)_inf as a 40-digit mpf, formed once per
-    (f, Q): the numerator a product of about 5,000 factors at Q = 0.99^2
-    (_qpoch), over the Euler function (_euler_mp)."""
+    (f, Q): both products of about 5,000 factors at Q = 0.99^2 (_qpoch)."""
     with mp.workdps(40):
-        return _qpoch(mp.mpf(Q) ** (mp.mpf(f) + 1), Q, 40) / _euler_mp(Q)
+        return _qpoch(mp.mpf(Q) ** (mp.mpf(f) + 1), Q, 40) / _qpoch(mp.mpf(Q), Q, 40)
 
 
 @functools.lru_cache(maxsize=None)
 def _qbessel_pref_mp(nu: float, Q: float):
     """(Q^{nu+1}; Q)_inf / (Q; Q)_inf as a 40-digit mpf, formed once per
     (nu, Q).  Every factor lies in (0, 1], so nothing cancels and 40 digits
-    serve every working precision of the series.  For nu >= 0 it is the
-    base of nu's fractional part f (_qbessel_base_mp) over the k = floor(nu)
-    factors (Q^{f+1}; Q)_k, so orders an integer apart share one product."""
+    serve every working precision of the series.  It is the base of
+    f = nu - k (_qbessel_base_mp) over the k = max(floor(nu), 0) factors
+    (Q^{f+1}; Q)_k, so orders an integer apart share one product (and
+    nu < 0 is its own base)."""
+    k = max(math.floor(nu), 0)
     with mp.workdps(40):
-        Qm = mp.mpf(Q)
-        if nu < 0.0:
-            return _qpoch(Qm ** (mp.mpf(nu) + 1), Q, 40) / _euler_mp(Q)
-        k = math.floor(nu)
-        return _qbessel_base_mp(nu - k, Q) / _qpoch(Qm ** (mp.mpf(nu - k) + 1), Q, 40, k)
+        return _qbessel_base_mp(nu - k, Q) / _qpoch(mp.mpf(Q) ** (mp.mpf(nu - k) + 1), Q, 40, k)
 
 
 def _qbessel_ratio_mp(nu: float, x: float, Q: float, mx: float) -> float:
@@ -607,13 +595,18 @@ def _little_p_terms(n: int, a: float, b: float, Q: float, P: int) -> tuple:
 _little_p_coeffs = functools.lru_cache(maxsize=1024)(_little_p_terms)
 
 
-@functools.lru_cache(maxsize=1024)
-def _term_size(n: int, a: float, b: float, Q: float, xn: int, xs: int) -> int:
-    """The sum of the moduli of p_n's terms at x = xn / 2^xs, xn >= 0, as
-    an int (for log10 past the float range), from a 15-digit set that no
-    sum reads and no cache keeps."""
+def _term_sum(n: int, a: float, b: float, Q: float, xn: int, xs: int) -> int:
+    """The sum of the moduli of p_n's terms at x = xn / 2^xs, xn >= 0,
+    rounded down to an int (for log10 past the float range), from a
+    15-digit set that no sum reads and no cache keeps."""
     P = _bits(15)
     return _horner([abs(c) for c in _little_p_terms(n, a, b, Q, P)], xn, xs) >> P
+
+
+# the sizes of the sums, kept for the last 1,024: q-planewave at q = 0.99
+# sizes 637 (suites' term bound reads _term_sum, uncached, so as not to
+# push them out)
+_term_size = functools.lru_cache(maxsize=1024)(_term_sum)
 
 
 def _little_p_sum(n: int, a: float, b: float, Q: float, xn: int, xs: int, mx) -> float:
@@ -666,7 +659,9 @@ def _mass_point(n: int, a: float, b: float, Q: float, m: int) -> float:
     elevated sum does, sized by the terms at x = 1, which bound those at
     every mass point.  Where that sum would carry 260 digits or more, a
     member that rounds to zero is settled from its bound in logs first
-    (_mass_point_zero)."""
+    (_mass_point_zero).  p_0 = 1 needs no sum and no Q^m."""
+    if n == 0:
+        return 1.0
     qn, qs = _dyadic(Q)
     mx = _term_size(n, a, b, Q, 1, 0)
     if mx.bit_length() > 332 and (z := _mass_point_zero(n, a, b, Q, m)) is not None:
@@ -705,7 +700,9 @@ class QJacobiFamily:
         exact x, sized by the sum of the terms' moduli.  The terms peak around
         q^{-(n-j)^2} at x = q^{2j}, far above the values near the endpoint.
         The grid callers read the mass point Q^m from _mass_point instead,
-        where a rounded x = t * t is not Q^m."""
+        where a rounded x = t * t is not Q^m.  ValueError for a non-finite x."""
+        if not math.isfinite(x):
+            raise ValueError(f"little_p_raw needs a finite x, got {x}")
         q2 = self.ctx.q2
         a = self.params.alpha if a is None else a
         b = self.params.beta
@@ -714,7 +711,10 @@ class QJacobiFamily:
 
     def little_p(self, n: int, x: float, a: float | None = None) -> float:
         """Normalized p_n^{(a,b)}(x; q^2), which tends to the classical
-        Jacobi polynomial P_n^{(a,b)}(1-2x) as q -> 1."""
+        Jacobi polynomial P_n^{(a,b)}(1-2x) as q -> 1.  ValueError for a
+        non-finite x."""
+        if not math.isfinite(x):
+            raise ValueError(f"little_p needs a finite x, got {x}")
         a = self.params.alpha if a is None else a
         return _little_p_scale(n, a, self.ctx.q) * self.little_p_raw(n, x, a)
 
@@ -805,22 +805,13 @@ class QJacobiFamily:
     def _gram_nodes(self, nmax: int):
         """w(x_j) x_j^(2a+1) q^j and [p_n(x_j), n <= nmax] over gram_matrix_mp's
         nodes.  The members' coefficients are built once, in fixed point at
-        the working precision; a float pass of the same products sizes them
-        for that precision and for the tail bound."""
-        Q = self.ctx.q2
+        the working precision, which the members' scaled term sums at x = 1
+        (_little_p_scale, _term_size) set; their moduli give the tail bound."""
+        q, Q = self.ctx.q, self.ctx.q2
         a, b = self.params.alpha, self.params.beta
-        # |q^{-k(a+1)} (Q^{a+1}; Q)_k / (Q; Q)_k c| for the coefficients c of p_k
-        sizes, pref = [], 1.0
-        for k in range(nmax + 1):
-            t, cs = pref, [pref]
-            for i in range(k):
-                t *= ((1.0 - Q ** (i - k)) * (1.0 - Q ** (k + i + 1.0 + a + b))
-                      / ((1.0 - Q ** (i + 1.0 + a)) * (1.0 - Q ** (i + 1))) * Q)
-                cs.append(abs(t))
-            sizes.append(cs[::-1])
-            pref *= (1.0 - Q ** (a + 1.0 + k)) / ((1.0 - Q ** (k + 1)) * Q ** ((a + 1.0) / 2.0))
         # Horner near x = 1 cancels over ~2 log10 M digits, M the largest term sum
-        P = _bits(max(50, 40 + int(2.2 * math.log10(max(map(sum, sizes))))))
+        M = max(_little_p_scale(k, a, q) * _term_size(k, a, b, Q, 1, 0) for k in range(nmax + 1))
+        P = _bits(max(50, 40 + int(2.2 * math.log10(M))))
         one, (qn, qs) = 1 << P, _dyadic(Q)
         r = _jacobi_powers(a, b, Q, P)[0]               # r = Q^(a+1) = q^(2a+2)
         with mp.workprec(P):
@@ -830,6 +821,7 @@ class QJacobiFamily:
             members.append([pref * c >> P for c in _little_p_coeffs(k, a, b, Q, P)])
             pref = (pref * (one - qa) << P) // ((one - qk) * h)
             qa, qk = qa * qn >> qs, qk * qn >> qs
+        sizes = [[abs(c) / one for c in cs] for cs in members]
         # w_0 = (Q; Q)_inf / (Q^{b+1}; Q)_inf by fsum of logs: a product drifts 1e-15
         w = math.exp(math.fsum(math.log1p(-Q ** k) - math.log1p(-Q ** (b + k))
                                for k in range(1, math.ceil(math.log(1e-18, Q)) + 1)))

@@ -81,10 +81,14 @@ def gamma(x: float) -> float:
 
 
 def lgamma(x: float) -> float:
-    """log Gamma(x) for x > 0 (used where Gamma itself would overflow)."""
+    """log Gamma(x) for x > 0 (used where Gamma itself would overflow);
+    inf where log Gamma(x) itself leaves the float range (x past 2.5e305)."""
     if x <= 0.0:
         raise ValueError(f"lgamma requires x > 0, got {x}")
-    return math.lgamma(x)
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        return math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -507,10 +511,11 @@ def _jratio_array(nu: float, x: np.ndarray) -> np.ndarray:
 def _power_over_gamma(nu: float, x: float) -> float:
     """(x/2)^nu / Gamma(nu+1), the factor from the normalized J to J; by
     logarithms where x^nu or 1/(2^nu Gamma(nu+1)) would leave the float
-    range."""
+    range; 0.0 where log Gamma(nu+1) leaves it, which no x <= 500 offsets."""
     if nu <= 140.0 and nu * math.log(x) < 700.0:
         return _jratio_at_zero(nu) * x ** nu
-    return math.exp(nu * math.log(0.5 * x) - lgamma(nu + 1.0))
+    lg = lgamma(nu + 1.0)
+    return math.exp(nu * math.log(0.5 * x) - lg) if lg < math.inf else 0.0
 
 
 _BESSEL_J_XMAX = 500.0

@@ -658,33 +658,27 @@ def _pw_term_bound(ctx: qs.QContext, P: Params, x: float, t: float, n: int) -> f
     """A bound on |term n| of q_planewave_partial_sum (route "lemma") at
     0 < x, t <= 1: the q-Neumann member by (-Q x^2; Q)_inf / (Q; Q)_inf x^n
     q^{m(a+b+n+1)}, m = n // 2 (Euler's sum bounds the q-Bessel series for
-    orders >= 0), and the q-Gegenbauer by its prefactors times the sum of
-    the absolute terms of its 2phi1.  Formed in logarithms, so that a
-    factor past the float range meets no other on the way (0 * inf); the
-    two infinite-product quotients, the same for every n, are read from
-    qspec's cache.
+    orders >= 0), and the q-Gegenbauer by its prefactors (qspec's
+    _gegen_ratio and _little_p_scale) times one more than the sum of the
+    moduli of its 2phi1's terms at t^2 (qspec._term_sum, rounded down).
+    Formed in logarithms, so that a factor past the float range meets no
+    other on the way (0 * inf); the two infinite-product quotients, the
+    same for every n, are read from qspec's cache.
 
     OverflowError where the bound leaves the float range, or where term n
     could not be formed: the sum forms q^(-m b) (the lemma route's
     coefficient) and q^(-m (a+r+1)) (the little q-Jacobi scale) in float."""
-    q, Q, qp, log = ctx.q, ctx.q2, qs.qpochhammer, math.log
+    q, Q, log = ctx.q, ctx.q2, math.log
     a, b, ab = P.alpha, P.beta, P.ab
     m, r = divmod(n, 2)
     ap = a + r
-    lq, lQ, lt = log(q), log(Q), log(t)
+    lq = log(q)
     if -m * max(b, ap + 1.0) * lq > _LOG_FLOAT_MAX:
         raise OverflowError(f"q^(-{m} max(b, a+r+1)) leaves the float64 range")
-    # the 2phi1's absolute terms c_k, from |1 - Q^(k-m)| = Q^(k-m) (1 - Q^(m-k))
-    lc = [0.0]
-    for k in range(m):
-        lc.append(lc[-1] + (k - m + 1) * lQ + 2.0 * lt
-                  + math.log1p(-Q ** (m - k)) + math.log1p(-Q ** (m + ap + b + 1.0 + k))
-                  - math.log1p(-Q ** (ap + 1.0 + k)) - math.log1p(-Q ** (k + 1.0)))
-    top = max(lc)
-    ls = top + log(math.fsum(math.exp(v - top) for v in lc))
+    tn, ts = qs._dyadic(t * t)
     neumann = log(qs._qpoch_ratio(-Q * x * x, Q, Q)) + n * log(x) + m * (ab + n + 1.0) * lq
-    gegen = (log(abs(qp(Q ** (ab + 1.0), Q, m + r) / qp(Q ** (a + 1.0), Q, m + r))) + r * lt
-             - m * (ap + 1.0) * lq + log(abs(qp(Q ** (ap + 1.0), Q, m) / qp(Q, Q, m))) + ls)
+    gegen = (log(abs(qs._gegen_ratio(m + r, a, b, Q))) + r * log(t) + log(qs._little_p_scale(m, ap, q))
+             + log(qs._term_sum(m, ap, b, Q, tn, ts) + 1))
     return math.exp(log(qs._qpoch_ratio(Q, Q ** (ab + 1.0), Q)) - m * b * lq + neumann + gegen)
 
 

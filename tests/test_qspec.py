@@ -566,6 +566,13 @@ class TestQJacobiFamily:
     def test_p0(self):
         assert self.fam.little_p(0, 0.4) == 1.0
 
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_non_finite_x_refused(self, n, x):
+        for name in ("little_p_raw", "little_p"):
+            with pytest.raises(ValueError, match=rf"{name} needs a finite x, got {x}"):
+                getattr(self.fam, name)(n, x)
+
     @pytest.mark.parametrize("alpha, beta", [(0.3, 0.2), (1.5, -0.3)])
     @pytest.mark.parametrize("q", [0.3, 0.5, 0.8])
     def test_orthogonality_matrix(self, q, alpha, beta):
@@ -936,6 +943,16 @@ class TestJacobiGrid:
                 for n in range(31):
                     got, ref = fam.little_p_raw(n, Q ** m), qs._mass_point(n, a, b, Q, m)
                     assert got.hex() == ref.hex(), (a, b, m, n)
+
+    def test_degree_zero_mass_point_is_one(self, monkeypatch):
+        # p_0 = 1: read without sizing or summing a set, and without Q^m
+        def unused(*args):
+            raise AssertionError("degree 0 needs no set")
+        monkeypatch.setattr(qs, "_term_size", unused)
+        monkeypatch.setattr(qs, "_little_p_sum", unused)
+        for Q in (0.01, 0.25, 0.99 * 0.99):
+            for m in (0, 1, 7, 3000):
+                assert qs._mass_point.__wrapped__(0, 0.3, 0.2, Q, m) == 1.0
 
     def test_coefficient_cache_is_bounded_past_a_default_pass(self):
         # a default pass of the q suites forms every coefficient set once

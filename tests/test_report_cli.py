@@ -391,6 +391,29 @@ class TestCLI:
         assert suites._pw_terms(ctx, P, 1.0, q, 1, 1e-10) == floor
         assert suites._pw_terms(ctx, P, 1.0, q, 30, 1e-10) == 30
 
+    def test_q_planewave_term_bound_holds(self):
+        # the bound is at least |term n| of the lemma-route sum wherever it
+        # is finite, at the expansion rows' largest point (1, q) and the
+        # truncation row's (q^8, q).  The closest of the 960 cases reads
+        # term/bound = 0.49999999957: the floored term sum plus one doubles
+        # a sum near 1
+        for q in (0.3, 0.5, 0.9):
+            ctx = suites.qs.QContext(q)
+            Q = ctx.q2
+            for alpha in (-0.75, 0.3, 5.0, 20.0):
+                P = suites.Params(alpha, 0.2)
+                fam = suites.qs.QJacobiFamily(ctx, P)
+                pref = suites.qs._qpoch_ratio(Q, Q ** (P.ab + 1.0), Q)
+                for x, t in ((1.0, q), (q ** 8, q)):
+                    for n in range(40):
+                        try:
+                            bound = suites._pw_term_bound(ctx, P, x, t, n)
+                        except OverflowError:
+                            continue
+                        term = (pref * (1.0 - Q ** (P.ab + n + 1.0)) * q ** (-(n // 2) * P.beta)
+                                * suites.qs.q_neumann(ctx, P.ab, n, x) * fam.qgegenbauer(n, t))
+                        assert abs(term) <= bound * (1.0 + 1e-12), (q, alpha, x, n)
+
     def test_q_planewave_term_bound_reads_cached_products(self, monkeypatch):
         # the bound's two infinite-product quotients are the same for every
         # term: a term count forms each once, not once per bound (20 or more)
@@ -497,6 +520,13 @@ class TestCLI:
         assert main(["verify", "planewave", "--terms", "30", "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["params"] == {"alpha": 0.3, "beta": 0.2, "terms": 30}
+
+    @pytest.mark.parametrize("nu", ["3e305", "1e308"])
+    def test_eval_bessel_order_past_the_lgamma_range(self, capsys, nu):
+        # log Gamma(nu+1) leaves the float range: J underflows to 0, no
+        # "math range error"
+        assert main(["eval", "bessel", "--nu", nu, "--x", "1"]) == 0
+        assert float(capsys.readouterr().out) == 0.0
 
     def test_eval_zeros_large_order(self, capsys):
         # oracle: mpmath besseljzero(160, 1) = 170.264863568030...

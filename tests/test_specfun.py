@@ -190,6 +190,15 @@ class TestBessel:
         # J_160(100)/100^160 ~ 1e-340 is below the float range
         assert 0.0 <= bessel_j_ratio(160.0, 100.0) < 1e-300
 
+    @pytest.mark.parametrize("nu", [3e305, 1e308])
+    @pytest.mark.parametrize("fn", [bessel_j, bessel_j_ratio])
+    def test_order_past_the_lgamma_range_underflows(self, fn, nu):
+        # log Gamma(nu+1) itself leaves the float range past nu ~ 2.5e305:
+        # the value is the 0.0 it underflows to, never nan
+        for x in (1e-300, 1.0, 500.0):
+            assert fn(nu, x) == 0.0
+        assert lgamma(nu + 1.0) == math.inf
+
     def test_large_order_below_turning_point(self):
         # series regime; 2^nu Gamma(nu+1) needs the split power in gamma
         with mp.workdps(40):
